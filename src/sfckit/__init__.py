@@ -31,7 +31,6 @@ from .cocycles import (
 from .envelope import (
     UnderlyingLabel,
     build_label_set,
-    envelope_tensor_sign,
     lift_6j,
     underlying_fusion_rules,
     verify_lift,
@@ -109,7 +108,6 @@ __all__ = [
     "classify_objects",
     "cyclic_group",
     "determinant",
-    "envelope_tensor_sign",
     "is_parity_admissible",
     "lift_6j",
     "lift_supercocycle",

@@ -30,7 +30,6 @@ from .superfusion import (
     FermionicSixJTable,
     SuperFusionData,
     check_super_pentagon,
-    check_support,
     validate_superfusion,
 )
 
@@ -111,21 +110,9 @@ def pointed_superfusion_data(
     group: GroupTable, omega: TwoCocycleZ2, values
 ) -> tuple[SuperFusionData, FermionicSixJTable]:
     """Pointed superfusion data from raw (omega, F~); no cocycle checks."""
-    f = values if isinstance(values, ThreeCocycle) else ThreeCocycle(values)
-    mult = {(a, b, group.mul(a, b)): 1 for a in group.elements() for b in group.elements()}
-    base = FusionData(labels=group.labels, unit=group.identity, mult=mult)
-    parities = {
-        (a, b, group.mul(a, b), 1): omega(a, b) for a in group.elements() for b in group.elements()
-    }
-    data = SuperFusionData(base, parities, [BOSONIC] * group.order)
-    entries = {}
-    for a in group.elements():
-        for b in group.elements():
-            for c in group.elements():
-                ab = group.mul(a, b)
-                bc = group.mul(b, c)
-                entries[(a, b, ab, c, group.mul(ab, c), bc, 1, 1, 1, 1)] = f(a, b, c)
-    return data, FermionicSixJTable(entries)
+    base, table = pointed_fusion_data(group, values)
+    parities = {(a, b, ab, 1): omega(a, b) for (a, b, ab) in base.mult}
+    return SuperFusionData(base, parities, [BOSONIC] * group.order), table
 
 
 def pointed_superfusion(
@@ -353,9 +340,6 @@ def _validate_entry(entry: CatalogEntry) -> None:
         if not report.ok:
             raise CatalogError(f"{entry.describe()}: {report.summary()}")
         if entry.sixj is not None:
-            support = check_support(entry.data, entry.sixj)
-            if not support.ok:
-                raise CatalogError(f"{entry.describe()}: {support.summary()}")
             pentagon = check_super_pentagon(entry.data, entry.sixj, max_violations=1)
             if not pentagon.ok:
                 raise CatalogError(f"{entry.describe()}: {pentagon.summary()}")

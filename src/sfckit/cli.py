@@ -24,9 +24,16 @@ from .cocycles import (
     validate_group,
 )
 from .envelope import underlying_fusion_rules, verify_lift
-from .fusion import FusionError, SixJTable, check_pentagon, validate_fusion, validate_sixj
+from .fusion import (
+    FusionError,
+    SixJTable,
+    check_pentagon,
+    require_admissible_support,
+    validate_fusion,
+    validate_sixj,
+)
 from .grothendieck import GrothendieckError, build_sgr, relations_text
-from .reporting import DEFAULT_MAX_VIOLATIONS
+from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, Violation
 from .serialize import (
     CategoryFile,
     SchemaError,
@@ -34,16 +41,12 @@ from .serialize import (
     fusion_file,
     group_file,
     load_file,
+    read_document,
     save_file,
     sha256_digest,
     superfusion_file,
 )
-from .superfusion import (
-    FermionicSixJTable,
-    check_super_pentagon,
-    check_support,
-    validate_superfusion,
-)
+from .superfusion import check_super_pentagon, check_support, validate_superfusion
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,22 +79,15 @@ class _Run:
 
     def read_input(self, path: str) -> CategoryFile:
         self.input_path = path
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        raw, cf = read_document(path)
         self.input_digest = sha256_digest(raw)
-        try:
-            cf = load_file(path)
-        except SchemaError:
-            raise
         return cf
 
     def add(self, report) -> bool:
         doc = report.to_json()
         doc["ok"] = report.ok
         self.checks.append(doc)
-        if not report.ok:
-            return False
-        return True
+        return report.ok
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -154,17 +150,19 @@ def _cmd_check(args) -> int:
     if cf.kind == "fusion":
         if which not in ("pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a fusion file")
-        ok &= run.add(validate_fusion(cf.fusion))
         table = cf.sixj if cf.sixj is not None else SixJTable({})
-        if cf.sixj is None:
-            run.note("no 6j table in input; pentagon runs against the empty table")
+        require_admissible_support(cf.fusion, table)
+        ok &= run.add(validate_fusion(cf.fusion))
         ok &= run.add(validate_sixj(cf.fusion, table))
-        ok &= run.add(check_pentagon(cf.fusion, table, max_violations=mv, jobs=jobs))
+        if ok:
+            if cf.sixj is None:
+                run.note("no 6j table in input; pentagon runs against the empty table")
+            ok &= run.add(check_pentagon(cf.fusion, table, max_violations=mv, jobs=jobs))
     elif cf.kind == "superfusion":
         if which not in ("super-pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a superfusion file")
         ok &= run.add(validate_superfusion(cf.superfusion))
-        table = cf.sixj if cf.sixj is not None else FermionicSixJTable({})
+        table = cf.sixj if cf.sixj is not None else SixJTable({})
         if cf.sixj is None:
             run.note("no fermionic 6j table in input; super pentagon runs against the empty table")
         ok &= run.add(check_support(cf.superfusion, table))
@@ -207,24 +205,51 @@ def _cmd_underlying(args) -> int:
         run.note("no fermionic 6j table: emitting graded labels and fusion rules only")
         out = fusion_file(underlying_fusion_rules(data))
     else:
-        super_pent = check_super_pentagon(data, cf.sixj, max_violations=args.max_violations, jobs=args.jobs)
-        ok &= run.add(super_pent)
+        result = verify_lift(data, cf.sixj, max_violations=args.max_violations, jobs=args.jobs)
+        ok &= run.add(result.super_pentagon)
         if not ok:
             run.note("input fails the super pentagon; refusing to lift")
             return run.finish(False)
-        result = verify_lift(data, cf.sixj, max_violations=args.max_violations, jobs=args.jobs)
         ok &= run.add(result.fusion_validation)
         ok &= run.add(result.pentagon)
         out = fusion_file(result.underlying, result.sixj)
     _write_output(args, out)
     if args.output and out.sixj is not None:
-        reloaded = load_file(args.output)
-        recheck = check_pentagon(
-            reloaded.fusion, reloaded.sixj, max_violations=args.max_violations, jobs=args.jobs
-        )
-        recheck.name = "pentagon (re-verified on written file)"
-        ok &= run.add(recheck)
+        ok &= run.add(_check_written(args.output, out, args.max_violations))
     return run.finish(ok)
+
+
+def _check_written(path: str, cf: CategoryFile, max_violations: int | None) -> CheckReport:
+    """Reload a written fusion file and compare its labels, unit,
+    multiplicities and every 6j entry exactly with the in-memory data.
+
+    Equal data has an equal pentagon verdict, so this guards the written file
+    as well as a second pentagon scan would.
+    """
+    violations = []
+    checked = 0
+    try:
+        back = load_file(path)
+    except SchemaError as exc:
+        violations.append(Violation(instance=(), detail=str(exc)))
+    else:
+        for attr in ("labels", "unit", "mult"):
+            checked += 1
+            if getattr(back.fusion, attr, None) != getattr(cf.fusion, attr):
+                violations.append(Violation(instance=(attr,), detail="reloaded value differs from the written one"))
+        want = cf.sixj.entries
+        got = getattr(back.sixj, "entries", {})
+        for key in sorted(want.keys() | got.keys()):
+            checked += 1
+            if want.get(key) != got.get(key):
+                violations.append(Violation(instance=key, lhs=got.get(key), rhs=want.get(key)))
+    return CheckReport(
+        name="written file round trip",
+        ok=not violations,
+        checked=checked,
+        violations=violations[:max_violations],
+        total_violations=len(violations),
+    )
 
 
 def _cmd_lift_cocycle(args) -> int:

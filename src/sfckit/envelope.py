@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 from .fusion import FusionData, SixJTable, check_pentagon, validate_fusion
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, ValidationReport
-from .scalars import Cyclotomic, minus_one_pow
+from .scalars import Cyclotomic
 from .superfusion import (
     FermionicSixJTable,
     SuperFusionData,
     SuperFusionError,
     check_super_pentagon,
-    check_support,
 )
 
 
@@ -95,32 +94,23 @@ def _parity_class_relabeling(data: SuperFusionData):
     return maps
 
 
-def envelope_tensor_sign(a: int, b: int, c: int, d: int, f_parity: int) -> Cyclotomic:
-    """Sign picked up when tensoring graded morphisms: (-1)^(d * |f|)."""
-    for bit in (a, b, c, d, f_parity):
-        if bit not in (0, 1):
-            raise ValueError(f"grades and parities must be bits, got {bit}")
-    return minus_one_pow(d * f_parity)
-
-
 def lift_6j(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
     """Sign-twisted lift of a fermionic 6j table to the graded label set.
 
     Refuses input that fails the super pentagon or the parity-support check
     (the lift of such a table would not satisfy the pentagon identity).
     """
-    support = check_support(data, table)
-    if not support.ok:
-        raise SuperFusionError(
-            f"cannot lift: {support.total_violations} entries off parity-admissible support, "
-            f"e.g. {support.violations[0].instance}"
-        )
     pentagon = check_super_pentagon(data, table, max_violations=1)
     if not pentagon.ok:
         raise SuperFusionError(
             f"cannot lift: super pentagon fails at {pentagon.total_violations} instance(s), "
             f"e.g. {pentagon.violations[0].instance}"
         )
+    return _twist(data, table)
+
+
+def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
+    """The sign-twisted table; the caller has passed the support check."""
     _, index = _label_indexing(data)
     relabel = _parity_class_relabeling(data)
     s = data.parities
@@ -170,19 +160,18 @@ def lift_6j(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
 
 @dataclass
 class LiftVerification:
-    """Underlying category data plus the independent pentagon re-check."""
+    """The super pentagon verdict on the input and, when it passes, the
+    underlying category data with its independent pentagon check."""
 
-    underlying: FusionData
-    sixj: SixJTable
-    fusion_validation: ValidationReport
-    pentagon: CheckReport
+    super_pentagon: CheckReport
+    underlying: FusionData | None = None
+    sixj: SixJTable | None = None
+    fusion_validation: ValidationReport | None = None
+    pentagon: CheckReport | None = None
 
     @property
     def ok(self) -> bool:
-        return self.fusion_validation.ok and self.pentagon.ok
-
-    def summary(self) -> str:
-        return self.fusion_validation.summary() + "\n" + self.pentagon.summary()
+        return self.super_pentagon.ok and self.fusion_validation.ok and self.pentagon.ok
 
 
 def verify_lift(
@@ -192,18 +181,23 @@ def verify_lift(
     max_violations: int | None = DEFAULT_MAX_VIOLATIONS,
     jobs: int = 1,
 ) -> LiftVerification:
-    """Build the underlying category and re-verify the pentagon on it.
+    """Check the super pentagon, then build the underlying category and
+    verify the pentagon on it.
 
-    A failure here is surfaced, never ignored: it means inconsistent input
-    data or an implementation fault.
+    Raises SuperFusionError for a table off the parity-admissible support.
+    When the super pentagon fails nothing is lifted, and only
+    ``super_pentagon`` is set.  A failure after the lift is surfaced, never
+    ignored: it means an implementation fault.
     """
+    super_pentagon = check_super_pentagon(data, table, max_violations=max_violations, jobs=jobs)
+    if not super_pentagon.ok:
+        return LiftVerification(super_pentagon)
     rules = underlying_fusion_rules(data)
-    lifted = lift_6j(data, table)
-    validation = validate_fusion(rules)
-    pentagon = check_pentagon(rules, lifted, max_violations=max_violations, jobs=jobs)
+    lifted = _twist(data, table)
     return LiftVerification(
+        super_pentagon=super_pentagon,
         underlying=rules,
         sixj=lifted,
-        fusion_validation=validation,
-        pentagon=pentagon,
+        fusion_validation=validate_fusion(rules),
+        pentagon=check_pentagon(rules, lifted, max_violations=max_violations, jobs=jobs),
     )

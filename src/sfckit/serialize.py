@@ -267,10 +267,7 @@ def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
         sdata = SuperFusionData(data, parities, object_type)
     except FusionError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    table = None
-    if base_file.sixj is not None:
-        table = FermionicSixJTable(base_file.sixj.entries)
-    return superfusion_file(sdata, table)
+    return superfusion_file(sdata, base_file.sixj)
 
 
 def _encode_superfusion(cf: CategoryFile) -> dict:
@@ -434,9 +431,20 @@ def save_file(path, cf: CategoryFile) -> None:
         fh.write(dumps_file(cf))
 
 
-def load_file(path) -> CategoryFile:
+def read_document(path) -> tuple[bytes, CategoryFile]:
+    """Read a file once: its raw bytes (for a digest) and its decoded content.
+
+    An unreadable path or bytes that are not UTF-8 raise SchemaError naming
+    the path.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return loads_file(fh.read())
-    except OSError as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from None
+    return raw, loads_file(text)
+
+
+def load_file(path) -> CategoryFile:
+    return read_document(path)[1]

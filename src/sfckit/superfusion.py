@@ -16,9 +16,9 @@ from .fusion import (
     FusionData,
     FusionError,
     SixJTable,
-    admissible_decuples,
     decuple_is_admissible,
     require_admissible_support,
+    _missing_warning,
     _run_scan,
 )
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, ValidationReport, Violation
@@ -108,8 +108,9 @@ class SuperFusionData:
         return even, odd
 
 
-class FermionicSixJTable(SixJTable):
-    """Sparse fermionic 6j table; nonzero only on parity-admissible decuples."""
+# A fermionic 6j table has the plain table's form; check_support checks that
+# its nonzero entries sit on parity-admissible decuples.
+FermionicSixJTable = SixJTable
 
 
 @dataclass
@@ -161,12 +162,6 @@ def is_parity_admissible(data: SuperFusionData, decuple: tuple) -> bool:
     left = s[(i, j, m, alpha)] + s[(m, k, n, beta)]
     right = s[(j, k, t, eta)] + s[(i, t, n, phi)]
     return (left - right) % 2 == 0
-
-
-def parity_admissible_decuples(data: SuperFusionData):
-    for key in admissible_decuples(data.base):
-        if is_parity_admissible(data, key):
-            yield key
 
 
 def validate_superfusion(data: SuperFusionData) -> ValidationReport:
@@ -294,17 +289,11 @@ def check_super_pentagon(
     violations, total, checked, missing = _run_scan(
         data.base, table.entries, data.parities, max_violations, jobs
     )
-    warnings = []
-    if missing:
-        preview = ", ".join(map(str, sorted(missing)[:5]))
-        warnings.append(
-            f"{len(missing)} admissible decuple(s) had no table entry and were treated as 0, e.g. {preview}"
-        )
     return CheckReport(
         name="super pentagon",
         ok=total == 0,
         checked=checked,
         violations=violations,
         total_violations=total,
-        warnings=warnings,
+        warnings=_missing_warning(missing),
     )

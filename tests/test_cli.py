@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from sfckit import cli, fusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
-from sfckit.serialize import dumps_file, group_file, load_file
+from sfckit.fusion import SixJTable
+from sfckit.serialize import dumps_file, fusion_file, group_file, load_file
 from sfckit.cocycles import cyclic_group
 from sfckit.catalog import z2_supercocycle
 
@@ -78,6 +80,36 @@ def test_check_exit_2_on_malformed(tmp_path, capsys):
     assert main(["check", str(wrong_schema)]) == EXIT_INPUT_ERROR
 
 
+def test_unreadable_input_is_input_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"format_version": "sfc-1", "kind": "caf\xe9"}')
+    for path in (tmp_path / "missing.json", tmp_path, latin1):
+        assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+        assert f"cannot read {path}" in capsys.readouterr().err
+
+
+def _one_label_file(path, n, sixj=()):
+    payload = {"labels": ["1"], "unit": "1", "mult": [["1", "1", "1", n]], "sixj": list(sixj)}
+    path.write_text(json.dumps({"format_version": "sfc-1", "kind": "fusion", "payload": payload}))
+    return path
+
+
+def test_check_gates_pentagon_on_fusion_rules(tmp_path, capsys):
+    # N = 4 breaks the unit law: no pentagon scan over its 4096 instances
+    bad_rules = _one_label_file(tmp_path / "n4.json", 4)
+    assert main(["check", str(bad_rules), "--json"]) == EXIT_CHECK_FAILED
+    doc = json.loads(capsys.readouterr().out)
+    assert [c.get("name") or c.get("subject") for c in doc["checks"]] == ["fusion data", "6j table"]
+    assert doc["notes"] == []
+
+    # an entry off the admissible support stays an input error
+    off_support = ["1", "1", "1", "1", "1", "1", 5, 1, 1, 1, 1]
+    for n in (1, 4):
+        path = _one_label_file(tmp_path / f"off-{n}.json", n, [off_support])
+        assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+        assert "non-admissible" in capsys.readouterr().err
+
+
 def test_check_which_mismatch_is_input_error(super_z2_file):
     assert main(["check", str(super_z2_file), "--which", "cocycle3"]) == EXIT_INPUT_ERROR
     assert main(["check", str(super_z2_file), "--which", "pentagon"]) == EXIT_INPUT_ERROR
@@ -118,6 +150,44 @@ def test_underlying_refuses_bad_input(tmp_path, super_z2_file, capsys):
     out = tmp_path / "nope.json"
     assert main(["underlying", str(bad), "-o", str(out)]) == EXIT_CHECK_FAILED
     assert not out.exists()
+
+
+def test_underlying_scans_each_identity_once(tmp_path, super_z2_file, monkeypatch):
+    real_scan = fusion._scan_chunk
+    scans = {"super": 0, "plain": 0}
+
+    def counting_scan(data, entries, parities, outer, max_violations):
+        scans["plain" if parities is None else "super"] += 1
+        return real_scan(data, entries, parities, outer, max_violations)
+
+    monkeypatch.setattr(fusion, "_scan_chunk", counting_scan)
+    out = tmp_path / "underlying.json"
+    assert main(["underlying", str(super_z2_file), "-o", str(out), "--jobs", "1"]) == EXIT_OK
+    assert scans == {"super": 1, "plain": 1}
+
+
+def test_underlying_round_trip_catches_corrupted_write(tmp_path, super_z2_file, monkeypatch, capsys):
+    real_save = cli.save_file
+
+    def flip_one_entry(path, cf):
+        entries = dict(cf.sixj.entries)
+        key = min(entries)
+        entries[key] = -entries[key]
+        real_save(path, fusion_file(cf.fusion, SixJTable(entries)))
+
+    def truncate(path, cf):
+        with open(path, "w") as fh:
+            fh.write(dumps_file(cf)[:100])
+
+    out = tmp_path / "underlying.json"
+    for corrupting_save in (flip_one_entry, truncate):
+        monkeypatch.setattr(cli, "save_file", corrupting_save)
+        assert main(["underlying", str(super_z2_file), "-o", str(out), "--json"]) == EXIT_CHECK_FAILED
+        doc = json.loads(capsys.readouterr().out)
+        round_trip = doc["checks"][-1]
+        assert round_trip["name"] == "written file round trip"
+        assert round_trip["ok"] is False
+        assert round_trip["total_violations"] == 1
 
 
 def test_lift_cocycle_flow(tmp_path, capsys):
@@ -199,12 +269,14 @@ def test_jobs_env_var_sets_default(super_z2_file, monkeypatch):
     assert main(["check", str(super_z2_file)]) == EXIT_OK
 
 
-def test_jobs_flag_matches_sequential(super_z2_file, capsys):
-    assert main(["check", str(super_z2_file), "--jobs", "2", "--json"]) == EXIT_OK
-    parallel = json.loads(capsys.readouterr().out)
-    assert main(["check", str(super_z2_file), "--jobs", "1", "--json"]) == EXIT_OK
-    sequential = json.loads(capsys.readouterr().out)
-    assert parallel["checks"] == sequential["checks"]
+def test_jobs_flag_matches_sequential(tmp_path, super_z2_file, capsys):
+    underlying = ["underlying", str(super_z2_file), "-o", str(tmp_path / "underlying.json")]
+    for argv in (["check", str(super_z2_file)], underlying):
+        assert main([*argv, "--jobs", "2", "--json"]) == EXIT_OK
+        parallel = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--jobs", "1", "--json"]) == EXIT_OK
+        sequential = json.loads(capsys.readouterr().out)
+        assert parallel["checks"] == sequential["checks"]
 
 
 def test_catalog_stdout(capsys):

@@ -6,7 +6,6 @@ from sfckit.catalog import build_entry, ck_super, ising_super, superfusion_entri
 from sfckit.envelope import (
     UnderlyingLabel,
     build_label_set,
-    envelope_tensor_sign,
     lift_6j,
     render_label,
     underlying_fusion_rules,
@@ -169,6 +168,10 @@ def test_lift_refuses_bad_input():
     data = pointed_super(lambda a, b: a * b)
     with pytest.raises(SuperFusionError):
         lift_6j(data, z2_fermionic_table(ONE))  # fails the super pentagon
+    result = verify_lift(data, z2_fermionic_table(ONE))
+    assert not result.ok
+    assert result.super_pentagon.total_violations > 0
+    assert result.sixj is None and result.pentagon is None
 
 
 def test_verify_lift_passes_for_catalog_tables():
@@ -249,12 +252,3 @@ def test_exact_ising_table_is_grade_coherent():
     assert count == 36
     assert len(grouped) == 29
     assert all(len(values) == 1 for values in grouped.values())
-
-
-def test_envelope_tensor_sign():
-    assert envelope_tensor_sign(0, 0, 0, 0, 0) == 1
-    assert envelope_tensor_sign(0, 1, 1, 0, 1) == 1  # d = 0
-    assert envelope_tensor_sign(1, 0, 0, 1, 1) == -1  # d = 1, |f| = 1
-    assert envelope_tensor_sign(0, 0, 1, 1, 0) == 1  # d = 1, |f| = 0
-    with pytest.raises(ValueError):
-        envelope_tensor_sign(0, 0, 0, 2, 0)
