@@ -165,10 +165,11 @@ def _cmd_check(args) -> int:
         table = cf.sixj if cf.sixj is not None else SixJTable({})
         if cf.sixj is None:
             run.note("no fermionic 6j table in input; super pentagon runs against the empty table")
-        ok &= run.add(check_support(cf.superfusion, table))
+        support = check_support(cf.superfusion, table)
+        ok &= run.add(support)
         if ok:
             ok &= run.add(
-                check_super_pentagon(cf.superfusion, table, max_violations=mv, jobs=jobs)
+                check_super_pentagon(cf.superfusion, table, max_violations=mv, jobs=jobs, support=support)
             )
     else:
         applicable = {
@@ -259,11 +260,12 @@ def _cmd_lift_cocycle(args) -> int:
         raise SchemaError("lift-cocycle needs a group+cocycles file with a supercocycle table")
     ok = run.add(validate_group(cf.group))
     if ok:
-        ok &= run.add(check_supercocycle(cf.group, cf.supercocycle, max_violations=args.max_violations))
+        supercocycle = check_supercocycle(cf.group, cf.supercocycle, max_violations=args.max_violations)
+        ok &= run.add(supercocycle)
     if not ok:
         return run.finish(False)
     try:
-        ext, lifted = lift_supercocycle(cf.group, cf.supercocycle)
+        ext, lifted = lift_supercocycle(cf.group, cf.supercocycle, report=supercocycle)
     except CocycleError as exc:
         run.note(str(exc))
         return run.finish(False)

@@ -110,7 +110,11 @@ def lift_6j(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
 
 
 def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
-    """The sign-twisted table; the caller has passed the support check."""
+    """The sign-twisted table; the caller has passed the support check.
+
+    Raises SuperFusionError on a nonzero entry off the parity-admissible
+    support, which has no lift.
+    """
     _, index = _label_indexing(data)
     relabel = _parity_class_relabeling(data)
     s = data.parities
@@ -141,7 +145,8 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
                     if data.is_majorana(n) and gn:
                         continue
                     # grade bookkeeping per the unambiguous decuple form
-                    assert (a + gt + gn) % 2 == s_f, "parity admissibility broken"
+                    if (a + gt + gn) % 2 != s_f:
+                        raise SuperFusionError(f"entry {key} is not parity-admissible; it has no lift")
                     lifted_key = (
                         index[(i, a)],
                         index[(j, b)],

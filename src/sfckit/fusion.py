@@ -9,9 +9,11 @@ warning, never silently required).
 The pentagon check enumerates only admissible chains: for each outer object
 quadruple it walks the precomputed summand lists instead of the full
 rank**10 index space, which is what makes exhaustive exact verification
-instant at the scales this library targets.  The outer quadruple space can be
-partitioned across worker processes; partial reports are merged in index
-order, so the result is identical for any worker count.
+instant at the scales this library targets.  The scan runs on ints only, on
+the table compiled once into the integer group ring (scalars.group_ring_form);
+values are Cyclotomic again only in a reported violation.  The outer
+quadruple space can be partitioned across worker processes; partial reports
+are merged in index order, so the result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, ValidationReport, Violation
-from .scalars import ZERO, Cyclotomic
+from .scalars import ZERO, Cyclotomic, from_group_ring, group_ring_equal, group_ring_form
 
 MISSING_ENTRY_PREVIEW = 5
 
@@ -233,13 +235,20 @@ def validate_sixj(data: FusionData, table: SixJTable) -> ValidationReport:
 def _scan_chunk(data, entries, parities, outer, max_violations):
     """Check the (super) pentagon identity over one chunk of outer quadruples.
 
+    entries is the table compiled by _compile: (N, D, terms), where terms
+    maps each decuple to the group ring terms of D times its value (see
+    scalars.group_ring_form).  The cubic left side and the quadratic right
+    side, scaled by D, both carry the factor D**3.
+
     parities is None for the plain pentagon; for the super pentagon it maps
     admissible Hom-space quadruples to parity bits, and the right-hand side
     picks up (-1)**(s(i,j,m,alpha) * s(k,l,q,delta)).
     """
+    order, scale, terms = entries
+    cube = scale**3
     prod = data._products
     nf = data.mult.get
-    get = entries.get
+    get = terms.get
     violations = []
     total = 0
     checked = 0
@@ -274,7 +283,7 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                                                 continue
                                             for phi in range(1, njqs + 1):
                                                 for gamma in range(1, nisp + 1):
-                                                    lhs = ZERO
+                                                    lhs = [0] * order
                                                     for t, njkt in prod[j][k]:
                                                         nitn = nf((i, t, n), 0)
                                                         if not nitn:
@@ -285,41 +294,55 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                                                         for eta in range(1, njkt + 1):
                                                             for psi in range(1, nitn + 1):
                                                                 f1 = fetch((i, j, m, k, n, t, alpha, beta, eta, psi))
-                                                                if f1 is None or f1.is_zero():
+                                                                if not f1:
                                                                     continue
                                                                 for kappa in range(1, ntls + 1):
                                                                     f2 = fetch((i, t, n, l, p, s, psi, chi, kappa, gamma))
-                                                                    if f2 is None or f2.is_zero():
+                                                                    if not f2:
                                                                         continue
                                                                     f3 = fetch((j, k, t, l, s, q, eta, kappa, delta, phi))
-                                                                    if f3 is None or f3.is_zero():
+                                                                    if not f3:
                                                                         continue
-                                                                    lhs = lhs + f1 * f2 * f3
-                                                    rhs = ZERO
+                                                                    for e1, c1 in f1:
+                                                                        for e2, c2 in f2:
+                                                                            e12 = e1 + e2
+                                                                            c12 = c1 * c2
+                                                                            for e3, c3 in f3:
+                                                                                lhs[(e12 + e3) % order] += c12 * c3
+                                                    rhs = [0] * order
                                                     for eps in range(1, nmqp + 1):
                                                         g1 = fetch((m, k, n, l, p, q, beta, chi, delta, eps))
-                                                        if g1 is None or g1.is_zero():
+                                                        if not g1:
                                                             continue
                                                         g2 = fetch((i, j, m, q, p, s, alpha, eps, phi, gamma))
-                                                        if g2 is None or g2.is_zero():
+                                                        if not g2:
                                                             continue
-                                                        rhs = rhs + g1 * g2
+                                                        for e1, c1 in g1:
+                                                            c1 *= scale
+                                                            for e2, c2 in g2:
+                                                                rhs[(e1 + e2) % order] += c1 * c2
                                                     if parities is not None:
                                                         if parities[(i, j, m, alpha)] and parities[(k, l, q, delta)]:
-                                                            rhs = -rhs
+                                                            rhs = [-c for c in rhs]
                                                     checked += 1
-                                                    if lhs != rhs:
+                                                    if not group_ring_equal(lhs, rhs, order):
                                                         total += 1
                                                         if max_violations is None or len(violations) < max_violations:
                                                             violations.append(
                                                                 Violation(
                                                                     instance=(i, j, k, l, m, n, p, q, s,
                                                                               alpha, beta, chi, gamma, delta, phi),
-                                                                    lhs=lhs,
-                                                                    rhs=rhs,
+                                                                    lhs=from_group_ring(lhs, order, cube),
+                                                                    rhs=from_group_ring(rhs, order, cube),
                                                                 )
                                                             )
     return violations, total, checked, missing
+
+
+def _compile(entries):
+    """The scan form (N, D, terms by decuple) of a table's entries."""
+    order, scale, terms = group_ring_form(entries.values())
+    return order, scale, dict(zip(entries, terms))
 
 
 def _scan_worker(args):
@@ -335,14 +358,15 @@ def _run_scan(data, entries, parities, max_violations, jobs):
         for k in range(rank)
         for l in range(rank)
     ]
+    compiled = _compile(entries)
     jobs = max(1, int(jobs))
     if jobs == 1 or len(outer) < 2 * jobs:
-        return _scan_chunk(data, entries, parities, outer, max_violations)
+        return _scan_chunk(data, compiled, parities, outer, max_violations)
     step = -(-len(outer) // jobs)
     chunks = [outer[pos : pos + step] for pos in range(0, len(outer), step)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = list(
-            pool.map(_scan_worker, [(data, entries, parities, chunk, max_violations) for chunk in chunks])
+            pool.map(_scan_worker, [(data, compiled, parities, chunk, max_violations) for chunk in chunks])
         )
     violations: list[Violation] = []
     total = 0

@@ -6,6 +6,14 @@ polynomial.  Phi_n is irreducible over Q, so every nonzero value is
 invertible.  All coefficients are fractions.Fraction; there is no floating
 point anywhere.   Values are immutable and safe to share between workers.
 
+The exhaustive scans (pentagon, super pentagon, 3-cocycle, 3-supercocycle)
+do not run on Fractions.  group_ring_form compiles a table once into the
+integer group ring Z[Z/N] over one shared denominator D, the integer form
+FLINT's fmpq_poly uses: products there add exponents mod N and multiply
+ints, and a sum is reduced mod Phi_N only when the two sides of an identity
+differ as integer vectors (group_ring_equal).  Cyclotomic stays the type
+at every boundary: input, output and the sides of a reported violation.
+
 Two values are equal iff they agree after promoting both into Q(zeta_m) for
 m = lcm of their orders.  Hashing reduces to the conductor (the least order
 containing the value), so equal values hash equal regardless of the order
@@ -396,6 +404,58 @@ class Cyclotomic:
             else:
                 terms.append(f"{q}*{z}")
         return " + ".join(terms).replace("+ -", "- ")
+
+
+def group_ring_form(values) -> tuple[int, int, list[tuple[tuple[int, int], ...]]]:
+    """Compile values into the integer group ring Z[Z/N].
+
+    Returns (N, D, terms): N is the lcm of the orders, D the lcm of every
+    coefficient denominator, and terms[i] lists the (exponent mod N, integer
+    coefficient) pairs of D * values[i].  As z_n^k = z_N^(k*N/n), a power
+    basis coefficient keeps its denominator under the embedding into
+    Q(zeta_N), so D clears all of them.  Zero becomes (), and a nonzero value
+    has at least one term.
+    """
+    values = list(values)
+    order = lcm(1, *(v.order for v in values))
+    scale = lcm(1, *(c.denominator for v in values for c in v.coeffs))
+    terms = []
+    for v in values:
+        step = order // v.order
+        terms.append(tuple(
+            (k * step, c.numerator * (scale // c.denominator)) for k, c in enumerate(v.coeffs) if c
+        ))
+    return order, scale, terms
+
+
+def group_ring_reduce(vec, n: int) -> list[int]:
+    """Power basis coefficients in Z[z]/Phi_n of sum vec[k] z^k, len(vec) <= n.
+
+    Two group ring elements are the same field value iff they reduce equal.
+    """
+    table = _power_table(n)
+    phi = euler_phi(n)
+    out = list(vec[:phi])
+    for k in range(phi, len(vec)):
+        c = vec[k]
+        if c:
+            for i, r in enumerate(table[k]):
+                if r:
+                    out[i] += c * r
+    return out
+
+
+def group_ring_equal(a: list[int], b: list[int], n: int) -> bool:
+    """Whether two length-n group ring vectors are the same field value.
+
+    Equal vectors are; otherwise their difference is reduced mod Phi_n.
+    """
+    return a == b or not any(group_ring_reduce([x - y for x, y in zip(a, b)], n))
+
+
+def from_group_ring(vec, n: int, scale: int) -> "Cyclotomic":
+    """The field value (sum vec[k] z_n^k) / scale."""
+    return Cyclotomic(n, [Fraction(c, scale) for c in group_ring_reduce(vec, n)])
 
 
 ZERO = Cyclotomic.rational(0)

@@ -276,10 +276,17 @@ def check_super_pentagon(
     *,
     max_violations: int | None = DEFAULT_MAX_VIOLATIONS,
     jobs: int = 1,
+    support: CheckReport | None = None,
 ) -> CheckReport:
     """Verify the super pentagon identity; the right-hand side carries the
-    sign (-1)**(s^{ij}_m(alpha) * s^{kl}_q(delta))."""
-    support = check_support(data, table)
+    sign (-1)**(s^{ij}_m(alpha) * s^{kl}_q(delta)).
+
+    Raises SuperFusionError off the parity-admissible support.  A caller that
+    already holds check_support(data, table) passes it as ``support``, and the
+    support pass is not repeated.
+    """
+    if support is None:
+        support = check_support(data, table)
     if not support.ok:
         first = support.violations[0]
         raise SuperFusionError(

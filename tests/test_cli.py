@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from sfckit import cli, fusion
+from sfckit import cli, cocycles, fusion, superfusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file
-from sfckit.cocycles import cyclic_group
+from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
 from sfckit.catalog import z2_supercocycle
 
 
@@ -164,6 +164,55 @@ def test_underlying_scans_each_identity_once(tmp_path, super_z2_file, monkeypatc
     out = tmp_path / "underlying.json"
     assert main(["underlying", str(super_z2_file), "-o", str(out), "--jobs", "1"]) == EXIT_OK
     assert scans == {"super": 1, "plain": 1}
+
+
+def test_check_runs_support_once(super_z2_file, monkeypatch, capsys):
+    real_support = superfusion.check_support
+    calls = []
+
+    def counting_support(data, table):
+        calls.append(1)
+        return real_support(data, table)
+
+    monkeypatch.setattr(superfusion, "check_support", counting_support)
+    monkeypatch.setattr(cli, "check_support", counting_support)
+    assert main(["check", str(super_z2_file), "--json"]) == EXIT_OK
+    assert len(calls) == 1
+    names = [check.get("name") for check in json.loads(capsys.readouterr().out)["checks"]]
+    assert names[1:] == ["fermionic 6j support", "super pentagon"]
+
+
+def test_lift_cocycle_scans_supercocycle_once(tmp_path, monkeypatch, capsys):
+    real_check = cocycles.check_supercocycle
+    calls = []
+
+    def counting_check(g, sc, **kwargs):
+        calls.append(1)
+        return real_check(g, sc, **kwargs)
+
+    monkeypatch.setattr(cocycles, "check_supercocycle", counting_check)
+    monkeypatch.setattr(cli, "check_supercocycle", counting_check)
+    src = tmp_path / "gz2.json"
+    src.write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    assert main(["lift-cocycle", str(src), "-o", str(tmp_path / "lifted.json"), "--json"]) == EXIT_OK
+    assert len(calls) == 1
+    names = [check.get("name") or check.get("subject") for check in json.loads(capsys.readouterr().out)["checks"]]
+    assert names == ["group table", "3-supercocycle", "3-cocycle (on the central extension)"]
+
+
+def test_lift_cocycle_reports_unliftable_omega(tmp_path, capsys):
+    # omega = 1 and F~ = -1 satisfy the supercocycle identity, but omega is
+    # not normalized at the identity and defines no central extension
+    omega = TwoCocycleZ2([[1, 1], [1, 1]])
+    minus_ones = [[[-1, -1], [-1, -1]], [[-1, -1], [-1, -1]]]
+    src = tmp_path / "unnormalized.json"
+    src.write_text(dumps_file(group_file(cyclic_group(2), supercocycle=SuperCocycle(omega, minus_ones))))
+    out = tmp_path / "lifted.json"
+    assert main(["lift-cocycle", str(src), "-o", str(out), "--json"]) == EXIT_CHECK_FAILED
+    doc = json.loads(capsys.readouterr().out)
+    assert [check["ok"] for check in doc["checks"]] == [True, True]
+    assert "normalized" in doc["notes"][0]
+    assert not out.exists()
 
 
 def test_underlying_round_trip_catches_corrupted_write(tmp_path, super_z2_file, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sfckit import envelope
 from sfckit.catalog import build_entry, ck_super, ising_super, superfusion_entries_with_tables
 from sfckit.envelope import (
     UnderlyingLabel,
@@ -172,6 +173,14 @@ def test_lift_refuses_bad_input():
     assert not result.ok
     assert result.super_pentagon.total_violations > 0
     assert result.sixj is None and result.pentagon is None
+
+
+def test_twist_refuses_off_support_entries_without_assert():
+    # omega(g, h) = g is no 2-cocycle, so some entries sit off the
+    # parity-admissible support; the twist raises, also under python -O
+    data = pointed_super(lambda a, b: a)
+    with pytest.raises(SuperFusionError, match="not parity-admissible"):
+        envelope._twist(data, z2_fermionic_table(ONE))
 
 
 def test_verify_lift_passes_for_catalog_tables():

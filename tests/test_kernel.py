@@ -1,0 +1,394 @@
+"""Differential tests: the integer group-ring scan kernel against the
+Cyclotomic reference loops it replaced.
+
+The reference loops below evaluate every identity with Cyclotomic
+arithmetic, term by term.  The kernel must give identical reports on every
+input: verdict, ``checked``, ``total_violations``, missing-entry warnings,
+and the ``lhs``/``rhs`` strings of every violation.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from sfckit import fusion
+from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
+from sfckit.cocycles import (
+    SuperCocycle,
+    ThreeCocycle,
+    TwoCocycleZ2,
+    check_3cocycle,
+    check_supercocycle,
+    cyclic_group,
+)
+from sfckit.envelope import verify_lift
+from sfckit.fusion import FusionData, SixJTable, admissible_decuples, check_pentagon
+from sfckit.reporting import CheckReport, Violation
+from sfckit.scalars import (
+    ONE,
+    ZERO,
+    Cyclotomic,
+    euler_phi,
+    from_group_ring,
+    group_ring_form,
+    root_of_unity,
+)
+from sfckit.superfusion import check_super_pentagon
+from tests.test_fusion import ising_exact_table, naive_pentagon_violations, z2_pointed, z2_table
+
+# -- Cyclotomic reference loops --------------------------------------------------------
+
+
+def reference_pentagon(name, data, entries, parities):
+    """The (super) pentagon over every outer quadruple, in Cyclotomic arithmetic."""
+    prod = data._products
+    nf = data.mult.get
+    get = entries.get
+    violations = []
+    checked = 0
+    missing = set()
+
+    def fetch(key):
+        v = get(key)
+        if v is None:
+            missing.add(key)
+        return v
+
+    rank = data.rank
+    for i in range(rank):
+     for j in range(rank):
+      for k in range(rank):
+       for l in range(rank):
+        for m, nijm in prod[i][j]:
+         for alpha in range(1, nijm + 1):
+          for n, nmkn in prod[m][k]:
+           for beta in range(1, nmkn + 1):
+            for p, nnlp in prod[n][l]:
+             for chi in range(1, nnlp + 1):
+              for q, nklq in prod[k][l]:
+               for delta in range(1, nklq + 1):
+                for s, njqs in prod[j][q]:
+                 for phi in range(1, njqs + 1):
+                  for gamma in range(1, nf((i, s, p), 0) + 1):
+                    lhs = ZERO
+                    for t, njkt in prod[j][k]:
+                        for eta in range(1, njkt + 1):
+                            for psi in range(1, nf((i, t, n), 0) + 1):
+                                f1 = fetch((i, j, m, k, n, t, alpha, beta, eta, psi))
+                                if f1 is None or f1.is_zero():
+                                    continue
+                                for kappa in range(1, nf((t, l, s), 0) + 1):
+                                    f2 = fetch((i, t, n, l, p, s, psi, chi, kappa, gamma))
+                                    if f2 is None or f2.is_zero():
+                                        continue
+                                    f3 = fetch((j, k, t, l, s, q, eta, kappa, delta, phi))
+                                    if f3 is None or f3.is_zero():
+                                        continue
+                                    lhs = lhs + f1 * f2 * f3
+                    rhs = ZERO
+                    for eps in range(1, nf((m, q, p), 0) + 1):
+                        g1 = fetch((m, k, n, l, p, q, beta, chi, delta, eps))
+                        if g1 is None or g1.is_zero():
+                            continue
+                        g2 = fetch((i, j, m, q, p, s, alpha, eps, phi, gamma))
+                        if g2 is None or g2.is_zero():
+                            continue
+                        rhs = rhs + g1 * g2
+                    if parities is not None and parities[(i, j, m, alpha)] and parities[(k, l, q, delta)]:
+                        rhs = -rhs
+                    checked += 1
+                    if lhs != rhs:
+                        violations.append(
+                            Violation(
+                                instance=(i, j, k, l, m, n, p, q, s, alpha, beta, chi, gamma, delta, phi),
+                                lhs=lhs,
+                                rhs=rhs,
+                            )
+                        )
+    return CheckReport(
+        name=name,
+        ok=not violations,
+        checked=checked,
+        violations=violations,
+        total_violations=len(violations),
+        warnings=fusion._missing_warning(missing),
+    )
+
+
+def reference_cube(name, g, values, omega):
+    """The 3-(super)cocycle identity over G^4, in Cyclotomic arithmetic."""
+    mul = g.mul
+    violations = []
+    checked = 0
+    for a in g.elements():
+        for b in g.elements():
+            for c in g.elements():
+                for d in g.elements():
+                    checked += 1
+                    lhs = values[a][b][c] * values[a][mul(b, c)][d] * values[b][c][d]
+                    rhs = values[mul(a, b)][c][d] * values[a][b][mul(c, d)]
+                    if omega is not None and omega(a, b) and omega(c, d):
+                        rhs = -rhs
+                    if lhs != rhs:
+                        violations.append(Violation(instance=(a, b, c, d), lhs=lhs, rhs=rhs))
+    return CheckReport(name, not violations, checked, violations, len(violations))
+
+
+# -- inputs ---------------------------------------------------------------------------
+
+
+def generic_factor(rng, order):
+    """A nonzero element of Q(zeta_order) with small random rational coefficients."""
+    while True:
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(order))]
+        if any(coeffs):
+            return Cyclotomic(order, coeffs)
+
+
+def gauge(data, table, seed, orders=(8,)):
+    """The table times a coboundary of seeded generic factors: same verdicts."""
+    rng = random.Random(seed)
+    u = {triple: generic_factor(rng, rng.choice(orders)) for triple in sorted(data.mult)}
+    entries = {}
+    for key, value in sorted(table.entries.items()):
+        i, j, m, k, n, t = key[:6]
+        entries[key] = value * u[(i, j, m)] * u[(m, k, n)] / (u[(j, k, t)] * u[(i, t, n)])
+    return SixJTable(entries)
+
+
+def flip(table, position=None):
+    keys = sorted(table.entries)
+    key = keys[len(keys) // 2 if position is None else position]
+    entries = dict(table.entries)
+    entries[key] = -entries[key]
+    return SixJTable(entries)
+
+
+CATALOG = [
+    ("trivial", ()),
+    ("trivial-super", ()),
+    ("ising", ()),
+    ("ck", (2,)),
+    ("ck", (6,)),
+    ("vec-zn", (2,)),
+    ("vec-zn", (3, 2)),
+    ("vec-zn", (4,)),
+    ("vec-zn", (6,)),
+    ("super-z2", (1,)),
+    ("super-z2", (3,)),
+    ("super-zn-even", (2,)),
+    ("super-zn-even", (3, 2)),
+    ("super-zn-even", (4,)),
+]
+
+
+def mixed_order_table():
+    """Garbage values of orders 1, 3, 5 and 7 on multiplicity-2 data."""
+    mult = {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1, (1, 1, 1): 2}
+    data = FusionData(labels=("1", "a"), unit=0, mult=mult)
+    values = [
+        ONE,
+        root_of_unity(3, 1),
+        -root_of_unity(5, 2),
+        root_of_unity(7, 3) + Cyclotomic.rational(Fraction(1, 5)),
+        Cyclotomic.rational(Fraction(-2, 3)),
+        ZERO,
+    ]
+    entries = {key: values[(5 * pos + 1) % len(values)] for pos, key in enumerate(admissible_decuples(data))}
+    return data, SixJTable(entries)
+
+
+# Violation values are compared as field elements; the report JSON, with its
+# lhs/rhs strings, for the first few (str() of a value at a large conductor
+# is slow).
+STRINGS_COMPARED = 4
+
+
+def assert_same_report(got, want):
+    assert got.violations == want.violations
+    got, want = (replace(r, violations=r.violations[:STRINGS_COMPARED]) for r in (got, want))
+    assert got.to_json() == want.to_json()
+
+
+def assert_pentagon_matches(data, table):
+    want = reference_pentagon("pentagon", data, table.entries, None)
+    for jobs in (1, 2):
+        assert_same_report(check_pentagon(data, table, max_violations=None, jobs=jobs), want)
+    return want
+
+
+# -- pentagon and super pentagon ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, params", CATALOG)
+def test_kernel_matches_reference_on_catalog(name, params):
+    # entries without a table are scanned against the empty table, as `check` does
+    entry = build_entry(name, *params)
+    table = entry.sixj if entry.sixj is not None else SixJTable({})
+    cases = [table, flip(table)] if len(table) else [table]
+    if entry.kind == "fusion":
+        for case in cases:
+            assert_pentagon_matches(entry.data, case)
+        return
+    for case in cases:
+        want = reference_pentagon("super pentagon", entry.data.base, case.entries, entry.data.parities)
+        for jobs in (1, 2):
+            assert_same_report(check_super_pentagon(entry.data, case, max_violations=None, jobs=jobs), want)
+    lift = verify_lift(entry.data, table)
+    for case in [lift.sixj, flip(lift.sixj)] if len(table) else [lift.sixj]:
+        assert_pentagon_matches(lift.underlying, case)
+
+
+def test_kernel_mutants_fail_with_reference_values():
+    entry = build_entry("vec-zn", 3)
+    report = assert_pentagon_matches(entry.data, flip(entry.sixj))
+    assert not report.ok and report.total_violations > 0
+    assert all(v.lhs != v.rhs for v in report.violations)
+
+
+def test_kernel_gauged_table_with_denominators():
+    data, table = ising_exact_table()
+    gauged = gauge(data, table, seed=3)
+    order, scale, _ = fusion._compile(gauged.entries)
+    assert order == 8 and scale > 1
+    assert assert_pentagon_matches(data, gauged).ok
+    for position in (0, 17, len(gauged) - 1):
+        assert not assert_pentagon_matches(data, flip(gauged, position)).ok
+
+
+def test_kernel_mixed_orders():
+    # a valid table over Q(zeta_105): vec-zn 3 gauged by rational factors and
+    # a few of orders 5 and 7
+    entry = build_entry("vec-zn", 3)
+    gauged = gauge(entry.data, entry.sixj, seed=5, orders=(1, 1, 1, 5, 7))
+    assert fusion._compile(gauged.entries)[0] == 105
+    assert assert_pentagon_matches(entry.data, gauged).ok
+    assert not assert_pentagon_matches(entry.data, flip(gauged)).ok
+
+    # garbage values with a zero and missing entries, against both oracles
+    data, table = mixed_order_table()
+    assert fusion._compile(table.entries)[0] == 105
+    sparse = SixJTable({key: v for pos, (key, v) in enumerate(sorted(table.entries.items())) if pos % 4})
+    for case in (table, sparse):
+        report = assert_pentagon_matches(data, case)
+        assert not report.ok
+        kernel = check_pentagon(data, case, max_violations=None)
+        assert {v.instance for v in kernel.violations} == naive_pentagon_violations(data, case)
+    assert check_pentagon(data, sparse).warnings
+
+
+def test_kernel_z2_against_naive_enumerator():
+    data = z2_pointed()
+    for value in (ONE, -ONE, Cyclotomic.rational(Fraction(3, 2)), root_of_unity(3, 1)):
+        table = z2_table(value)
+        assert_pentagon_matches(data, table)
+        kernel = check_pentagon(data, table, max_violations=None)
+        assert {v.instance for v in kernel.violations} == naive_pentagon_violations(data, table)
+
+
+# -- 3-cocycle and 3-supercocycle ----------------------------------------------------------
+
+
+def gauge_cube(g, values, seed, orders=(8,)):
+    """values times the coboundary of a seeded generic 2-cochain."""
+    rng = random.Random(seed)
+    u = {(a, b): generic_factor(rng, rng.choice(orders)) for a in g.elements() for b in g.elements()}
+    mul = g.mul
+    return [
+        [
+            [
+                values[a][b][c] * u[(b, c)] * u[(a, mul(b, c))] / (u[(mul(a, b), c)] * u[(a, b)])
+                for c in g.elements()
+            ]
+            for b in g.elements()
+        ]
+        for a in g.elements()
+    ]
+
+
+def flip_cube(values, spot):
+    a, b, c = spot
+    cube = [[list(row) for row in plane] for plane in values]
+    cube[a][b][c] = -cube[a][b][c]
+    return cube
+
+
+def assert_cube_matches(g, values, omega=None):
+    if omega is None:
+        got = check_3cocycle(g, ThreeCocycle(values), max_violations=None)
+        want = reference_cube("3-cocycle", g, values, None)
+    else:
+        got = check_supercocycle(g, SuperCocycle(omega, values), max_violations=None)
+        want = reference_cube("3-supercocycle", g, values, omega)
+        want.warnings = got.warnings
+    assert_same_report(got, want)
+    return got
+
+
+def carry(n):
+    return TwoCocycleZ2([[1 if a + b >= n else 0 for b in range(n)] for a in range(n)])
+
+
+def test_kernel_3cocycle_matches_reference():
+    for n in (1, 2, 3, 4, 6):
+        g = cyclic_group(n)
+        for power in range(n):
+            values = standard_three_cocycle(n, power).values
+            assert assert_cube_matches(g, values).ok
+            if n > 1:
+                assert not assert_cube_matches(g, flip_cube(values, (1, n - 1, 0))).ok
+    g = cyclic_group(4)
+    gauged = gauge_cube(g, standard_three_cocycle(4, 1).values, seed=11)
+    assert assert_cube_matches(g, gauged).ok
+    assert not assert_cube_matches(g, flip_cube(gauged, (3, 2, 1))).ok
+    mixed = gauge_cube(cyclic_group(3), standard_three_cocycle(3, 1).values, seed=6, orders=(1, 1, 1, 1, 1, 5, 7))
+    flat = [x for plane in mixed for row in plane for x in row]
+    assert group_ring_form(flat)[0] == 105
+    assert assert_cube_matches(cyclic_group(3), mixed).ok
+    assert not assert_cube_matches(cyclic_group(3), flip_cube(mixed, (2, 2, 2))).ok
+
+
+def test_kernel_supercocycle_matches_reference():
+    g2 = cyclic_group(2)
+    for power in (1, 2, 3):
+        sc = z2_supercocycle(power)
+        assert_cube_matches(g2, sc.values, sc.omega)
+        assert_cube_matches(g2, flip_cube(sc.values, (0, 1, 1)), sc.omega)
+    g6 = cyclic_group(6)
+    values = [
+        [[root_of_unity(12, a * (1 if b + c >= 6 else 0)) for c in range(6)] for b in range(6)]
+        for a in range(6)
+    ]
+    assert assert_cube_matches(g6, values, carry(6)).ok
+    assert not assert_cube_matches(g6, flip_cube(values, (5, 1, 5)), carry(6)).ok
+    # omega that is not a 2-cocycle: the identity is still checked on the raw data
+    bad_omega = TwoCocycleZ2(((0, 0), (1, 1)))
+    assert assert_cube_matches(g2, z2_supercocycle(1).values, bad_omega).warnings
+
+
+# -- the compiled form -----------------------------------------------------------------
+
+
+def test_group_ring_form_round_trips():
+    values = [
+        ZERO,
+        ONE,
+        Cyclotomic.rational(Fraction(-5, 6)),
+        root_of_unity(4, 1) * Cyclotomic.rational(Fraction(1, 4)),
+        root_of_unity(3, 2) + root_of_unity(5, 1),
+        generic_factor(random.Random(1), 7),
+    ]
+    order, scale, terms = group_ring_form(values)
+    assert order == 420
+    assert terms[0] == ()
+    assert all(terms[1:])
+    for value, compiled in zip(values, terms):
+        vec = [0] * order
+        for e, c in compiled:
+            assert 0 <= e < order and isinstance(c, int)
+            vec[e] += c
+        assert from_group_ring(vec, order, scale) == value
+        assert str(from_group_ring(vec, order, scale)) == str(value)
+    assert group_ring_form([]) == (1, 1, [])
