@@ -328,7 +328,7 @@ def _cmd_sgr(args) -> int:
         print("structure constants:")
         for key, value in constants.items():
             print(f"  {key}: {value}")
-        for line in relations_text(ring):
+        for line in extra["relations"]:
             print(line)
     return run.finish(True, extra=extra)
 

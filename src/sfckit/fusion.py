@@ -121,42 +121,82 @@ class SixJTable:
 # -- structural validation ---------------------------------------------------
 
 
-def validate_fusion(data: FusionData) -> ValidationReport:
-    """Check the fusion-ring laws: unit, associativity, duality."""
-    rank = data.rank
+def _unit_law(data: FusionData, dims) -> LawResult:
+    """N^{1j}_m = N^{j1}_m = d_j if j == m else 0, with d_j = dims[j]."""
     u = data.unit
-    report = ValidationReport(subject="fusion data")
-
-    unit_violations = []
-    for j in range(rank):
-        for m in range(rank):
-            want = 1 if j == m else 0
+    violations = []
+    for j in range(data.rank):
+        for m in range(data.rank):
+            want = dims[j] if j == m else 0
             left = data.n(u, j, m)
             if left != want:
-                unit_violations.append(("left", j, m, left, want))
+                violations.append(("left", j, m, left, want))
             right = data.n(j, u, m)
             if right != want:
-                unit_violations.append(("right", j, m, right, want))
-    report.laws.append(LawResult("unit", not unit_violations, unit_violations))
+                violations.append(("right", j, m, right, want))
+    return LawResult("unit", not violations, violations)
 
-    assoc_violations = []
+
+def _duality_law(data: FusionData, dims) -> LawResult:
+    """Each X_i has exactly one partner j with N^{ij}_1 = d_i."""
+    u = data.unit
+    violations = []
+    for i in range(data.rank):
+        partners = [(j, data.n(i, j, u)) for j in range(data.rank) if data.n(i, j, u)]
+        if len(partners) != 1 or partners[0][1] != dims[i]:
+            violations.append((i, tuple(partners)))
+    return LawResult("duality", not violations, violations)
+
+
+def associativity_defects(products, weights) -> list[tuple[int, int, int, int, int, int]]:
+    """Every (i, j, k, n, lhs, rhs) with lhs != rhs, in index order, where
+
+        lhs = sum_m N^ij_m N^mk_n w_m,   rhs = sum_t N^jk_t N^it_n w_t.
+
+    products[i][j] lists the summands (m, N^ij_m) of X_i x X_j (the shape of
+    FusionData._products; the values may be any ints) and w_m = weights[m].
+    For each triple (i, j, k) both sides are contracted once over the
+    summand lists into sparse maps n -> value, so the cost follows the
+    nonzero multiplicities instead of rank**4.
+    """
+    rank = len(products)
+    defects = []
     for i in range(rank):
+        prod_i = products[i]
         for j in range(rank):
+            pij = prod_i[j]
+            prod_j = products[j]
             for k in range(rank):
-                for n in range(rank):
-                    lhs = sum(nm * data.n(m, k, n) for m, nm in data.summands(i, j))
-                    rhs = sum(nt * data.n(i, t, n) for t, nt in data.summands(j, k))
-                    if lhs != rhs:
-                        assoc_violations.append((i, j, k, n, lhs, rhs))
+                pjk = prod_j[k]
+                if not pij and not pjk:
+                    continue
+                lhs: dict[int, int] = {}
+                for m, nm in pij:
+                    nm *= weights[m]
+                    for n, x in products[m][k]:
+                        lhs[n] = lhs.get(n, 0) + nm * x
+                rhs: dict[int, int] = {}
+                for t, nt in pjk:
+                    nt *= weights[t]
+                    for n, x in prod_i[t]:
+                        rhs[n] = rhs.get(n, 0) + nt * x
+                if lhs != rhs:
+                    for n in sorted(lhs.keys() | rhs.keys()):
+                        left = lhs.get(n, 0)
+                        right = rhs.get(n, 0)
+                        if left != right:
+                            defects.append((i, j, k, n, left, right))
+    return defects
+
+
+def validate_fusion(data: FusionData) -> ValidationReport:
+    """Check the fusion-ring laws: unit, associativity, duality."""
+    ones = (1,) * data.rank
+    report = ValidationReport(subject="fusion data")
+    report.laws.append(_unit_law(data, ones))
+    assoc_violations = associativity_defects(data._products, ones)
     report.laws.append(LawResult("associativity", not assoc_violations, assoc_violations))
-
-    dual_violations = []
-    for i in range(rank):
-        partners = [(j, data.n(i, j, u)) for j in range(rank) if data.n(i, j, u)]
-        if len(partners) != 1 or partners[0][1] != 1:
-            dual_violations.append((i, tuple(partners)))
-    report.laws.append(LawResult("duality", not dual_violations, dual_violations))
-
+    report.laws.append(_duality_law(data, ones))
     return report
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fusion import associativity_defects
 from .superfusion import SuperFusionData
 
 
@@ -143,12 +144,8 @@ def sgr_multiply(ring: SGrRing, x: dict[int, ZPi], y: dict[int, ZPi]) -> dict[in
     return ring.canonicalize(out)
 
 
-def build_sgr(data: SuperFusionData) -> SGrRing:
-    """Structure constants from the superfusion rules and parities.
-
-    Raises GrothendieckError when the data cannot present an associative
-    unital ring (a sign of inconsistent input).
-    """
+def _sgr_ring(data: SuperFusionData) -> SGrRing:
+    """The ring with structure constants from the superfusion rules and parities."""
     base = data.base
     constants: dict[tuple[int, int, int], ZPi] = {}
     for (i, j, m), _ in base.mult.items():
@@ -168,25 +165,56 @@ def build_sgr(data: SuperFusionData) -> SGrRing:
                 )
             constants[(i, j, m)] = ZPi(even, odd)
     majorana = [i for i in range(base.rank) if data.is_majorana(i)]
-    ring = SGrRing(base.labels, base.unit, majorana, constants)
+    return SGrRing(base.labels, base.unit, majorana, constants)
 
-    unit_vec = ring.basis_vector(base.unit)
+
+def _require_associative(ring: SGrRing) -> None:
+    """Raise GrothendieckError at the first basis triple (i, j, k), in index
+    order, where ([X_i][X_j])[X_k] != [X_i]([X_j][X_k]).
+
+    a + b*pi -> (a + b, a - b) embeds Z[pi]/(pi^2 - 1) in Z x Z as a ring, so
+    the law splits into two integer contractions of the structure constants
+    (fusion.associativity_defects), at pi = 1 and at pi = -1.  A Majorana
+    coefficient is canonical as (a + b, 0), i.e. equal at pi = 1 and pi = -1,
+    so at a Majorana class only the pi = 1 side counts.  Ring elements are
+    built only for the message.
+    """
+    rank = ring.rank
+    at_one = [[[] for _ in range(rank)] for _ in range(rank)]
+    at_minus_one = [[[] for _ in range(rank)] for _ in range(rank)]
+    for (i, j), row in ring._rows.items():
+        for m, c in row:
+            plus = c.a + c.b
+            at_one[i][j].append((m, plus))
+            at_minus_one[i][j].append((m, plus if m in ring.majorana else c.a - c.b))
+    ones = (1,) * rank
+    failing = [d[:3] for d in associativity_defects(at_one, ones)[:1]]
+    failing += [d[:3] for d in associativity_defects(at_minus_one, ones) if d[3] not in ring.majorana][:1]
+    if not failing:
+        return
+    i, j, k = min(failing)
+    e = ring.basis_vector
+    left = sgr_multiply(ring, sgr_multiply(ring, e(i), e(j)), e(k))
+    right = sgr_multiply(ring, e(i), sgr_multiply(ring, e(j), e(k)))
+    raise GrothendieckError(
+        f"ring is not associative at ({ring.labels[i]}, {ring.labels[j]}, {ring.labels[k]}): "
+        f"{ring.format_element(left)} != {ring.format_element(right)}"
+    )
+
+
+def build_sgr(data: SuperFusionData) -> SGrRing:
+    """Structure constants from the superfusion rules and parities.
+
+    Raises GrothendieckError when the data cannot present an associative
+    unital ring (a sign of inconsistent input).
+    """
+    ring = _sgr_ring(data)
+    unit_vec = ring.basis_vector(ring.unit)
     for i in range(ring.rank):
         e = ring.basis_vector(i)
         if sgr_multiply(ring, unit_vec, e) != e or sgr_multiply(ring, e, unit_vec) != e:
-            raise GrothendieckError(f"[{ring.labels[base.unit]}] is not a unit at basis {ring.labels[i]}")
-    for i in range(ring.rank):
-        for j in range(ring.rank):
-            ij = sgr_multiply(ring, ring.basis_vector(i), ring.basis_vector(j))
-            for k in range(ring.rank):
-                left = sgr_multiply(ring, ij, ring.basis_vector(k))
-                jk = sgr_multiply(ring, ring.basis_vector(j), ring.basis_vector(k))
-                right = sgr_multiply(ring, ring.basis_vector(i), jk)
-                if left != right:
-                    raise GrothendieckError(
-                        f"ring is not associative at ({ring.labels[i]}, {ring.labels[j]}, {ring.labels[k]}): "
-                        f"{ring.format_element(left)} != {ring.format_element(right)}"
-                    )
+            raise GrothendieckError(f"[{ring.labels[ring.unit]}] is not a unit at basis {ring.labels[i]}")
+    _require_associative(ring)
     return ring
 
 

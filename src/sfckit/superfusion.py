@@ -16,10 +16,13 @@ from .fusion import (
     FusionData,
     FusionError,
     SixJTable,
+    associativity_defects,
     decuple_is_admissible,
     require_admissible_support,
+    _duality_law,
     _missing_warning,
     _run_scan,
+    _unit_law,
 )
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, ValidationReport, Violation
 
@@ -170,24 +173,14 @@ def validate_superfusion(data: SuperFusionData) -> ValidationReport:
     base = data.base
     rank = base.rank
     u = base.unit
+    dims = [data.endo_dim(i) for i in range(rank)]
     report = ValidationReport(subject="superfusion data")
 
     report.laws.append(
         LawResult("unit-bosonic", not data.is_majorana(u), [] if not data.is_majorana(u) else [(u,)])
     )
 
-    unit_violations = []
-    for j in range(rank):
-        d = data.endo_dim(j)
-        for m in range(rank):
-            want = d if j == m else 0
-            left = base.n(u, j, m)
-            if left != want:
-                unit_violations.append(("left", j, m, left, want))
-            right = base.n(j, u, m)
-            if right != want:
-                unit_violations.append(("right", j, m, right, want))
-    report.laws.append(LawResult("unit", not unit_violations, unit_violations))
+    report.laws.append(_unit_law(base, dims))
 
     # Hom(1 x X_j, X_j) = End(X_j) is purely even for Bosonic j
     unit_parity_violations = []
@@ -212,29 +205,10 @@ def validate_superfusion(data: SuperFusionData) -> ValidationReport:
     # associativity of the superfusion ring, corrected by dim End of the middle
     # object: sum_m N^ij_m N^mk_n / d_m = sum_t N^jk_t N^it_n / d_t
     # (both sides scaled by 2 to stay in integers)
-    assoc_violations = []
-    for i in range(rank):
-        for j in range(rank):
-            for k in range(rank):
-                for n in range(rank):
-                    lhs = sum(
-                        nm * base.n(m, k, n) * (2 // data.endo_dim(m))
-                        for m, nm in base.summands(i, j)
-                    )
-                    rhs = sum(
-                        nt * base.n(i, t, n) * (2 // data.endo_dim(t))
-                        for t, nt in base.summands(j, k)
-                    )
-                    if lhs != rhs:
-                        assoc_violations.append((i, j, k, n, lhs, rhs))
+    assoc_violations = associativity_defects(base._products, [2 // d for d in dims])
     report.laws.append(LawResult("associativity", not assoc_violations, assoc_violations))
 
-    dual_violations = []
-    for i in range(rank):
-        partners = [(j, base.n(i, j, u)) for j in range(rank) if base.n(i, j, u)]
-        if len(partners) != 1 or partners[0][1] != data.endo_dim(i):
-            dual_violations.append((i, tuple(partners)))
-    report.laws.append(LawResult("duality", not dual_violations, dual_violations))
+    report.laws.append(_duality_law(base, dims))
 
     return report
 

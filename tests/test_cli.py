@@ -7,9 +7,10 @@ import pytest
 from sfckit import cli, cocycles, fusion, superfusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
-from sfckit.serialize import dumps_file, fusion_file, group_file, load_file
+from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
 from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
 from sfckit.catalog import z2_supercocycle
+from tests.test_ring_kernel import outcome, reference_build_sgr, z3_parity_broken
 
 
 @pytest.fixture
@@ -304,6 +305,33 @@ def test_sgr_prints_structure_constants(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "structure constants:" in out
     assert "[X][X] -> [1]: 1+pi" in out
+
+
+def test_sgr_reports_non_associative_ring(tmp_path, capsys):
+    # the superfusion laws hold, so sgr reaches build_sgr's associativity check
+    src = tmp_path / "z3-odd.json"
+    src.write_text(dumps_file(superfusion_file(z3_parity_broken())))
+    kind, message = outcome(reference_build_sgr, load_file(src).superfusion)
+    assert kind == "error" and message.startswith("ring is not associative at (a, a, a2): ")
+    assert main(["sgr", str(src)]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "superfusion data: pass" in out
+    assert f"note: associativity/unit failure: {message}\n" in out
+    assert main(["sgr", str(src), "--json"]) == EXIT_CHECK_FAILED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is False and doc["checks"][0]["ok"] is True
+    assert doc["notes"] == [f"associativity/unit failure: {message}"]
+
+
+def test_sgr_renders_relations_once(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "ising.json"
+    assert main(["catalog", "ising", "-o", str(src)]) == EXIT_OK
+    calls = []
+    render = cli.relations_text
+    monkeypatch.setattr(cli, "relations_text", lambda ring: calls.append(ring) or render(ring))
+    assert main(["sgr", str(src)]) == EXIT_OK
+    assert len(calls) == 1
+    assert "[X]^2 = (1+pi)[1]" in capsys.readouterr().out
 
 
 def test_jobs_env_var_sets_default(super_z2_file, monkeypatch):
