@@ -18,8 +18,6 @@ are merged in index order, so the result is identical for any worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, ValidationReport, Violation
 from .scalars import ZERO, Cyclotomic, from_group_ring, group_ring_equal, group_ring_form
 
@@ -243,11 +241,15 @@ def decuple_is_admissible(data: FusionData, key: tuple) -> bool:
     return True
 
 
+def _off_support(data: FusionData, table: SixJTable) -> list:
+    """The table's keys that are not admissible decuples, sorted."""
+    return sorted(key for key in table.entries if not decuple_is_admissible(data, key))
+
+
 def require_admissible_support(data: FusionData, table: SixJTable) -> None:
     """Raise FusionError if any table entry sits on a non-admissible decuple."""
-    bad = [key for key in table.entries if not decuple_is_admissible(data, key)]
+    bad = _off_support(data, table)
     if bad:
-        bad.sort()
         shown = ", ".join(map(str, bad[:MISSING_ENTRY_PREVIEW]))
         raise FusionError(
             f"{len(bad)} 6j entries sit on non-admissible decuples, e.g. {shown}"
@@ -257,7 +259,7 @@ def require_admissible_support(data: FusionData, table: SixJTable) -> None:
 def validate_sixj(data: FusionData, table: SixJTable) -> ValidationReport:
     """Structural support check plus a completeness warning for absent entries."""
     report = ValidationReport(subject="6j table")
-    bad = sorted(key for key in table.entries if not decuple_is_admissible(data, key))
+    bad = _off_support(data, table)
     report.laws.append(LawResult("support", not bad, bad))
     missing = [key for key in admissible_decuples(data) if key not in table.entries]
     report.laws.append(LawResult("completeness", True, missing))
@@ -402,6 +404,8 @@ def _run_scan(data, entries, parities, max_violations, jobs):
     jobs = max(1, int(jobs))
     if jobs == 1 or len(outer) < 2 * jobs:
         return _scan_chunk(data, compiled, parities, outer, max_violations)
+    from concurrent.futures import ProcessPoolExecutor  # here, not at module level: it costs every command ~15 ms
+
     step = -(-len(outer) // jobs)
     chunks = [outer[pos : pos + step] for pos in range(0, len(outer), step)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:

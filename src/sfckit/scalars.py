@@ -14,10 +14,18 @@ ints, and a sum is reduced mod Phi_N only when the two sides of an identity
 differ as integer vectors (group_ring_equal).  Cyclotomic stays the type
 at every boundary: input, output and the sides of a reported violation.
 
+group_ring_reduce is the one reduction mod Phi_n: products, inverses,
+promotions, the conductor descent and the scan kernel all call it.
+
 Two values are equal iff they agree after promoting both into Q(zeta_m) for
-m = lcm of their orders.  Hashing reduces to the conductor (the least order
-containing the value), so equal values hash equal regardless of the order
-they were built at.
+m = lcm of their orders.  Hashing and str() use the conductor form (the
+least order containing the value), so equal values hash equal regardless of
+the order they were built at.  canonical finds the conductor without a
+linear solve, stepping down one prime p of the order n at a time
+(_descend): if p^2 | n, Phi_n(z) = Phi_(n/p)(z^p), so the value lies in
+Q(zeta_(n/p)) iff only the coefficients at multiples of p are nonzero; if
+n = p m with p prime to m, z^k = zeta_m^a zeta_p^b by CRT, and the value
+lies in Q(zeta_m) iff its zeta_p^1, ..., zeta_p^(p-1) parts agree.
 """
 
 from __future__ import annotations
@@ -99,33 +107,28 @@ def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _solve_exact(columns: list[tuple[int, ...]], target: tuple[Fraction, ...]):
-    """Solve sum_k c_k * columns[k] = target over Q; None if inconsistent."""
-    ncols = len(columns)
-    rows = [[Fraction(col[i]) for col in columns] + [target[i]] for i in range(len(target))]
-    pivot_of_col = [-1] * ncols
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivot_of_col[c] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][ncols]:
+def _descend(n: int, coeffs, p: int):
+    """Coefficients of the value at order n // p, or None if it is not there.
+
+    p is a prime divisor of n and coeffs a power basis vector at order n.
+    """
+    m = n // p
+    if m % p == 0:
+        # Phi_n(z) = Phi_m(z^p): Q(zeta_n) has basis z^r * (z^p)^j, r < p
+        if any(c for k, c in enumerate(coeffs) if k % p):
             return None
-    sol = [Fraction(0)] * ncols
-    for c in range(ncols):
-        if pivot_of_col[c] >= 0:
-            sol[c] = rows[pivot_of_col[c]][ncols]
-    return sol
+        return list(coeffs[::p])
+    # z^k = zeta_m^(k/p mod m) * zeta_p^(k/m mod p), by CRT; split by the zeta_p power
+    up, vm = pow(p, -1, m), pow(m, -1, p)
+    ys = [[0] * m for _ in range(p)]
+    for k, c in enumerate(coeffs):
+        if c:
+            ys[k * vm % p][k * up % m] += c
+    y0, y1, *rest = (group_ring_reduce(y, m) for y in ys)
+    # 1, zeta_p, ..., zeta_p^(p-2) is a basis over Q(zeta_m), zeta_p^(p-1) their negated sum
+    if any(y != y1 for y in rest):
+        return None
+    return [a - b for a, b in zip(y0, y1)]
 
 
 class Cyclotomic:
@@ -179,18 +182,13 @@ class Cyclotomic:
             raise ValueError(f"{self!r} is not rational")
         return c.coeffs[0]
 
-    def _promoted_coeffs(self, m: int) -> list[Fraction]:
+    def _promoted_coeffs(self, m: int) -> list:
         if m == self.order:
             return list(self.coeffs)
         step = m // self.order
-        table = _power_table(m)
-        out = [Fraction(0)] * euler_phi(m)
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, r in enumerate(table[k * step]):
-                    if r:
-                        out[i] += c * r
-        return out
+        vec = [0] * ((len(self.coeffs) - 1) * step + 1)
+        vec[::step] = self.coeffs
+        return group_ring_reduce(vec, m)
 
     def promote(self, m: int) -> "Cyclotomic":
         """Embed into Q(zeta_m); m must be a multiple of the order."""
@@ -200,20 +198,13 @@ class Cyclotomic:
 
     def canonical(self) -> "Cyclotomic":
         """Equivalent value at its conductor (least possible order)."""
-        order, coeffs = self.order, tuple(self.coeffs)
-        changed = True
-        while changed and order > 1:
-            changed = False
-            for p in _prime_factors(order):
-                d = order // p
-                step = order // d
-                table = _power_table(order)
-                cols = [table[k * step] for k in range(euler_phi(d))]
-                sol = _solve_exact(cols, coeffs)
-                if sol is not None:
-                    order, coeffs = d, tuple(sol)
-                    changed = True
+        order, coeffs = self.order, self.coeffs
+        for p in _prime_factors(order):
+            while order % p == 0:
+                down = _descend(order, coeffs, p)
+                if down is None:
                     break
+                order, coeffs = order // p, down
         return Cyclotomic(order, coeffs)
 
     # -- arithmetic --------------------------------------------------------
@@ -275,15 +266,7 @@ class Cyclotomic:
                 for j, y in enumerate(b):
                     if y:
                         conv[i + j] += x * y
-        out = conv[:phi]
-        table = _power_table(m)
-        for k in range(phi, 2 * phi - 1):
-            c = conv[k]
-            if c:
-                for i, r in enumerate(table[k]):
-                    if r:
-                        out[i] += c * r
-        return Cyclotomic(m, out)
+        return Cyclotomic(m, group_ring_reduce(conv, m))
 
     __rmul__ = __mul__
 
@@ -323,20 +306,7 @@ class Cyclotomic:
         if deg(r1) != 0:
             raise ZeroDivisionError("division by zero in cyclotomic field")
         c = r1[deg(r1)]
-        inv = [x / c for x in s1]
-        # reduce mod Phi_n back into the basis
-        phi = euler_phi(self.order)
-        out = [Fraction(0)] * phi
-        table = _power_table(self.order)
-        for k, x in enumerate(inv):
-            if x:
-                if k < phi:
-                    out[k] += x
-                else:
-                    for i, r in enumerate(table[k]):
-                        if r:
-                            out[i] += x * r
-        return Cyclotomic(self.order, out)
+        return Cyclotomic(self.order, group_ring_reduce([x / c for x in s1], self.order))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -428,14 +398,19 @@ def group_ring_form(values) -> tuple[int, int, list[tuple[tuple[int, int], ...]]
     return order, scale, terms
 
 
-def group_ring_reduce(vec, n: int) -> list[int]:
-    """Power basis coefficients in Z[z]/Phi_n of sum vec[k] z^k, len(vec) <= n.
+def group_ring_reduce(vec, n: int) -> list:
+    """Power basis coefficients in Q[z]/Phi_n of sum vec[k] z^k.
 
-    Two group ring elements are the same field value iff they reduce equal.
+    The one reduction mod Phi_n: products, inverses, promotions, conductor
+    descent and the scan kernel all go through it.  vec may be as long as
+    max(n, 2*phi(n) - 1), a product of two reduced values; a shorter vec is
+    padded with zeros.  Two group ring elements are the same field value iff
+    they reduce equal.
     """
     table = _power_table(n)
     phi = euler_phi(n)
     out = list(vec[:phi])
+    out += [0] * (phi - len(out))
     for k in range(phi, len(vec)):
         c = vec[k]
         if c:

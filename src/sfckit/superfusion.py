@@ -216,29 +216,21 @@ def validate_superfusion(data: SuperFusionData) -> ValidationReport:
 def check_support(data: SuperFusionData, table: FermionicSixJTable) -> CheckReport:
     """Every nonzero entry must sit on a parity-admissible decuple."""
     require_admissible_support(data.base, table)
+    s = data.parities
     violations = []
-    checked = 0
     for key in sorted(table.entries):
-        value = table.entries[key]
-        checked += 1
-        if value.is_zero():
+        if table.entries[key].is_zero():
             continue
-        if not is_parity_admissible(data, key):
-            i, j, m, k, n, t, alpha, beta, eta, phi = key
-            s = data.parities
-            pattern = (
-                s[(i, j, m, alpha)],
-                s[(m, k, n, beta)],
-                s[(j, k, t, eta)],
-                s[(i, t, n, phi)],
-            )
+        i, j, m, k, n, t, alpha, beta, eta, phi = key
+        pattern = (s[(i, j, m, alpha)], s[(m, k, n, beta)], s[(j, k, t, eta)], s[(i, t, n, phi)])
+        if (pattern[0] + pattern[1] - pattern[2] - pattern[3]) % 2:
             violations.append(
                 Violation(instance=key, detail=f"parity pattern {pattern} does not cancel")
             )
     return CheckReport(
         name="fermionic 6j support",
         ok=not violations,
-        checked=checked,
+        checked=len(table.entries),
         violations=violations,
         total_violations=len(violations),
     )

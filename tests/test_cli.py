@@ -1,6 +1,10 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -360,3 +364,18 @@ def test_catalog_stdout(capsys):
     assert main(["catalog", "trivial"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["kind"] == "fusion"
+
+
+def test_cli_import_starts_no_process_pool_machinery():
+    # the pool module is imported only where `--jobs` > 1 starts a pool
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, sfckit.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

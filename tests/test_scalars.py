@@ -1,5 +1,6 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,10 @@ from sfckit.scalars import (
     minus_one_pow,
     root_of_unity,
 )
+from sfckit.catalog import build_entry, z2_supercocycle
+from sfckit.cocycles import SuperCocycle, cyclic_group, lift_supercocycle
+from sfckit.envelope import lift_6j
+from tests.test_kernel import CATALOG, carry
 
 
 def test_cyclotomic_polynomials():
@@ -141,7 +146,7 @@ def test_sqrt2_identity():
     assert (s * half) * (s * half) == Fraction(1, 2)
 
 
-_orders = st.sampled_from([1, 2, 3, 4, 6, 8])
+_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15])
 
 
 @st.composite
@@ -182,3 +187,121 @@ def test_str_and_repr():
     assert str(root_of_unity(4, 1)) == "z4"
     assert str(Cyclotomic.rational(Fraction(3, 2))) == "3/2"
     assert "z3" in repr(root_of_unity(3, 1))
+
+
+# -- conductor oracle -------------------------------------------------------------------
+
+
+def _solve_exact(columns, target):
+    """Solve sum_k c_k * columns[k] = target over Q; None if inconsistent."""
+    ncols = len(columns)
+    rows = [[Fraction(col[i]) for col in columns] + [target[i]] for i in range(len(target))]
+    pivot_of_col = [-1] * ncols
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot_of_col[c] = r
+        r += 1
+    for i in range(r, len(rows)):
+        if rows[i][ncols]:
+            return None
+    sol = [Fraction(0)] * ncols
+    for c in range(ncols):
+        if pivot_of_col[c] >= 0:
+            sol[c] = rows[pivot_of_col[c]][ncols]
+    return sol
+
+
+def reference_canonical(x):
+    """(order, coeffs) at the conductor, by the linear solves canonical replaced:
+    while some prime p of the order has z_(n/p)^k = z_n^(kp) spanning the value,
+    descend to n/p."""
+    order, coeffs = x.order, tuple(x.coeffs)
+    changed = True
+    while changed and order > 1:
+        changed = False
+        for p in (p for p in range(2, order + 1) if order % p == 0 and all(p % q for q in range(2, p))):
+            d = order // p
+            cols = [root_of_unity(order, k * p).coeffs for k in range(euler_phi(d))]
+            sol = _solve_exact(cols, coeffs)
+            if sol is not None:
+                order, coeffs = d, tuple(sol)
+                changed = True
+                break
+    return order, coeffs
+
+
+def assert_canonical_matches_reference(x):
+    order, coeffs = reference_canonical(x)
+    c = x.canonical()
+    assert (c.order, c.coeffs) == (order, coeffs)
+    assert str(x) == str(Cyclotomic(order, coeffs))
+    assert hash(x) == hash((order, coeffs))
+
+
+def distinct(values):
+    return list({(v.order, v.coeffs): v for v in values}.values())
+
+
+@pytest.mark.parametrize("name, params", CATALOG)
+def test_canonical_matches_reference_on_catalog(name, params):
+    entry = build_entry(name, *params)
+    values = []
+    if entry.sixj is not None:
+        values += entry.sixj.entries.values()
+        if entry.kind == "superfusion":
+            values += lift_6j(entry.data, entry.sixj).entries.values()
+    for x in distinct(values):
+        assert_canonical_matches_reference(x)
+
+
+def test_canonical_matches_reference_on_lifted_cocycles():
+    # Z/2 supercocycles and the Z/6 carry supercocycle z12^(a carry(b, c))
+    cases = [(cyclic_group(2), z2_supercocycle(p)) for p in (1, 3)]
+    omega = carry(6)
+    values = [[[root_of_unity(12, a * omega(b, k)) for k in range(6)] for b in range(6)] for a in range(6)]
+    cases.append((cyclic_group(6), SuperCocycle(omega, values)))
+    for g, sc in cases:
+        _, lifted = lift_supercocycle(g, sc)
+        for x in distinct(v for plane in lifted.values for row in plane for v in row):
+            assert_canonical_matches_reference(x)
+
+
+def test_canonical_matches_reference_on_subfield_values():
+    # a value of a random subfield Q(zeta_d), d | n, sometimes times a root of
+    # unity of order n, written at order n
+    rng = random.Random(7)
+    for n in range(1, 121):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        for _ in range(3):
+            d = rng.choice(divisors)
+            coeffs = [
+                Fraction(rng.randint(-3, 3), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+                for _ in range(euler_phi(d))
+            ]
+            x = Cyclotomic(d, coeffs)
+            if rng.random() < 0.4:
+                x = x * root_of_unity(n, rng.randrange(n))
+            assert_canonical_matches_reference(x.promote(n))
+
+
+def test_canonical_matches_reference_with_denominators():
+    z105, z35, z15 = (root_of_unity(n, 1) for n in (105, 35, 15))
+    values = [
+        (Fraction(3, 7) + z105 + Fraction(2, 5) * z105**17).inverse(),
+        ((2 + z35).inverse() * root_of_unity(3, 1)).promote(105),
+        (Fraction(1, 3) - z15**2).inverse() * z15.inverse(),
+        (Fraction(5, 2) + root_of_unity(8, 1) + root_of_unity(8, 7)).inverse().promote(120),
+        Cyclotomic.rational(Fraction(-7, 9)).promote(90),
+    ]
+    for x in values:
+        assert_canonical_matches_reference(x)

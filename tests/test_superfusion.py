@@ -1,5 +1,7 @@
 """Tests for superfusion data, parity admissibility, and the super pentagon."""
 
+import itertools
+
 import pytest
 
 from sfckit.catalog import (
@@ -11,8 +13,9 @@ from sfckit.catalog import (
     z2_supercocycle,
 )
 from sfckit.cocycles import cyclic_group
-from sfckit.fusion import FusionData, FusionError, check_pentagon
-from sfckit.scalars import ONE, Cyclotomic, root_of_unity
+from sfckit.fusion import FusionData, FusionError, admissible_decuples, check_pentagon
+from sfckit.reporting import Violation
+from sfckit.scalars import ONE, ZERO, Cyclotomic, root_of_unity
 from sfckit.superfusion import (
     BOSONIC,
     MAJORANA,
@@ -170,6 +173,28 @@ def test_check_support():
     # but off the admissible support it is structural
     with pytest.raises(FusionError):
         check_support(data, FermionicSixJTable({(0, 0, 1, 0, 0, 0, 1, 1, 1, 1): ONE}))
+
+
+def test_check_support_matches_parity_oracle():
+    # every parity assignment on Z/2 rules, a nonzero entry on every admissible
+    # decuple but one; the oracle asks is_parity_admissible entry by entry
+    keys = list(admissible_decuples(z2_base()))
+    table = FermionicSixJTable({key: ZERO if pos == 5 else ONE for pos, key in enumerate(keys)})
+    for bits in itertools.product((0, 1), repeat=4):
+        data = pointed_super(lambda a, b: bits[2 * a + b])
+        s = data.parities
+        want = [
+            Violation(
+                instance=key,
+                detail=f"parity pattern {(s[(i, j, m, al)], s[(m, k, n, be)], s[(j, k, t, et)], s[(i, t, n, ph)])} does not cancel",
+            )
+            for key in sorted(table.entries)
+            if table.entries[key] and not is_parity_admissible(data, key)
+            for i, j, m, k, n, t, al, be, et, ph in [key]
+        ]
+        report = check_support(data, table)
+        assert report.violations == want
+        assert (report.ok, report.checked, report.total_violations) == (not want, len(keys), len(want))
 
 
 def z2_fermionic_table(f111):
