@@ -233,7 +233,8 @@ def _entry_trivial_super() -> CatalogEntry:
 def _entry_vec_zn(n: int, p: int = 1) -> CatalogEntry:
     group = cyclic_group(n)
     tau = standard_three_cocycle(n, p)
-    data, table = pointed_fusion(group, tau)
+    # valid for every p, so no cocycle scan: _validate_entry scans the pentagon
+    data, table = pointed_fusion_data(group, tau)
     return CatalogEntry(
         "vec-zn",
         {"n": n, "p": p},
@@ -261,7 +262,7 @@ def _entry_super_z2(p: int = 1) -> CatalogEntry:
 def _entry_super_zn_even(n: int, p: int = 1) -> CatalogEntry:
     group = cyclic_group(n)
     sc = SuperCocycle(omega_zero(n), standard_three_cocycle(n, p).values)
-    data, table = pointed_superfusion(group, sc)
+    data, table = pointed_superfusion_data(group, sc.omega, sc.values)
     return CatalogEntry(
         "super-zn-even",
         {"n": n, "p": p},

@@ -7,9 +7,10 @@ verification (absence on an admissible decuple is surfaced as a completeness
 warning, never silently required).
 
 The pentagon check enumerates only admissible chains: for each outer object
-quadruple it walks the precomputed summand lists instead of the full
-rank**10 index space, which is what makes exhaustive exact verification
-instant at the scales this library targets.  The scan runs on ints only, on
+quadruple it walks one list of Hom basis vectors (m, alpha) per (i, j),
+built once per scan, instead of the full rank**10 index space, which is
+what makes exhaustive exact verification instant at the scales this library
+targets.  The scan runs on ints only, on
 the table compiled once into the integer group ring (scalars.group_ring_form);
 values are Cyclotomic again only in a reported violation.  The outer
 quadruple space can be partitioned across worker processes; partial reports
@@ -77,12 +78,6 @@ class FusionData:
     def summands(self, i: int, j: int):
         """All (m, N^{ij}_m) with positive multiplicity, in index order."""
         return self._products[i][j]
-
-    def label_index(self, name: str) -> int:
-        try:
-            return self.labels.index(str(name))
-        except ValueError:
-            raise FusionError(f"unknown label {name!r}") from None
 
 
 class SixJTable:
@@ -274,6 +269,15 @@ def validate_sixj(data: FusionData, table: SixJTable) -> ValidationReport:
 # -- pentagon engine ----------------------------------------------------------
 
 
+def _hom_basis(data: FusionData):
+    """basis[i][j] lists every basis vector (m, alpha) of Hom(X_i x X_j, X_m),
+    alpha 1-based, in index order."""
+    return [
+        [[(m, alpha) for m, nijm in cell for alpha in range(1, nijm + 1)] for cell in row]
+        for row in data._products
+    ]
+
+
 def _scan_chunk(data, entries, parities, outer, max_violations):
     """Check the (super) pentagon identity over one chunk of outer quadruples.
 
@@ -284,11 +288,11 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
 
     parities is None for the plain pentagon; for the super pentagon it maps
     admissible Hom-space quadruples to parity bits, and the right-hand side
-    picks up (-1)**(s(i,j,m,alpha) * s(k,l,q,delta)).
+    picks up (-1)**(s(i,j,m,alpha) * s(k,l,q,delta)), found once per (q, delta).
     """
     order, scale, terms = entries
     cube = scale**3
-    prod = data._products
+    basis = _hom_basis(data)
     nf = data.mult.get
     get = terms.get
     violations = []
@@ -303,81 +307,63 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
         return v
 
     for (i, j, k, l) in outer:
-        pij = prod[i][j]
-        pkl = prod[k][l]
-        if not pij or not pkl:
-            continue
-        for m, nijm in pij:
-            pmk = prod[m][k]
-            if not pmk:
-                continue
-            for alpha in range(1, nijm + 1):
-                for n, nmkn in pmk:
-                    for beta in range(1, nmkn + 1):
-                        for p, nnlp in prod[n][l]:
-                            for chi in range(1, nnlp + 1):
-                                for q, nklq in pkl:
-                                    nmqp = nf((m, q, p), 0)
-                                    for delta in range(1, nklq + 1):
-                                        for s, njqs in prod[j][q]:
-                                            nisp = nf((i, s, p), 0)
-                                            if not nisp:
+        for m, alpha in basis[i][j]:
+            for n, beta in basis[m][k]:
+                for p, chi in basis[n][l]:
+                    for q, delta in basis[k][l]:
+                        negate = parities is not None and parities[(i, j, m, alpha)] and parities[(k, l, q, delta)]
+                        nmqp = nf((m, q, p), 0)
+                        for s, phi in basis[j][q]:
+                            for gamma in range(1, nf((i, s, p), 0) + 1):
+                                lhs = [0] * order
+                                for t, eta in basis[j][k]:
+                                    nitn = nf((i, t, n), 0)
+                                    ntls = nf((t, l, s), 0)
+                                    if not ntls:
+                                        continue
+                                    for psi in range(1, nitn + 1):
+                                        f1 = fetch((i, j, m, k, n, t, alpha, beta, eta, psi))
+                                        if not f1:
+                                            continue
+                                        for kappa in range(1, ntls + 1):
+                                            f2 = fetch((i, t, n, l, p, s, psi, chi, kappa, gamma))
+                                            if not f2:
                                                 continue
-                                            for phi in range(1, njqs + 1):
-                                                for gamma in range(1, nisp + 1):
-                                                    lhs = [0] * order
-                                                    for t, njkt in prod[j][k]:
-                                                        nitn = nf((i, t, n), 0)
-                                                        if not nitn:
-                                                            continue
-                                                        ntls = nf((t, l, s), 0)
-                                                        if not ntls:
-                                                            continue
-                                                        for eta in range(1, njkt + 1):
-                                                            for psi in range(1, nitn + 1):
-                                                                f1 = fetch((i, j, m, k, n, t, alpha, beta, eta, psi))
-                                                                if not f1:
-                                                                    continue
-                                                                for kappa in range(1, ntls + 1):
-                                                                    f2 = fetch((i, t, n, l, p, s, psi, chi, kappa, gamma))
-                                                                    if not f2:
-                                                                        continue
-                                                                    f3 = fetch((j, k, t, l, s, q, eta, kappa, delta, phi))
-                                                                    if not f3:
-                                                                        continue
-                                                                    for e1, c1 in f1:
-                                                                        for e2, c2 in f2:
-                                                                            e12 = e1 + e2
-                                                                            c12 = c1 * c2
-                                                                            for e3, c3 in f3:
-                                                                                lhs[(e12 + e3) % order] += c12 * c3
-                                                    rhs = [0] * order
-                                                    for eps in range(1, nmqp + 1):
-                                                        g1 = fetch((m, k, n, l, p, q, beta, chi, delta, eps))
-                                                        if not g1:
-                                                            continue
-                                                        g2 = fetch((i, j, m, q, p, s, alpha, eps, phi, gamma))
-                                                        if not g2:
-                                                            continue
-                                                        for e1, c1 in g1:
-                                                            c1 *= scale
-                                                            for e2, c2 in g2:
-                                                                rhs[(e1 + e2) % order] += c1 * c2
-                                                    if parities is not None:
-                                                        if parities[(i, j, m, alpha)] and parities[(k, l, q, delta)]:
-                                                            rhs = [-c for c in rhs]
-                                                    checked += 1
-                                                    if not group_ring_equal(lhs, rhs, order):
-                                                        total += 1
-                                                        if max_violations is None or len(violations) < max_violations:
-                                                            violations.append(
-                                                                Violation(
-                                                                    instance=(i, j, k, l, m, n, p, q, s,
-                                                                              alpha, beta, chi, gamma, delta, phi),
-                                                                    lhs=from_group_ring(lhs, order, cube),
-                                                                    rhs=from_group_ring(rhs, order, cube),
-                                                                )
-                                                            )
+                                            f3 = fetch((j, k, t, l, s, q, eta, kappa, delta, phi))
+                                            if not f3:
+                                                continue
+                                            for e1, c1 in f1:
+                                                for e2, c2 in f2:
+                                                    e12 = e1 + e2
+                                                    c12 = c1 * c2
+                                                    for e3, c3 in f3:
+                                                        lhs[(e12 + e3) % order] += c12 * c3
+                                rhs = [0] * order
+                                for eps in range(1, nmqp + 1):
+                                    g1 = fetch((m, k, n, l, p, q, beta, chi, delta, eps))
+                                    if not g1:
+                                        continue
+                                    g2 = fetch((i, j, m, q, p, s, alpha, eps, phi, gamma))
+                                    if not g2:
+                                        continue
+                                    for e1, c1 in g1:
+                                        c1 *= scale
+                                        for e2, c2 in g2:
+                                            rhs[(e1 + e2) % order] += c1 * c2
+                                if negate:
+                                    rhs = [-c for c in rhs]
+                                checked += 1
+                                if not group_ring_equal(lhs, rhs, order):
+                                    total += 1
+                                    if max_violations is None or len(violations) < max_violations:
+                                        violations.append(
+                                            Violation(
+                                                instance=(i, j, k, l, m, n, p, q, s,
+                                                          alpha, beta, chi, gamma, delta, phi),
+                                                lhs=from_group_ring(lhs, order, cube),
+                                                rhs=from_group_ring(rhs, order, cube),
+                                            )
+                                        )
     return violations, total, checked, missing
 
 
@@ -475,12 +461,12 @@ def determinant(matrix: list[list[Cyclotomic]]) -> Cyclotomic:
             det = -det
         pv = rows[col][col]
         det = det * pv
-        inv = pv.inverse()
-        for r in range(col + 1, size):
-            factor = rows[r][col] * inv
-            if factor.is_zero():
-                continue
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+        below = [r for r in range(col + 1, size) if not rows[r][col].is_zero()]
+        if below:
+            inv = pv.inverse()
+            for r in below:
+                factor = rows[r][col] * inv
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return det
 
 
@@ -492,27 +478,21 @@ def check_6j_invertibility(data: FusionData, table: SixJTable) -> CheckReport:
     inconsistency, a singular square block as a failure.
     """
     require_admissible_support(data, table)
+    basis = _hom_basis(data)
     rank = data.rank
     violations = []
     checked = 0
     for i in range(rank):
         for j in range(rank):
             for k in range(rank):
-                for n in range(rank):
-                    rows = [
-                        (m, alpha, beta)
-                        for m, nijm in data.summands(i, j)
-                        for alpha in range(1, nijm + 1)
-                        for beta in range(1, data.n(m, k, n) + 1)
-                    ]
-                    cols = [
-                        (t, eta, phi)
-                        for t, njkt in data.summands(j, k)
-                        for eta in range(1, njkt + 1)
-                        for phi in range(1, data.n(i, t, n) + 1)
-                    ]
-                    if not rows and not cols:
-                        continue
+                blocks: dict[int, tuple[list, list]] = {}
+                for m, alpha in basis[i][j]:
+                    for n, beta in basis[m][k]:
+                        blocks.setdefault(n, ([], []))[0].append((m, alpha, beta))
+                for t, eta in basis[j][k]:
+                    for n, phi in basis[i][t]:
+                        blocks.setdefault(n, ([], []))[1].append((t, eta, phi))
+                for n, (rows, cols) in sorted(blocks.items()):
                     checked += 1
                     if len(rows) != len(cols):
                         violations.append(

@@ -171,11 +171,6 @@ class Cyclotomic:
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
-    def is_rational(self) -> bool:
-        if not any(self.coeffs[1:]):
-            return True
-        return self.canonical().order == 1
-
     def rational_value(self) -> Fraction:
         c = self.canonical()
         if c.order != 1:

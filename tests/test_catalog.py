@@ -2,6 +2,7 @@
 
 import pytest
 
+from sfckit import cocycles, fusion, superfusion
 from sfckit.catalog import (
     CatalogError,
     build_entry,
@@ -176,3 +177,24 @@ def test_z2_supercocycle_even_power_is_invalid():
     g = cyclic_group(2)
     assert not check_supercocycle(g, z2_supercocycle(2)).ok
     assert check_supercocycle(g, z2_supercocycle(3)).ok
+
+
+@pytest.mark.parametrize("name, params", [("vec-zn", (4,)), ("super-zn-even", (3,))])
+def test_pointed_entries_scan_their_identity_once(name, params, monkeypatch):
+    # the pentagon scan of the entry's own validation is the only scan
+    calls = {"cube": 0, "pentagon": 0}
+    real_cube, real_run = cocycles._cube_scan, fusion._run_scan
+
+    def counting_cube(*args):
+        calls["cube"] += 1
+        return real_cube(*args)
+
+    def counting_run(*args):
+        calls["pentagon"] += 1
+        return real_run(*args)
+
+    monkeypatch.setattr(cocycles, "_cube_scan", counting_cube)
+    monkeypatch.setattr(fusion, "_run_scan", counting_run)
+    monkeypatch.setattr(superfusion, "_run_scan", counting_run)
+    build_entry(name, *params)
+    assert calls == {"cube": 0, "pentagon": 1}

@@ -281,6 +281,23 @@ def test_determinant_matches_cofactor_expansion():
     assert determinant(bigger) == cofactor_determinant(bigger)
 
 
+def test_invertibility_inverts_no_pivot_without_rows_below(monkeypatch):
+    # vec-zn 4 has only 1x1 blocks, so no elimination step needs an inverse
+    from sfckit.catalog import build_entry
+
+    entry = build_entry("vec-zn", 4)
+    real_inverse = Cyclotomic.inverse
+    calls = []
+
+    def counting_inverse(self):
+        calls.append(1)
+        return real_inverse(self)
+
+    monkeypatch.setattr(Cyclotomic, "inverse", counting_inverse)
+    assert check_6j_invertibility(entry.data, entry.sixj).ok
+    assert not calls
+
+
 def test_invertibility_z2_blocks():
     data = z2_pointed()
     report = check_6j_invertibility(data, z2_table(Cyclotomic.rational(-1)))

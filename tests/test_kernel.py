@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfckit import fusion
 from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
@@ -34,7 +36,7 @@ from sfckit.scalars import (
     group_ring_form,
     root_of_unity,
 )
-from sfckit.superfusion import check_super_pentagon
+from sfckit.superfusion import BOSONIC, SuperFusionData, check_super_pentagon, is_parity_admissible
 from tests.test_fusion import ising_exact_table, naive_pentagon_violations, z2_pointed, z2_table
 
 # -- Cyclotomic reference loops --------------------------------------------------------
@@ -278,6 +280,61 @@ def test_kernel_z2_against_naive_enumerator():
         assert_pentagon_matches(data, table)
         kernel = check_pentagon(data, table, max_violations=None)
         assert {v.instance for v in kernel.violations} == naive_pentagon_violations(data, table)
+
+
+ROOTS = [root_of_unity(d, k) for d in (1, 2, 3, 4) for k in range(d)]
+
+
+@st.composite
+def random_rules_and_table(draw):
+    """Rules of rank <= 3 with multiplicities 0-2, the unit law kept or not,
+    a sparse table over their admissible decuples (roots of unity of orders
+    1-4, zeros and missing entries) and a random parity for every basis vector."""
+    rank = draw(st.integers(1, 3))
+    mult = {}
+    if draw(st.booleans()):
+        for j in range(rank):
+            mult[(0, j, j)] = mult[(j, 0, j)] = 1
+    triples = st.tuples(*[st.integers(0, rank - 1)] * 3)
+    mult.update(draw(st.dictionaries(triples, st.integers(0, 2), max_size=5)))
+    data = FusionData([str(x) for x in range(rank)], 0, mult)
+    rng = draw(st.randoms(use_true_random=False))
+    entries = {}
+    for key in admissible_decuples(data):
+        pick = rng.randrange(len(ROOTS) + 2)
+        if pick < len(ROOTS):
+            entries[key] = ROOTS[pick]
+        elif pick == len(ROOTS):
+            entries[key] = ZERO
+    parities = {(i, j, m, a): rng.randrange(2) for (i, j, m), n in data.mult.items() for a in range(1, n + 1)}
+    return data, SixJTable(entries), parities
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rules_and_table())
+def test_kernel_matches_reference_on_random_rules(case):
+    # pins the flattened walk of the Hom bases under multiplicities above 1
+    data, table, parities = case
+    unit_law = fusion._unit_law(data, [1] * data.rank).ok
+
+    def assert_matches(got, want):
+        # Off the unit law the reference also lists a missing decuple whose
+        # product has no kappa term, which the kernel never fetches; there the
+        # warnings are left out of the comparison.
+        assert got.violations == want.violations
+        if not unit_law:
+            got.warnings = want.warnings = []
+        assert got.to_json() == want.to_json()
+
+    want = reference_pentagon("pentagon", data, table.entries, None)
+    assert_matches(check_pentagon(data, table, max_violations=None), want)
+
+    super_data = SuperFusionData(data, parities, [BOSONIC] * data.rank)
+    even = SixJTable(
+        {key: v for key, v in table.entries.items() if v.is_zero() or is_parity_admissible(super_data, key)}
+    )
+    want = reference_pentagon("super pentagon", data, even.entries, parities)
+    assert_matches(check_super_pentagon(super_data, even, max_violations=None), want)
 
 
 # -- 3-cocycle and 3-supercocycle ----------------------------------------------------------
