@@ -1,21 +1,22 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Values are represented by rational coefficient vectors in the power basis
-1, z, ..., z^(phi(n)-1) of Q[z]/Phi_n(z), where Phi_n is the n-th cyclotomic
-polynomial.  Phi_n is irreducible over Q, so every nonzero value is
-invertible.  All coefficients are fractions.Fraction; there is no floating
-point anywhere.   Values are immutable and safe to share between workers.
+A value is the integer numerators of its coefficients in the power basis
+1, z, ..., z^(phi(n)-1) of Q[z]/Phi_n(z), Phi_n the n-th cyclotomic
+polynomial, over one positive integer denominator, in lowest terms: the
+integer form of FLINT's fmpq_poly.  Phi_n is irreducible over Q, so every
+nonzero value is invertible.  Arithmetic runs on ints; fractions.Fraction
+appears only at the boundary (the constructor, rational, rational_value,
+coeffs, str, hash), and there is no floating point anywhere.  The power
+basis is a Z-basis of Z[zeta_n], the ring of integers, so the denominator
+(the least d with d * value integral) does not depend on the order.
+Values are immutable and safe to share between workers.
 
 The exhaustive scans (pentagon, super pentagon, 3-cocycle, 3-supercocycle)
-do not run on Fractions.  group_ring_form compiles a table once into the
-integer group ring Z[Z/N] over one shared denominator D, the integer form
-FLINT's fmpq_poly uses: products there add exponents mod N and multiply
-ints, and a sum is reduced mod Phi_N only when the two sides of an identity
-differ as integer vectors (group_ring_equal).  Cyclotomic stays the type
-at every boundary: input, output and the sides of a reported violation.
-
-group_ring_reduce is the one reduction mod Phi_n: products, inverses,
-promotions, the conductor descent and the scan kernel all call it.
+run in the integer group ring Z[Z/N] over one shared denominator D
+(group_ring_form): products add exponents mod N and multiply ints, and a
+sum is reduced mod Phi_N only when the two sides of an identity differ as
+integer vectors (group_ring_equal).  group_ring_reduce is the one reduction
+mod Phi_n: products, inverses, promotions, conductor descent and the scans.
 
 Two values are equal iff they agree after promoting both into Q(zeta_m) for
 m = lcm of their orders.  Hashing and str() use the conductor form (the
@@ -32,12 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+from math import gcd, lcm
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -78,8 +74,8 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     num = [0] * (n + 1)
     num[0] = -1
     num[n] = 1
-    for d in _divisors(n):
-        if d < n:
+    for d in range(1, n):
+        if n % d == 0:
             num = _polydiv_exact(num, cyclotomic_polynomial(d))
     return tuple(num)
 
@@ -131,76 +127,107 @@ def _descend(n: int, coeffs, p: int):
     return [a - b for a, b in zip(y0, y1)]
 
 
-class Cyclotomic:
-    """An element of Q(zeta_n), in canonical reduced form for its order."""
+def _times(a, b, n: int) -> list[int]:
+    """The reduced product at order n of two power basis vectors."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    return group_ring_reduce(conv, n)
 
-    __slots__ = ("order", "coeffs")
+
+def _new(order: int, nums, den: int) -> "Cyclotomic":
+    """The value (sum nums[k] z^k) / den at order, den > 0, in lowest terms."""
+    g = gcd(den, *nums)
+    x = object.__new__(Cyclotomic)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "nums", tuple(c // g for c in nums) if g > 1 else tuple(nums))
+    object.__setattr__(x, "den", den // g)
+    return x
+
+
+class Cyclotomic:
+    """(sum nums[k] z^k) / den in Q(zeta_order), in lowest terms.
+
+    nums: phi(order) ints; den > 0 with gcd(den, *nums) == 1.  Built from
+    int or Fraction coefficients, which coeffs gives back as Fractions."""
+
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs):
+        cs = list(coeffs)
+        if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in cs):
+            raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {cs!r}")
         phi = euler_phi(order)
-        cs = tuple(Fraction(c) for c in coeffs)
         if len(cs) != phi:
             raise ValueError(f"order {order} needs {phi} coefficients, got {len(cs)}")
+        den = lcm(1, *(c.denominator for c in cs))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic values are immutable")
 
     def __reduce__(self):
-        return (Cyclotomic, (self.order, self.coeffs))
+        return (_new, (self.order, self.nums, self.den))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Cyclotomic":
-        return Cyclotomic(1, (Fraction(q),))
+        return Cyclotomic(1, (q,))
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
         if n < 1:
             raise ValueError(f"root-of-unity order must be >= 1, got {n}")
-        row = _power_table(n)[k % n]
-        return Cyclotomic(n, row)
+        return _new(n, _power_table(n)[k % n], 1)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         c = self.canonical()
         if c.order != 1:
             raise ValueError(f"{self!r} is not rational")
-        return c.coeffs[0]
+        return Fraction(c.nums[0], c.den)
 
-    def _promoted_coeffs(self, m: int) -> list:
+    def _promoted_nums(self, m: int) -> list:
         if m == self.order:
-            return list(self.coeffs)
+            return list(self.nums)
         step = m // self.order
-        vec = [0] * ((len(self.coeffs) - 1) * step + 1)
-        vec[::step] = self.coeffs
+        vec = [0] * ((len(self.nums) - 1) * step + 1)
+        vec[::step] = self.nums
         return group_ring_reduce(vec, m)
 
     def promote(self, m: int) -> "Cyclotomic":
         """Embed into Q(zeta_m); m must be a multiple of the order."""
         if m % self.order:
             raise ValueError(f"cannot promote order {self.order} to non-multiple {m}")
-        return Cyclotomic(m, self._promoted_coeffs(m))
+        return _new(m, self._promoted_nums(m), self.den)
 
     def canonical(self) -> "Cyclotomic":
         """Equivalent value at its conductor (least possible order)."""
-        order, coeffs = self.order, self.coeffs
+        order, nums = self.order, self.nums
         for p in _prime_factors(order):
             while order % p == 0:
-                down = _descend(order, coeffs, p)
+                down = _descend(order, nums, p)
                 if down is None:
                     break
-                order, coeffs = order // p, down
-        return Cyclotomic(order, coeffs)
+                order, nums = order // p, down
+        return _new(order, nums, self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -208,100 +235,64 @@ class Cyclotomic:
     def _coerce(x):
         if isinstance(x, Cyclotomic):
             return x
-        if isinstance(x, (int, Fraction)):
-            return Cyclotomic(1, (Fraction(x),))
+        if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+            return _new(1, (x.numerator,), x.denominator)
         return None
 
     def _aligned(self, other: "Cyclotomic"):
-        if self.order == other.order:
-            return self.order, list(self.coeffs), list(other.coeffs)
         m = lcm(self.order, other.order)
-        return m, self._promoted_coeffs(m), other._promoted_coeffs(m)
+        return m, self._promoted_nums(m), other._promoted_nums(m)
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         m, a, b = self._aligned(other)
-        return Cyclotomic(m, [x + y for x, y in zip(a, b)])
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return _new(m, [x * fa + y * fb for x, y in zip(a, b)], den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        m, a, b = self._aligned(other)
-        return Cyclotomic(m, [x - y for x, y in zip(a, b)])
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other.__sub__(self)
+        return other._sum(self, -1)
 
     def __neg__(self):
-        return Cyclotomic(self.order, [-c for c in self.coeffs])
+        return _new(self.order, [-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == 1:
-            q = self.coeffs[0]
-            return Cyclotomic(other.order, [q * c for c in other.coeffs])
-        if other.order == 1:
-            q = other.coeffs[0]
-            return Cyclotomic(self.order, [q * c for c in self.coeffs])
         m, a, b = self._aligned(other)
-        phi = euler_phi(m)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return Cyclotomic(m, group_ring_reduce(conv, m))
+        return _new(m, _times(a, b, m), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
+        """1/x = prod_{k in (Z/n)^*, k != 1} sigma_k(x) / N(x), sigma_k: z -> z^k."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in cyclotomic field")
-        if self.order == 1:
-            return Cyclotomic(1, (1 / self.coeffs[0],))
-        # extended Euclid in Q[z] against the (irreducible) Phi_n
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        r0, r1 = phi_poly, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i]:
-                    return i
-            return -1
-
-        while deg(r1) > 0:
-            q = [Fraction(0)] * (deg(r0) - deg(r1) + 1)
-            rem = list(r0)
-            for i in range(deg(r0), deg(r1) - 1, -1):
-                if rem[i]:
-                    f = rem[i] / r1[deg(r1)]
-                    q[i - deg(r1)] = f
-                    for j in range(deg(r1) + 1):
-                        rem[i - deg(r1) + j] -= f * r1[j]
-            new_s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        if sc:
-                            new_s[i + j] -= qc * sc
-            r0, r1 = r1, rem
-            s0, s1 = s1, new_s
-        if deg(r1) != 0:
-            raise ZeroDivisionError("division by zero in cyclotomic field")
-        c = r1[deg(r1)]
-        return Cyclotomic(self.order, group_ring_reduce([x / c for x in s1], self.order))
+        n, nums = self.order, self.nums
+        adj = [1]
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                conj = [0] * n
+                for j, c in enumerate(nums):
+                    conj[j * k % n] += c
+                adj = _times(adj, group_ring_reduce(conj, n), n)
+        norm = _times(nums, adj, n)[0]
+        sign = 1 if norm > 0 else -1
+        return _new(n, [sign * self.den * c for c in adj], sign * norm)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -335,8 +326,8 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
+        if self.den != other.den:
+            return False
         m, a, b = self._aligned(other)
         return a == b
 
@@ -374,22 +365,19 @@ class Cyclotomic:
 def group_ring_form(values) -> tuple[int, int, list[tuple[tuple[int, int], ...]]]:
     """Compile values into the integer group ring Z[Z/N].
 
-    Returns (N, D, terms): N is the lcm of the orders, D the lcm of every
-    coefficient denominator, and terms[i] lists the (exponent mod N, integer
-    coefficient) pairs of D * values[i].  As z_n^k = z_N^(k*N/n), a power
-    basis coefficient keeps its denominator under the embedding into
-    Q(zeta_N), so D clears all of them.  Zero becomes (), and a nonzero value
-    has at least one term.
+    Returns (N, D, terms): N is the lcm of the orders, D the lcm of the
+    denominators, and terms[i] lists the (exponent mod N, integer
+    coefficient) pairs of D * values[i].  As z_n^k = z_N^(k*N/n), a value's
+    numerators embed into Q(zeta_N) unchanged and only scale by D // den.
+    Zero becomes (), and a nonzero value has at least one term.
     """
     values = list(values)
     order = lcm(1, *(v.order for v in values))
-    scale = lcm(1, *(c.denominator for v in values for c in v.coeffs))
+    scale = lcm(1, *(v.den for v in values))
     terms = []
     for v in values:
-        step = order // v.order
-        terms.append(tuple(
-            (k * step, c.numerator * (scale // c.denominator)) for k, c in enumerate(v.coeffs) if c
-        ))
+        step, factor = order // v.order, scale // v.den
+        terms.append(tuple((k * step, c * factor) for k, c in enumerate(v.nums) if c))
     return order, scale, terms
 
 
@@ -425,7 +413,7 @@ def group_ring_equal(a: list[int], b: list[int], n: int) -> bool:
 
 def from_group_ring(vec, n: int, scale: int) -> "Cyclotomic":
     """The field value (sum vec[k] z_n^k) / scale."""
-    return Cyclotomic(n, [Fraction(c, scale) for c in group_ring_reduce(vec, n)])
+    return _new(n, group_ring_reduce(vec, n), scale)
 
 
 ZERO = Cyclotomic.rational(0)

@@ -37,11 +37,12 @@ def sha256_digest(data: bytes) -> str:
 
 def scalar_to_json(x: Cyclotomic):
     c = x.canonical()
-    if c.order == 1 and c.coeffs[0].denominator == 1:
-        return int(c.coeffs[0])
+    coeffs = c.coeffs
+    if c.order == 1 and coeffs[0].denominator == 1:
+        return int(coeffs[0])
     return {
         "order": c.order,
-        "coeffs": [[q.numerator, q.denominator] for q in c.coeffs],
+        "coeffs": [[q.numerator, q.denominator] for q in coeffs],
     }
 
 

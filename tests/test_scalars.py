@@ -1,7 +1,10 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +16,16 @@ from sfckit.scalars import (
     Cyclotomic,
     cyclotomic_polynomial,
     euler_phi,
+    group_ring_reduce,
     minus_one_pow,
     root_of_unity,
 )
 from sfckit.catalog import build_entry, z2_supercocycle
 from sfckit.cocycles import SuperCocycle, cyclic_group, lift_supercocycle
 from sfckit.envelope import lift_6j
-from tests.test_kernel import CATALOG, carry
+from sfckit.fusion import FusionError, SixJTable, check_6j_invertibility, check_pentagon, determinant
+from tests.test_fusion import ising_exact_table
+from tests.test_kernel import CATALOG, carry, flip, gauge, generic_factor
 
 
 def test_cyclotomic_polynomials():
@@ -305,3 +311,179 @@ def test_canonical_matches_reference_with_denominators():
     ]
     for x in values:
         assert_canonical_matches_reference(x)
+
+
+# -- the integer form against the Fraction arithmetic it replaced -------------------------
+
+
+def reference_promote(x, m):
+    """The Fraction coefficients of x embedded into Q(zeta_m), z_n -> z_m^(m/n)."""
+    step = m // x.order
+    vec = [Fraction(0)] * ((euler_phi(x.order) - 1) * step + 1)
+    vec[::step] = x.coeffs
+    return group_ring_reduce(vec, m)
+
+
+def reference_mul(x, y):
+    """x * y by the Fraction convolution the integer form replaced."""
+    if x.order == 1:
+        return Cyclotomic(y.order, [x.coeffs[0] * c for c in y.coeffs])
+    if y.order == 1:
+        return Cyclotomic(x.order, [y.coeffs[0] * c for c in x.coeffs])
+    m = lcm(x.order, y.order)
+    a, b = reference_promote(x, m), reference_promote(y, m)
+    conv = [Fraction(0)] * (2 * euler_phi(m) - 1)
+    for i, p in enumerate(a):
+        if p:
+            for j, q in enumerate(b):
+                if q:
+                    conv[i + j] += p * q
+    return Cyclotomic(m, group_ring_reduce(conv, m))
+
+
+def reference_inverse(x):
+    """1 / x by the extended Euclid in Q[z] against Phi_n that the norm formula replaced."""
+    if x.is_zero():
+        raise ZeroDivisionError("division by zero in cyclotomic field")
+    if x.order == 1:
+        return Cyclotomic(1, (1 / x.coeffs[0],))
+    r0, r1 = [Fraction(c) for c in cyclotomic_polynomial(x.order)], list(x.coeffs)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+
+    def deg(p):
+        for i in range(len(p) - 1, -1, -1):
+            if p[i]:
+                return i
+        return -1
+
+    while deg(r1) > 0:
+        q = [Fraction(0)] * (deg(r0) - deg(r1) + 1)
+        rem = list(r0)
+        for i in range(deg(r0), deg(r1) - 1, -1):
+            if rem[i]:
+                f = rem[i] / r1[deg(r1)]
+                q[i - deg(r1)] = f
+                for j in range(deg(r1) + 1):
+                    rem[i - deg(r1) + j] -= f * r1[j]
+        new_s = list(s0) + [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, sc in enumerate(s1):
+                    if sc:
+                        new_s[i + j] -= qc * sc
+        r0, r1 = r1, rem
+        s0, s1 = s1, new_s
+    c = r1[deg(r1)]
+    return Cyclotomic(x.order, group_ring_reduce([v / c for v in s1], x.order))
+
+
+def fields(x):
+    return x.order, x.nums, x.den
+
+
+def assert_lowest_terms(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == euler_phi(x.order)
+    assert all(type(c) is int for c in (x.den, *x.nums))
+    assert fields(pickle.loads(pickle.dumps(x))) == fields(x)
+
+
+@st.composite
+def cyclotomics_at(draw, orders):
+    n = draw(st.sampled_from(orders))
+    coeffs = [
+        Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12))) if draw(st.booleans()) else 0
+        for _ in range(euler_phi(n))
+    ]
+    return Cyclotomic(n, coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_integer_arithmetic_matches_fraction_reference(data):
+    # orders outside _orders, each paired with itself, a divisor or 1
+    n = data.draw(st.sampled_from([7, 16, 20, 24, 30]))
+    x = data.draw(cyclotomics_at([n]))
+    y = data.draw(cyclotomics_at([d for d in (1, 2, 4, 5, 8, n) if n % d == 0]))
+    m = lcm(x.order, y.order)
+    a, b = reference_promote(x, m), reference_promote(y, m)
+    product = x * y
+    assert fields(product) == fields(reference_mul(x, y)) == fields(y * x)
+    assert fields(x + y) == fields(Cyclotomic(m, [p + q for p, q in zip(a, b)]))
+    assert fields(x - y) == fields(Cyclotomic(m, [p - q for p, q in zip(a, b)]))
+    results = [x, y, product, x + y, x - y, -x, x.promote(2 * n), x.canonical()]
+    for v in (x, y):
+        if not v.is_zero():
+            assert fields(v.inverse()) == fields(reference_inverse(v))
+            results.append(v.inverse())
+    for v in results:
+        assert_lowest_terms(v)
+    # equal values at one order have equal fields
+    assert fields(x.promote(m)) == fields(Cyclotomic(m, reference_promote(x, m)))
+    assert fields((x + y) - y) == fields(x.promote(m))
+    assert fields(x.promote(2 * n).canonical()) == fields(x.canonical())
+    if not y.is_zero():
+        assert fields(product / y) == fields(x.promote(m))
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, "1/3", True, False, None, 1j, Decimal("0.5")])
+def test_inexact_scalars_are_rejected(bad):
+    with pytest.raises(TypeError):
+        Cyclotomic(1, [bad])
+    with pytest.raises(TypeError):
+        Cyclotomic(2, [bad])
+    with pytest.raises(TypeError):
+        Cyclotomic.rational(bad)
+    assert Cyclotomic._coerce(bad) is None
+    with pytest.raises(FusionError):
+        SixJTable({(0,) * 10: bad})
+
+
+def test_exact_scalars_are_accepted():
+    assert fields(Cyclotomic(1, [3])) == (1, (3,), 1)
+    assert fields(Cyclotomic(4, [Fraction(2, 6), Fraction(-1, 4)])) == (4, (4, -3), 12)
+    assert Cyclotomic.rational(Fraction(6, 4)).coeffs == (Fraction(3, 2),)
+    assert fields(Cyclotomic(3, [0, 0])) == (3, (0, 0), 1)
+
+
+# -- no Fraction inside the arithmetic ---------------------------------------------------
+
+
+def count_fractions(monkeypatch, fn):
+    """How many Fractions fn() constructs."""
+    original = Fraction.__new__
+    made = []
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", counted)
+        fn()
+    return len(made)
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    data, table = ising_exact_table()
+    gauged = gauge(data, table, seed=3)
+    mutant = flip(gauged, 17)
+    x, y = generic_factor(random.Random(2), 8), generic_factor(random.Random(3), 24)
+    matrix = [[generic_factor(random.Random(10 * r + c), 8) for c in range(3)] for r in range(3)]
+    group, supercocycle = cyclic_group(2), z2_supercocycle(1)
+    cases = [
+        lambda: [x + y, x - y, x * y, x / y, y.inverse(), x.canonical(), x.promote(16), x == y, 2 - x],
+        lambda: check_6j_invertibility(data, gauged),
+        lambda: assert_not_ok(check_pentagon(data, mutant, max_violations=None)),
+        lambda: lift_supercocycle(group, supercocycle),
+        lambda: determinant(matrix),
+    ]
+    assert [count_fractions(monkeypatch, fn) for fn in cases] == [0] * len(cases)
+    # the counter does see the boundary
+    assert count_fractions(monkeypatch, lambda: x.coeffs) == euler_phi(8)
+
+
+def assert_not_ok(report):
+    assert not report.ok and report.violations
+    assert all(v.lhs != v.rhs for v in report.violations)
