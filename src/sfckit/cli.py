@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -52,17 +51,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
-JOBS_ENV_VAR = "SFCKIT_JOBS"
-
 CHECK_KINDS = ("pentagon", "super-pentagon", "cocycle2", "cocycle3", "supercocycle", "all")
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class _Run:
@@ -358,8 +347,8 @@ def _cmd_catalog(args) -> int:
 
 def _add_common(parser, with_output=False):
     parser.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    parser.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help=f"worker processes for verification (default: ${JOBS_ENV_VAR} or 1)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for verification (default: 1)")
     parser.add_argument("--max-violations", type=int, default=DEFAULT_MAX_VIOLATIONS,
                         help="bound on violations listed per check")
     if with_output:
@@ -416,10 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except CatalogError as exc:
+    except (SchemaError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except FusionError as exc:

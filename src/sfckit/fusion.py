@@ -2,9 +2,13 @@
 
 Multiplicity tensors are stored sparsely as (i, j, m) -> N with zero entries
 omitted.  6j tables are sparse maps from index decuples to exact cyclotomic
-scalars; a decuple absent from the table counts as the scalar 0 during
-verification (absence on an admissible decuple is surfaced as a completeness
-warning, never silently required).
+scalars.  A decuple (i, j, m, k, n, t, alpha, beta, eta, phi) is admissible
+when each of its four Hom-space quadruples (i,j,m,alpha), (m,k,n,beta),
+(j,k,t,eta), (i,t,n,phi) has 1 <= label <= N; every table key must be one.
+An admissible decuple with no key in the table is a missing entry: it counts
+as the scalar 0 during verification, and the list of missing entries
+(_missing_entries) is surfaced as a completeness warning, never silently
+required.
 
 The pentagon check enumerates only admissible chains: for each outer object
 quadruple it walks one list of Hom basis vectors (m, alpha) per (i, j),
@@ -217,51 +221,62 @@ def admissible_decuples(data: FusionData):
                                             yield (i, j, m, k, n, t, alpha, beta, eta, phi)
 
 
-def decuple_is_admissible(data: FusionData, key: tuple) -> bool:
-    if len(key) != 10:
-        return False
+def _on_support(mult, key) -> bool:
+    """Whether the four Hom-space quadruples of an int decuple are admissible;
+    mult is FusionData.mult, whose keys are exactly the in-range triples."""
     i, j, m, k, n, t, alpha, beta, eta, phi = key
-    for (a, b, c, lab) in (
-        (i, j, m, alpha),
-        (m, k, n, beta),
-        (j, k, t, eta),
-        (i, t, n, phi),
-    ):
-        if not all(isinstance(x, int) for x in (a, b, c, lab)):
-            return False
-        if not (0 <= a < data.rank and 0 <= b < data.rank and 0 <= c < data.rank):
-            return False
-        if not 1 <= lab <= data.n(a, b, c):
-            return False
-    return True
+    return (
+        0 < alpha <= mult.get((i, j, m), 0)
+        and 0 < beta <= mult.get((m, k, n), 0)
+        and 0 < eta <= mult.get((j, k, t), 0)
+        and 0 < phi <= mult.get((i, t, n), 0)
+    )
+
+
+def decuple_is_admissible(data: FusionData, key: tuple) -> bool:
+    if len(key) != 10 or not all(isinstance(x, int) for x in key):
+        return False
+    return _on_support(data.mult, key)
+
+
+def _preview(keys) -> str:
+    return ", ".join(map(str, keys[:MISSING_ENTRY_PREVIEW]))
 
 
 def _off_support(data: FusionData, table: SixJTable) -> list:
-    """The table's keys that are not admissible decuples, sorted."""
-    return sorted(key for key in table.entries if not decuple_is_admissible(data, key))
+    """The table's keys (int decuples, as SixJTable checked) that are not admissible, sorted."""
+    mult = data.mult
+    return sorted(key for key in table.entries if not _on_support(mult, key))
+
+
+def _missing_entries(data: FusionData, table: SixJTable) -> list:
+    """The admissible decuples with no key in the table, in index order."""
+    return [key for key in admissible_decuples(data) if key not in table.entries]
 
 
 def require_admissible_support(data: FusionData, table: SixJTable) -> None:
     """Raise FusionError if any table entry sits on a non-admissible decuple."""
     bad = _off_support(data, table)
     if bad:
-        shown = ", ".join(map(str, bad[:MISSING_ENTRY_PREVIEW]))
         raise FusionError(
-            f"{len(bad)} 6j entries sit on non-admissible decuples, e.g. {shown}"
+            f"{len(bad)} 6j entries sit on non-admissible decuples, e.g. {_preview(bad)}"
         )
 
 
 def validate_sixj(data: FusionData, table: SixJTable) -> ValidationReport:
-    """Structural support check plus a completeness warning for absent entries."""
+    """Structural support check plus a completeness warning for absent entries.
+
+    The completeness law lists the missing entries, the admissible decuples
+    with no key in the table, in index order; the scan reports name the same.
+    """
     report = ValidationReport(subject="6j table")
     bad = _off_support(data, table)
     report.laws.append(LawResult("support", not bad, bad))
-    missing = [key for key in admissible_decuples(data) if key not in table.entries]
+    missing = _missing_entries(data, table)
     report.laws.append(LawResult("completeness", True, missing))
     if missing:
-        preview = ", ".join(map(str, missing[:MISSING_ENTRY_PREVIEW]))
         report.warnings.append(
-            f"{len(missing)} admissible decuple(s) have no entry and count as 0, e.g. {preview}"
+            f"{len(missing)} admissible decuple(s) have no entry and count as 0, e.g. {_preview(missing)}"
         )
     return report
 
@@ -298,14 +313,6 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
     violations = []
     total = 0
     checked = 0
-    missing = set()
-
-    def fetch(key):
-        v = get(key)
-        if v is None:
-            missing.add(key)
-        return v
-
     for (i, j, k, l) in outer:
         for m, alpha in basis[i][j]:
             for n, beta in basis[m][k]:
@@ -322,14 +329,14 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                                     if not ntls:
                                         continue
                                     for psi in range(1, nitn + 1):
-                                        f1 = fetch((i, j, m, k, n, t, alpha, beta, eta, psi))
+                                        f1 = get((i, j, m, k, n, t, alpha, beta, eta, psi))
                                         if not f1:
                                             continue
                                         for kappa in range(1, ntls + 1):
-                                            f2 = fetch((i, t, n, l, p, s, psi, chi, kappa, gamma))
+                                            f2 = get((i, t, n, l, p, s, psi, chi, kappa, gamma))
                                             if not f2:
                                                 continue
-                                            f3 = fetch((j, k, t, l, s, q, eta, kappa, delta, phi))
+                                            f3 = get((j, k, t, l, s, q, eta, kappa, delta, phi))
                                             if not f3:
                                                 continue
                                             for e1, c1 in f1:
@@ -340,10 +347,10 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                                                         lhs[(e12 + e3) % order] += c12 * c3
                                 rhs = [0] * order
                                 for eps in range(1, nmqp + 1):
-                                    g1 = fetch((m, k, n, l, p, q, beta, chi, delta, eps))
+                                    g1 = get((m, k, n, l, p, q, beta, chi, delta, eps))
                                     if not g1:
                                         continue
-                                    g2 = fetch((i, j, m, q, p, s, alpha, eps, phi, gamma))
+                                    g2 = get((i, j, m, q, p, s, alpha, eps, phi, gamma))
                                     if not g2:
                                         continue
                                     for e1, c1 in g1:
@@ -364,7 +371,7 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                                                 rhs=from_group_ring(rhs, order, cube),
                                             )
                                         )
-    return violations, total, checked, missing
+    return violations, total, checked
 
 
 def _compile(entries):
@@ -401,23 +408,22 @@ def _run_scan(data, entries, parities, max_violations, jobs):
     violations: list[Violation] = []
     total = 0
     checked = 0
-    missing: set = set()
-    for part_violations, part_total, part_checked, part_missing in parts:
+    for part_violations, part_total, part_checked in parts:
         total += part_total
         checked += part_checked
-        missing |= part_missing
         violations.extend(part_violations)
     if max_violations is not None:
         violations = violations[:max_violations]
-    return violations, total, checked, missing
+    return violations, total, checked
 
 
 def _missing_warning(missing) -> list[str]:
+    """The scan reports' warning about missing entries (any iterable of keys)."""
+    missing = sorted(missing)
     if not missing:
         return []
-    preview = ", ".join(map(str, sorted(missing)[:MISSING_ENTRY_PREVIEW]))
     return [
-        f"{len(missing)} admissible decuple(s) had no table entry and were treated as 0, e.g. {preview}"
+        f"{len(missing)} admissible decuple(s) had no table entry and were treated as 0, e.g. {_preview(missing)}"
     ]
 
 
@@ -428,16 +434,20 @@ def check_pentagon(
     max_violations: int | None = DEFAULT_MAX_VIOLATIONS,
     jobs: int = 1,
 ) -> CheckReport:
-    """Verify the pentagon identity for every non-trivially-zero instance."""
+    """Verify the pentagon identity for every non-trivially-zero instance.
+
+    Missing entries (the completeness list of validate_sixj) count as 0 and
+    are named in one warning.
+    """
     require_admissible_support(data, table)
-    violations, total, checked, missing = _run_scan(data, table.entries, None, max_violations, jobs)
+    violations, total, checked = _run_scan(data, table.entries, None, max_violations, jobs)
     return CheckReport(
         name="pentagon",
         ok=total == 0,
         checked=checked,
         violations=violations,
         total_violations=total,
-        warnings=_missing_warning(missing),
+        warnings=_missing_warning(_missing_entries(data, table)),
     )
 
 

@@ -20,6 +20,7 @@ from .fusion import (
     decuple_is_admissible,
     require_admissible_support,
     _duality_law,
+    _missing_entries,
     _missing_warning,
     _run_scan,
     _unit_law,
@@ -249,7 +250,8 @@ def check_super_pentagon(
 
     Raises SuperFusionError off the parity-admissible support.  A caller that
     already holds check_support(data, table) passes it as ``support``, and the
-    support pass is not repeated.
+    support pass is not repeated.  Missing entries (the completeness list of
+    validate_sixj on data.base) count as 0 and are named in one warning.
     """
     if support is None:
         support = check_support(data, table)
@@ -259,14 +261,12 @@ def check_super_pentagon(
             f"{support.total_violations} nonzero entries on non-parity-admissible "
             f"decuples, e.g. {first.instance}"
         )
-    violations, total, checked, missing = _run_scan(
-        data.base, table.entries, data.parities, max_violations, jobs
-    )
+    violations, total, checked = _run_scan(data.base, table.entries, data.parities, max_violations, jobs)
     return CheckReport(
         name="super pentagon",
         ok=total == 0,
         checked=checked,
         violations=violations,
         total_violations=total,
-        warnings=_missing_warning(missing),
+        warnings=_missing_warning(_missing_entries(data.base, table)),
     )

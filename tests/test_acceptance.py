@@ -18,6 +18,7 @@ from sfckit.catalog import (
     superfusion_entries_with_tables,
     z2_supercocycle,
 )
+from perfbench.gen import carry_group_parts, flip_cube
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.cocycles import (
     SuperCocycle,
@@ -192,8 +193,33 @@ def test_criterion_4_pentagon_oracle_equivalence():
             assert {v.instance[:4] for v in pentagon.violations} == {
                 v.instance for v in oracle.violations
             }
+            assert _as_cocycle_report(pentagon) == oracle.to_json()
             verdicts[pentagon.ok] += 1
         assert verdicts[True] >= 1 and verdicts[False] >= 1
+
+        # the super side: super pentagon against 3-supercocycle on the carry
+        # supercocycles of Z/2, Z/4, Z/6 and one sign flip of each
+        verdicts = {True: 0, False: 0}
+        for n in (2, 4, 6):
+            group, omega, _, sc = carry_group_parts(n)
+            for values in (sc.values, flip_cube(sc.values, (1, n - 1, 0))):
+                data, table = pointed_superfusion_data(group, omega, values)
+                pentagon = check_super_pentagon(data, table, max_violations=None)
+                oracle = check_supercocycle(group, SuperCocycle(omega, values), max_violations=None)
+                oracle.warnings = []  # the oracle's note on omega
+                assert _as_cocycle_report(pentagon, "3-supercocycle") == oracle.to_json()
+                verdicts[pentagon.ok] += 1
+        assert verdicts == {True: 3, False: 3}
+
+
+def _as_cocycle_report(report, name="3-cocycle"):
+    """A pointed (super) pentagon report in the form of the cocycle report:
+    each instance cut to its outer quadruple (a, b, c, d)."""
+    doc = report.to_json()
+    doc["name"] = name
+    for v in doc["violations"]:
+        v["instance"] = v["instance"][:4]
+    return doc
 
 
 def test_criterion_5_mutation_soundness():

@@ -13,7 +13,8 @@ from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
 from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
-from sfckit.catalog import z2_supercocycle
+from sfckit.catalog import build_entry, z2_supercocycle
+from tests.test_kernel import CATALOG, flip
 from tests.test_ring_kernel import outcome, reference_build_sgr, z3_parity_broken
 
 
@@ -338,26 +339,35 @@ def test_sgr_renders_relations_once(tmp_path, monkeypatch, capsys):
     assert "[X]^2 = (1+pi)[1]" in capsys.readouterr().out
 
 
-def test_jobs_env_var_sets_default(super_z2_file, monkeypatch):
-    from sfckit.cli import build_parser
-
-    monkeypatch.setenv("SFCKIT_JOBS", "3")
-    args = build_parser().parse_args(["check", str(super_z2_file)])
-    assert args.jobs == 3
-    monkeypatch.setenv("SFCKIT_JOBS", "not-a-number")
-    args = build_parser().parse_args(["check", str(super_z2_file)])
-    assert args.jobs == 1
-    assert main(["check", str(super_z2_file)]) == EXIT_OK
-
-
-def test_jobs_flag_matches_sequential(tmp_path, super_z2_file, capsys):
-    underlying = ["underlying", str(super_z2_file), "-o", str(tmp_path / "underlying.json")]
-    for argv in (["check", str(super_z2_file)], underlying):
-        assert main([*argv, "--jobs", "2", "--json"]) == EXIT_OK
-        parallel = json.loads(capsys.readouterr().out)
-        assert main([*argv, "--jobs", "1", "--json"]) == EXIT_OK
-        sequential = json.loads(capsys.readouterr().out)
-        assert parallel["checks"] == sequential["checks"]
+def test_jobs_flag_matches_sequential(tmp_path, capsys):
+    # the whole --json report minus elapsed_s, the exit code and the written
+    # bytes, on every catalog table and its sign-flip mutant
+    commands = []
+    for name, params in CATALOG:
+        entry = build_entry(name, *params)
+        if entry.sixj is None:
+            continue
+        write = fusion_file if entry.kind == "fusion" else superfusion_file
+        stem = "-".join([name, *map(str, params)])
+        cases = (("", entry.sixj, EXIT_OK), ("-flip", flip(entry.sixj), EXIT_CHECK_FAILED))
+        for tag, table, want in cases:
+            path = tmp_path / f"{stem}{tag}.json"
+            path.write_text(dumps_file(write(entry.data, table)))
+            commands.append((["check", str(path)], want))
+        if entry.kind == "superfusion":
+            commands.append((["underlying", str(tmp_path / f"{stem}.json")], EXIT_OK))
+    assert len(commands) == 25
+    for argv, want in commands:
+        runs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out-{jobs}.json"
+            extra = ["-o", str(out)] if argv[0] == "underlying" else []
+            code = main([*argv, *extra, "--jobs", jobs, "--json"])
+            doc = json.loads(capsys.readouterr().out)
+            del doc["elapsed_s"]
+            runs.append((code, doc, out.read_bytes() if extra else None))
+        assert runs[0][0] == want, argv
+        assert runs[0] == runs[1], argv
 
 
 def test_catalog_stdout(capsys):

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfckit import fusion
@@ -25,7 +25,7 @@ from sfckit.cocycles import (
     cyclic_group,
 )
 from sfckit.envelope import verify_lift
-from sfckit.fusion import FusionData, SixJTable, admissible_decuples, check_pentagon
+from sfckit.fusion import FusionData, SixJTable, admissible_decuples, check_pentagon, validate_sixj
 from sfckit.reporting import CheckReport, Violation
 from sfckit.scalars import (
     ONE,
@@ -335,6 +335,28 @@ def test_kernel_matches_reference_on_random_rules(case):
     )
     want = reference_pentagon("super pentagon", data, even.entries, parities)
     assert_matches(check_super_pentagon(super_data, even, max_violations=None), want)
+
+
+# off the unit law: no pentagon instance reads (0, 1, 1, 0, 1, 1, 1, 1, 1, 1)
+NO_UNIT = FusionData(["0", "1"], 0, {(0, 1, 1): 1, (1, 0, 1): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_rules_and_table())
+@example((NO_UNIT, SixJTable({}), {(0, 1, 1, 1): 0, (1, 0, 1, 1): 0}))
+def test_scan_warnings_name_the_completeness_list(case):
+    # with and without the unit law, both scans warn about exactly the
+    # missing entries that validate_sixj lists
+    data, table, parities = case
+    missing = validate_sixj(data, table).law("completeness").violations
+    assert check_pentagon(data, table, max_violations=1).warnings == fusion._missing_warning(missing)
+
+    super_data = SuperFusionData(data, parities, [BOSONIC] * data.rank)
+    even = SixJTable(
+        {key: v for key, v in table.entries.items() if v.is_zero() or is_parity_admissible(super_data, key)}
+    )
+    missing = validate_sixj(data, even).law("completeness").violations
+    assert check_super_pentagon(super_data, even, max_violations=1).warnings == fusion._missing_warning(missing)
 
 
 # -- 3-cocycle and 3-supercocycle ----------------------------------------------------------
