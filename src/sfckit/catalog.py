@@ -322,7 +322,10 @@ def build_entry(name: str, *params: int) -> CatalogEntry:
         raise CatalogError(
             f"{name} takes parameters ({', '.join(spec) or 'none'}); got {len(params)}"
         )
-    entry = builder(*params)
+    try:
+        entry = builder(*params)
+    except CocycleError as exc:  # an invalid parameter is bad input, not a failed check
+        raise CatalogError(str(exc)) from None
     _validate_entry(entry)
     return entry
 

@@ -26,8 +26,8 @@ from .envelope import underlying_fusion_rules, verify_lift
 from .fusion import (
     FusionError,
     SixJTable,
+    _require_on_support,
     check_pentagon,
-    require_admissible_support,
     validate_fusion,
     validate_sixj,
 )
@@ -140,13 +140,14 @@ def _cmd_check(args) -> int:
         if which not in ("pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a fusion file")
         table = cf.sixj if cf.sixj is not None else SixJTable({})
-        require_admissible_support(cf.fusion, table)
+        sixj = validate_sixj(cf.fusion, table)
+        _require_on_support(sixj.law("support").violations)
         ok &= run.add(validate_fusion(cf.fusion))
-        ok &= run.add(validate_sixj(cf.fusion, table))
+        ok &= run.add(sixj)
         if ok:
             if cf.sixj is None:
                 run.note("no 6j table in input; pentagon runs against the empty table")
-            ok &= run.add(check_pentagon(cf.fusion, table, max_violations=mv, jobs=jobs))
+            ok &= run.add(check_pentagon(cf.fusion, table, max_violations=mv, jobs=jobs, validation=sixj))
     elif cf.kind == "superfusion":
         if which not in ("super-pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a superfusion file")

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import contextlib
 import json
 import os
 import pathlib
@@ -14,7 +15,7 @@ from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
 from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
 from sfckit.catalog import build_entry, z2_supercocycle
-from tests.test_kernel import CATALOG, flip
+from tests.test_kernel import CATALOG, flip, pool_forced
 from tests.test_ring_kernel import outcome, reference_build_sgr, z3_parity_broken
 
 
@@ -40,6 +41,9 @@ def test_catalog_list_and_errors(tmp_path, capsys):
     assert "super-z2" in out and "ck" in out
     assert main(["catalog", "no-such-thing"]) == EXIT_INPUT_ERROR
     assert main(["catalog", "ck", "4"]) == EXIT_INPUT_ERROR  # wrong level refused
+    capsys.readouterr()
+    assert main(["catalog", "super-z2", "2"]) == EXIT_INPUT_ERROR  # no supercocycle at an even power
+    assert capsys.readouterr().err == "error: not a 3-supercocycle; witness quadruple (1, 1, 1, 1)\n"
 
 
 def test_check_passes_on_catalog_file(super_z2_file, capsys):
@@ -186,6 +190,42 @@ def test_check_runs_support_once(super_z2_file, monkeypatch, capsys):
     assert len(calls) == 1
     names = [check.get("name") for check in json.loads(capsys.readouterr().out)["checks"]]
     assert names[1:] == ["fermionic 6j support", "super pentagon"]
+
+
+def test_check_validates_a_fusion_table_once(tmp_path, monkeypatch, capsys):
+    # one support pass and one missing-entry pass, shared by the table's
+    # validation and the pentagon report
+    path = tmp_path / "vec-z3.json"
+    assert main(["catalog", "vec-zn", "3", "-o", str(path)]) == EXIT_OK
+    calls = {"support": 0, "missing": 0}
+    real_support, real_missing = fusion._off_support, fusion._missing_entries
+
+    def counting_support(data, table):
+        calls["support"] += 1
+        return real_support(data, table)
+
+    def counting_missing(data, table):
+        calls["missing"] += 1
+        return real_missing(data, table)
+
+    monkeypatch.setattr(fusion, "_off_support", counting_support)
+    monkeypatch.setattr(fusion, "_missing_entries", counting_missing)
+    assert main(["check", str(path), "--json"]) == EXIT_OK
+    assert calls == {"support": 1, "missing": 1}
+    names = [check.get("name") or check.get("subject") for check in json.loads(capsys.readouterr().out)["checks"]]
+    assert names == ["fusion data", "6j table", "pentagon"]
+
+
+def test_check_counts_a_tableless_scan(tmp_path, monkeypatch, capsys):
+    # ck 22 has 179 349 372 instances, every one 0 = 0 against the empty
+    # table: they are counted, not scanned
+    path = tmp_path / "ck-22.json"
+    assert main(["catalog", "ck", "22", "-o", str(path)]) == EXIT_OK
+    monkeypatch.setattr(fusion, "_scan_chunk", None)
+    assert main(["check", str(path), "--json"]) == EXIT_OK
+    pentagon = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert (pentagon["name"], pentagon["checked"], pentagon["ok"]) == ("super pentagon", 179_349_372, True)
+    assert pentagon["warnings"]
 
 
 def test_lift_cocycle_scans_supercocycle_once(tmp_path, monkeypatch, capsys):
@@ -341,7 +381,8 @@ def test_sgr_renders_relations_once(tmp_path, monkeypatch, capsys):
 
 def test_jobs_flag_matches_sequential(tmp_path, capsys):
     # the whole --json report minus elapsed_s, the exit code and the written
-    # bytes, on every catalog table and its sign-flip mutant
+    # bytes, on every catalog table and its sign-flip mutant, at --jobs 1,
+    # at --jobs 2 below the pool gate and at --jobs 2 through the pool
     commands = []
     for name, params in CATALOG:
         entry = build_entry(name, *params)
@@ -359,15 +400,16 @@ def test_jobs_flag_matches_sequential(tmp_path, capsys):
     assert len(commands) == 25
     for argv, want in commands:
         runs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"out-{jobs}.json"
+        for jobs, pooled in (("1", False), ("2", False), ("2", True)):
+            out = tmp_path / f"out-{len(runs)}.json"
             extra = ["-o", str(out)] if argv[0] == "underlying" else []
-            code = main([*argv, *extra, "--jobs", jobs, "--json"])
+            with pool_forced() if pooled else contextlib.nullcontext():
+                code = main([*argv, *extra, "--jobs", jobs, "--json"])
             doc = json.loads(capsys.readouterr().out)
             del doc["elapsed_s"]
             runs.append((code, doc, out.read_bytes() if extra else None))
         assert runs[0][0] == want, argv
-        assert runs[0] == runs[1], argv
+        assert runs[0] == runs[1] == runs[2], argv
 
 
 def test_catalog_stdout(capsys):
@@ -389,3 +431,23 @@ def test_cli_import_starts_no_process_pool_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_jobs2_below_the_pool_gate_loads_no_pool_machinery(tmp_path):
+    # vec-zn 8 has 4096 instances, too few to pay for a pool
+    path = tmp_path / "vec-z8.json"
+    assert main(["catalog", "vec-zn", "8", "-o", str(path)]) == EXIT_OK
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import sys, sfckit.cli; code = sfckit.cli.main(['check', sys.argv[1], '--jobs', '2', '--json']); "
+        "print(code, sorted(m for m in sys.modules if m.startswith('concurrent')), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.stderr.strip() == "0 []"
+    assert json.loads(proc.stdout)["checks"][-1]["checked"] == 4096

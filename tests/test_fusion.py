@@ -1,9 +1,11 @@
 """Tests for fusion data, pentagon verification, and 6j invertibility."""
 
+import concurrent.futures
 from fractions import Fraction
 
 import pytest
 
+from sfckit import fusion
 from sfckit.fusion import (
     FusionData,
     FusionError,
@@ -232,12 +234,65 @@ def test_pentagon_rejects_off_support_entries():
     assert not report.ok
 
 
-def test_pentagon_jobs_are_deterministic():
+def test_pentagon_jobs_are_deterministic(monkeypatch):
     data = z2_pointed()
     table = z2_table(Cyclotomic.rational(2))
     sequential = check_pentagon(data, table, max_violations=None, jobs=1)
     parallel = check_pentagon(data, table, max_violations=None, jobs=2)
     assert sequential.to_json() == parallel.to_json()
+    # the same through the process pool
+    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(fusion.os, "cpu_count", lambda: 2)
+    pooled = check_pentagon(data, table, max_violations=None, jobs=2)
+    assert sequential.to_json() == pooled.to_json()
+
+
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no process starts."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        self.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, jobs, want", [(3, 10_000, 3), (None, 10_000, None), (8, 2, 2), (1, 10_000, None)])
+def test_pool_workers_are_bounded(monkeypatch, cpus, jobs, want):
+    # at most min(jobs, CPUs, chunks) workers; one worker means no pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "seen", [])
+    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(fusion.os, "cpu_count", lambda: cpus)
+    data = z2_pointed()
+    table = z2_table(Cyclotomic.rational(2))
+    report = check_pentagon(data, table, max_violations=None, jobs=jobs)
+    assert RecordingExecutor.seen == ([] if want is None else [want])
+    assert report.to_json() == check_pentagon(data, table, max_violations=None).to_json()
+
+
+def test_pool_gate_is_the_instance_count(monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(RecordingExecutor, "seen", [])
+    monkeypatch.setattr(fusion.os, "cpu_count", lambda: 2)
+    data = z2_pointed()
+    table = z2_table(ONE)
+    checked = check_pentagon(data, table, jobs=2).checked
+    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", checked + 1)
+    check_pentagon(data, table, jobs=2)
+    assert RecordingExecutor.seen == []
+    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", checked)
+    check_pentagon(data, table, jobs=2)
+    assert RecordingExecutor.seen == [2]
 
 
 def test_max_violations_bound():

@@ -7,6 +7,7 @@ input: verdict, ``checked``, ``total_violations``, missing-entry warnings,
 and the ``lhs``/``rhs`` strings of every violation.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sfckit import fusion
+from sfckit import _plan, fusion
 from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
 from sfckit.cocycles import (
     SuperCocycle,
@@ -24,7 +25,7 @@ from sfckit.cocycles import (
     check_supercocycle,
     cyclic_group,
 )
-from sfckit.envelope import verify_lift
+from sfckit.envelope import underlying_fusion_rules, verify_lift
 from sfckit.fusion import FusionData, SixJTable, admissible_decuples, check_pentagon, validate_sixj
 from sfckit.reporting import CheckReport, Violation
 from sfckit.scalars import (
@@ -206,10 +207,37 @@ def assert_same_report(got, want):
     assert got.to_json() == want.to_json()
 
 
+@contextlib.contextmanager
+def pool_forced():
+    """Scans at jobs > 1 start the process pool whatever their size and the
+    host's CPU count, so the pool path is covered on small inputs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fusion, "POOL_MIN_INSTANCES", 0)
+        mp.setattr(fusion.os, "cpu_count", lambda: 2)
+        yield
+
+
+def scan_reports(check, data, table):
+    """check(data, table) at jobs 1, at jobs 2 below the pool gate, and at
+    jobs 2 through the pool."""
+    reports = [check(data, table, max_violations=None, jobs=jobs) for jobs in (1, 2)]
+    with pool_forced():
+        reports.append(check(data, table, max_violations=None, jobs=2))
+    return reports
+
+
+def assert_counts(data, checked):
+    """The closed-form count is the scan's checked; the one-pass bound is at
+    least that."""
+    assert sum(_plan.outer_weights(data)) == checked
+    assert fusion._instance_bound(data) >= checked
+
+
 def assert_pentagon_matches(data, table):
     want = reference_pentagon("pentagon", data, table.entries, None)
-    for jobs in (1, 2):
-        assert_same_report(check_pentagon(data, table, max_violations=None, jobs=jobs), want)
+    assert_counts(data, want.checked)
+    for got in scan_reports(check_pentagon, data, table):
+        assert_same_report(got, want)
     return want
 
 
@@ -228,8 +256,9 @@ def test_kernel_matches_reference_on_catalog(name, params):
         return
     for case in cases:
         want = reference_pentagon("super pentagon", entry.data.base, case.entries, entry.data.parities)
-        for jobs in (1, 2):
-            assert_same_report(check_super_pentagon(entry.data, case, max_violations=None, jobs=jobs), want)
+        assert_counts(entry.data.base, want.checked)
+        for got in scan_reports(check_super_pentagon, entry.data, case):
+            assert_same_report(got, want)
     lift = verify_lift(entry.data, table)
     for case in [lift.sixj, flip(lift.sixj)] if len(table) else [lift.sixj]:
         assert_pentagon_matches(lift.underlying, case)
@@ -327,6 +356,7 @@ def test_kernel_matches_reference_on_random_rules(case):
         assert got.to_json() == want.to_json()
 
     want = reference_pentagon("pentagon", data, table.entries, None)
+    assert_counts(data, want.checked)
     assert_matches(check_pentagon(data, table, max_violations=None), want)
 
     super_data = SuperFusionData(data, parities, [BOSONIC] * data.rank)
@@ -357,6 +387,60 @@ def test_scan_warnings_name_the_completeness_list(case):
     )
     missing = validate_sixj(data, even).law("completeness").violations
     assert check_super_pentagon(super_data, even, max_violations=1).warnings == fusion._missing_warning(missing)
+
+
+# -- the instance count and the scan plan ---------------------------------------------------
+
+
+def outer_quadruples(data):
+    r = range(data.rank)
+    return [(i, j, k, l) for i in r for j in r for k in r for l in r]
+
+
+@pytest.mark.parametrize("k", [None, 2, 6, 10])
+def test_empty_table_count_equals_the_scan(k):
+    # the empty-table shortcut against a real scan of the empty table, on the
+    # folded rules and on the table-less underlying fusion rules
+    entry = build_entry("ising") if k is None else build_entry("ck", k)
+    rules = [(entry.data.base, entry.data.parities)]
+    if k != 10:  # the underlying rules of ck 10 take 1.5M instances to scan
+        rules.append((underlying_fusion_rules(entry.data), None))
+    for data, parities in rules:
+        scanned = fusion._scan_chunk(data, fusion._compile({}), parities, outer_quadruples(data), None)
+        for jobs in (1, 2):
+            assert fusion._run_scan(data, {}, parities, None, jobs) == scanned
+
+
+@pytest.mark.parametrize("name, params", [("vec-zn", (n,)) for n in (1, 2, 3, 5, 8)] + [("super-zn-even", (4,))])
+def test_instance_bound_is_exact_on_groups(name, params):
+    data = build_entry(name, *params).data
+    data = getattr(data, "base", data)
+    assert fusion._instance_bound(data) == sum(_plan.outer_weights(data)) == data.rank**4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 50), max_size=40), st.integers(1, 9))
+def test_weighted_chunks_are_contiguous_and_balanced(weights, parts):
+    outer = list(range(len(weights)))
+    chunks = _plan.weighted_chunks(outer, weights, parts)
+    assert [x for chunk in chunks for x in chunk] == outer
+    assert len(chunks) <= parts and all(chunks)
+    bound = sum(weights) / parts + max(weights, default=0)
+    assert all(sum(weights[x] for x in chunk) <= bound for chunk in chunks)
+
+
+def test_weighted_chunks_balance_a_skewed_scan():
+    # on ck 10 the work per outer quadruple grows with the labels: two
+    # chunks of equal length would carry 24% and 76% of it
+    data = build_entry("ck", 10).data.base
+    weights = _plan.outer_weights(data)
+    outer = outer_quadruples(data)
+    by_index = dict(zip(outer, weights))
+    for parts in (2, 3, 7):
+        chunks = _plan.weighted_chunks(outer, weights, parts)
+        assert len(chunks) == parts
+        loads = [sum(by_index[x] for x in chunk) for chunk in chunks]
+        assert max(loads) <= sum(weights) / parts + max(weights)
 
 
 # -- 3-cocycle and 3-supercocycle ----------------------------------------------------------
