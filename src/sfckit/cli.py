@@ -26,8 +26,8 @@ from .envelope import underlying_fusion_rules, verify_lift
 from .fusion import (
     FusionError,
     SixJTable,
+    _check_pentagon,
     _require_on_support,
-    check_pentagon,
     validate_fusion,
     validate_sixj,
 )
@@ -147,7 +147,7 @@ def _cmd_check(args) -> int:
         if ok:
             if cf.sixj is None:
                 run.note("no 6j table in input; pentagon runs against the empty table")
-            ok &= run.add(check_pentagon(cf.fusion, table, max_violations=mv, jobs=jobs, validation=sixj))
+            ok &= run.add(_check_pentagon(cf.fusion, table, sixj, mv, jobs))
     elif cf.kind == "superfusion":
         if which not in ("super-pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a superfusion file")

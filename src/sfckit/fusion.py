@@ -32,14 +32,17 @@ from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, Validatio
 from .scalars import ZERO, Cyclotomic, from_group_ring, group_ring_equal, group_ring_form
 
 MISSING_ENTRY_PREVIEW = 5
-# A pool pays only if two workers save more than it costs.  Measured on a
-# 2-vCPU x86-64 Linux guest with CPython 3.11, in a fresh `sfckit check`
-# process: the pool (its import, two forks, sending the table, teardown)
-# costs 20 ms on a 16-instance table and about 30 ms on vec-zn 8; the
-# cheapest instance costs 2.65 us (vec-zn 8: 4096 instances in 10.9 ms).
-# Two workers save at most half the scan, so below 2 * 30 ms / 2.65 us,
-# about 22 000 instances, one process is always faster.
-POOL_MIN_INSTANCES = 20_000
+# A scan starts a process pool only from this many instances
+# (_plan.outer_weights) on.  Measured on a 2-vCPU x86-64 Linux guest with
+# CPython 3.11, fresh `sfckit check --jobs 2` processes on vec-zn n (n**4
+# instances, the cheapest kind), pool forced on vs off, 9 alternating pairs:
+# the pool costs 20-30 ms, and two workers side by side each ran at about
+# 0.55x, so it saves far less than half a scan.  Up to 65 536 instances it
+# lost on 8 or 9 of 9 pairs at each size; it began to win between 65 536
+# and 83 521 in one set of runs and between 104 976 and 160 000 in
+# another.  Costlier instances (about 6x on the general Ising table) pay
+# sooner, so the gate errs towards one process.
+POOL_MIN_INSTANCES = 130_000
 
 
 class FusionError(Exception):
@@ -424,14 +427,26 @@ def _instance_bound(data: FusionData) -> int:
     )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    (which taskset shrinks; a cgroup CPU quota does not) where the OS has
+    one, else the host's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _run_scan(data, entries, parities, max_violations, jobs):
     """(violations, total, checked) of the (super) pentagon scan.
 
     With no entries every instance reads 0 = 0, so the count is returned
     without a scan.  A pool starts only for at least POOL_MIN_INSTANCES
-    instances (_instance_bound rules out small scans before they are
-    counted), with one worker per CPU at most, each taking one contiguous
-    chunk of about equal work; the parts merge in index order.
+    instances, with one worker per usable CPU at most, each taking one
+    contiguous chunk of about equal work; the parts merge in index order.
+    _instance_bound rules out a small scan before _plan is imported and the
+    exact count made, which would cost about 4 ms of an 80 ms
+    `sfckit check --jobs 2` on vec-zn 8.
     """
     rank = data.rank
     outer = [
@@ -452,7 +467,7 @@ def _run_scan(data, entries, parities, max_violations, jobs):
         if not entries:
             return [], 0, sum(weights)
         if sum(weights) >= POOL_MIN_INSTANCES:
-            chunks = weighted_chunks(outer, weights, min(jobs, os.cpu_count() or 1))
+            chunks = weighted_chunks(outer, weights, min(jobs, _usable_cpus()))
     compiled = _compile(entries)
     if len(chunks) < 2:
         return _scan_chunk(data, compiled, parities, outer, max_violations)
@@ -490,18 +505,19 @@ def check_pentagon(
     *,
     max_violations: int | None = DEFAULT_MAX_VIOLATIONS,
     jobs: int = 1,
-    validation: ValidationReport | None = None,
 ) -> CheckReport:
     """Verify the pentagon identity for every non-trivially-zero instance.
 
     Raises FusionError off the admissible support.  Missing entries (the
     completeness list of validate_sixj) count as 0 and are named in one
-    warning.  A caller that already holds validate_sixj(data, table) passes
-    it as ``validation``, and neither its support pass nor its missing-entry
-    pass is repeated.
+    warning.
     """
-    if validation is None:
-        validation = validate_sixj(data, table)
+    return _check_pentagon(data, table, validate_sixj(data, table), max_violations, jobs)
+
+
+def _check_pentagon(data, table, validation, max_violations, jobs) -> CheckReport:
+    """check_pentagon with validation = validate_sixj(data, table) already
+    made by the caller, whose support and missing-entry lists it reuses."""
     _require_on_support(validation.law("support").violations)
     violations, total, checked = _run_scan(data, table.entries, None, max_violations, jobs)
     return CheckReport(

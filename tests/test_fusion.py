@@ -242,7 +242,7 @@ def test_pentagon_jobs_are_deterministic(monkeypatch):
     assert sequential.to_json() == parallel.to_json()
     # the same through the process pool
     monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", 0)
-    monkeypatch.setattr(fusion.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(fusion, "_usable_cpus", lambda: 2)
     pooled = check_pentagon(data, table, max_violations=None, jobs=2)
     assert sequential.to_json() == pooled.to_json()
 
@@ -266,13 +266,27 @@ class RecordingExecutor:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("cpus, jobs, want", [(3, 10_000, 3), (None, 10_000, None), (8, 2, 2), (1, 10_000, None)])
-def test_pool_workers_are_bounded(monkeypatch, cpus, jobs, want):
-    # at most min(jobs, CPUs, chunks) workers; one worker means no pool
+@pytest.mark.parametrize(
+    "affinity, host_cpus, jobs, want",
+    [
+        ({0, 1, 2}, 64, 10_000, 3),
+        ({5}, 64, 10_000, None),
+        (set(range(8)), 64, 2, 2),
+        (None, 3, 10_000, 3),
+        (None, None, 10_000, None),
+    ],
+)
+def test_pool_workers_are_bounded(monkeypatch, affinity, host_cpus, jobs, want):
+    # at most min(jobs, usable CPUs, chunks) workers, the usable CPUs being
+    # the affinity mask where the OS has one; one worker means no pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
     monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", 0)
-    monkeypatch.setattr(fusion.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(fusion.os, "cpu_count", lambda: host_cpus)
+    if affinity is None:
+        monkeypatch.delattr(fusion.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(fusion.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     data = z2_pointed()
     table = z2_table(Cyclotomic.rational(2))
     report = check_pentagon(data, table, max_violations=None, jobs=jobs)
@@ -283,7 +297,7 @@ def test_pool_workers_are_bounded(monkeypatch, cpus, jobs, want):
 def test_pool_gate_is_the_instance_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr(fusion.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(fusion, "_usable_cpus", lambda: 2)
     data = z2_pointed()
     table = z2_table(ONE)
     checked = check_pentagon(data, table, jobs=2).checked

@@ -213,7 +213,7 @@ def pool_forced():
     host's CPU count, so the pool path is covered on small inputs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fusion, "POOL_MIN_INSTANCES", 0)
-        mp.setattr(fusion.os, "cpu_count", lambda: 2)
+        mp.setattr(fusion, "_usable_cpus", lambda: 2)
         yield
 
 
