@@ -23,6 +23,7 @@ from .cocycles import (
     cyclic_group,
 )
 from .fusion import FusionData, SixJTable, check_pentagon, validate_fusion
+from .reporting import CatalogError
 from .scalars import ONE, root_of_unity
 from .superfusion import (
     BOSONIC,
@@ -32,10 +33,6 @@ from .superfusion import (
     check_super_pentagon,
     validate_superfusion,
 )
-
-
-class CatalogError(Exception):
-    """A catalog entry failed its own validation suite."""
 
 
 # -- cocycle material ---------------------------------------------------------

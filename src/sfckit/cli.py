@@ -3,6 +3,9 @@
 Commands: check, underlying, lift-cocycle, extend-group, sgr, catalog.
 Exit codes: 0 = all requested checks passed, 1 = a check or verification
 failed, 2 = the input could not be parsed or is schema-invalid.
+
+Each command imports the engines it runs inside its handler, so a command
+compiles and loads only those modules.
 """
 
 from __future__ import annotations
@@ -12,27 +15,7 @@ import json
 import sys
 import time
 
-from .catalog import CATALOG, CatalogError, build_entry, catalog_names
-from .cocycles import (
-    CocycleError,
-    central_extension,
-    check_2cocycle,
-    check_3cocycle,
-    check_supercocycle,
-    lift_supercocycle,
-    validate_group,
-)
-from .envelope import underlying_fusion_rules, verify_lift
-from .fusion import (
-    FusionError,
-    SixJTable,
-    _check_pentagon,
-    _require_on_support,
-    validate_fusion,
-    validate_sixj,
-)
-from .grothendieck import GrothendieckError, build_sgr, relations_text
-from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, Violation
+from .reporting import DEFAULT_MAX_VIOLATIONS, CatalogError, CheckReport, CocycleError, FusionError, Violation
 from .serialize import (
     CategoryFile,
     SchemaError,
@@ -45,7 +28,6 @@ from .serialize import (
     sha256_digest,
     superfusion_file,
 )
-from .superfusion import check_super_pentagon, check_support, validate_superfusion
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -137,6 +119,8 @@ def _cmd_check(args) -> int:
     jobs = args.jobs
 
     if cf.kind == "fusion":
+        from .fusion import SixJTable, _check_pentagon, _require_on_support, validate_fusion, validate_sixj
+
         if which not in ("pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a fusion file")
         table = cf.sixj if cf.sixj is not None else SixJTable({})
@@ -149,6 +133,9 @@ def _cmd_check(args) -> int:
                 run.note("no 6j table in input; pentagon runs against the empty table")
             ok &= run.add(_check_pentagon(cf.fusion, table, sixj, mv, jobs))
     elif cf.kind == "superfusion":
+        from .fusion import SixJTable
+        from .superfusion import check_super_pentagon, check_support, validate_superfusion
+
         if which not in ("super-pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a superfusion file")
         ok &= run.add(validate_superfusion(cf.superfusion))
@@ -162,6 +149,8 @@ def _cmd_check(args) -> int:
                 check_super_pentagon(cf.superfusion, table, max_violations=mv, jobs=jobs, support=support)
             )
     else:
+        from .cocycles import check_2cocycle, check_3cocycle, check_supercocycle, validate_group
+
         applicable = {
             "cocycle2": cf.omega is not None,
             "cocycle3": cf.cocycle is not None,
@@ -188,6 +177,9 @@ def _cmd_underlying(args) -> int:
     cf = run.read_input(args.file)
     if cf.kind != "superfusion":
         raise SchemaError(f"underlying needs a superfusion file, got kind {cf.kind!r}")
+    from .envelope import underlying_fusion_rules, verify_lift
+    from .superfusion import validate_superfusion
+
     data = cf.superfusion
     ok = run.add(validate_superfusion(data))
     if not ok:
@@ -248,6 +240,8 @@ def _cmd_lift_cocycle(args) -> int:
     cf = run.read_input(args.file)
     if cf.kind != "group+cocycles" or cf.supercocycle is None:
         raise SchemaError("lift-cocycle needs a group+cocycles file with a supercocycle table")
+    from .cocycles import check_3cocycle, check_supercocycle, lift_supercocycle, validate_group
+
     ok = run.add(validate_group(cf.group))
     if ok:
         supercocycle = check_supercocycle(cf.group, cf.supercocycle, max_violations=args.max_violations)
@@ -271,6 +265,8 @@ def _cmd_extend_group(args) -> int:
     cf = run.read_input(args.file)
     if cf.kind != "group+cocycles" or cf.omega is None:
         raise SchemaError("extend-group needs a group+cocycles file with an omega table")
+    from .cocycles import central_extension, check_2cocycle, validate_group
+
     ok = run.add(validate_group(cf.group))
     if ok:
         ok &= run.add(check_2cocycle(cf.group, cf.omega, max_violations=args.max_violations))
@@ -293,6 +289,9 @@ def _cmd_sgr(args) -> int:
     cf = run.read_input(args.file)
     if cf.kind != "superfusion":
         raise SchemaError(f"sgr needs a superfusion file, got kind {cf.kind!r}")
+    from .grothendieck import GrothendieckError, build_sgr, relations_text
+    from .superfusion import validate_superfusion
+
     data = cf.superfusion
     ok = run.add(validate_superfusion(data))
     if not ok:
@@ -324,6 +323,8 @@ def _cmd_sgr(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .catalog import CATALOG, build_entry, catalog_names
+
     if args.list:
         for name in catalog_names():
             spec, _ = CATALOG[name]

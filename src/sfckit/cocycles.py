@@ -8,12 +8,8 @@ compiled into the integer group ring (see scalars.group_ring_form).
 
 from __future__ import annotations
 
-from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, ValidationReport, Violation
+from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, CocycleError, LawResult, ValidationReport, Violation
 from .scalars import Cyclotomic, from_group_ring, group_ring_equal, group_ring_form
-
-
-class CocycleError(Exception):
-    """Structurally invalid group or cocycle data, or a failed precondition."""
 
 
 class GroupTable:

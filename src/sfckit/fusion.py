@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 
-from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, ValidationReport, Violation
+from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, FusionError, LawResult, ValidationReport, Violation
 from .scalars import ZERO, Cyclotomic, from_group_ring, group_ring_equal, group_ring_form
 
 MISSING_ENTRY_PREVIEW = 5
@@ -43,10 +43,6 @@ MISSING_ENTRY_PREVIEW = 5
 # another.  Costlier instances (about 6x on the general Ising table) pay
 # sooner, so the gate errs towards one process.
 POOL_MIN_INSTANCES = 130_000
-
-
-class FusionError(Exception):
-    """Structurally invalid fusion data or 6j table."""
 
 
 class FusionData:

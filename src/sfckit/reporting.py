@@ -1,9 +1,13 @@
 """Report types shared by the verification routines.
 
 Verification never mutates its inputs and always produces a report; structural
-problems with the input data itself raise instead (see the per-module error
-classes).  Reports are deterministic: identical inputs give identical reports,
-independent of the worker count used to produce them.
+problems with the input data itself raise instead.  Reports are deterministic:
+identical inputs give identical reports, independent of the worker count used
+to produce them.
+
+The error classes that the command line maps to exit codes live here, in a
+module that every command loads, and are re-exported by the modules that
+raise them.
 """
 
 from __future__ import annotations
@@ -11,6 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 DEFAULT_MAX_VIOLATIONS = 25
+
+
+class FusionError(Exception):
+    """Structurally invalid fusion data or 6j table."""
+
+
+class CocycleError(Exception):
+    """Structurally invalid group or cocycle data, or a failed precondition."""
+
+
+class CatalogError(Exception):
+    """A catalog entry failed its own validation suite."""
 
 
 @dataclass

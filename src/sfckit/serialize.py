@@ -15,10 +15,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cocycles import CocycleError, GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2
-from .fusion import FusionData, FusionError, SixJTable
 from .scalars import Cyclotomic
-from .superfusion import BOSONIC, MAJORANA, FermionicSixJTable, SuperFusionData
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation names only: each decoder imports the engine of its kind
+    from .cocycles import GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2
+    from .fusion import FusionData, SixJTable
+    from .superfusion import FermionicSixJTable, SuperFusionData
 
 FORMAT_VERSION = "sfc-1"
 KINDS = ("fusion", "superfusion", "group+cocycles")
@@ -44,6 +47,20 @@ def scalar_to_json(x: Cyclotomic):
         "order": c.order,
         "coeffs": [[q.numerator, q.denominator] for q in coeffs],
     }
+
+
+def _scalar_encoder():
+    """scalar_to_json with one canonical form per distinct value, for one
+    encode.  The key is the raw fields: Cyclotomic's hash calls canonical."""
+    memo = {}
+
+    def encode(x: Cyclotomic):
+        key = (x.order, x.nums, x.den)
+        if key not in memo:
+            memo[key] = scalar_to_json(x)
+        return memo[key]
+
+    return encode
 
 
 def scalar_from_json(obj, where: str) -> Cyclotomic:
@@ -195,14 +212,17 @@ def _decode_sixj(payload: dict, lookup: dict[str, int], where: str):
 
 def _encode_sixj(data, table) -> list:
     labels = data.labels
+    encode = _scalar_encoder()
     return [
         [labels[k[0]], labels[k[1]], labels[k[2]], labels[k[3]], labels[k[4]], labels[k[5]],
-         k[6], k[7], k[8], k[9], scalar_to_json(v)]
+         k[6], k[7], k[8], k[9], encode(v)]
         for k, v in sorted(table.entries.items())
     ]
 
 
 def _decode_fusion(payload: dict, where: str) -> CategoryFile:
+    from .fusion import FusionData, FusionError, SixJTable
+
     labels = _expect_list(payload.get("labels"), f"{where}.labels")
     lookup = _label_map(labels, f"{where}.labels")
     unit = _resolve(payload.get("unit"), lookup, f"{where}.unit")
@@ -238,6 +258,9 @@ def _encode_fusion(cf: CategoryFile) -> dict:
 
 
 def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
+    from .fusion import FusionError
+    from .superfusion import BOSONIC, MAJORANA, SuperFusionData
+
     base_file = _decode_fusion(payload, where)
     data = base_file.fusion
     lookup = {lab: pos for pos, lab in enumerate(data.labels)}
@@ -287,6 +310,8 @@ def _encode_superfusion(cf: CategoryFile) -> dict:
 
 
 def _decode_bit_table(obj, n: int, where: str) -> TwoCocycleZ2:
+    from .cocycles import TwoCocycleZ2
+
     rows = _expect_list(obj, where)
     _expect(len(rows) == n, where, f"expected {n} rows")
     table = []
@@ -319,6 +344,8 @@ def _decode_scalar_cube(obj, n: int, where: str):
 
 
 def _decode_group(payload: dict, where: str) -> CategoryFile:
+    from .cocycles import CocycleError, GroupTable, SuperCocycle, ThreeCocycle
+
     gobj = payload.get("group")
     _expect(isinstance(gobj, dict), f"{where}.group", "expected a group object")
     order = _expect_int(gobj.get("order"), f"{where}.group.order")
@@ -373,13 +400,14 @@ def _encode_group(cf: CategoryFile) -> dict:
     }
     if cf.omega is not None:
         payload["omega"] = [list(row) for row in cf.omega.values]
+    encode = _scalar_encoder()
     if cf.cocycle is not None:
         payload["cocycle"] = [
-            [[scalar_to_json(x) for x in row] for row in plane] for plane in cf.cocycle.values
+            [[encode(x) for x in row] for row in plane] for plane in cf.cocycle.values
         ]
     if cf.supercocycle is not None:
         payload["supercocycle"] = [
-            [[scalar_to_json(x) for x in row] for row in plane] for plane in cf.supercocycle.values
+            [[encode(x) for x in row] for row in plane] for plane in cf.supercocycle.values
         ]
     return payload
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from sfckit import cli, cocycles, fusion, superfusion
+from sfckit import cli, cocycles, fusion, grothendieck, superfusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
@@ -185,7 +185,6 @@ def test_check_runs_support_once(super_z2_file, monkeypatch, capsys):
         return real_support(data, table)
 
     monkeypatch.setattr(superfusion, "check_support", counting_support)
-    monkeypatch.setattr(cli, "check_support", counting_support)
     assert main(["check", str(super_z2_file), "--json"]) == EXIT_OK
     assert len(calls) == 1
     names = [check.get("name") for check in json.loads(capsys.readouterr().out)["checks"]]
@@ -237,13 +236,25 @@ def test_lift_cocycle_scans_supercocycle_once(tmp_path, monkeypatch, capsys):
         return real_check(g, sc, **kwargs)
 
     monkeypatch.setattr(cocycles, "check_supercocycle", counting_check)
-    monkeypatch.setattr(cli, "check_supercocycle", counting_check)
     src = tmp_path / "gz2.json"
     src.write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
     assert main(["lift-cocycle", str(src), "-o", str(tmp_path / "lifted.json"), "--json"]) == EXIT_OK
     assert len(calls) == 1
     names = [check.get("name") or check.get("subject") for check in json.loads(capsys.readouterr().out)["checks"]]
     assert names == ["group table", "3-supercocycle", "3-cocycle (on the central extension)"]
+
+
+def test_cocycle_error_reaching_main_is_a_failed_check(tmp_path, monkeypatch, capsys):
+    # the decoder and the handlers turn every CocycleError of valid input
+    # into a report, so only a fault in an engine reaches main's mapping
+    def raising(group):
+        raise cocycles.CocycleError("engine fault")
+
+    monkeypatch.setattr(cocycles, "validate_group", raising)
+    src = tmp_path / "gz2.json"
+    src.write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    assert main(["check", str(src)]) == EXIT_CHECK_FAILED
+    assert capsys.readouterr().err == "error: engine fault\n"
 
 
 def test_lift_cocycle_reports_unliftable_omega(tmp_path, capsys):
@@ -372,8 +383,8 @@ def test_sgr_renders_relations_once(tmp_path, monkeypatch, capsys):
     src = tmp_path / "ising.json"
     assert main(["catalog", "ising", "-o", str(src)]) == EXIT_OK
     calls = []
-    render = cli.relations_text
-    monkeypatch.setattr(cli, "relations_text", lambda ring: calls.append(ring) or render(ring))
+    render = grothendieck.relations_text
+    monkeypatch.setattr(grothendieck, "relations_text", lambda ring: calls.append(ring) or render(ring))
     assert main(["sgr", str(src)]) == EXIT_OK
     assert len(calls) == 1
     assert "[X]^2 = (1+pi)[1]" in capsys.readouterr().out

@@ -1,0 +1,85 @@
+"""Each command imports only the modules it runs.
+
+Every case runs in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, as
+a user's command does, and pins the sfckit modules (and the process-pool
+machinery) loaded when the command returns.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from sfckit.catalog import z2_supercocycle
+from sfckit.cli import EXIT_OK, main
+from sfckit.cocycles import cyclic_group
+from sfckit.serialize import dumps_file, group_file
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.scalars", "sfckit.serialize"}
+
+CHILD = """
+import contextlib, importlib, io, json, sys
+module, argv = sys.argv[1], json.loads(sys.argv[2])
+code = None
+imported = importlib.import_module(module)
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = imported.main(argv)
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("sfckit", "concurrent"))]))
+"""
+
+
+def loaded_after(argv=None, module="sfckit.cli"):
+    """Exit code of main(argv) (None without argv) and the sfckit and
+    concurrent modules loaded after it, in a fresh interpreter that first
+    imports module."""
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, module, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    return code, set(loaded)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("inputs")
+    paths = {"group": root / "gz2.json", "fusion": root / "vec-z3.json", "super": root / "super-z2.json"}
+    paths["group"].write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    assert main(["catalog", "vec-zn", "3", "-o", str(paths["fusion"])]) == EXIT_OK
+    assert main(["catalog", "super-z2", "1", "-o", str(paths["super"])]) == EXIT_OK
+    return {kind: str(path) for kind, path in paths.items()}
+
+
+def test_import_sfckit_loads_no_submodule():
+    assert loaded_after(module="sfckit") == (None, {"sfckit"})
+
+
+def test_import_sfckit_cli_loads_only_the_front_end():
+    assert loaded_after() == (None, CLI)
+
+
+# --jobs 2 on every scan: each is under the pool gate, so none may load the
+# pool machinery or the scan planner (sfckit._plan)
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        ("check {group} --jobs 2", {"sfckit.cocycles"}),
+        ("lift-cocycle {group} --jobs 2 -o {out}", {"sfckit.cocycles"}),
+        ("extend-group {group} -o {out}", {"sfckit.cocycles"}),
+        ("check {fusion} --jobs 2", {"sfckit.fusion"}),
+        ("check {super} --jobs 2", {"sfckit.fusion", "sfckit.superfusion"}),
+        ("sgr {super}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.grothendieck"}),
+        ("underlying {super} --jobs 2 -o {out}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope"}),
+        ("catalog vec-zn 3 -o {out}", {"sfckit.catalog", "sfckit.cocycles", "sfckit.fusion", "sfckit.superfusion"}),
+    ],
+)
+def test_command_loads_only_its_engines(argv, extra, inputs, tmp_path):
+    code, loaded = loaded_after(argv.format(out=tmp_path / "out.json", **inputs).split())
+    assert code == EXIT_OK
+    assert loaded == CLI | extra

@@ -1,0 +1,49 @@
+"""The lazy package namespace and the error classes shared by the engines
+and the command line."""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import sfckit
+from sfckit import catalog, cli, cocycles, fusion, reporting, superfusion
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    assert len(sfckit.__all__) == sum(len(names) for names in sfckit._EXPORTS.values())  # no name twice
+    for name in sfckit.__all__:
+        value = getattr(sfckit, name)
+        assert value is getattr(importlib.import_module(f"sfckit.{sfckit._SOURCE[name]}"), name), name
+        if callable(value):  # where it was defined, under its own name
+            assert getattr(sys.modules[value.__module__], value.__name__) is value, name
+
+
+def test_star_import_dir_and_unknown_names():
+    namespace = {}
+    exec("from sfckit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sfckit.__all__)
+    assert set(sfckit.__all__) <= set(dir(sfckit))
+    assert "__version__" in dir(sfckit)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(sfckit, "no_such_name")
+
+
+def test_submodule_import_from_a_fresh_package():
+    # `from sfckit import fusion` asks the lazy __getattr__ first; its
+    # AttributeError must send the import system on to the submodule
+    code = "from sfckit import fusion, check_pentagon; print(check_pentagon is fusion.check_pentagon)"
+    src = os.path.dirname(os.path.dirname(sfckit.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout == "True\n", proc.stderr
+
+
+def test_errors_are_one_class_each():
+    assert fusion.FusionError is reporting.FusionError is cli.FusionError is sfckit.FusionError
+    assert cocycles.CocycleError is reporting.CocycleError is cli.CocycleError is sfckit.CocycleError
+    assert catalog.CatalogError is reporting.CatalogError is cli.CatalogError
+    assert issubclass(superfusion.SuperFusionError, fusion.FusionError)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sfckit.catalog import build_entry, z2_supercocycle
+from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
 from sfckit.cocycles import cyclic_group
 from sfckit.scalars import Cyclotomic, root_of_unity
 from sfckit.serialize import (
@@ -39,6 +39,20 @@ def test_scalar_codec_round_trips():
         decoded = scalar_from_json(encoded, "test")
         assert decoded == x
         assert scalar_to_json(decoded) == encoded
+
+
+def test_encode_makes_one_canonical_form_per_distinct_value(monkeypatch):
+    # a Z/6 cocycle cube has 216 values, 6 of them distinct; a 6j table
+    # gets the same reuse
+    calls = []
+    real = Cyclotomic.canonical
+    monkeypatch.setattr(Cyclotomic, "canonical", lambda x: calls.append(x) or real(x))
+    dumps_file(group_file(cyclic_group(6), cocycle=standard_three_cocycle(6)))
+    assert len(calls) == 6
+    calls.clear()
+    entry = build_entry("vec-zn", 4)
+    dumps_file(fusion_file(entry.data, entry.sixj))
+    assert len(calls) == len({(x.order, x.nums, x.den) for x in entry.sixj.entries.values()}) < len(entry.sixj.entries)
 
 
 def test_scalar_codec_accepts_integer_coeff_shorthand():
