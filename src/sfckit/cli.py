@@ -55,9 +55,7 @@ class _Run:
         return cf
 
     def add(self, report) -> bool:
-        doc = report.to_json()
-        doc["ok"] = report.ok
-        self.checks.append(doc)
+        self.checks.append(report.to_json())
         return report.ok
 
     def note(self, text: str) -> None:
@@ -347,14 +345,31 @@ def _cmd_catalog(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
-def _add_common(parser, with_output=False):
-    parser.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for verification (default: 1)")
-    parser.add_argument("--max-violations", type=int, default=DEFAULT_MAX_VIOLATIONS,
-                        help="bound on violations listed per check")
-    if with_output:
-        parser.add_argument("-o", "--output", default=None, help="write the result to this file")
+_FLAGS = {
+    "which": (("--which",), {"choices": CHECK_KINDS, "default": "all"}),
+    "normalize": (("--normalize",), {"action": "store_true",
+                                     "help": "apply the constant-coboundary normalization pre-pass to omega"}),
+    "json": (("--json",), {"action": "store_true", "help": "emit a machine-readable report"}),
+    "jobs": (("--jobs",), {"type": int, "default": 1,
+                           "help": "worker processes for the (super) pentagon scans (default: 1)"}),
+    "max-violations": (("--max-violations",), {"type": int, "default": DEFAULT_MAX_VIOLATIONS,
+                                               "help": "bound on violations listed per check"}),
+    "output": (("-o", "--output"), {"default": None, "help": "write the result to this file"}),
+}
+
+# Each command with the handler that runs it, its help text, and the flags
+# that handler reads; a command accepts no other flag.
+_COMMANDS = {
+    "check": (_cmd_check, "run verification checks on a category file",
+              ("which", "json", "jobs", "max-violations")),
+    "underlying": (_cmd_underlying, "construct the underlying fusion category",
+                   ("json", "jobs", "max-violations", "output")),
+    "lift-cocycle": (_cmd_lift_cocycle, "lift a 3-supercocycle to the central extension",
+                     ("json", "max-violations", "output")),
+    "extend-group": (_cmd_extend_group, "build the Z/2 central extension of a group",
+                     ("normalize", "json", "max-violations", "output")),
+    "sgr": (_cmd_sgr, "print the pi-Grothendieck ring of a superfusion file", ("json",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,33 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run verification checks on a category file")
-    p.add_argument("file")
-    p.add_argument("--which", choices=CHECK_KINDS, default="all")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("underlying", help="construct the underlying fusion category")
-    p.add_argument("file")
-    _add_common(p, with_output=True)
-    p.set_defaults(handler=_cmd_underlying)
-
-    p = sub.add_parser("lift-cocycle", help="lift a 3-supercocycle to the central extension")
-    p.add_argument("file")
-    _add_common(p, with_output=True)
-    p.set_defaults(handler=_cmd_lift_cocycle)
-
-    p = sub.add_parser("extend-group", help="build the Z/2 central extension of a group")
-    p.add_argument("file")
-    p.add_argument("--normalize", action="store_true",
-                   help="apply the constant-coboundary normalization pre-pass to omega")
-    _add_common(p, with_output=True)
-    p.set_defaults(handler=_cmd_extend_group)
-
-    p = sub.add_parser("sgr", help="print the pi-Grothendieck ring of a superfusion file")
-    p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_sgr)
+    for command, (handler, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("file")
+        for flag in flags:
+            names, options = _FLAGS[flag]
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("catalog", help="emit a built-in example as a category file")
     p.add_argument("name", nargs="?")

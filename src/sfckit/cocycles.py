@@ -18,16 +18,20 @@ class GroupTable:
     __slots__ = ("order", "product", "identity", "labels")
 
     def __init__(self, product, identity: int, labels=None):
-        product = tuple(tuple(int(x) for x in row) for row in product)
+        product = tuple(tuple(row) for row in product)
         order = len(product)
         if order == 0:
             raise CocycleError("group table must be non-empty")
-        for row in product:
+        for r, row in enumerate(product):
             if len(row) != order:
                 raise CocycleError("group table must be square")
-            for x in row:
+            for c, x in enumerate(row):
+                if type(x) is not int:
+                    raise CocycleError(f"group table entry {x!r} at {(r, c)} is not an integer")
                 if not 0 <= x < order:
                     raise CocycleError(f"group table entry {x} out of range")
+        if type(identity) is not int:
+            raise CocycleError(f"identity index {identity!r} is not an integer")
         if not 0 <= identity < order:
             raise CocycleError(f"identity index {identity} out of range")
         if labels is None:
@@ -40,9 +44,6 @@ class GroupTable:
         self.product = product
         self.identity = identity
         self.labels = labels
-
-    def __reduce__(self):
-        return (GroupTable, (self.product, self.identity, self.labels))
 
     def mul(self, a: int, b: int) -> int:
         return self.product[a][b]
@@ -82,18 +83,15 @@ class TwoCocycleZ2:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        values = tuple(tuple(int(x) for x in row) for row in values)
+        values = tuple(tuple(row) for row in values)
         n = len(values)
-        for row in values:
+        for r, row in enumerate(values):
             if len(row) != n:
                 raise CocycleError("omega table must be square")
-            for x in row:
-                if x not in (0, 1):
-                    raise CocycleError(f"omega value {x} is not a bit")
+            for c, x in enumerate(row):
+                if type(x) is not int or x not in (0, 1):
+                    raise CocycleError(f"omega value {x!r} at {(r, c)} is not a bit")
         self.values = values
-
-    def __reduce__(self):
-        return (TwoCocycleZ2, (self.values,))
 
     def __call__(self, g: int, h: int) -> int:
         return self.values[g][h]
@@ -126,9 +124,6 @@ class ThreeCocycle:
             coerced.append(tuple(rows))
         self.values = tuple(coerced)
 
-    def __reduce__(self):
-        return (ThreeCocycle, (self.values,))
-
     def __call__(self, g: int, h: int, k: int) -> Cyclotomic:
         return self.values[g][h][k]
 
@@ -144,9 +139,6 @@ class SuperCocycle:
             raise CocycleError("omega and supercocycle tables disagree on the group order")
         self.omega = omega
         self.values = table.values
-
-    def __reduce__(self):
-        return (SuperCocycle, (self.omega, self.values))
 
     def __call__(self, g: int, h: int, k: int) -> Cyclotomic:
         return self.values[g][h][k]

@@ -19,6 +19,7 @@ from .superfusion import (
     FermionicSixJTable,
     SuperFusionData,
     SuperFusionError,
+    _parity_pattern,
     check_super_pentagon,
 )
 
@@ -31,14 +32,13 @@ class UnderlyingLabel:
     grade: int
 
 
+def _grades(data: SuperFusionData, i: int):
+    return (0,) if data.is_majorana(i) else (0, 1)
+
+
 def build_label_set(data: SuperFusionData) -> list[UnderlyingLabel]:
     """Graded labels in deterministic order: i^0 (and i^1 when Bosonic)."""
-    out = []
-    for i in range(data.rank):
-        out.append(UnderlyingLabel(i, 0))
-        if not data.is_majorana(i):
-            out.append(UnderlyingLabel(i, 1))
-    return out
+    return [UnderlyingLabel(i, a) for i in range(data.rank) for a in _grades(data, i)]
 
 
 def render_label(data: SuperFusionData, label: UnderlyingLabel) -> str:
@@ -49,10 +49,6 @@ def _label_indexing(data: SuperFusionData):
     labels = build_label_set(data)
     index = {(lab.base, lab.grade): pos for pos, lab in enumerate(labels)}
     return labels, index
-
-
-def _grades(data: SuperFusionData, i: int):
-    return (0,) if data.is_majorana(i) else (0, 1)
 
 
 def underlying_fusion_rules(data: SuperFusionData) -> FusionData:
@@ -117,17 +113,15 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
     """
     _, index = _label_indexing(data)
     relabel = _parity_class_relabeling(data)
-    s = data.parities
     entries: dict[tuple, Cyclotomic] = {}
     for key in sorted(table.entries):
         value = table.entries[key]
         if value.is_zero():
             continue  # identical to an absent entry under the zero convention
+        (s_m, s_n, s_t, s_f), cancels = _parity_pattern(data.parities, key)
+        if not cancels:
+            raise SuperFusionError(f"entry {key} is not parity-admissible; it has no lift")
         i, j, m, k, n, t, alpha, beta, eta, phi = key
-        s_m = s[(i, j, m, alpha)]
-        s_n = s[(m, k, n, beta)]
-        s_t = s[(j, k, t, eta)]
-        s_f = s[(i, t, n, phi)]
         alpha2 = relabel[(i, j, m)][s_m][alpha]
         beta2 = relabel[(m, k, n)][s_n][beta]
         eta2 = relabel[(j, k, t)][s_t][eta]
@@ -144,9 +138,7 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
                         continue
                     if data.is_majorana(n) and gn:
                         continue
-                    # grade bookkeeping per the unambiguous decuple form
-                    if (a + gt + gn) % 2 != s_f:
-                        raise SuperFusionError(f"entry {key} is not parity-admissible; it has no lift")
+                    # the grade of the fourth vector, a + gt + gn = s_f mod 2, holds by the parity rule
                     lifted_key = (
                         index[(i, a)],
                         index[(j, b)],

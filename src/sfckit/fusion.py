@@ -117,9 +117,6 @@ class SixJTable:
             clean[key] = coerced
         self.entries = clean
 
-    def __reduce__(self):
-        return (SixJTable, (self.entries,))
-
     def __len__(self):
         return len(self.entries)
 
@@ -515,14 +512,22 @@ def _check_pentagon(data, table, validation, max_violations, jobs) -> CheckRepor
     """check_pentagon with validation = validate_sixj(data, table) already
     made by the caller, whose support and missing-entry lists it reuses."""
     _require_on_support(validation.law("support").violations)
-    violations, total, checked = _run_scan(data, table.entries, None, max_violations, jobs)
+    return _scan_report(
+        "pentagon", data, table, None, validation.law("completeness").violations, max_violations, jobs
+    )
+
+
+def _scan_report(name, data, table, parities, missing, max_violations, jobs) -> CheckReport:
+    """The report of the (super) pentagon scan of table over data (parities
+    as in _scan_chunk), with one warning naming the missing entries."""
+    violations, total, checked = _run_scan(data, table.entries, parities, max_violations, jobs)
     return CheckReport(
-        name="pentagon",
+        name=name,
         ok=total == 0,
         checked=checked,
         violations=violations,
         total_violations=total,
-        warnings=_missing_warning(validation.law("completeness").violations),
+        warnings=_missing_warning(missing),
     )
 
 

@@ -309,42 +309,26 @@ def _encode_superfusion(cf: CategoryFile) -> dict:
 # -- group + cocycles payload --------------------------------------------------------
 
 
-def _decode_bit_table(obj, n: int, where: str) -> TwoCocycleZ2:
-    from .cocycles import TwoCocycleZ2
-
-    rows = _expect_list(obj, where)
-    _expect(len(rows) == n, where, f"expected {n} rows")
-    table = []
-    for pos, row in enumerate(rows):
-        rw = f"{where}[{pos}]"
-        row = _expect_list(row, rw)
-        _expect(len(row) == n, rw, f"expected {n} entries")
-        for q, bit in enumerate(row):
-            _expect(bit in (0, 1) and not isinstance(bit, bool), f"{rw}[{q}]", "expected a bit")
-        table.append(row)
-    return TwoCocycleZ2(table)
+_LEVELS = ("entries", "rows", "planes")
 
 
-def _decode_scalar_cube(obj, n: int, where: str):
-    planes = _expect_list(obj, where)
-    _expect(len(planes) == n, where, f"expected {n} planes")
-    out = []
-    for a, plane in enumerate(planes):
-        pw = f"{where}[{a}]"
-        plane = _expect_list(plane, pw)
-        _expect(len(plane) == n, pw, f"expected {n} rows")
-        rows = []
-        for b, row in enumerate(plane):
-            rw = f"{pw}[{b}]"
-            row = _expect_list(row, rw)
-            _expect(len(row) == n, rw, f"expected {n} entries")
-            rows.append([scalar_from_json(x, f"{rw}[{c}]") for c, x in enumerate(row)])
-        out.append(rows)
-    return out
+def _decode_table(obj, n: int, depth: int, where: str, leaf) -> list:
+    """A nested n x ... x n list (depth levels: rows of entries, planes of
+    rows) with each entry decoded by leaf(value, where)."""
+    items = _expect_list(obj, where)
+    _expect(len(items) == n, where, f"expected {n} {_LEVELS[depth - 1]}")
+    if depth == 1:
+        return [leaf(x, f"{where}[{pos}]") for pos, x in enumerate(items)]
+    return [_decode_table(x, n, depth - 1, f"{where}[{pos}]", leaf) for pos, x in enumerate(items)]
+
+
+def _bit(value, where: str) -> int:
+    _expect(value in (0, 1) and type(value) is int, where, "expected a bit")
+    return value
 
 
 def _decode_group(payload: dict, where: str) -> CategoryFile:
-    from .cocycles import CocycleError, GroupTable, SuperCocycle, ThreeCocycle
+    from .cocycles import CocycleError, GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2
 
     gobj = payload.get("group")
     _expect(isinstance(gobj, dict), f"{where}.group", "expected a group object")
@@ -365,24 +349,22 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     except CocycleError as exc:
         raise SchemaError(f"{where}.group: {exc}") from None
 
-    omega = None
-    if "omega" in payload:
-        omega = _decode_bit_table(payload["omega"], order, f"{where}.omega")
-    cocycle = None
-    if "cocycle" in payload:
+    def cube(name, make):
+        w = f"{where}.{name}"
+        values = _decode_table(payload[name], order, 3, w, scalar_from_json)
         try:
-            cocycle = ThreeCocycle(_decode_scalar_cube(payload["cocycle"], order, f"{where}.cocycle"))
+            return make(values)
         except CocycleError as exc:
-            raise SchemaError(f"{where}.cocycle: {exc}") from None
-    supercocycle = None
+            raise SchemaError(f"{w}: {exc}") from None
+
+    omega = cocycle = supercocycle = None
+    if "omega" in payload:
+        omega = TwoCocycleZ2(_decode_table(payload["omega"], order, 2, f"{where}.omega", _bit))
+    if "cocycle" in payload:
+        cocycle = cube("cocycle", ThreeCocycle)
     if "supercocycle" in payload:
         _expect(omega is not None, f"{where}.supercocycle", "a supercocycle needs an omega table")
-        try:
-            supercocycle = SuperCocycle(
-                omega, _decode_scalar_cube(payload["supercocycle"], order, f"{where}.supercocycle")
-            )
-        except CocycleError as exc:
-            raise SchemaError(f"{where}.supercocycle: {exc}") from None
+        supercocycle = cube("supercocycle", lambda values: SuperCocycle(omega, values))
     return CategoryFile(
         kind="group+cocycles", group=group, omega=omega, cocycle=cocycle, supercocycle=supercocycle
     )
@@ -401,14 +383,10 @@ def _encode_group(cf: CategoryFile) -> dict:
     if cf.omega is not None:
         payload["omega"] = [list(row) for row in cf.omega.values]
     encode = _scalar_encoder()
-    if cf.cocycle is not None:
-        payload["cocycle"] = [
-            [[encode(x) for x in row] for row in plane] for plane in cf.cocycle.values
-        ]
-    if cf.supercocycle is not None:
-        payload["supercocycle"] = [
-            [[encode(x) for x in row] for row in plane] for plane in cf.supercocycle.values
-        ]
+    for name in ("cocycle", "supercocycle"):
+        table = getattr(cf, name)
+        if table is not None:
+            payload[name] = [[[encode(x) for x in row] for row in plane] for plane in table.values]
     return payload
 
 

@@ -21,8 +21,7 @@ from .fusion import (
     require_admissible_support,
     _duality_law,
     _missing_entries,
-    _missing_warning,
-    _run_scan,
+    _scan_report,
     _unit_law,
 )
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, LawResult, ValidationReport, Violation
@@ -79,9 +78,6 @@ class SuperFusionData:
         self.base = base
         self.parities = clean
         self.object_type = object_type
-
-    def __reduce__(self):
-        return (SuperFusionData, (self.base, self.parities, self.object_type))
 
     @property
     def labels(self):
@@ -157,15 +153,23 @@ def classify_objects(data: SuperFusionData) -> ClassificationReport:
     )
 
 
+def _parity_pattern(parities, key) -> tuple[tuple[int, int, int, int], bool]:
+    """The parities (s_m, s_n, s_t, s_f) of the basis vectors of an
+    admissible decuple's four Hom quadruples (i,j,m,alpha), (m,k,n,beta),
+    (j,k,t,eta), (i,t,n,phi), and whether they cancel: s_m + s_n = s_t + s_f
+    mod 2.  The one statement of the parity rule of the fermionic 6j support.
+    """
+    i, j, m, k, n, t, alpha, beta, eta, phi = key
+    pattern = (parities[(i, j, m, alpha)], parities[(m, k, n, beta)],
+               parities[(j, k, t, eta)], parities[(i, t, n, phi)])
+    return pattern, sum(pattern) % 2 == 0
+
+
 def is_parity_admissible(data: SuperFusionData, decuple: tuple) -> bool:
     """Whether the four basis-vector parities of an admissible decuple cancel."""
     if not decuple_is_admissible(data.base, tuple(decuple)):
         raise SuperFusionError(f"decuple {tuple(decuple)} is not admissible")
-    i, j, m, k, n, t, alpha, beta, eta, phi = decuple
-    s = data.parities
-    left = s[(i, j, m, alpha)] + s[(m, k, n, beta)]
-    right = s[(j, k, t, eta)] + s[(i, t, n, phi)]
-    return (left - right) % 2 == 0
+    return _parity_pattern(data.parities, decuple)[1]
 
 
 def validate_superfusion(data: SuperFusionData) -> ValidationReport:
@@ -217,14 +221,12 @@ def validate_superfusion(data: SuperFusionData) -> ValidationReport:
 def check_support(data: SuperFusionData, table: FermionicSixJTable) -> CheckReport:
     """Every nonzero entry must sit on a parity-admissible decuple."""
     require_admissible_support(data.base, table)
-    s = data.parities
     violations = []
     for key in sorted(table.entries):
         if table.entries[key].is_zero():
             continue
-        i, j, m, k, n, t, alpha, beta, eta, phi = key
-        pattern = (s[(i, j, m, alpha)], s[(m, k, n, beta)], s[(j, k, t, eta)], s[(i, t, n, phi)])
-        if (pattern[0] + pattern[1] - pattern[2] - pattern[3]) % 2:
+        pattern, cancels = _parity_pattern(data.parities, key)
+        if not cancels:
             violations.append(
                 Violation(instance=key, detail=f"parity pattern {pattern} does not cancel")
             )
@@ -261,12 +263,6 @@ def check_super_pentagon(
             f"{support.total_violations} nonzero entries on non-parity-admissible "
             f"decuples, e.g. {first.instance}"
         )
-    violations, total, checked = _run_scan(data.base, table.entries, data.parities, max_violations, jobs)
-    return CheckReport(
-        name="super pentagon",
-        ok=total == 0,
-        checked=checked,
-        violations=violations,
-        total_violations=total,
-        warnings=_missing_warning(_missing_entries(data.base, table)),
+    return _scan_report(
+        "super pentagon", data.base, table, data.parities, _missing_entries(data.base, table), max_violations, jobs
     )

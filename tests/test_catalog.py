@@ -2,7 +2,7 @@
 
 import pytest
 
-from sfckit import cocycles, fusion, superfusion
+from sfckit import cocycles, fusion
 from sfckit.catalog import (
     CatalogError,
     build_entry,
@@ -195,6 +195,5 @@ def test_pointed_entries_scan_their_identity_once(name, params, monkeypatch):
 
     monkeypatch.setattr(cocycles, "_cube_scan", counting_cube)
     monkeypatch.setattr(fusion, "_run_scan", counting_run)
-    monkeypatch.setattr(superfusion, "_run_scan", counting_run)
     build_entry(name, *params)
     assert calls == {"cube": 0, "pentagon": 1}

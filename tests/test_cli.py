@@ -423,6 +423,22 @@ def test_jobs_flag_matches_sequential(tmp_path, capsys):
         assert runs[0] == runs[1] == runs[2], argv
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("lift-cocycle", ["--jobs", "2"]),
+        ("extend-group", ["--jobs", "2"]),
+        ("sgr", ["--jobs", "2"]),
+        ("sgr", ["--max-violations", "3"]),
+    ],
+)
+def test_commands_refuse_flags_they_do_not_read(command, flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(tmp_path / "in.json"), *flag])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_catalog_stdout(capsys):
     assert main(["catalog", "trivial"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

@@ -40,6 +40,37 @@ def test_group_construction_errors():
         GroupTable(((0, 1), (1, 0)), identity=7)
 
 
+@pytest.mark.parametrize(
+    "product, identity, message",
+    [
+        ([[0, 1.9], ["1", 0]], 0, r"1\.9 at \(0, 1\)"),
+        ([[0, 1], ["1", 0]], 0, r"'1' at \(1, 0\)"),
+        ([[0, 1], [True, 0]], 0, r"True at \(1, 0\)"),
+        ([[0, "x"], [1, 0]], 0, r"'x' at \(0, 1\)"),
+        ([[0, 1], [1, 0]], 0.0, "identity index 0.0"),
+        ([[0, 1], [1, 0]], False, "identity index False"),
+    ],
+    ids=["float", "str", "bool", "non-numeric str", "float identity", "bool identity"],
+)
+def test_group_table_rejects_non_int_entries(product, identity, message):
+    with pytest.raises(CocycleError, match=message):
+        GroupTable(product, identity)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([[0, 0.5], [True, 1.2]], r"0\.5 at \(0, 1\) is not a bit"),
+        ([[0, 0], [True, 1]], r"True at \(1, 0\) is not a bit"),
+        ([[0, "1"], [1, 0]], r"'1' at \(0, 1\) is not a bit"),
+    ],
+    ids=["float", "bool", "str"],
+)
+def test_omega_rejects_non_int_entries(values, message):
+    with pytest.raises(CocycleError, match=message):
+        TwoCocycleZ2(values)
+
+
 def test_2cocycle_zero_passes():
     for n in (1, 2, 3, 4):
         g = cyclic_group(n)

@@ -183,6 +183,14 @@ def test_twist_refuses_off_support_entries_without_assert():
         envelope._twist(data, z2_fermionic_table(ONE))
 
 
+def test_twist_refuses_an_odd_entry_whose_grades_are_all_skipped():
+    # on Ising the only grade triple of this entry makes m = X odd, which a
+    # Majorana object lacks; its parities still sum to 1, so it has no lift
+    key = (1, 1, 0, 1, 1, 0, 2, 1, 1, 1)
+    with pytest.raises(SuperFusionError, match="not parity-admissible"):
+        envelope._twist(ising_super(), SixJTable({key: ONE}))
+
+
 def test_verify_lift_passes_for_catalog_tables():
     for entry in superfusion_entries_with_tables():
         result = verify_lift(entry.data, entry.sixj)

@@ -81,7 +81,7 @@ def run_case(workdir: pathlib.Path, name, params, command):
         entry = build_entry(name, *params)
         src = workdir / f"group-{name}-{'-'.join(args)}.json"
         src.write_text(dumps_file(group_file(entry.source["group"], supercocycle=entry.source["supercocycle"])))
-        argv = ["lift-cocycle", str(src), "--jobs", "1"]
+        argv = ["lift-cocycle", str(src)]
     with contextlib.redirect_stdout(io.StringIO()):
         code = main([*argv, "-o", str(out)])
     return code, hashlib.sha256(out.read_bytes()).hexdigest()

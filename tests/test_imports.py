@@ -64,13 +64,13 @@ def test_import_sfckit_cli_loads_only_the_front_end():
     assert loaded_after() == (None, CLI)
 
 
-# --jobs 2 on every scan: each is under the pool gate, so none may load the
-# pool machinery or the scan planner (sfckit._plan)
+# --jobs 2 on every command that takes it: each scan is under the pool gate,
+# so none may load the pool machinery or the scan planner (sfckit._plan)
 @pytest.mark.parametrize(
     "argv, extra",
     [
         ("check {group} --jobs 2", {"sfckit.cocycles"}),
-        ("lift-cocycle {group} --jobs 2 -o {out}", {"sfckit.cocycles"}),
+        ("lift-cocycle {group} -o {out}", {"sfckit.cocycles"}),
         ("extend-group {group} -o {out}", {"sfckit.cocycles"}),
         ("check {fusion} --jobs 2", {"sfckit.fusion"}),
         ("check {super} --jobs 2", {"sfckit.fusion", "sfckit.superfusion"}),

@@ -3,6 +3,7 @@ and the command line."""
 
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 import sfckit
 from sfckit import catalog, cli, cocycles, fusion, reporting, superfusion
+from sfckit.catalog import build_entry, ising_super
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -47,3 +49,27 @@ def test_errors_are_one_class_each():
     assert cocycles.CocycleError is reporting.CocycleError is cli.CocycleError is sfckit.CocycleError
     assert catalog.CatalogError is reporting.CatalogError is cli.CatalogError
     assert issubclass(superfusion.SuperFusionError, fusion.FusionError)
+
+
+def test_every_data_class_survives_pickling():
+    # the default pickling of a __slots__ class round-trips every field;
+    # FusionData (no derived _products on the wire) and Cyclotomic keep
+    # their own __reduce__
+    def fields(obj):
+        if isinstance(obj, (fusion.FusionData, cocycles.TwoCocycleZ2)):  # no __eq__
+            return (type(obj),) + tuple(fields(getattr(obj, name)) for name in type(obj).__slots__)
+        if isinstance(obj, (tuple, list)):
+            return type(obj)(fields(x) for x in obj)
+        return obj
+
+    vec, sup = build_entry("vec-zn", 3), build_entry("super-zn-even", 2)
+    group, sc = sup.source["group"], sup.source["supercocycle"]
+    objects = [
+        vec.data, vec.sixj, vec.source["group"], vec.source["cocycle"],
+        sup.data, sup.sixj, group, sc, sc.omega, ising_super(),
+    ]
+    for obj in objects:
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj)
+        for name in type(obj).__slots__:
+            assert fields(getattr(back, name)) == fields(getattr(obj, name)), (type(obj).__name__, name)

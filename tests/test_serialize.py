@@ -192,3 +192,27 @@ def test_group_document_errors():
     doc["payload"]["group"]["product"] = [0, 1, 1]
     with pytest.raises(SchemaError, match="row-major"):
         loads_file(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda p: p["omega"].pop(), r"payload\.omega: expected 2 rows"),
+        (lambda p: p["omega"][0].pop(), r"payload\.omega\[0\]: expected 2 entries"),
+        (lambda p: p["omega"][1].__setitem__(1, True), r"payload\.omega\[1\]\[1\]: expected a bit"),
+        (lambda p: p["omega"][1].__setitem__(1, 1.0), r"payload\.omega\[1\]\[1\]: expected a bit"),
+        (lambda p: p["supercocycle"].pop(), r"payload\.supercocycle: expected 2 planes"),
+        (lambda p: p["supercocycle"][1].pop(), r"payload\.supercocycle\[1\]: expected 2 rows"),
+        (lambda p: p["supercocycle"][1][0].pop(), r"payload\.supercocycle\[1\]\[0\]: expected 2 entries"),
+        (lambda p: p["supercocycle"][1][0].__setitem__(1, 1.5), r"payload\.supercocycle\[1\]\[0\]\[1\]: expected an"),
+        (lambda p: p["supercocycle"][0][0].__setitem__(0, 0), r"payload\.supercocycle: cocycle value at \(0, 0, 0\) is zero"),
+        (lambda p: p.update(cocycle=p["supercocycle"][:1]), r"payload\.cocycle: expected 2 planes"),
+    ],
+    ids=["omega rows", "omega entries", "omega bool", "omega float", "cube planes", "cube rows",
+         "cube entries", "cube float", "cube zero", "plain cube planes"],
+)
+def test_group_tables_fail_with_location(mutate, message):
+    doc = json.loads(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    mutate(doc["payload"])
+    with pytest.raises(SchemaError, match=message):
+        loads_file(json.dumps(doc))
