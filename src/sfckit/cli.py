@@ -2,7 +2,11 @@
 
 Commands: check, underlying, lift-cocycle, extend-group, sgr, catalog.
 Exit codes: 0 = all requested checks passed, 1 = a check or verification
-failed, 2 = the input could not be parsed or is schema-invalid.
+failed, 2 = the input could not be parsed or is schema-invalid, or the
+output could not be written, 3 = an internal error.
+
+A command that writes a document to stdout (no -o) prints its report on
+stderr, so stdout carries that document alone.
 
 Each command imports the engines it runs inside its handler, so a command
 compiles and loads only those modules.
@@ -32,17 +36,18 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 CHECK_KINDS = ("pentagon", "super-pentagon", "cocycle2", "cocycle3", "supercocycle", "all")
 
 
 class _Run:
-    """Collects check outcomes and renders the report."""
+    """Collects check reports and prints them, each by its own renderer."""
 
     def __init__(self, command: str, args):
         self.command = command
         self.args = args
-        self.checks: list[dict] = []
+        self.reports: list = []
         self.notes: list[str] = []
         self.input_digest = None
         self.input_path = None
@@ -55,7 +60,7 @@ class _Run:
         return cf
 
     def add(self, report) -> bool:
-        self.checks.append(report.to_json())
+        self.reports.append(report)
         return report.ok
 
     def note(self, text: str) -> None:
@@ -68,33 +73,22 @@ class _Run:
             "input": self.input_path,
             "digest": self.input_digest,
             "ok": ok,
-            "checks": self.checks,
+            "checks": [report.to_json() for report in self.reports],
             "notes": self.notes,
             "elapsed_s": round(elapsed, 6),
         }
         if extra:
             doc.update(extra)
+        # without -o, stdout carries the written document alone
+        out = sys.stderr if getattr(self.args, "output", "") is None else sys.stdout
         if getattr(self.args, "json", False):
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            print(json.dumps(doc, sort_keys=True, indent=2), file=out)
         else:
-            for check in self.checks:
-                status = "pass" if check["ok"] else "FAIL"
-                name = check.get("name") or check.get("subject")
-                print(f"{name}: {status}")
-                for v in check.get("violations", [])[:10]:
-                    if isinstance(v, dict):
-                        lhs = v.get("lhs")
-                        rhs = v.get("rhs")
-                        tail = f" lhs={lhs} rhs={rhs}" if lhs is not None else f" {v.get('detail', '')}"
-                        print(f"  at {tuple(v['instance'])}:{tail}")
-                for law in check.get("laws", []):
-                    mark = "ok" if law["ok"] else "FAIL"
-                    print(f"  {law['law']}: {mark}")
-                for w in check.get("warnings", []):
-                    print(f"  warning: {w}")
+            for report in self.reports:
+                print(report.summary(), file=out)
             for note in self.notes:
-                print(f"note: {note}")
-            print(f"result: {'pass' if ok else 'FAIL'} ({elapsed:.3f}s, input {self.input_digest})")
+                print(f"note: {note}", file=out)
+            print(f"result: {'pass' if ok else 'FAIL'} ({elapsed:.3f}s, input {self.input_digest})", file=out)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -411,6 +405,9 @@ def main(argv=None) -> int:
     except CocycleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

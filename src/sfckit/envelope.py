@@ -74,22 +74,6 @@ def underlying_fusion_rules(data: SuperFusionData) -> FusionData:
     )
 
 
-def _parity_class_relabeling(data: SuperFusionData):
-    """For each admissible triple, the 1-based position of each basis vector
-    within its parity class (the graded category sees each class separately)."""
-    maps: dict[tuple[int, int, int], tuple[dict, dict]] = {}
-    for (i, j, m), nijm in data.base.mult.items():
-        even: dict[int, int] = {}
-        odd: dict[int, int] = {}
-        for alpha in range(1, nijm + 1):
-            if data.parity(i, j, m, alpha):
-                odd[alpha] = len(odd) + 1
-            else:
-                even[alpha] = len(even) + 1
-        maps[(i, j, m)] = (even, odd)
-    return maps
-
-
 def lift_6j(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
     """Sign-twisted lift of a fermionic 6j table to the graded label set.
 
@@ -112,7 +96,7 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
     support, which has no lift.
     """
     _, index = _label_indexing(data)
-    relabel = _parity_class_relabeling(data)
+    classes = data._parity_classes
     entries: dict[tuple, Cyclotomic] = {}
     for key in sorted(table.entries):
         value = table.entries[key]
@@ -122,10 +106,11 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
         if not cancels:
             raise SuperFusionError(f"entry {key} is not parity-admissible; it has no lift")
         i, j, m, k, n, t, alpha, beta, eta, phi = key
-        alpha2 = relabel[(i, j, m)][s_m][alpha]
-        beta2 = relabel[(m, k, n)][s_n][beta]
-        eta2 = relabel[(j, k, t)][s_t][eta]
-        phi2 = relabel[(i, t, n)][s_f][phi]
+        # a graded Hom space holds one parity class: number each vector by its place in it
+        alpha2 = classes[(i, j, m)][s_m].index(alpha) + 1
+        beta2 = classes[(m, k, n)][s_n].index(beta) + 1
+        eta2 = classes[(j, k, t)][s_t].index(eta) + 1
+        phi2 = classes[(i, t, n)][s_f].index(phi) + 1
         for a in _grades(data, i):
             for b in _grades(data, j):
                 for c in _grades(data, k):

@@ -342,7 +342,7 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     identity = _expect_int(gobj.get("identity"), f"{where}.group.identity")
     labels = gobj.get("labels")
     if labels is not None:
-        labels = _expect_list(labels, f"{where}.group.labels")
+        _label_map(_expect_list(labels, f"{where}.group.labels"), f"{where}.group.labels")
     product = [flat[r * order : (r + 1) * order] for r in range(order)]
     try:
         group = GroupTable(product, identity, labels)
@@ -434,8 +434,12 @@ def loads_file(text: str) -> CategoryFile:
 
 
 def save_file(path, cf: CategoryFile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_file(cf))
+    """Write cf to path; an unwritable path raises SchemaError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_file(cf))
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from None
 
 
 def read_document(path) -> tuple[bytes, CategoryFile]:

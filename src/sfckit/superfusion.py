@@ -40,9 +40,12 @@ class SuperFusionData:
     parities must assign a bit to every admissible quadruple (a homogeneous
     basis is part of the data, not derived); object_type is aligned with the
     label list.  Immutable after construction.
+
+    Each Hom(X_i x X_j, X_m) is a superspace: _parity_classes maps (i, j, m)
+    to its (even, odd) basis vectors, 1-based alphas in ascending order.
     """
 
-    __slots__ = ("base", "parities", "object_type")
+    __slots__ = ("base", "parities", "object_type", "_parity_classes")
 
     def __init__(self, base: FusionData, parities, object_type):
         if isinstance(object_type, dict):
@@ -71,13 +74,19 @@ class SuperFusionData:
             if bit not in (0, 1):
                 raise SuperFusionError(f"parity s{key} = {bit!r} is not a bit")
             clean[key] = bit
+        classes = {}
         for (i, j, m), nijm in base.mult.items():
+            split = ([], [])
             for alpha in range(1, nijm + 1):
-                if (i, j, m, alpha) not in clean:
+                bit = clean.get((i, j, m, alpha))
+                if bit is None:
                     raise SuperFusionError(f"no parity assigned to quadruple {(i, j, m, alpha)}")
+                split[bit].append(alpha)
+            classes[(i, j, m)] = (tuple(split[0]), tuple(split[1]))
         self.base = base
         self.parities = clean
         self.object_type = object_type
+        self._parity_classes = classes
 
     @property
     def labels(self):
@@ -99,13 +108,8 @@ class SuperFusionData:
 
     def parity_counts(self, i: int, j: int, m: int) -> tuple[int, int]:
         """(#even, #odd) basis vectors of Hom(X_i x X_j, X_m)."""
-        even = odd = 0
-        for alpha in range(1, self.base.n(i, j, m) + 1):
-            if self.parities[(i, j, m, alpha)]:
-                odd += 1
-            else:
-                even += 1
-        return even, odd
+        even, odd = self._parity_classes.get((i, j, m), ((), ()))
+        return len(even), len(odd)
 
 
 # A fermionic 6j table has the plain table's form; check_support checks that

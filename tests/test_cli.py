@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from sfckit import cli, cocycles, fusion, grothendieck, superfusion
-from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
+from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
 from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
@@ -255,6 +255,74 @@ def test_cocycle_error_reaching_main_is_a_failed_check(tmp_path, monkeypatch, ca
     src.write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
     assert main(["check", str(src)]) == EXIT_CHECK_FAILED
     assert capsys.readouterr().err == "error: engine fault\n"
+
+
+def test_unexpected_exception_is_an_internal_error(super_z2_file, monkeypatch, capsys):
+    def raising(data):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(superfusion, "validate_superfusion", raising)
+    assert main(["check", str(super_z2_file)]) == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: engine fault\n"
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, super_z2_file, capsys):
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        assert main(["underlying", str(super_z2_file), "-o", str(out)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_writer_commands_keep_stdout_for_the_document(tmp_path, super_z2_file, capsys, mode):
+    # `sfckit underlying in.json > out.json` must give a file that loads
+    entry = build_entry("super-z2", 1)
+    group = tmp_path / "group.json"
+    group.write_text(dumps_file(group_file(entry.source["group"], supercocycle=entry.source["supercocycle"])))
+    for command, src in (("underlying", super_z2_file), ("lift-cocycle", group), ("extend-group", group)):
+        written = tmp_path / f"{command}.json"
+        assert main([command, str(src), "-o", str(written), *mode]) == EXIT_OK
+        capsys.readouterr()
+        assert main([command, str(src), *mode]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.encode() == written.read_bytes()
+        piped = tmp_path / f"{command}-stdout.json"
+        piped.write_text(captured.out)
+        load_file(piped)
+        if mode:
+            assert json.loads(captured.err)["ok"] is True
+        else:
+            assert captured.err.splitlines()[-1].startswith("result: pass")
+
+
+def test_text_check_prints_each_report_summary(tmp_path, capsys):
+    entry = build_entry("vec-zn", 4)
+    bad_table = flip(entry.sixj)
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps_file(fusion_file(entry.data, bad_table)))
+    assert main(["check", str(bad)]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    report = fusion.check_pentagon(entry.data, bad_table)
+    assert report.total_violations == len(report.violations) == 14  # all listed, past the old cap of 10
+    assert report.summary() in out
+    assert f"pentagon: FAIL ({report.checked} instances checked)" in out
+    assert "14 violation(s); showing 14:" in out
+    assert main(["check", str(bad), "--max-violations", "3"]) == EXIT_CHECK_FAILED
+    assert "14 violation(s); showing 3:" in capsys.readouterr().out
+
+
+def test_group_labels_must_be_strings(tmp_path, capsys):
+    doc = json.loads(dumps_file(group_file(cyclic_group(2), omega=z2_supercocycle(1).omega)))
+    doc["payload"]["group"]["labels"] = [0, 1.5]
+    src = tmp_path / "numeric-labels.json"
+    src.write_text(json.dumps(doc))
+    assert main(["extend-group", str(src)]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: payload.group.labels[0]: expected a string\n"
+    assert captured.out == ""
 
 
 def test_lift_cocycle_reports_unliftable_omega(tmp_path, capsys):

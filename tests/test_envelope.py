@@ -229,7 +229,7 @@ def test_exact_ising_table_is_grade_coherent():
     give a value that depends only on the base decuple, across all grade
     choices.  This pins the grade bookkeeping and the sign convention
     against honest data with a Majorana object."""
-    from sfckit.envelope import _label_indexing, _parity_class_relabeling
+    from sfckit.envelope import _label_indexing
     from sfckit.fusion import admissible_decuples
     from tests.test_fusion import ising_exact_table
 
@@ -240,11 +240,10 @@ def test_exact_ising_table_is_grade_coherent():
     assert rules.mult == ising_data.mult
 
     labels, _ = _label_indexing(data)
-    relabel = _parity_class_relabeling(data)
     inverse = {}
-    for (i, j, m), (even, odd) in relabel.items():
-        inverse[(i, j, m, 0)] = {v: k for k, v in even.items()}
-        inverse[(i, j, m, 1)] = {v: k for k, v in odd.items()}
+    for (i, j, m), classes in data._parity_classes.items():
+        for s, alphas in enumerate(classes):
+            inverse[(i, j, m, s)] = dict(enumerate(alphas, 1))
 
     grouped: dict[tuple, set] = {}
     count = 0

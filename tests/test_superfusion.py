@@ -255,3 +255,24 @@ def test_super_pentagon_matches_supercocycle_projection():
     assert check_super_pentagon(data, table).ok
     entry = build_entry("super-z2", 1)
     assert check_super_pentagon(entry.data, entry.sixj, jobs=2).ok
+
+
+def test_parity_classes_split_each_hom_space_by_parity():
+    from tests.test_kernel import CATALOG
+
+    seen = 0
+    for name, params in CATALOG:
+        entry = build_entry(name, *params)
+        if entry.kind != "superfusion":
+            continue
+        data = entry.data
+        assert data._parity_classes.keys() == data.base.mult.keys()
+        for (i, j, m), nijm in data.base.mult.items():
+            seen += 1
+            bits = [data.parity(i, j, m, alpha) for alpha in range(1, nijm + 1)]
+            even, odd = data._parity_classes[(i, j, m)]
+            assert even == tuple(alpha for alpha, bit in enumerate(bits, 1) if bit == 0)
+            assert odd == tuple(alpha for alpha, bit in enumerate(bits, 1) if bit == 1)
+            assert data.parity_counts(i, j, m) == (bits.count(0), bits.count(1))
+    assert seen > 0
+    assert ising_super().parity_counts(0, 0, 1) == (0, 0)  # an inadmissible triple

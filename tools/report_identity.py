@@ -17,8 +17,14 @@ Every input runs under ``check --jobs 1``, ``check --jobs 2``,
 ``underlying -o``, ``lift-cocycle -o``, ``extend-group -o`` and ``sgr``,
 each with ``--json``, in this process.  OUT.json holds, per run, the exit
 code, the JSON report without its run-dependent ``elapsed_s`` and
-``input`` fields, stderr and the sha256 of the written file.  Two trees
-behave alike on these inputs when their OUT files are byte-identical:
+``input`` fields, stderr and the sha256 of the written file.
+
+Three more runs per input pin the stream contract: ``underlying``,
+``lift-cocycle`` and ``extend-group`` with ``--json`` and no ``-o`` record
+the sha256 of stdout (the written document) and the report read from
+stderr.  One more, ``check`` in text mode, records the text report with
+the time in its ``result:`` line masked.  Two trees behave alike on these
+inputs when their OUT files are byte-identical:
 
     python tools/report_identity.py OLD/src old.json
     python tools/report_identity.py src new.json
@@ -32,19 +38,27 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+# name, command line, and the stream that carries the report
 COMMANDS = (
-    ("check --jobs 1", ["check", "{input}", "--jobs", "1"]),
-    ("check --jobs 2", ["check", "{input}", "--jobs", "2"]),
-    ("underlying -o", ["underlying", "{input}", "-o", "{output}"]),
-    ("lift-cocycle -o", ["lift-cocycle", "{input}", "-o", "{output}"]),
-    ("extend-group -o", ["extend-group", "{input}", "-o", "{output}"]),
-    ("sgr", ["sgr", "{input}"]),
+    ("check --jobs 1", ["check", "{input}", "--jobs", "1", "--json"], "stdout"),
+    ("check --jobs 2", ["check", "{input}", "--jobs", "2", "--json"], "stdout"),
+    ("underlying -o", ["underlying", "{input}", "-o", "{output}", "--json"], "stdout"),
+    ("lift-cocycle -o", ["lift-cocycle", "{input}", "-o", "{output}", "--json"], "stdout"),
+    ("extend-group -o", ["extend-group", "{input}", "-o", "{output}", "--json"], "stdout"),
+    ("sgr", ["sgr", "{input}", "--json"], "stdout"),
+    ("underlying to stdout", ["underlying", "{input}", "--json"], "stderr"),
+    ("lift-cocycle to stdout", ["lift-cocycle", "{input}", "--json"], "stderr"),
+    ("extend-group to stdout", ["extend-group", "{input}", "--json"], "stderr"),
+    ("check text", ["check", "{input}"], "stdout"),
 )
+
+RESULT_TIME = re.compile(r"^(result: \w+) \([0-9.]+s, ", re.MULTILINE)
 
 
 def _negate_middle(values):
@@ -94,8 +108,22 @@ def write_inputs(work: str) -> dict[str, str]:
     return inputs
 
 
-def run(argv: list[str], work: str) -> dict:
-    """One command in this process: exit code, report, stderr."""
+def comparable(text: str):
+    """A JSON report without its run-dependent fields, or other text with
+    the time of its ``result:`` line masked."""
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError:
+        return RESULT_TIME.sub(r"\1 (<time>, ", text)
+    if isinstance(report, dict):
+        report.pop("elapsed_s", None)
+        report.pop("input", None)
+    return report
+
+
+def run(argv: list[str], work: str, stream: str) -> dict:
+    """One command in this process: exit code, the report read from stream,
+    and the other stream (stderr as text, stdout as a sha256)."""
     from sfckit.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -104,15 +132,11 @@ def run(argv: list[str], work: str) -> dict:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the command line
             code = exc.code
-    stdout = out.getvalue()
-    try:
-        report = json.loads(stdout)
-    except json.JSONDecodeError:
-        report = stdout
-    if isinstance(report, dict):
-        report.pop("elapsed_s", None)
-        report.pop("input", None)
-    return {"exit": code, "report": report, "stderr": err.getvalue().replace(work, "<work>")}
+    stdout, stderr = out.getvalue(), err.getvalue().replace(work, "<work>")
+    if stream == "stderr":
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        return {"exit": code, "report": comparable(stderr), "stdout_sha256": digest}
+    return {"exit": code, "report": comparable(stdout), "stderr": stderr}
 
 
 def main(src: str, out_path: str) -> int:
@@ -121,9 +145,9 @@ def main(src: str, out_path: str) -> int:
     with tempfile.TemporaryDirectory() as work:
         written = os.path.join(work, "written.json")
         for label, path in write_inputs(work).items():
-            for name, template in COMMANDS:
+            for name, template, stream in COMMANDS:
                 argv = [part.format(input=path, output=written) for part in template]
-                result = run([*argv, "--json"], work)
+                result = run(argv, work, stream)
                 digest = None
                 if os.path.exists(written):
                     with open(written, "rb") as fh:
