@@ -14,14 +14,14 @@ The pentagon check enumerates only admissible chains: for each outer object
 quadruple it walks one list of Hom basis vectors (m, alpha) per (i, j),
 built once per scan, instead of the full rank**10 index space, which is
 what makes exhaustive exact verification instant at the scales this library
-targets.  The scan runs on ints only, on
-the table compiled once into the integer group ring (scalars.group_ring_form);
-values are Cyclotomic again only in a reported violation.  The number of
-instances at each outer quadruple has a closed form in the multiplicities
-(_plan.outer_weights); it stands in for the scan of an empty table, and it
-cuts the outer quadruple space into contiguous chunks of equal work for
-worker processes.  Partial reports are merged in index order, so the result
-is identical for any worker count.
+targets.  The scan runs on ints only: the table is compiled once to one int
+per value mod m (scalars.kronecker_form), and a reported violation's sides
+are recomputed exactly from the table's own values (_exact_sides).  The
+number of instances at each outer quadruple has a closed form in the
+multiplicities (_plan.outer_weights); it stands in for the scan of an empty
+table, and it cuts the outer quadruple space into contiguous chunks of
+equal work for worker processes.  Partial reports are merged in index
+order, so the result is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,20 +29,20 @@ from __future__ import annotations
 import os
 
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, FusionError, LawResult, ValidationReport, Violation
-from .scalars import ZERO, Cyclotomic, from_group_ring, group_ring_equal, group_ring_form
+from .scalars import ZERO, Cyclotomic, kronecker_form
 
 MISSING_ENTRY_PREVIEW = 5
 # A scan starts a process pool only from this many instances
 # (_plan.outer_weights) on.  Measured on a 2-vCPU x86-64 Linux guest with
-# CPython 3.11, fresh `sfckit check --jobs 2` processes on vec-zn n (n**4
-# instances, the cheapest kind), pool forced on vs off, 9 alternating pairs:
-# the pool costs 20-30 ms, and two workers side by side each ran at about
-# 0.55x, so it saves far less than half a scan.  Up to 65 536 instances it
-# lost on 8 or 9 of 9 pairs at each size; it began to win between 65 536
-# and 83 521 in one set of runs and between 104 976 and 160 000 in
-# another.  Costlier instances (about 6x on the general Ising table) pay
-# sooner, so the gate errs towards one process.
-POOL_MIN_INSTANCES = 130_000
+# CPython 3.11, fresh `sfckit check --jobs 2` processes, pool forced on vs
+# off, 10 alternating pairs each: two workers side by side each run at
+# about 0.55x, so the pool saves far less than half a scan, and on the
+# general Ising table (2176 instances, about 15 us each) it cost 60 ms.  On
+# vec-zn n (n**4 instances, about 5.5 us each) it lost 10 and 9 of 10
+# pairs at 20 736 and 65 536 instances, tied at 104 976 and 160 000, and
+# won 7, 8 and 7-9 of 10 at 194 481, 234 256 and 331 776.  Costlier
+# instances pay sooner, so the gate errs towards one process.
+POOL_MIN_INSTANCES = 200_000
 
 
 class FusionData:
@@ -309,21 +309,21 @@ def _hom_basis(data: FusionData):
 def _scan_chunk(data, entries, parities, outer, max_violations):
     """Check the (super) pentagon identity over one chunk of outer quadruples.
 
-    entries is the table compiled by _compile: (N, D, terms), where terms
-    maps each decuple to the group ring terms of D times its value (see
-    scalars.group_ring_form).  The cubic left side and the quadratic right
-    side, scaled by D, both carry the factor D**3.
+    entries is the table compiled by _compile: (m, ints), where ints maps
+    each decuple to its value's int mod m (see scalars.kronecker_form), so
+    an instance fails iff its two sides differ mod m.
 
     parities is None for the plain pentagon; for the super pentagon it maps
     admissible Hom-space quadruples to parity bits, and the right-hand side
     picks up (-1)**(s(i,j,m,alpha) * s(k,l,q,delta)), found once per (q, delta).
+    Returns (the first max_violations failing instances, their total, the
+    instances checked).
     """
-    order, scale, terms = entries
-    cube = scale**3
+    modulus, ints = entries
     basis = _hom_basis(data)
     nf = data.mult.get
-    get = terms.get
-    violations = []
+    get = ints.get
+    failing = []
     total = 0
     checked = 0
     for (i, j, k, l) in outer:
@@ -335,7 +335,7 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                         nmqp = nf((m, q, p), 0)
                         for s, phi in basis[j][q]:
                             for gamma in range(1, nf((i, s, p), 0) + 1):
-                                lhs = [0] * order
+                                lhs = 0
                                 for t, eta in basis[j][k]:
                                     nitn = nf((i, t, n), 0)
                                     ntls = nf((t, l, s), 0)
@@ -350,47 +350,55 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                                             if not f2:
                                                 continue
                                             f3 = get((j, k, t, l, s, q, eta, kappa, delta, phi))
-                                            if not f3:
-                                                continue
-                                            for e1, c1 in f1:
-                                                for e2, c2 in f2:
-                                                    e12 = e1 + e2
-                                                    c12 = c1 * c2
-                                                    for e3, c3 in f3:
-                                                        lhs[(e12 + e3) % order] += c12 * c3
-                                rhs = [0] * order
+                                            if f3:
+                                                lhs += f1 * f2 % modulus * f3
+                                rhs = 0
                                 for eps in range(1, nmqp + 1):
                                     g1 = get((m, k, n, l, p, q, beta, chi, delta, eps))
-                                    if not g1:
-                                        continue
-                                    g2 = get((i, j, m, q, p, s, alpha, eps, phi, gamma))
-                                    if not g2:
-                                        continue
-                                    for e1, c1 in g1:
-                                        c1 *= scale
-                                        for e2, c2 in g2:
-                                            rhs[(e1 + e2) % order] += c1 * c2
+                                    if g1:
+                                        g2 = get((i, j, m, q, p, s, alpha, eps, phi, gamma))
+                                        if g2:
+                                            rhs += g1 * g2
                                 if negate:
-                                    rhs = [-c for c in rhs]
+                                    rhs = -rhs
                                 checked += 1
-                                if not group_ring_equal(lhs, rhs, order):
+                                if (lhs - rhs) % modulus:
                                     total += 1
-                                    if max_violations is None or len(violations) < max_violations:
-                                        violations.append(
-                                            Violation(
-                                                instance=(i, j, k, l, m, n, p, q, s,
-                                                          alpha, beta, chi, gamma, delta, phi),
-                                                lhs=from_group_ring(lhs, order, cube),
-                                                rhs=from_group_ring(rhs, order, cube),
-                                            )
-                                        )
-    return violations, total, checked
+                                    if max_violations is None or len(failing) < max_violations:
+                                        failing.append((i, j, k, l, m, n, p, q, s,
+                                                        alpha, beta, chi, gamma, delta, phi))
+    return failing, total, checked
 
 
-def _compile(entries):
-    """The scan form (N, D, terms by decuple) of a table's entries."""
-    order, scale, terms = group_ring_form(entries.values())
-    return order, scale, dict(zip(entries, terms))
+def _exact_sides(data, entries, parities, instance):
+    """The (lhs, rhs) of one _scan_chunk instance, summed in Cyclotomic
+    arithmetic from the table's own entries (a missing one is 0)."""
+    i, j, k, l, m, n, p, q, s, alpha, beta, chi, gamma, delta, phi = instance
+    nf = data.mult.get
+    lhs = rhs = ZERO
+    for t, njkt in data.summands(j, k):
+        for eta in range(1, njkt + 1):
+            for psi in range(1, nf((i, t, n), 0) + 1):
+                f1 = entries.get((i, j, m, k, n, t, alpha, beta, eta, psi), ZERO)
+                for kappa in range(1, nf((t, l, s), 0) + 1):
+                    f2 = entries.get((i, t, n, l, p, s, psi, chi, kappa, gamma), ZERO)
+                    lhs += f1 * f2 * entries.get((j, k, t, l, s, q, eta, kappa, delta, phi), ZERO)
+    for eps in range(1, nf((m, q, p), 0) + 1):
+        g1 = entries.get((m, k, n, l, p, q, beta, chi, delta, eps), ZERO)
+        rhs += g1 * entries.get((i, j, m, q, p, s, alpha, eps, phi, gamma), ZERO)
+    if parities is not None and parities[(i, j, m, alpha)] and parities[(k, l, q, delta)]:
+        rhs = -rhs
+    return lhs, rhs
+
+
+def _compile(data, entries):
+    """The scan form (m, int by decuple) of a table's entries.  A left side
+    sums at most (widest Hom basis row) * Nmax**2 products, a right side
+    Nmax, Nmax the largest multiplicity."""
+    nmax = max(data.mult.values(), default=0)
+    widest = max((sum(x for _, x in cell) for row in data._products for cell in row), default=0)
+    modulus, ints = kronecker_form(entries.values(), widest * nmax**2, nmax)
+    return modulus, dict(zip(entries, ints))
 
 
 def _scan_worker(args):
@@ -436,7 +444,8 @@ def _run_scan(data, entries, parities, max_violations, jobs):
     With no entries every instance reads 0 = 0, so the count is returned
     without a scan.  A pool starts only for at least POOL_MIN_INSTANCES
     instances, with one worker per usable CPU at most, each taking one
-    contiguous chunk of about equal work; the parts merge in index order.
+    contiguous chunk of about equal work; the parts merge in index order,
+    and the sides of each kept violation are recomputed exactly.
     _instance_bound rules out a small scan before _plan is imported and the
     exact count made, which would cost about 4 ms of an 80 ms
     `sfckit check --jobs 2` on vec-zn 8.
@@ -461,25 +470,19 @@ def _run_scan(data, entries, parities, max_violations, jobs):
             return [], 0, sum(weights)
         if sum(weights) >= POOL_MIN_INSTANCES:
             chunks = weighted_chunks(outer, weights, min(jobs, _usable_cpus()))
-    compiled = _compile(entries)
+    compiled = _compile(data, entries)
     if len(chunks) < 2:
-        return _scan_chunk(data, compiled, parities, outer, max_violations)
-    from concurrent.futures import ProcessPoolExecutor  # here, not at module level: it costs every command ~15 ms
+        parts = [_scan_chunk(data, compiled, parities, outer, max_violations)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # here, not at module level: it costs every command ~15 ms
 
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(
-            pool.map(_scan_worker, [(data, compiled, parities, chunk, max_violations) for chunk in chunks])
-        )
-    violations: list[Violation] = []
-    total = 0
-    checked = 0
-    for part_violations, part_total, part_checked in parts:
-        total += part_total
-        checked += part_checked
-        violations.extend(part_violations)
-    if max_violations is not None:
-        violations = violations[:max_violations]
-    return violations, total, checked
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(
+                pool.map(_scan_worker, [(data, compiled, parities, chunk, max_violations) for chunk in chunks])
+            )
+    instances = [instance for part in parts for instance in part[0]][:max_violations]
+    violations = [Violation(instance, *_exact_sides(data, entries, parities, instance)) for instance in instances]
+    return violations, sum(part[1] for part in parts), sum(part[2] for part in parts)
 
 
 def _missing_warning(missing) -> list[str]:

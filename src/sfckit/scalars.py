@@ -12,11 +12,10 @@ basis is a Z-basis of Z[zeta_n], the ring of integers, so the denominator
 Values are immutable and safe to share between workers.
 
 The exhaustive scans (pentagon, super pentagon, 3-cocycle, 3-supercocycle)
-run in the integer group ring Z[Z/N] over one shared denominator D
-(group_ring_form): products add exponents mod N and multiply ints, and a
-sum is reduced mod Phi_N only when the two sides of an identity differ as
-integer vectors (group_ring_equal).  group_ring_reduce is the one reduction
-mod Phi_n: products, inverses, promotions, conductor descent and the scans.
+map every value to one int mod m = Phi_N(2**shift) (kronecker_form), an
+exact test of each identity: a product is one int multiply, and an
+instance holds iff its two sides agree mod m.  group_ring_reduce is the one
+reduction mod Phi_n: products, inverses, promotions and conductor descent.
 
 Two values are equal iff they agree after promoting both into Q(zeta_m) for
 m = lcm of their orders.  Hashing and str() use the conductor form (the
@@ -362,30 +361,11 @@ class Cyclotomic:
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def group_ring_form(values) -> tuple[int, int, list[tuple[tuple[int, int], ...]]]:
-    """Compile values into the integer group ring Z[Z/N].
-
-    Returns (N, D, terms): N is the lcm of the orders, D the lcm of the
-    denominators, and terms[i] lists the (exponent mod N, integer
-    coefficient) pairs of D * values[i].  As z_n^k = z_N^(k*N/n), a value's
-    numerators embed into Q(zeta_N) unchanged and only scale by D // den.
-    Zero becomes (), and a nonzero value has at least one term.
-    """
-    values = list(values)
-    order = lcm(1, *(v.order for v in values))
-    scale = lcm(1, *(v.den for v in values))
-    terms = []
-    for v in values:
-        step, factor = order // v.order, scale // v.den
-        terms.append(tuple((k * step, c * factor) for k, c in enumerate(v.nums) if c))
-    return order, scale, terms
-
-
 def group_ring_reduce(vec, n: int) -> list:
     """Power basis coefficients in Q[z]/Phi_n of sum vec[k] z^k.
 
-    The one reduction mod Phi_n: products, inverses, promotions, conductor
-    descent and the scan kernel all go through it.  vec may be as long as
+    The one reduction mod Phi_n: products, inverses, promotions and
+    conductor descent all go through it.  vec may be as long as
     max(n, 2*phi(n) - 1), a product of two reduced values; a shorter vec is
     padded with zeros.  Two group ring elements are the same field value iff
     they reduce equal.
@@ -403,17 +383,59 @@ def group_ring_reduce(vec, n: int) -> list:
     return out
 
 
-def group_ring_equal(a: list[int], b: list[int], n: int) -> bool:
-    """Whether two length-n group ring vectors are the same field value.
+def kronecker_form(values, lhs_terms: int, rhs_terms: int) -> tuple[int, list[int]]:
+    """One int per value, for identities sum x1 x2 x3 = sum y1 y2 over values.
 
-    Equal vectors are; otherwise their difference is reduced mod Phi_n.
+    Returns (m, ints).  The map z_N -> w = 2**shift, m = Phi_N(w), N the lcm
+    of the orders, sends (sum nums[k] z_n^k) / den to
+    (sum nums[k] w**(k*N/n)) * den**-1 mod m; zero goes to 0.  A side of at
+    most lhs_terms products of three values equals a side of at most
+    rhs_terms products of two iff lhs - rhs maps to 0 mod m.
+
+    Why: x -> w is a ring map Z[zeta_N] -> Z/m, as Phi_N(w) = m, and it
+    extends to Z[zeta_N][1/den] while gcd(den, m) = 1.  A product c of
+    denominators makes y = c (lhs - rhs) integral.  If y maps to 0, then m
+    divides the norm N(y) = y y', y' the product of the other conjugates:
+    writing y = Y(zeta_N), y' = Y'(zeta_N), Y Y' - N(y) is a multiple of the
+    monic Phi_N over Z, so Y(w) Y'(w) = N(y) mod m.  Each conjugate of y is
+    at most L1(y), the sum of the |coefficients| of Y, and each factor
+    |w - zeta| of m is at least w - 1, so |N(y)| <= L1(y)**phi < (w-1)**phi
+    <= m once w - 1 > L1(y): then N(y) = 0 and y = 0.
+
+    L1(y) has two bounds, and shift comes from the smaller.  With D the
+    lcm of the denominators and M the largest L1 of D * value, c = D**3
+    gives T_l M**3 + T_r D M**2 (T_l = lhs_terms, T_r = rhs_terms).  With
+    B the largest numerator L1 and dmax the largest denominator, c = the
+    product of the instance's own denominators, or D**3, whichever is less,
+    gives min(D**3, dmax**(3 T_l + 2 T_r)) (T_l B**3 + T_r B**2).  While D
+    shares a factor with m, shift grows by 1.  This is Kronecker
+    substitution, the evaluation trick behind FLINT (Harvey, J. Symb.
+    Comput. 44, 2009).
     """
-    return a == b or not any(group_ring_reduce([x - y for x, y in zip(a, b)], n))
-
-
-def from_group_ring(vec, n: int, scale: int) -> "Cyclotomic":
-    """The field value (sum vec[k] z_n^k) / scale."""
-    return _new(n, group_ring_reduce(vec, n), scale)
+    values = list(values)
+    order = lcm(1, *(v.order for v in values))
+    scale = lcm(1, *(v.den for v in values))
+    peak = max((sum(map(abs, v.nums)) for v in values), default=0)
+    top = max((scale // v.den * sum(map(abs, v.nums)) for v in values), default=0)
+    dmax = max((v.den for v in values), default=1)
+    own = min(scale**3, dmax ** (3 * lhs_terms + 2 * rhs_terms))
+    bound = min(
+        lhs_terms * top**3 + rhs_terms * scale * top**2,
+        own * (lhs_terms * peak**3 + rhs_terms * peak**2),
+    )
+    shift = (bound + 1).bit_length()
+    poly = cyclotomic_polynomial(order)
+    while True:
+        m = sum(c << (i * shift) for i, c in enumerate(poly))
+        if gcd(m, scale) == 1:
+            break
+        shift += 1
+    inverses = {d: pow(d, -1, m) for d in {v.den for v in values}}
+    ints = []
+    for v in values:
+        step = order // v.order * shift
+        ints.append(sum(c << (k * step) for k, c in enumerate(v.nums) if c) * inverses[v.den] % m)
+    return m, ints
 
 
 ZERO = Cyclotomic.rational(0)

@@ -1,5 +1,5 @@
-"""Differential tests: the integer group-ring scan kernel against the
-Cyclotomic reference loops it replaced.
+"""Differential tests: the Kronecker-substitution scan kernel (one int per
+value, scalars.kronecker_form) against Cyclotomic reference loops.
 
 The reference loops below evaluate every identity with Cyclotomic
 arithmetic, term by term.  The kernel must give identical reports on every
@@ -10,6 +10,7 @@ and the ``lhs``/``rhs`` strings of every violation.
 import contextlib
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,8 +34,7 @@ from sfckit.scalars import (
     ZERO,
     Cyclotomic,
     euler_phi,
-    from_group_ring,
-    group_ring_form,
+    kronecker_form,
     root_of_unity,
 )
 from sfckit.superfusion import BOSONIC, SuperFusionData, check_super_pentagon, is_parity_admissible
@@ -202,6 +202,11 @@ def mixed_order_table():
     return data, SixJTable(entries)
 
 
+def table_order(values):
+    """N, the lcm of the values' orders: the field the scans work in."""
+    return lcm(1, *(v.order for v in values))
+
+
 def assert_same_report(got, want):
     assert got.violations == want.violations
     assert got.to_json() == want.to_json()
@@ -274,8 +279,8 @@ def test_kernel_mutants_fail_with_reference_values():
 def test_kernel_gauged_table_with_denominators():
     data, table = ising_exact_table()
     gauged = gauge(data, table, seed=3)
-    order, scale, _ = fusion._compile(gauged.entries)
-    assert order == 8 and scale > 1
+    assert table_order(gauged.entries.values()) == 8
+    assert max(v.den for v in gauged.entries.values()) > 1
     assert assert_pentagon_matches(data, gauged).ok
     for position in (0, 17, len(gauged) - 1):
         assert not assert_pentagon_matches(data, flip(gauged, position)).ok
@@ -286,13 +291,13 @@ def test_kernel_mixed_orders():
     # a few of orders 5 and 7
     entry = build_entry("vec-zn", 3)
     gauged = gauge(entry.data, entry.sixj, seed=5, orders=(1, 1, 1, 5, 7))
-    assert fusion._compile(gauged.entries)[0] == 105
+    assert table_order(gauged.entries.values()) == 105
     assert assert_pentagon_matches(entry.data, gauged).ok
     assert not assert_pentagon_matches(entry.data, flip(gauged)).ok
 
     # garbage values with a zero and missing entries, against both oracles
     data, table = mixed_order_table()
-    assert fusion._compile(table.entries)[0] == 105
+    assert table_order(table.entries.values()) == 105
     sparse = SixJTable({key: v for pos, (key, v) in enumerate(sorted(table.entries.items())) if pos % 4})
     for case in (table, sparse):
         report = assert_pentagon_matches(data, case)
@@ -318,7 +323,8 @@ ROOTS = [root_of_unity(d, k) for d in (1, 2, 3, 4) for k in range(d)]
 def random_rules_and_table(draw):
     """Rules of rank <= 3 with multiplicities 0-2, the unit law kept or not,
     a sparse table over their admissible decuples (roots of unity of orders
-    1-4, zeros and missing entries) and a random parity for every basis vector."""
+    1-4, values of orders 1, 3, 4 and 5 with denominators 1-9, zeros and
+    missing entries) and a random parity for every basis vector."""
     rank = draw(st.integers(1, 3))
     mult = {}
     if draw(st.booleans()):
@@ -330,11 +336,15 @@ def random_rules_and_table(draw):
     rng = draw(st.randoms(use_true_random=False))
     entries = {}
     for key in admissible_decuples(data):
-        pick = rng.randrange(len(ROOTS) + 2)
+        pick = rng.randrange(len(ROOTS) + 3)
         if pick < len(ROOTS):
             entries[key] = ROOTS[pick]
         elif pick == len(ROOTS):
             entries[key] = ZERO
+        elif pick == len(ROOTS) + 1:
+            order = rng.choice((1, 3, 4, 5))
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 9)) for _ in range(euler_phi(order))]
+            entries[key] = Cyclotomic(order, coeffs)
     parities = {(i, j, m, a): rng.randrange(2) for (i, j, m), n in data.mult.items() for a in range(1, n + 1)}
     return data, SixJTable(entries), parities
 
@@ -406,7 +416,7 @@ def test_empty_table_count_equals_the_scan(k):
     if k != 10:  # the underlying rules of ck 10 take 1.5M instances to scan
         rules.append((underlying_fusion_rules(entry.data), None))
     for data, parities in rules:
-        scanned = fusion._scan_chunk(data, fusion._compile({}), parities, outer_quadruples(data), None)
+        scanned = fusion._scan_chunk(data, fusion._compile(data, {}), parities, outer_quadruples(data), None)
         for jobs in (1, 2):
             assert fusion._run_scan(data, {}, parities, None, jobs) == scanned
 
@@ -500,7 +510,7 @@ def test_kernel_3cocycle_matches_reference():
     assert not assert_cube_matches(g, flip_cube(gauged, (3, 2, 1))).ok
     mixed = gauge_cube(cyclic_group(3), standard_three_cocycle(3, 1).values, seed=6, orders=(1, 1, 1, 1, 1, 5, 7))
     flat = [x for plane in mixed for row in plane for x in row]
-    assert group_ring_form(flat)[0] == 105
+    assert table_order(flat) == 105
     assert assert_cube_matches(cyclic_group(3), mixed).ok
     assert not assert_cube_matches(cyclic_group(3), flip_cube(mixed, (2, 2, 2))).ok
 
@@ -526,7 +536,9 @@ def test_kernel_supercocycle_matches_reference():
 # -- the compiled form -----------------------------------------------------------------
 
 
-def test_group_ring_form_round_trips():
+def test_kronecker_form_is_a_ring_map():
+    # a value maps to 0 iff it is zero, equal values map equal at any order,
+    # and sums and products map to sums and products mod m
     values = [
         ZERO,
         ONE,
@@ -535,15 +547,97 @@ def test_group_ring_form_round_trips():
         root_of_unity(3, 2) + root_of_unity(5, 1),
         generic_factor(random.Random(1), 7),
     ]
-    order, scale, terms = group_ring_form(values)
-    assert order == 420
-    assert terms[0] == ()
-    assert all(terms[1:])
-    for value, compiled in zip(values, terms):
-        vec = [0] * order
-        for e, c in compiled:
-            assert 0 <= e < order and isinstance(c, int)
-            vec[e] += c
-        assert from_group_ring(vec, order, scale) == value
-        assert str(from_group_ring(vec, order, scale)) == str(value)
-    assert group_ring_form([]) == (1, 1, [])
+    pairs = [(a, b) for a in values for b in values]
+    derived = [a * b for a, b in pairs] + [a + b for a, b in pairs] + [values[4].promote(105)]
+    m, ints = kronecker_form(values + derived, 1, 1)
+    assert table_order(values) == 420
+    assert all(isinstance(x, int) and 0 <= x < m for x in ints)
+    assert [x == 0 for x in ints] == [v.is_zero() for v in values + derived]
+    image = dict(zip(values, ints))
+    products, sums, promoted = ints[6:42], ints[42:78], ints[78]
+    assert products == [image[a] * image[b] % m for a, b in pairs]
+    assert sums == [(image[a] + image[b]) % m for a, b in pairs]
+    assert promoted == image[values[4]]
+    assert kronecker_form([], 1, 1)[1] == []
+
+
+def deligne_with_z3(data, table):
+    """data x Vec(Z/3) with its standard 3-cocycle (the catalog's vec-zn 3)."""
+    z3 = build_entry("vec-zn", 3)
+    rz = z3.data.rank
+    mult = {
+        (a * rz + g, b * rz + h, c * rz + k): x * y
+        for (a, b, c), x in data.mult.items()
+        for (g, h, k), y in z3.data.mult.items()
+    }
+    product = FusionData([f"{x}.{y}" for x in data.labels for y in z3.data.labels], data.unit * rz, mult)
+    entries = {}
+    for key, value in table.entries.items():
+        for zkey, zvalue in z3.sixj.entries.items():
+            objects = tuple(a * rz + g for a, g in zip(key[:6], zkey[:6]))
+            entries[objects + key[6:]] = value * zvalue
+    return product, SixJTable(entries)
+
+
+def step_largest_denominator(values):
+    """Where the largest denominator sits, and that value plus 1/den: the
+    smallest change to it that keeps its denominator."""
+    position = max(range(len(values)), key=lambda pos: values[pos].den)
+    value = values[position]
+    return position, value + Cyclotomic.rational(Fraction(1, value.den))
+
+
+def test_kernel_gauged_ising_times_z3():
+    # N = 24 and per-value denominators of about 32 bits, a modulus of 2816
+    # bits: the table and its sign-flip mutant against the reference at
+    # every --jobs path, and a one-step mutant at jobs 1
+    data, table = deligne_with_z3(*ising_exact_table())
+    gauged = gauge(data, table, seed=2)
+    values = list(gauged.entries.values())
+    assert table_order(values) == 24
+    assert max(v.den for v in values).bit_length() >= 30
+    assert assert_pentagon_matches(data, gauged).ok
+    assert not assert_pentagon_matches(data, flip(gauged)).ok
+    position, stepped = step_largest_denominator(values)
+    mutant = SixJTable({**gauged.entries, list(gauged.entries)[position]: stepped})
+    report = check_pentagon(data, mutant, max_violations=None)
+    assert not report.ok
+    assert_same_report(report, reference_pentagon("pentagon", data, mutant.entries, None))
+
+
+def test_kernel_cube_step_at_largest_denominator():
+    g = cyclic_group(4)
+    gauged = gauge_cube(g, standard_three_cocycle(4, 1).values, seed=11, orders=(8, 3))
+    assert assert_cube_matches(g, gauged).ok
+    flat = [x for plane in gauged for row in plane for x in row]
+    assert max(v.den for v in flat) > 1
+    position, stepped = step_largest_denominator(flat)
+    flat[position] = stepped
+    mutant = [[flat[(a * 4 + b) * 4 : (a * 4 + b + 1) * 4] for b in range(4)] for a in range(4)]
+    assert not assert_cube_matches(g, mutant).ok
+
+
+def test_kronecker_modulus_skips_a_shared_factor():
+    # one value 5/3 with one term a side: L1 <= 5**2 * (5 + 3) = 200, so the
+    # first candidate is m = 2**8 - 1 = 3 * 5 * 17, which 3 divides; the next,
+    # 2**9 - 1 = 7 * 73, is prime to it
+    value = Cyclotomic.rational(Fraction(5, 3))
+    m, (x,) = kronecker_form([value], 1, 1)
+    assert gcd(2**8 - 1, 3) == 3 and m == 2**9 - 1
+    assert x * 3 % m == 5
+    # the rank-1 pentagon F**3 = F**2 and the Z/1 cocycle identity, both failing
+    data = FusionData(["1"], 0, {(0, 0, 0): 1})
+    assert not assert_pentagon_matches(data, SixJTable({(0,) * 6 + (1,) * 4: value})).ok
+    assert not assert_cube_matches(cyclic_group(1), [[[value]]]).ok
+
+
+def test_kronecker_bound_counts_denominators():
+    # F = 1/4 on one object: 64 (F**3 - F**2) = 1 - 4 = -3.  A bound from the
+    # numerators alone, L1 <= 1 + 1, would take m = 2**2 - 1 = 3, which
+    # divides -3, so both failing identities would pass; the bound with
+    # c = D**3 is 1 + 4 = 5, so m = 2**3 - 1
+    value = Cyclotomic.rational(Fraction(1, 4))
+    assert kronecker_form([value], 1, 1)[0] == 7
+    data = FusionData(["1"], 0, {(0, 0, 0): 1})
+    assert not assert_pentagon_matches(data, SixJTable({(0,) * 6 + (1,) * 4: value})).ok
+    assert not assert_cube_matches(cyclic_group(1), [[[value]]]).ok

@@ -11,7 +11,11 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
 - for an entry built from a group, its group file (``cocycle`` or
   ``supercocycle`` with its omega) and a mutant with one cube value negated;
 - the inputs of the three benchmark workloads
-  (``perfbench/workloads.build_plan``, seed 1).
+  (``perfbench/workloads.build_plan``, seed 1);
+- large moduli, where a violation's sides are rendered from big
+  denominators: the gauged Ising x Vec(Z/3) table (``perfbench/gen``, N = 24)
+  and its sign-flip mutant, and the gauged ``vec-zn 4`` 3-cocycle and
+  ``super-zn-even 4`` 3-supercocycle cubes with their mutants.
 
 Every input runs under ``check --jobs 1``, ``check --jobs 2``,
 ``underlying -o``, ``lift-cocycle -o``, ``extend-group -o`` and ``sgr``,
@@ -77,6 +81,8 @@ def write_inputs(work: str) -> dict[str, str]:
     from tests.test_kernel import CATALOG, flip
     from workloads import WORKLOADS, build_plan
 
+    import gen
+
     inputs = {}
 
     def save(label, cf):
@@ -100,6 +106,19 @@ def write_inputs(work: str) -> dict[str, str]:
             save(f"{label} group", group_file(group, supercocycle=sc))
             flipped = SuperCocycle(sc.omega, _negate_middle(sc.values))
             save(f"{label} group flipped", group_file(group, supercocycle=flipped))
+    data, table = gen.ising_times_zn(3)
+    gauged = gen.gauge(data, table, seed=1)
+    save("gauged ising x z3", fusion_file(data, gauged))
+    save("gauged ising x z3 flipped", fusion_file(data, flip(gauged)))
+    source = build_entry("vec-zn", 4).source
+    cube = gen.gauge_cube(source["group"], source["cocycle"].values, seed=1)
+    save("gauged vec-zn 4 group", group_file(source["group"], cocycle=ThreeCocycle(cube)))
+    save("gauged vec-zn 4 group flipped", group_file(source["group"], cocycle=ThreeCocycle(_negate_middle(cube))))
+    source = build_entry("super-zn-even", 4).source
+    omega, cube = source["supercocycle"].omega, gen.gauge_cube(source["group"], source["supercocycle"].values, seed=1)
+    save("gauged super-zn-even 4 group", group_file(source["group"], supercocycle=SuperCocycle(omega, cube)))
+    flipped = SuperCocycle(omega, _negate_middle(cube))
+    save("gauged super-zn-even 4 group flipped", group_file(source["group"], supercocycle=flipped))
     for workload in WORKLOADS:
         bench = os.path.join(work, f"bench-{workload}")
         build_plan(workload, bench, seed=1)
