@@ -14,9 +14,9 @@ The pentagon check enumerates only admissible chains: for each outer object
 quadruple it walks one list of Hom basis vectors (m, alpha) per (i, j),
 built once per scan, instead of the full rank**10 index space, which is
 what makes exhaustive exact verification instant at the scales this library
-targets.  The scan runs on ints only: the table is compiled once to one int
-per value mod m (scalars.kronecker_form), and a reported violation's sides
-are recomputed exactly from the table's own values (_exact_sides).  The
+targets.  The scan runs on ints: the table is compiled once to one int per
+value mod m (scalars.kronecker_form).  The same loop, rerun on the table's
+own values, gives each reported violation its exact sides.  The
 number of instances at each outer quadruple has a closed form in the
 multiplicities (_plan.outer_weights); it stands in for the scan of an empty
 table, and it cuts the outer quadruple space into contiguous chunks of
@@ -309,15 +309,17 @@ def _hom_basis(data: FusionData):
 def _scan_chunk(data, entries, parities, outer, max_violations):
     """Check the (super) pentagon identity over one chunk of outer quadruples.
 
-    entries is the table compiled by _compile: (m, ints), where ints maps
-    each decuple to its value's int mod m (see scalars.kronecker_form), so
-    an instance fails iff its two sides differ mod m.
+    entries is (modulus, values).  For the verdicts it is the table compiled
+    by _compile: values maps each decuple to its value's int mod m (see
+    scalars.kronecker_form), so an instance fails iff its two sides differ
+    mod m.  For exact sides it is (_EXACT, the table's Cyclotomic entries):
+    x % _EXACT is x, so the same statements add up field values.
 
     parities is None for the plain pentagon; for the super pentagon it maps
     admissible Hom-space quadruples to parity bits, and the right-hand side
     picks up (-1)**(s(i,j,m,alpha) * s(k,l,q,delta)), found once per (q, delta).
-    Returns (the first max_violations failing instances, their total, the
-    instances checked).
+    Returns (the first max_violations failing instances, each as
+    (instance, lhs, rhs), their total, the instances checked).
     """
     modulus, ints = entries
     basis = _hom_basis(data)
@@ -365,38 +367,31 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
                                 if (lhs - rhs) % modulus:
                                     total += 1
                                     if max_violations is None or len(failing) < max_violations:
-                                        failing.append((i, j, k, l, m, n, p, q, s,
-                                                        alpha, beta, chi, gamma, delta, phi))
+                                        failing.append(((i, j, k, l, m, n, p, q, s,
+                                                         alpha, beta, chi, gamma, delta, phi), lhs, rhs))
     return failing, total, checked
 
 
-def _exact_sides(data, entries, parities, instance):
-    """The (lhs, rhs) of one _scan_chunk instance, summed in Cyclotomic
-    arithmetic from the table's own entries (a missing one is 0)."""
-    i, j, k, l, m, n, p, q, s, alpha, beta, chi, gamma, delta, phi = instance
-    nf = data.mult.get
-    lhs = rhs = ZERO
-    for t, njkt in data.summands(j, k):
-        for eta in range(1, njkt + 1):
-            for psi in range(1, nf((i, t, n), 0) + 1):
-                f1 = entries.get((i, j, m, k, n, t, alpha, beta, eta, psi), ZERO)
-                for kappa in range(1, nf((t, l, s), 0) + 1):
-                    f2 = entries.get((i, t, n, l, p, s, psi, chi, kappa, gamma), ZERO)
-                    lhs += f1 * f2 * entries.get((j, k, t, l, s, q, eta, kappa, delta, phi), ZERO)
-    for eps in range(1, nf((m, q, p), 0) + 1):
-        g1 = entries.get((m, k, n, l, p, q, beta, chi, delta, eps), ZERO)
-        rhs += g1 * entries.get((i, j, m, q, p, s, alpha, eps, phi, gamma), ZERO)
-    if parities is not None and parities[(i, j, m, alpha)] and parities[(k, l, q, delta)]:
-        rhs = -rhs
-    return lhs, rhs
+class _Exact:
+    """The modulus of an exact scan: x % _EXACT is x."""
+
+    def __rmod__(self, x):
+        return x
+
+
+_EXACT = _Exact()
+
+
+def _term_bounds(data):
+    """(M, C): the largest multiplicity N^ab_c and the largest sum_c N^ab_c."""
+    cells = [[x for _, x in cell] for row in data._products for cell in row]
+    return max(max(cell, default=0) for cell in cells), max(map(sum, cells))
 
 
 def _compile(data, entries):
     """The scan form (m, int by decuple) of a table's entries.  A left side
-    sums at most (widest Hom basis row) * Nmax**2 products, a right side
-    Nmax, Nmax the largest multiplicity."""
-    nmax = max(data.mult.values(), default=0)
-    widest = max((sum(x for _, x in cell) for row in data._products for cell in row), default=0)
+    sums at most C M**2 products, a right side M (see _term_bounds)."""
+    nmax, widest = _term_bounds(data)
     modulus, ints = kronecker_form(entries.values(), widest * nmax**2, nmax)
     return modulus, dict(zip(entries, ints))
 
@@ -413,19 +408,11 @@ def _instance_bound(data: FusionData) -> int:
     C the largest sum_c N^ab_c, and the rest factor through row sums.  On
     the rules of a group, where M = C = 1, it is exact: rank**4.
     """
-    rank = data.rank
-    row = [0] * rank  # row[a] = sum_{b,c} N^ab_c
-    widths: dict[tuple[int, int], int] = {}
-    for (a, b, c), x in data.mult.items():
-        row[a] += x
-        widths[a, b] = widths.get((a, b), 0) + x
-    tails = [0] * rank  # tails[m] = sum_{k,n} N^mk_n row[n]
-    for (a, b, c), x in data.mult.items():
-        tails[a] += x * row[c]
-    widest = max(widths.values(), default=0)
-    return max(data.mult.values(), default=0) * widest**2 * sum(
-        x * tails[c] for (a, b, c), x in data.mult.items()
-    )
+    products = data._products
+    nmax, widest = _term_bounds(data)
+    row = [sum(x for cell in cells for _, x in cell) for cells in products]  # row[a] = sum_{b,c} N^ab_c
+    tails = [sum(x * row[c] for cell in cells for c, x in cell) for cells in products]  # sum_{k,n} N^mk_n row[n]
+    return nmax * widest**2 * sum(x * tails[c] for cells in products for cell in cells for c, x in cell)
 
 
 def _usable_cpus() -> int:
@@ -444,8 +431,9 @@ def _run_scan(data, entries, parities, max_violations, jobs):
     With no entries every instance reads 0 = 0, so the count is returned
     without a scan.  A pool starts only for at least POOL_MIN_INSTANCES
     instances, with one worker per usable CPU at most, each taking one
-    contiguous chunk of about equal work; the parts merge in index order,
-    and the sides of each kept violation are recomputed exactly.
+    contiguous chunk of about equal work; the parts merge in index order.
+    The kept violations get their sides from one exact _scan_chunk run on
+    their outer quadruples, where each must fail too (else ArithmeticError).
     _instance_bound rules out a small scan before _plan is imported and the
     exact count made, which would cost about 4 ms of an 80 ms
     `sfckit check --jobs 2` on vec-zn 8.
@@ -480,8 +468,15 @@ def _run_scan(data, entries, parities, max_violations, jobs):
             parts = list(
                 pool.map(_scan_worker, [(data, compiled, parities, chunk, max_violations) for chunk in chunks])
             )
-    instances = [instance for part in parts for instance in part[0]][:max_violations]
-    violations = [Violation(instance, *_exact_sides(data, entries, parities, instance)) for instance in instances]
+    hits = [hit for part in parts for hit in part[0]][:max_violations]
+    violations = []
+    if hits:
+        outer = sorted({hit[0][:4] for hit in hits})
+        exact = {hit[0]: hit[1:] for hit in _scan_chunk(data, (_EXACT, entries), parities, outer, None)[0]}
+        for instance, _, _ in hits:
+            if instance not in exact:
+                raise ArithmeticError(f"pentagon instance {instance} fails mod m but holds exactly")
+            violations.append(Violation(instance, *map(Cyclotomic._coerce, exact[instance])))
     return violations, sum(part[1] for part in parts), sum(part[2] for part in parts)
 
 

@@ -8,6 +8,7 @@ and the ``lhs``/``rhs`` strings of every violation.
 """
 
 import contextlib
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from sfckit import _plan, fusion
 from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
+from sfckit.cli import EXIT_INTERNAL_ERROR, main
 from sfckit.cocycles import (
     SuperCocycle,
     ThreeCocycle,
@@ -37,6 +39,7 @@ from sfckit.scalars import (
     kronecker_form,
     root_of_unity,
 )
+from sfckit.serialize import fusion_file, save_file
 from sfckit.superfusion import BOSONIC, SuperFusionData, check_super_pentagon, is_parity_admissible
 from tests.test_fusion import ising_exact_table, naive_pentagon_violations, z2_pointed, z2_table
 
@@ -222,12 +225,12 @@ def pool_forced():
         yield
 
 
-def scan_reports(check, data, table):
+def scan_reports(check, data, table, max_violations=None):
     """check(data, table) at jobs 1, at jobs 2 below the pool gate, and at
     jobs 2 through the pool."""
-    reports = [check(data, table, max_violations=None, jobs=jobs) for jobs in (1, 2)]
+    reports = [check(data, table, max_violations=max_violations, jobs=jobs) for jobs in (1, 2)]
     with pool_forced():
-        reports.append(check(data, table, max_violations=None, jobs=2))
+        reports.append(check(data, table, max_violations=max_violations, jobs=2))
     return reports
 
 
@@ -603,6 +606,75 @@ def test_kernel_gauged_ising_times_z3():
     report = check_pentagon(data, mutant, max_violations=None)
     assert not report.ok
     assert_same_report(report, reference_pentagon("pentagon", data, mutant.entries, None))
+
+
+def all_even(data):
+    """data as superfusion rules with every object Bosonic and every basis vector even."""
+    parities = {(i, j, m, a): 0 for (i, j, m), n in data.mult.items() for a in range(1, n + 1)}
+    return SuperFusionData(data, parities, [BOSONIC] * data.rank)
+
+
+def test_truncated_witnesses_match_the_reference():
+    # the first k violations, with their sides, at every --jobs path; the super
+    # pentagon's violations come in pairs on one outer quadruple, so k = 1
+    # and 3 cut inside one
+    data, table = deligne_with_z3(*ising_exact_table())
+    mutant = flip(gauge(data, table, seed=2))
+    want = reference_pentagon("pentagon", data, mutant.entries, None)
+    ising, ising_table = ising_exact_table()
+    super_data, super_mutant = all_even(ising), flip(ising_table)
+    super_want = reference_pentagon("super pentagon", ising, super_mutant.entries, super_data.parities)
+    assert want.total_violations > 25 and super_want.total_violations > 3
+    assert super_want.violations[0].instance[:4] == super_want.violations[1].instance[:4]
+    for k in (1, 3, 25):
+        cut = dataclasses.replace(want, violations=want.violations[:k])
+        for got in scan_reports(check_pentagon, data, mutant, max_violations=k):
+            assert_same_report(got, cut)
+        cut = dataclasses.replace(super_want, violations=super_want.violations[:k])
+        for got in scan_reports(check_super_pentagon, super_data, super_mutant, max_violations=k):
+            assert_same_report(got, cut)
+
+
+def test_witness_pass_scans_only_the_kept_outer_quadruples(monkeypatch):
+    real_scan = fusion._scan_chunk
+    calls = []
+
+    def counting_scan(data, entries, parities, outer, max_violations):
+        result = real_scan(data, entries, parities, outer, max_violations)
+        calls.append(result[2])
+        return result
+
+    monkeypatch.setattr(fusion, "_scan_chunk", counting_scan)
+    data, table = ising_exact_table()
+    assert check_pentagon(data, table).ok and len(calls) == 1
+    calls.clear()
+    report = check_pentagon(data, flip(table), max_violations=2)
+    assert report.total_violations > 2 and len(report.violations) == 2
+    weights = dict(zip(outer_quadruples(data), _plan.outer_weights(data)))
+    kept = {v.instance[:4] for v in report.violations}
+    assert len(calls) == 2 and calls[1] == sum(weights[quadruple] for quadruple in kept)
+    calls.clear()
+    report = check_pentagon(data, flip(table), max_violations=0)
+    assert report.total_violations > 0 and report.violations == [] and len(calls) == 1
+
+
+def test_int_failure_that_holds_exactly_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # ints that are not a ring map make a valid table fail mod m; the exact
+    # run of the same loop finds its sides equal, so no witness is printed
+    entry = build_entry("vec-zn", 3)
+    path = tmp_path / "vec-z3.json"
+    save_file(str(path), fusion_file(entry.data, entry.sixj))
+
+    def not_a_ring_map(values, lhs_terms, rhs_terms):
+        return 2**61 - 1, [pos + 2 for pos, _ in enumerate(values)]
+
+    monkeypatch.setattr(fusion, "kronecker_form", not_a_ring_map)
+    with pytest.raises(ArithmeticError, match=r"instance \((\d+, ){14}\d+\)"):
+        check_pentagon(entry.data, entry.sixj)
+    capsys.readouterr()
+    assert main(["check", str(path)]) == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: internal error: ArithmeticError")
 
 
 def test_kernel_cube_step_at_largest_denominator():

@@ -15,9 +15,13 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
 - large moduli, where a violation's sides are rendered from big
   denominators: the gauged Ising x Vec(Z/3) table (``perfbench/gen``, N = 24)
   and its sign-flip mutant, and the gauged ``vec-zn 4`` 3-cocycle and
-  ``super-zn-even 4`` 3-supercocycle cubes with their mutants.
+  ``super-zn-even 4`` 3-supercocycle cubes with their mutants;
+- the ``general`` workload's all-even Ising superfusion table
+  (``perfbench/gen.even_superfusion``) with one entry negated, where some
+  outer quadruples hold two super pentagon violations.
 
 Every input runs under ``check --jobs 1``, ``check --jobs 2``,
+``check --max-violations 1`` (a truncated witness list),
 ``underlying -o``, ``lift-cocycle -o``, ``extend-group -o`` and ``sgr``,
 each with ``--json``, in this process.  OUT.json holds, per run, the exit
 code, the JSON report without its run-dependent ``elapsed_s`` and
@@ -52,6 +56,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = (
     ("check --jobs 1", ["check", "{input}", "--jobs", "1", "--json"], "stdout"),
     ("check --jobs 2", ["check", "{input}", "--jobs", "2", "--json"], "stdout"),
+    ("check --max-violations 1", ["check", "{input}", "--max-violations", "1", "--json"], "stdout"),
     ("underlying -o", ["underlying", "{input}", "-o", "{output}", "--json"], "stdout"),
     ("lift-cocycle -o", ["lift-cocycle", "{input}", "-o", "{output}", "--json"], "stdout"),
     ("extend-group -o", ["extend-group", "{input}", "-o", "{output}", "--json"], "stdout"),
@@ -119,6 +124,9 @@ def write_inputs(work: str) -> dict[str, str]:
     save("gauged super-zn-even 4 group", group_file(source["group"], supercocycle=SuperCocycle(omega, cube)))
     flipped = SuperCocycle(omega, _negate_middle(cube))
     save("gauged super-zn-even 4 group flipped", group_file(source["group"], supercocycle=flipped))
+    sdata, stable = gen.even_superfusion(*gen.ising_fusion())
+    middle = sorted(stable.entries)[len(stable) // 2]
+    save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle)))
     for workload in WORKLOADS:
         bench = os.path.join(work, f"bench-{workload}")
         build_plan(workload, bench, seed=1)
