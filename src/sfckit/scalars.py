@@ -6,7 +6,7 @@ polynomial, over one positive integer denominator, in lowest terms: the
 integer form of FLINT's fmpq_poly.  Phi_n is irreducible over Q, so every
 nonzero value is invertible.  Arithmetic runs on ints; fractions.Fraction
 appears only at the boundary (the constructor, rational, rational_value,
-coeffs, str, hash), and there is no floating point anywhere.  The power
+coeffs, str), and there is no floating point anywhere.  The power
 basis is a Z-basis of Z[zeta_n], the ring of integers, so the denominator
 (the least d with d * value integral) does not depend on the order.
 Values are immutable and safe to share between workers.
@@ -79,8 +79,27 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
+    if n < 1:
+        raise ValueError(f"cyclotomic order must be >= 1, got {n}")
+    for p in _prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
+def _check_length(order: int, length: int) -> None:
+    """A ValueError unless order takes phi(order) == length coefficients.
+
+    phi(n) >= sqrt(n / 2), so an order above 2 * length**2 is refused
+    before it is factored: a hostile order costs no time or memory."""
+    if not isinstance(order, int):
+        raise TypeError(f"cyclotomic order must be an int, got {order!r}")
+    if order > 2 * length * length:
+        raise ValueError(f"order {order} needs more than {length} coefficients, got {length}")
+    phi = euler_phi(order)
+    if length != phi:
+        raise ValueError(f"order {order} needs {phi} coefficients, got {length}")
 
 
 @lru_cache(maxsize=None)
@@ -159,9 +178,7 @@ class Cyclotomic:
         cs = list(coeffs)
         if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in cs):
             raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {cs!r}")
-        phi = euler_phi(order)
-        if len(cs) != phi:
-            raise ValueError(f"order {order} needs {phi} coefficients, got {len(cs)}")
+        _check_length(order, len(cs))
         den = lcm(1, *(c.denominator for c in cs))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nums", tuple(c.numerator * (den // c.denominator) for c in cs))
@@ -182,6 +199,12 @@ class Cyclotomic:
     @staticmethod
     def rational(q) -> "Cyclotomic":
         return Cyclotomic(1, (q,))
+
+    @staticmethod
+    def from_nums(order: int, nums, den: int) -> "Cyclotomic":
+        """(sum nums[k] z^k) / den, for phi(order) ints nums and an int den > 0."""
+        _check_length(order, len(nums))
+        return _new(order, nums, den)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
@@ -335,7 +358,7 @@ class Cyclotomic:
 
     def __hash__(self):
         c = self.canonical()
-        return hash((c.order, c.coeffs))
+        return hash((c.order, c.nums, c.den))
 
     def __repr__(self):
         return f"Cyclotomic({self})"

@@ -5,7 +5,9 @@ One file carries one kind of payload: "fusion", "superfusion", or
 Scalars are encoded as {"order": n, "coeffs": [[num, den], ...]} with a bare
 integer allowed for rational integers.  Saving is deterministic (sorted keys,
 sorted records, canonical scalar forms), so save(load(f)) is byte-identical
-for canonically formatted files.
+for canonically formatted files: exactly json.dumps(doc, sort_keys=True,
+indent=2) + "\n".  Each distinct scalar is encoded, rendered and decoded once
+per document, and a location is formatted only for an error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
+from operator import attrgetter
 
 from .scalars import Cyclotomic
 
@@ -40,63 +44,51 @@ def sha256_digest(data: bytes) -> str:
 
 def scalar_to_json(x: Cyclotomic):
     c = x.canonical()
-    coeffs = c.coeffs
-    if c.order == 1 and coeffs[0].denominator == 1:
-        return int(coeffs[0])
-    return {
-        "order": c.order,
-        "coeffs": [[q.numerator, q.denominator] for q in coeffs],
-    }
+    if c.order == 1 and c.den == 1:
+        return c.nums[0]
+    return {"order": c.order, "coeffs": [[n // gcd(n, c.den), c.den // gcd(n, c.den)] for n in c.nums]}
 
 
-def _scalar_encoder():
-    """scalar_to_json with one canonical form per distinct value, for one
-    encode.  The key is the raw fields: Cyclotomic's hash calls canonical."""
+def _once(convert, key):
+    """convert(x, *args) once per distinct key(x), for one document.  Encoders
+    key a value by its raw fields (its hash calls canonical), decoders a JSON
+    form by its repr, which tells JSON types apart; values are immutable."""
     memo = {}
 
-    def encode(x: Cyclotomic):
-        key = (x.order, x.nums, x.den)
-        if key not in memo:
-            memo[key] = scalar_to_json(x)
-        return memo[key]
+    def call(x, *args):
+        k = key(x)
+        if k not in memo:
+            memo[k] = convert(x, *args)
+        return memo[k]
 
-    return encode
+    return call
 
 
-def scalar_from_json(obj, where: str) -> Cyclotomic:
-    if isinstance(obj, bool):
-        raise SchemaError(f"{where}: expected a scalar, got a boolean")
-    if isinstance(obj, int):
+def scalar_from_json(obj, where: str, *path) -> Cyclotomic:
+    """The scalar obj at the location where, path (see _fail)."""
+    if type(obj) is int:
         return Cyclotomic.rational(obj)
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an integer or a scalar object")
-    extra = set(obj) - {"order", "coeffs"}
+    if type(obj) is not dict:
+        bad = "expected a scalar, got a boolean" if type(obj) is bool else "expected an integer or a scalar object"
+        _fail(bad, where, *path)
+    extra = obj.keys() - {"order", "coeffs"}
     if extra:
-        raise SchemaError(f"{where}: unknown scalar fields {sorted(extra)}")
-    order = obj.get("order")
-    coeffs = obj.get("coeffs")
-    if not isinstance(order, int) or order < 1:
-        raise SchemaError(f"{where}.order: expected a positive integer")
-    if not isinstance(coeffs, list) or not coeffs:
-        raise SchemaError(f"{where}.coeffs: expected a non-empty list")
-    parsed = []
-    for pos, c in enumerate(coeffs):
-        if isinstance(c, int) and not isinstance(c, bool):
-            parsed.append(Fraction(c))
-        elif (
-            isinstance(c, list)
-            and len(c) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in c)
-        ):
-            if c[1] == 0:
-                raise SchemaError(f"{where}.coeffs[{pos}]: zero denominator")
-            parsed.append(Fraction(c[0], c[1]))
-        else:
-            raise SchemaError(f"{where}.coeffs[{pos}]: expected [numerator, denominator]")
+        _fail(f"unknown scalar fields {sorted(extra)}", where, *path)
+    order, coeffs = obj.get("order"), obj.get("coeffs")
+    if type(order) is not int or order < 1:
+        _fail("expected a positive integer", where, *path, ".order")
+    if type(coeffs) is not list or not coeffs:
+        _fail("expected a non-empty list", where, *path, ".coeffs")
+    pairs = [[c, 1] if type(c) is int else c for c in coeffs]
+    for pos, c in enumerate(pairs):
+        pair = type(c) is list and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
+        if not (pair and c[1]):
+            _fail("zero denominator" if pair else "expected [numerator, denominator]", where, *path, ".coeffs", pos)
+    den = lcm(*(d for _, d in pairs))  # > 0: the signs move onto the numerators
     try:
-        return Cyclotomic(order, parsed)
+        return Cyclotomic.from_nums(order, [n * (den // d) for n, d in pairs], den)
     except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        _fail(str(exc), where, *path)
 
 
 # -- container ------------------------------------------------------------------
@@ -138,39 +130,49 @@ def group_file(
 # -- helpers ----------------------------------------------------------------------
 
 
-def _expect(cond: bool, where: str, message: str) -> None:
+def _fail(message: str, where: str, *path):
+    """Raise at the location where + path, an index p as [p], a field as is."""
+    path = "".join(f"[{p}]" if type(p) is int else p for p in path)
+    raise SchemaError(f"{where}{path}: {message}") from None
+
+
+def _expect(cond: bool, message: str, where: str, *path) -> None:
     if not cond:
-        raise SchemaError(f"{where}: {message}")
+        _fail(message, where, *path)
 
 
-def _expect_int(value, where: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), where, "expected an integer")
+def _expect_int(value, where: str, *path) -> int:
+    _expect(type(value) is int, "expected an integer", where, *path)
     return value
 
 
-def _expect_list(value, where: str) -> list:
-    _expect(isinstance(value, list), where, "expected a list")
-    return value
-
-
-def _expect_str(value, where: str) -> str:
-    _expect(isinstance(value, str), where, "expected a string")
+def _expect_list(value, where: str, *path) -> list:
+    _expect(type(value) is list, "expected a list", where, *path)
     return value
 
 
 def _label_map(labels: list[str], where: str) -> dict[str, int]:
-    _expect(bool(labels), where, "labels must be non-empty")
+    _expect(bool(labels), "labels must be non-empty", where)
     for pos, lab in enumerate(labels):
-        _expect_str(lab, f"{where}[{pos}]")
-    _expect(len(set(labels)) == len(labels), where, "labels must be distinct")
+        _expect(type(lab) is str, "expected a string", where, pos)
+    _expect(len(set(labels)) == len(labels), "labels must be distinct", where)
     return {lab: pos for pos, lab in enumerate(labels)}
 
 
-def _resolve(label, lookup: dict[str, int], where: str) -> int:
-    _expect_str(label, where)
-    if label not in lookup:
-        raise SchemaError(f"{where}: unknown label {label!r}")
+def _label(label, lookup: dict[str, int], where: str, *path) -> int:
+    _expect(type(label) is str, "expected a string", where, *path)
+    _expect(label in lookup, f"unknown label {label!r}", where, *path)
     return lookup[label]
+
+
+def _resolve(rec: list, count: int, lookup: dict[str, int], where: str, *path) -> tuple:
+    """The indices of the labels rec[:count]; the first bad one raises."""
+    try:
+        return tuple([lookup[lab] for lab in rec[:count]])
+    except (KeyError, TypeError):
+        for t in range(count):
+            _label(rec[t], lookup, where, *path, t)
+        raise
 
 
 # -- fusion / superfusion payloads -------------------------------------------------
@@ -178,41 +180,40 @@ def _resolve(label, lookup: dict[str, int], where: str) -> int:
 
 def _decode_mult(payload: dict, lookup: dict[str, int], where: str):
     mult = {}
-    records = _expect_list(payload.get("mult"), f"{where}.mult")
-    for pos, record in enumerate(records):
-        rw = f"{where}.mult[{pos}]"
-        rec = _expect_list(record, rw)
-        _expect(len(rec) == 4, rw, "expected [i, j, m, N]")
-        i, j, m = (_resolve(rec[t], lookup, f"{rw}[{t}]") for t in range(3))
-        value = _expect_int(rec[3], f"{rw}[3]")
-        _expect(value >= 1, f"{rw}[3]", "multiplicity must be >= 1")
-        _expect((i, j, m) not in mult, rw, f"duplicate multiplicity record for {rec[:3]}")
-        mult[(i, j, m)] = value
+    where = f"{where}.mult"
+    for pos, rec in enumerate(_expect_list(payload.get("mult"), where)):
+        _expect_list(rec, where, pos)
+        _expect(len(rec) == 4, "expected [i, j, m, N]", where, pos)
+        key = _resolve(rec, 3, lookup, where, pos)
+        value = _expect_int(rec[3], where, pos, 3)
+        _expect(value >= 1, "multiplicity must be >= 1", where, pos, 3)
+        if key in mult:
+            _fail(f"duplicate multiplicity record for {rec[:3]}", where, pos)
+        mult[key] = value
     return mult
 
 
-def _decode_sixj(payload: dict, lookup: dict[str, int], where: str):
+def _decode_sixj(payload: dict, lookup: dict[str, int], where: str, scalar):
     if "sixj" not in payload:
         return None
     entries = {}
-    records = _expect_list(payload.get("sixj"), f"{where}.sixj")
-    for pos, record in enumerate(records):
-        rw = f"{where}.sixj[{pos}]"
-        rec = _expect_list(record, rw)
-        _expect(len(rec) == 11, rw, "expected [i,j,m,k,n,t, alpha,beta,eta,phi, scalar]")
-        objs = tuple(_resolve(rec[t], lookup, f"{rw}[{t}]") for t in range(6))
-        labs = tuple(_expect_int(rec[t], f"{rw}[{t}]") for t in range(6, 10))
-        for t, lab in enumerate(labs):
-            _expect(lab >= 1, f"{rw}[{6 + t}]", "multiplicity labels are 1-based")
+    where = f"{where}.sixj"
+    for pos, rec in enumerate(_expect_list(payload["sixj"], where)):
+        _expect_list(rec, where, pos)
+        _expect(len(rec) == 11, "expected [i,j,m,k,n,t, alpha,beta,eta,phi, scalar]", where, pos)
+        objs = _resolve(rec, 6, lookup, where, pos)
+        labs = tuple([_expect_int(rec[t], where, pos, t) for t in range(6, 10)])
+        if min(labs) < 1:
+            _fail("multiplicity labels are 1-based", where, pos, 6 + [lab < 1 for lab in labs].index(True))
         key = objs + labs
-        _expect(key not in entries, rw, "duplicate 6j record")
-        entries[key] = scalar_from_json(rec[10], f"{rw}[10]")
+        _expect(key not in entries, "duplicate 6j record", where, pos)
+        entries[key] = scalar(rec[10], where, pos, 10)
     return entries
 
 
 def _encode_sixj(data, table) -> list:
     labels = data.labels
-    encode = _scalar_encoder()
+    encode = _once(scalar_to_json, attrgetter("order", "nums", "den"))
     return [
         [labels[k[0]], labels[k[1]], labels[k[2]], labels[k[3]], labels[k[4]], labels[k[5]],
          k[6], k[7], k[8], k[9], encode(v)]
@@ -225,13 +226,13 @@ def _decode_fusion(payload: dict, where: str) -> CategoryFile:
 
     labels = _expect_list(payload.get("labels"), f"{where}.labels")
     lookup = _label_map(labels, f"{where}.labels")
-    unit = _resolve(payload.get("unit"), lookup, f"{where}.unit")
+    unit = _label(payload.get("unit"), lookup, f"{where}.unit")
     mult = _decode_mult(payload, lookup, where)
     try:
         data = FusionData(labels, unit, mult)
     except FusionError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    entries = _decode_sixj(payload, lookup, where)
+    entries = _decode_sixj(payload, lookup, where, _once(scalar_from_json, repr))
     table = None
     if entries is not None:
         try:
@@ -266,27 +267,25 @@ def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
     lookup = {lab: pos for pos, lab in enumerate(data.labels)}
 
     types_obj = payload.get("object_type")
-    _expect(isinstance(types_obj, dict), f"{where}.object_type", "expected a label -> type map")
+    _expect(isinstance(types_obj, dict), "expected a label -> type map", f"{where}.object_type")
     object_type = {}
     for lab, value in types_obj.items():
         w = f"{where}.object_type[{lab!r}]"
-        _resolve(lab, lookup, w)
-        _expect(value in (BOSONIC, MAJORANA), w, f"expected 'bosonic' or 'majorana', got {value!r}")
+        _label(lab, lookup, w)
+        _expect(value in (BOSONIC, MAJORANA), f"expected 'bosonic' or 'majorana', got {value!r}", w)
         object_type[lab] = value
     for lab in data.labels:
-        _expect(lab in object_type, f"{where}.object_type", f"missing label {lab!r}")
+        _expect(lab in object_type, f"missing label {lab!r}", f"{where}.object_type")
 
-    records = _expect_list(payload.get("parities"), f"{where}.parities")
+    where_p = f"{where}.parities"
     parities = {}
-    for pos, record in enumerate(records):
-        rw = f"{where}.parities[{pos}]"
-        rec = _expect_list(record, rw)
-        _expect(len(rec) == 5, rw, "expected [i, j, m, alpha, s]")
-        i, j, m = (_resolve(rec[t], lookup, f"{rw}[{t}]") for t in range(3))
-        alpha = _expect_int(rec[3], f"{rw}[3]")
-        bit = _expect_int(rec[4], f"{rw}[4]")
-        _expect((i, j, m, alpha) not in parities, rw, "duplicate parity record")
-        parities[(i, j, m, alpha)] = bit
+    for pos, rec in enumerate(_expect_list(payload.get("parities"), where_p)):
+        _expect_list(rec, where_p, pos)
+        _expect(len(rec) == 5, "expected [i, j, m, alpha, s]", where_p, pos)
+        key = _resolve(rec, 3, lookup, where_p, pos) + (_expect_int(rec[3], where_p, pos, 3),)
+        bit = _expect_int(rec[4], where_p, pos, 4)
+        _expect(key not in parities, "duplicate parity record", where_p, pos)
+        parities[key] = bit
     try:
         sdata = SuperFusionData(data, parities, object_type)
     except FusionError as exc:
@@ -312,18 +311,18 @@ def _encode_superfusion(cf: CategoryFile) -> dict:
 _LEVELS = ("entries", "rows", "planes")
 
 
-def _decode_table(obj, n: int, depth: int, where: str, leaf) -> list:
+def _decode_table(obj, n: int, depth: int, leaf, where: str, *path) -> list:
     """A nested n x ... x n list (depth levels: rows of entries, planes of
-    rows) with each entry decoded by leaf(value, where)."""
-    items = _expect_list(obj, where)
-    _expect(len(items) == n, where, f"expected {n} {_LEVELS[depth - 1]}")
+    rows) with each entry decoded by leaf(value, where, *path)."""
+    items = _expect_list(obj, where, *path)
+    _expect(len(items) == n, f"expected {n} {_LEVELS[depth - 1]}", where, *path)
     if depth == 1:
-        return [leaf(x, f"{where}[{pos}]") for pos, x in enumerate(items)]
-    return [_decode_table(x, n, depth - 1, f"{where}[{pos}]", leaf) for pos, x in enumerate(items)]
+        return [leaf(x, where, *path, pos) for pos, x in enumerate(items)]
+    return [_decode_table(x, n, depth - 1, leaf, where, *path, pos) for pos, x in enumerate(items)]
 
 
-def _bit(value, where: str) -> int:
-    _expect(value in (0, 1) and type(value) is int, where, "expected a bit")
+def _bit(value, where: str, *path) -> int:
+    _expect(value in (0, 1) and type(value) is int, "expected a bit", where, *path)
     return value
 
 
@@ -331,14 +330,13 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     from .cocycles import CocycleError, GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2
 
     gobj = payload.get("group")
-    _expect(isinstance(gobj, dict), f"{where}.group", "expected a group object")
+    _expect(isinstance(gobj, dict), "expected a group object", f"{where}.group")
     order = _expect_int(gobj.get("order"), f"{where}.group.order")
-    _expect(order >= 1, f"{where}.group.order", "order must be >= 1")
+    _expect(order >= 1, "order must be >= 1", f"{where}.group.order")
     flat = _expect_list(gobj.get("product"), f"{where}.group.product")
-    _expect(len(flat) == order * order, f"{where}.group.product",
-            f"expected {order * order} row-major entries")
+    _expect(len(flat) == order * order, f"expected {order * order} row-major entries", f"{where}.group.product")
     for pos, x in enumerate(flat):
-        _expect_int(x, f"{where}.group.product[{pos}]")
+        _expect_int(x, where, ".group.product", pos)
     identity = _expect_int(gobj.get("identity"), f"{where}.group.identity")
     labels = gobj.get("labels")
     if labels is not None:
@@ -349,9 +347,11 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     except CocycleError as exc:
         raise SchemaError(f"{where}.group: {exc}") from None
 
+    scalar = _once(scalar_from_json, repr)
+
     def cube(name, make):
         w = f"{where}.{name}"
-        values = _decode_table(payload[name], order, 3, w, scalar_from_json)
+        values = _decode_table(payload[name], order, 3, scalar, w)
         try:
             return make(values)
         except CocycleError as exc:
@@ -359,11 +359,11 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
 
     omega = cocycle = supercocycle = None
     if "omega" in payload:
-        omega = TwoCocycleZ2(_decode_table(payload["omega"], order, 2, f"{where}.omega", _bit))
+        omega = TwoCocycleZ2(_decode_table(payload["omega"], order, 2, _bit, f"{where}.omega"))
     if "cocycle" in payload:
         cocycle = cube("cocycle", ThreeCocycle)
     if "supercocycle" in payload:
-        _expect(omega is not None, f"{where}.supercocycle", "a supercocycle needs an omega table")
+        _expect(omega is not None, "a supercocycle needs an omega table", f"{where}.supercocycle")
         supercocycle = cube("supercocycle", lambda values: SuperCocycle(omega, values))
     return CategoryFile(
         kind="group+cocycles", group=group, omega=omega, cocycle=cocycle, supercocycle=supercocycle
@@ -382,7 +382,7 @@ def _encode_group(cf: CategoryFile) -> dict:
     }
     if cf.omega is not None:
         payload["omega"] = [list(row) for row in cf.omega.values]
-    encode = _scalar_encoder()
+    encode = _once(scalar_to_json, attrgetter("order", "nums", "den"))
     for name in ("cocycle", "supercocycle"):
         table = getattr(cf, name)
         if table is not None:
@@ -394,14 +394,13 @@ def _encode_group(cf: CategoryFile) -> dict:
 
 
 def decode_document(doc) -> CategoryFile:
-    _expect(isinstance(doc, dict), "document", "expected a JSON object")
+    _expect(isinstance(doc, dict), "expected a JSON object", "document")
     version = doc.get("format_version")
-    _expect(version == FORMAT_VERSION, "document.format_version",
-            f"expected {FORMAT_VERSION!r}, got {version!r}")
+    _expect(version == FORMAT_VERSION, f"expected {FORMAT_VERSION!r}, got {version!r}", "document.format_version")
     kind = doc.get("kind")
-    _expect(kind in KINDS, "document.kind", f"expected one of {KINDS}, got {kind!r}")
+    _expect(kind in KINDS, f"expected one of {KINDS}, got {kind!r}", "document.kind")
     payload = doc.get("payload")
-    _expect(isinstance(payload, dict), "document.payload", "expected a JSON object")
+    _expect(isinstance(payload, dict), "expected a JSON object", "document.payload")
     if kind == "fusion":
         return _decode_fusion(payload, "payload")
     if kind == "superfusion":
@@ -421,8 +420,28 @@ def encode_document(cf: CategoryFile) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": cf.kind, "payload": payload}
 
 
+def _render(x, memo: dict, depth: int = 0) -> str:
+    """json.dumps(x, sort_keys=True, indent=2) for the dicts, lists, strs and
+    ints of a document, with each dict's text in memo by (id, depth)."""
+    if type(x) is str:
+        return _quote(x)
+    if type(x) is int:
+        return str(x)
+    pad = "\n" + "  " * (depth + 1)
+    if type(x) is list:  # records and coefficient pairs: their leaves inline
+        items = [_quote(v) if type(v) is str else str(v) if type(v) is int else _render(v, memo, depth + 1) for v in x]
+        return "[" + pad + f",{pad}".join(items) + pad[:-2] + "]" if x else "[]"
+    if type(x) is not dict:
+        raise TypeError(f"an sfc-1 document holds no {type(x).__name__}")
+    key = (id(x), depth)
+    if key not in memo:
+        items = [_quote(k) + ": " + _render(x[k], memo, depth + 1) for k in sorted(x)]
+        memo[key] = "{" + pad + f",{pad}".join(items) + pad[:-2] + "}" if x else "{}"
+    return memo[key]
+
+
 def dumps_file(cf: CategoryFile) -> str:
-    return json.dumps(encode_document(cf), sort_keys=True, indent=2) + "\n"
+    return _render(encode_document(cf), {}) + "\n"
 
 
 def loads_file(text: str) -> CategoryFile:

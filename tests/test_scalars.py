@@ -40,6 +40,27 @@ def test_cyclotomic_polynomials():
 
 def test_euler_phi():
     assert [euler_phi(n) for n in (1, 2, 3, 4, 5, 6, 8, 12)] == [1, 1, 2, 2, 4, 2, 4, 4]
+    # from the prime factors, as the degree of Phi_n
+    assert [euler_phi(n) for n in range(1, 400)] == [len(cyclotomic_polynomial(n)) - 1 for n in range(1, 400)]
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        euler_phi(0)
+
+
+def test_phi_bound_behind_the_order_gate():
+    # phi(n) >= sqrt(n / 2): an order above 2 * length**2 cannot take length coefficients
+    assert all(2 * euler_phi(n) ** 2 >= n for n in range(1, 20000))
+
+
+def test_hostile_order_is_refused_before_it_is_factored():
+    for order, length in ((10**18 + 9, 1), (2**521 - 1, 1), (9, 2)):
+        with pytest.raises(ValueError, match=f"^order {order} needs more than {length} coefficients, got {length}$"):
+            Cyclotomic(order, [1] * length)
+    # at the gate's edge, 2 * length**2, phi is computed and named
+    with pytest.raises(ValueError, match="^order 8 needs 4 coefficients, got 2$"):
+        Cyclotomic(8, [1, 0])
+    assert Cyclotomic(2, [3]) == 3
+    with pytest.raises(TypeError):
+        Cyclotomic(2.0, [1])
 
 
 def test_zeta4_squared_is_minus_one():
@@ -251,7 +272,7 @@ def assert_canonical_matches_reference(x):
     c = x.canonical()
     assert (c.order, c.coeffs) == (order, coeffs)
     assert str(x) == str(Cyclotomic(order, coeffs))
-    assert hash(x) == hash((order, coeffs))
+    assert hash(x) == hash(Cyclotomic(order, coeffs))
 
 
 def distinct(values):
@@ -445,6 +466,9 @@ def test_exact_scalars_are_accepted():
     assert fields(Cyclotomic(4, [Fraction(2, 6), Fraction(-1, 4)])) == (4, (4, -3), 12)
     assert Cyclotomic.rational(Fraction(6, 4)).coeffs == (Fraction(3, 2),)
     assert fields(Cyclotomic(3, [0, 0])) == (3, (0, 0), 1)
+    assert fields(Cyclotomic.from_nums(4, [2, -4], 6)) == (4, (1, -2), 3)
+    with pytest.raises(ValueError, match="order 4 needs 2 coefficients, got 3"):
+        Cyclotomic.from_nums(4, [1, 2, 3], 1)
 
 
 # -- no Fraction inside the arithmetic ---------------------------------------------------
@@ -473,7 +497,7 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     matrix = [[generic_factor(random.Random(10 * r + c), 8) for c in range(3)] for r in range(3)]
     group, supercocycle = cyclic_group(2), z2_supercocycle(1)
     cases = [
-        lambda: [x + y, x - y, x * y, x / y, y.inverse(), x.canonical(), x.promote(16), x == y, 2 - x],
+        lambda: [x + y, x - y, x * y, x / y, y.inverse(), x.canonical(), x.promote(16), x == y, 2 - x, hash(x)],
         lambda: check_6j_invertibility(data, gauged),
         lambda: assert_not_ok(check_pentagon(data, mutant, max_violations=None)),
         lambda: lift_supercocycle(group, supercocycle),

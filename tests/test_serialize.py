@@ -1,16 +1,20 @@
 """Tests for the sfc-1 JSON container and the scalar codec."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
+from sfckit.cli import EXIT_INPUT_ERROR, main
 from sfckit.cocycles import cyclic_group
 from sfckit.scalars import Cyclotomic, root_of_unity
 from sfckit.serialize import (
     SchemaError,
+    _render,
     dumps_file,
+    encode_document,
     fusion_file,
     group_file,
     loads_file,
@@ -18,6 +22,9 @@ from sfckit.serialize import (
     scalar_to_json,
     superfusion_file,
 )
+from tests.test_fusion import ising_exact_table
+from tests.test_kernel import CATALOG, gauge
+from tests.test_scalars import count_fractions
 
 
 def test_scalar_codec_integers_get_shorthand():
@@ -70,6 +77,7 @@ def test_scalar_codec_accepts_integer_coeff_shorthand():
         ({"order": 4, "coeffs": [[1], 0]}, "numerator"),
         ({"order": 4, "coeffs": [0, 1], "extra": 1}, "unknown scalar fields"),
         ({"order": 4, "coeffs": [0, 1, 2]}, "coefficients"),
+        ({"order": True, "coeffs": [1]}, "positive integer"),
     ],
 )
 def test_scalar_codec_rejects_malformed(obj, fragment):
@@ -216,3 +224,183 @@ def test_group_tables_fail_with_location(mutate, message):
     mutate(doc["payload"])
     with pytest.raises(SchemaError, match=message):
         loads_file(json.dumps(doc))
+
+
+# -- the renderer against its oracle -------------------------------------------------------
+
+
+def oracle(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def catalog_files(name, params):
+    """The catalog entry's file and, where it comes from a group, its group file."""
+    entry = build_entry(name, *params)
+    make = fusion_file if entry.kind == "fusion" else superfusion_file
+    files = [make(entry.data, entry.sixj)]
+    group = entry.source.get("group")
+    if "cocycle" in entry.source:
+        files.append(group_file(group, cocycle=entry.source["cocycle"]))
+    if "supercocycle" in entry.source:
+        files.append(group_file(group, supercocycle=entry.source["supercocycle"]))
+    return files
+
+
+@pytest.mark.parametrize("name, params", CATALOG)
+def test_render_equals_json_dumps_on_catalog(name, params):
+    for cf in catalog_files(name, params):
+        doc = encode_document(cf)
+        assert _render(doc, {}) == oracle(doc)
+        assert dumps_file(cf) == oracle(doc) + "\n"
+
+
+def test_render_equals_json_dumps_on_edge_documents():
+    scalar = {"order": 4, "coeffs": [[0, 1], [-1, 3]]}
+    labels = ["café", "∞", "\U0001f600", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", ""]
+    docs = [
+        {"labels": labels, "map": {lab: lab for lab in labels}},
+        {"empty list": [], "empty dict": {}, "nested": [[], {}, [[]], [{}]], "x": {"y": {}}},
+        {"big": -(10**40), "ints": [0, -1, 10**30, -(2**64)], "zero": 0},
+        # one dict object at two depths: the memo key holds the depth
+        {"a": scalar, "b": [scalar, [scalar, {"c": scalar}]], "d": {"e": scalar}},
+        [scalar, [scalar]],
+        "just a string",
+        -7,
+    ]
+    for doc in docs:
+        assert _render(doc, {}) == oracle(doc)
+
+
+@pytest.mark.parametrize("value", [1.5, True, None, ("a",), {1: 2}])
+def test_render_refuses_what_no_document_holds(value):
+    with pytest.raises(TypeError):
+        _render({"payload": [value]}, {})
+
+
+# -- decoder locations ---------------------------------------------------------------------
+
+
+def document_of(kind):
+    if kind == "fusion":
+        return doc_for("vec-zn", 4)
+    if kind == "superfusion":
+        return doc_for("super-zn-even", 4)
+    return json.loads(dumps_file(group_file(cyclic_group(6), cocycle=standard_three_cocycle(6))))
+
+
+def put(payload, path, value):
+    """payload[path[0]][path[1]]... = value; a path ending in "+" appends a
+    copy of the record it names instead."""
+    if path[-1] == "+":
+        records = payload[path[0]]
+        records.append(list(records[path[1]]))
+        return
+    *head, last = path
+    for step in head:
+        payload = payload[step]
+    payload[last] = value
+
+
+# (source, path into the payload, value put there, the exact SchemaError text):
+# the records are the last of their lists, the cube entry one of its last rows
+DECODER_FAULTS = [
+    ("fusion", ("mult", 15, 1), "nope", "payload.mult[15][1]: unknown label 'nope'"),
+    ("fusion", ("mult", 15, 1), True, "payload.mult[15][1]: expected a string"),
+    ("fusion", ("mult", 15, 1), 0, "payload.mult[15][1]: expected a string"),
+    ("fusion", ("mult", 15, 3), 0, "payload.mult[15][3]: multiplicity must be >= 1"),
+    ("fusion", ("mult", 15, "+"), None, "payload.mult[16]: duplicate multiplicity record for ['3', '3', '2']"),
+    ("fusion", ("sixj", 63, 4), "nope", "payload.sixj[63][4]: unknown label 'nope'"),
+    ("fusion", ("sixj", 63, 4), True, "payload.sixj[63][4]: expected a string"),
+    ("fusion", ("sixj", 63, 4), 0, "payload.sixj[63][4]: expected a string"),
+    ("fusion", ("sixj", 63, 8), True, "payload.sixj[63][8]: expected an integer"),
+    ("fusion", ("sixj", 63, 8), 0, "payload.sixj[63][8]: multiplicity labels are 1-based"),
+    ("fusion", ("sixj", 63, "+"), None, "payload.sixj[64]: duplicate 6j record"),
+    ("fusion", ("sixj", 63, 10), {"order": 4, "coeffs": [[0, 1], [-1, 0]]},
+     "payload.sixj[63][10].coeffs[1]: zero denominator"),
+    ("fusion", ("sixj", 63, 10), {"order": 4, "coeffs": [[0, 1], [-1, 1], [0, 1]]},
+     "payload.sixj[63][10]: order 4 needs 2 coefficients, got 3"),
+    ("fusion", ("sixj", 63, 10), {"order": 4, "coeffs": [0, [1]]},
+     "payload.sixj[63][10].coeffs[1]: expected [numerator, denominator]"),
+    ("superfusion", ("parities", 15, 2), "nope", "payload.parities[15][2]: unknown label 'nope'"),
+    ("superfusion", ("parities", 15, 2), True, "payload.parities[15][2]: expected a string"),
+    ("superfusion", ("parities", 15, 2), 0, "payload.parities[15][2]: expected a string"),
+    ("superfusion", ("parities", 15, 3), True, "payload.parities[15][3]: expected an integer"),
+    ("superfusion", ("parities", 15, "+"), None, "payload.parities[16]: duplicate parity record"),
+    ("group", ("cocycle", 5, 4, 3), True, "payload.cocycle[5][4][3]: expected a scalar, got a boolean"),
+    ("group", ("cocycle", 5, 4, 3), "1", "payload.cocycle[5][4][3]: expected an integer or a scalar object"),
+    ("group", ("cocycle", 5, 4, 3), 0, "payload.cocycle: cocycle value at (5, 4, 3) is zero; values must lie in k^x"),
+    ("group", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 0]]},
+     "payload.cocycle[5][4][3].coeffs[1]: zero denominator"),
+    ("group", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 1], [1, 1]]},
+     "payload.cocycle[5][4][3]: order 3 needs 2 coefficients, got 3"),
+    ("group", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 1]], "x": 0},
+     "payload.cocycle[5][4][3]: unknown scalar fields ['x']"),
+    ("group", ("cocycle", 5, 4, 3), {"order": 0, "coeffs": [1]},
+     "payload.cocycle[5][4][3].order: expected a positive integer"),
+    ("group", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": []},
+     "payload.cocycle[5][4][3].coeffs: expected a non-empty list"),
+    ("group", ("cocycle", 5, 4), [1] * 5, "payload.cocycle[5][4]: expected 6 entries"),
+]
+
+
+def fault_id(case):
+    return "/".join(map(str, case[1])) + f"={case[2]!r}"
+
+
+@pytest.mark.parametrize("kind, path, value, message", DECODER_FAULTS, ids=[fault_id(c) for c in DECODER_FAULTS])
+def test_decoder_faults_carry_their_exact_location(kind, path, value, message):
+    doc = document_of(kind)
+    put(doc["payload"], path, value)
+    with pytest.raises(SchemaError) as info:
+        loads_file(json.dumps(doc))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "good, bad, suffix",
+    [
+        (1, True, ": expected a scalar, got a boolean"),
+        (1, 1.0, ": expected an integer or a scalar object"),
+        ({"order": 3, "coeffs": [[0, 1], [-1, 1]]}, {"order": 3, "coeffs": [[0, 1], [-1, 1.0]]},
+         ".coeffs[1]: expected [numerator, denominator]"),
+        ({"order": 3, "coeffs": [[0, 1], [-1, 1]]}, {"order": 3, "coeffs": [[0, True], [-1, 1]]},
+         ".coeffs[0]: expected [numerator, denominator]"),
+        ({"order": 3, "coeffs": [[0, 1], [-1, 1]]}, {"order": 3.0, "coeffs": [[0, 1], [-1, 1]]},
+         ".order: expected a positive integer"),
+    ],
+)
+def test_malformed_scalar_after_an_equal_looking_one_fails_at_its_own_place(good, bad, suffix):
+    # a memo keyed on equality (1 == 1.0 == True) would hand back the good value
+    doc = document_of("group")
+    cube = doc["payload"]["cocycle"]
+    cube[1][2][3], cube[5][4][3] = good, bad
+    with pytest.raises(SchemaError) as info:
+        loads_file(json.dumps(doc))
+    assert str(info.value) == "payload.cocycle[5][4][3]" + suffix
+
+
+def test_equal_scalars_decode_once_and_are_shared():
+    entry = build_entry("vec-zn", 4)
+    cf = loads_file(dumps_file(fusion_file(entry.data, entry.sixj)))
+    values = list(cf.sixj.entries.values())
+    assert len({id(v) for v in values}) == len({(v.order, v.nums, v.den) for v in values}) < len(values)
+
+
+def test_hostile_order_fails_fast_with_its_location(tmp_path, capsys):
+    doc = document_of("fusion")
+    doc["payload"]["sixj"][63][10] = {"order": 10**18 + 9, "coeffs": [[1, 1]]}
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "payload.sixj[63][10]: order 1000000000000000009 needs more than 1 coefficients, got 1" in err
+
+
+def test_codec_builds_no_fraction(monkeypatch):
+    data, table = ising_exact_table()
+    cf = fusion_file(data, gauge(data, table, seed=3))
+    text = dumps_file(cf)
+    assert count_fractions(monkeypatch, lambda: dumps_file(cf)) == 0
+    assert count_fractions(monkeypatch, lambda: loads_file(text)) == 0

@@ -18,7 +18,13 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
   ``super-zn-even 4`` 3-supercocycle cubes with their mutants;
 - the ``general`` workload's all-even Ising superfusion table
   (``perfbench/gen.even_superfusion``) with one entry negated, where some
-  outer quadruples hold two super pentagon violations.
+  outer quadruples hold two super pentagon violations;
+- malformed files (``MALFORMED``): one field of a ``vec-zn 4`` file, a
+  ``super-zn-even 4`` file or a Z/6 3-cocycle file replaced or one record
+  duplicated, in the last ``mult``, ``sixj`` and ``parities`` records and a
+  deep cube entry: bad, boolean and integer labels, zero denominators, wrong
+  coefficient counts, and a malformed scalar after an equal-looking
+  well-formed one.
 
 Every input runs under ``check --jobs 1``, ``check --jobs 2``,
 ``check --max-violations 1`` (a truncated witness list),
@@ -67,6 +73,44 @@ COMMANDS = (
     ("check text", ["check", "{input}"], "stdout"),
 )
 
+# (source, path into its payload, value put there): a path ending in "+"
+# appends a copy of the record it names.  Earlier entries of the sixj list
+# and of cube row [5][4] hold 1 and {"order": 3, "coeffs": [[0, 1], [-1, 1]]},
+# equal-looking to the malformed True, 1.0 and [-1, 1.0] put after them.
+MALFORMED = (
+    ("vec-zn 4", ("mult", 15, 1), "nope"),
+    ("vec-zn 4", ("mult", 15, 1), True),
+    ("vec-zn 4", ("mult", 15, 1), 0),
+    ("vec-zn 4", ("mult", 15, 3), 0),
+    ("vec-zn 4", ("mult", 15, "+"), None),
+    ("vec-zn 4", ("sixj", 63, 4), "nope"),
+    ("vec-zn 4", ("sixj", 63, 4), True),
+    ("vec-zn 4", ("sixj", 63, 4), 0),
+    ("vec-zn 4", ("sixj", 63, 8), True),
+    ("vec-zn 4", ("sixj", 63, 8), 0),
+    ("vec-zn 4", ("sixj", 63, "+"), None),
+    ("vec-zn 4", ("sixj", 63, 10), {"order": 4, "coeffs": [[0, 1], [-1, 0]]}),
+    ("vec-zn 4", ("sixj", 63, 10), {"order": 4, "coeffs": [[0, 1], [-1, 1], [0, 1]]}),
+    ("vec-zn 4", ("sixj", 63, 10), {"order": 4, "coeffs": [0, [1]]}),
+    ("vec-zn 4", ("sixj", 63, 10), True),
+    ("vec-zn 4", ("sixj", 63, 10), 1.0),
+    ("super-zn-even 4", ("parities", 15, 2), "nope"),
+    ("super-zn-even 4", ("parities", 15, 2), True),
+    ("super-zn-even 4", ("parities", 15, 2), 0),
+    ("super-zn-even 4", ("parities", 15, 3), True),
+    ("super-zn-even 4", ("parities", 15, "+"), None),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), True),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), "1"),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), 0),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 0]]}),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 1], [1, 1]]}),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 1.0]]}),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, True], [-1, 1]]}),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), {"order": 3.0, "coeffs": [[0, 1], [-1, 1]]}),
+    ("z6 cocycle", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 1]], "x": 0}),
+    ("z6 cocycle", ("cocycle", 5, 4), [1] * 5),
+)
+
 RESULT_TIME = re.compile(r"^(result: \w+) \([0-9.]+s, ", re.MULTILINE)
 
 
@@ -80,9 +124,9 @@ def _negate_middle(values):
 
 def write_inputs(work: str) -> dict[str, str]:
     """Write every input into work; returns label -> path, in a fixed order."""
-    from sfckit.catalog import build_entry
-    from sfckit.cocycles import SuperCocycle, ThreeCocycle
-    from sfckit.serialize import fusion_file, group_file, save_file, superfusion_file
+    from sfckit.catalog import build_entry, standard_three_cocycle
+    from sfckit.cocycles import SuperCocycle, ThreeCocycle, cyclic_group
+    from sfckit.serialize import dumps_file, fusion_file, group_file, save_file, superfusion_file
     from tests.test_kernel import CATALOG, flip
     from workloads import WORKLOADS, build_plan
 
@@ -127,6 +171,26 @@ def write_inputs(work: str) -> dict[str, str]:
     sdata, stable = gen.even_superfusion(*gen.ising_fusion())
     middle = sorted(stable.entries)[len(stable) // 2]
     save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle)))
+    vec, sup = build_entry("vec-zn", 4), build_entry("super-zn-even", 4)
+    sources = {
+        "vec-zn 4": fusion_file(vec.data, vec.sixj),
+        "super-zn-even 4": superfusion_file(sup.data, sup.sixj),
+        "z6 cocycle": group_file(cyclic_group(6), cocycle=standard_three_cocycle(6)),
+    }
+    for source, where, value in MALFORMED:
+        doc = json.loads(dumps_file(sources[source]))
+        target = doc["payload"]
+        for step in where[:-1]:
+            target = target[step]
+        if where[-1] == "+":
+            target = doc["payload"][where[0]]
+            target.append(list(target[where[1]]))
+        else:
+            target[where[-1]] = value
+        path = os.path.join(work, f"input-{len(inputs)}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        inputs[f"malformed {source} {where} = {value!r}"] = path
     for workload in WORKLOADS:
         bench = os.path.join(work, f"bench-{workload}")
         build_plan(workload, bench, seed=1)
