@@ -64,14 +64,17 @@ class FusionData:
         rank = len(labels)
         clean: dict[tuple[int, int, int], int] = {}
         for key, value in mult.items():
-            if len(key) != 3 or not all(isinstance(x, int) for x in key):
+            if len(key) != 3:
                 raise FusionError(f"multiplicity key {key!r} is not an index triple")
-            if not all(0 <= x < rank for x in key):
+            i, j, m = key
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(m, int)):
+                raise FusionError(f"multiplicity key {key!r} is not an index triple")
+            if not (0 <= i < rank and 0 <= j < rank and 0 <= m < rank):
                 raise FusionError(f"multiplicity key {key} out of range for rank {rank}")
             if not isinstance(value, int) or value < 0:
                 raise FusionError(f"multiplicity N{key} = {value!r} must be a non-negative integer")
             if value:
-                clean[tuple(key)] = value
+                clean[(i, j, m)] = value
         self.labels = labels
         self.unit = unit
         self.mult = clean
@@ -109,7 +112,14 @@ class SixJTable:
         clean: dict[tuple, Cyclotomic] = {}
         for key, value in entries.items():
             key = tuple(key)
-            if len(key) != 10 or not all(isinstance(x, int) for x in key):
+            if len(key) != 10:
+                raise FusionError(f"6j key {key!r} is not an index decuple")
+            i, j, m, k, n, t, alpha, beta, eta, phi = key
+            if not (
+                isinstance(i, int) and isinstance(j, int) and isinstance(m, int) and isinstance(k, int)
+                and isinstance(n, int) and isinstance(t, int) and isinstance(alpha, int)
+                and isinstance(beta, int) and isinstance(eta, int) and isinstance(phi, int)
+            ):
                 raise FusionError(f"6j key {key!r} is not an index decuple")
             coerced = Cyclotomic._coerce(value)
             if coerced is None:
@@ -154,44 +164,79 @@ def _duality_law(data: FusionData, dims) -> LawResult:
     return LawResult("duality", not violations, violations)
 
 
-def associativity_defects(products, weights) -> list[tuple[int, int, int, int, int, int]]:
-    """Every (i, j, k, n, lhs, rhs) with lhs != rhs, in index order, where
+def associativity_defects(products, weights, skip=()) -> list[tuple[int, int, int, int, int, int]]:
+    """Every (i, j, k, n, lhs, rhs) with lhs != rhs and n not in skip, in
+    index order, where
 
         lhs = sum_m N^ij_m N^mk_n w_m,   rhs = sum_t N^jk_t N^it_n w_t.
 
     products[i][j] lists the summands (m, N^ij_m) of X_i x X_j (the shape of
     FusionData._products; the values may be any ints) and w_m = weights[m].
-    For each triple (i, j, k) both sides are contracted once over the
-    summand lists into sparse maps n -> value, so the cost follows the
-    nonzero multiplicities instead of rank**4.
+
+    Each pair (i, j) is compared as one int.  In base 2**shift, the signed
+    digit of packed[m][k] at n is N^mk_n, and with row_bits = rank * shift,
+    whole[m] = w_m sum_k packed[m][k] << (k * row_bits) and right[j][t] =
+    sum_k N^jk_t w_t << (k * row_bits), so both sides of (i, j) have the
+    signed digits lhs and rhs at k * rank + n:
+
+        sum_m N^ij_m whole[m],   sum_t packed[i][t] right[j][t].
+
+    Why it is exact: a digit of either side is a sum of at most width
+    products N N w (width the longest summand list), so its size is at most
+    bound = width * big**2 * wmax, big the largest |N| and wmax the largest
+    |w|.  shift = (2 * bound).bit_length() + 1 gives 2**shift > 4 * bound.
+    The digits of the difference of the sides are then less than
+    2**(shift - 1) in size, and its lowest nonzero digit would leave a
+    nonzero residue mod 2**shift: the sides are equal iff every digit is.
+    Adding 2**(shift - 1) at every digit makes each digit non-negative and
+    less than 2**shift, with no carry, so the digits of a differing pair are
+    read off its two ints by shift and mask, from the lowest set bit of
+    their xor up.  Digits at outputs n in skip are left out of packed, hence
+    of both sides.  This is Kronecker substitution, as in
+    scalars.kronecker_form.
     """
     rank = len(products)
+    width = max((len(cell) for row in products for cell in row), default=0)
+    big = max((abs(x) for row in products for cell in row for _, x in cell), default=0)
+    wmax = max(map(abs, weights), default=0)
+    shift = (2 * width * big**2 * wmax).bit_length() + 1
+    row_bits = rank * shift
+    packed = [[sum(x << (n * shift) for n, x in cell if n not in skip) for cell in row] for row in products]
+    whole = [w * sum(p << (k * row_bits) for k, p in enumerate(row)) for w, row in zip(weights, packed)]
+    right = []
+    for row in products:
+        acc: dict[int, int] = {}
+        for k, cell in enumerate(row):
+            for t, x in cell:
+                acc[t] = acc.get(t, 0) + (x * weights[t] << (k * row_bits))
+        right.append(list(acc.items()))
+    half = 1 << (shift - 1)
+    mask = (1 << shift) - 1
+    cells = rank * rank
+    bias = half * (((1 << (cells * shift)) - 1) // mask)
     defects = []
     for i in range(rank):
         prod_i = products[i]
+        packed_i = packed[i]
         for j in range(rank):
-            pij = prod_i[j]
-            prod_j = products[j]
-            for k in range(rank):
-                pjk = prod_j[k]
-                if not pij and not pjk:
-                    continue
-                lhs: dict[int, int] = {}
-                for m, nm in pij:
-                    nm *= weights[m]
-                    for n, x in products[m][k]:
-                        lhs[n] = lhs.get(n, 0) + nm * x
-                rhs: dict[int, int] = {}
-                for t, nt in pjk:
-                    nt *= weights[t]
-                    for n, x in prod_i[t]:
-                        rhs[n] = rhs.get(n, 0) + nt * x
-                if lhs != rhs:
-                    for n in sorted(lhs.keys() | rhs.keys()):
-                        left = lhs.get(n, 0)
-                        right = rhs.get(n, 0)
-                        if left != right:
-                            defects.append((i, j, k, n, left, right))
+            lhs = sum(x * whole[m] for m, x in prod_i[j])
+            rhs = sum(packed_i[t] * y for t, y in right[j])
+            if lhs != rhs:
+                lhs += bias
+                rhs += bias
+                at = 0
+                # at < cells: a shift below the proof's fails the tests instead of looping
+                while at < cells and lhs != rhs:
+                    diff = lhs ^ rhs
+                    gap = ((diff & -diff).bit_length() - 1) // shift
+                    lhs >>= gap * shift
+                    rhs >>= gap * shift
+                    at += gap
+                    k, n = divmod(at, rank)
+                    defects.append((i, j, k, n, (lhs & mask) - half, (rhs & mask) - half))
+                    lhs >>= shift
+                    rhs >>= shift
+                    at += 1
     return defects
 
 

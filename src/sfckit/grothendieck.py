@@ -174,10 +174,13 @@ def _require_associative(ring: SGrRing) -> None:
 
     a + b*pi -> (a + b, a - b) embeds Z[pi]/(pi^2 - 1) in Z x Z as a ring, so
     the law splits into two integer contractions of the structure constants
-    (fusion.associativity_defects), at pi = 1 and at pi = -1.  A Majorana
-    coefficient is canonical as (a + b, 0), i.e. equal at pi = 1 and pi = -1,
-    so at a Majorana class only the pi = 1 side counts.  Ring elements are
-    built only for the message.
+    (fusion.associativity_defects, one packed int per pair (i, j)), at
+    pi = 1 and at pi = -1.  A Majorana coefficient is canonical as
+    (a + b, 0), i.e. equal at pi = 1 and pi = -1, so at a Majorana class
+    only the pi = 1 side counts: the pi = -1 contraction takes
+    skip=ring.majorana, which leaves the Majorana outputs out of its packed
+    ints, while a Majorana class as the middle summand m or t still enters
+    with its pi = 1 value.  Ring elements are built only for the message.
     """
     rank = ring.rank
     at_one = [[[] for _ in range(rank)] for _ in range(rank)]
@@ -189,7 +192,7 @@ def _require_associative(ring: SGrRing) -> None:
             at_minus_one[i][j].append((m, plus if m in ring.majorana else c.a - c.b))
     ones = (1,) * rank
     failing = [d[:3] for d in associativity_defects(at_one, ones)[:1]]
-    failing += [d[:3] for d in associativity_defects(at_minus_one, ones) if d[3] not in ring.majorana][:1]
+    failing += [d[:3] for d in associativity_defects(at_minus_one, ones, skip=ring.majorana)[:1]]
     if not failing:
         return
     i, j, k = min(failing)
@@ -223,7 +226,7 @@ def relations_text(ring: SGrRing) -> list[str]:
     lines = []
     for i in range(ring.rank):
         for j in range(ring.rank):
-            product = sgr_multiply(ring, ring.basis_vector(i), ring.basis_vector(j))
+            product = dict(ring._rows.get((i, j), ()))
             lhs = f"[{ring.labels[i]}]^2" if i == j else f"[{ring.labels[i]}][{ring.labels[j]}]"
             lines.append(f"{lhs} = {ring.format_element(product)}")
     for i in sorted(ring.majorana):

@@ -64,9 +64,11 @@ class SuperFusionData:
         clean: dict[tuple[int, int, int, int], int] = {}
         for key, bit in parities.items():
             key = tuple(key)
-            if len(key) != 4 or not all(isinstance(x, int) for x in key):
+            if len(key) != 4:
                 raise SuperFusionError(f"parity key {key!r} is not an index quadruple")
             i, j, m, alpha = key
+            if not (isinstance(i, int) and isinstance(j, int) and isinstance(m, int) and isinstance(alpha, int)):
+                raise SuperFusionError(f"parity key {key!r} is not an index quadruple")
             if not (0 <= i < base.rank and 0 <= j < base.rank and 0 <= m < base.rank):
                 raise SuperFusionError(f"parity key {key} out of range")
             if not 1 <= alpha <= base.n(i, j, m):

@@ -467,3 +467,66 @@ def test_invertibility_ising_shaped_full_rank_block():
     report = check_6j_invertibility(data, table)
     assert not report.ok
     assert [v.instance for v in report.violations] == [(2, 2, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: FusionData(labels=(), unit=0, mult={}), "label set must be non-empty"),
+        (lambda: FusionData(labels=("a", "a"), unit=0, mult={}), "labels must be distinct"),
+        (lambda: FusionData(labels=("a",), unit=3, mult={}), "unit index 3 out of range"),
+        (lambda: FusionData(labels=("a",), unit=0, mult={(0, 0): 1}), "multiplicity key (0, 0) is not an index triple"),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(0, 0, 0, 0): 1}),
+            "multiplicity key (0, 0, 0, 0) is not an index triple",
+        ),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(0, "0", 0): 1}),
+            "multiplicity key (0, '0', 0) is not an index triple",
+        ),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(0, 0, 0.0): 1}),
+            "multiplicity key (0, 0, 0.0) is not an index triple",
+        ),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(0, 0, 5): 1}),
+            "multiplicity key (0, 0, 5) out of range for rank 1",
+        ),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(-1, 0, 0): 1}),
+            "multiplicity key (-1, 0, 0) out of range for rank 1",
+        ),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(0, 0, 0): -2}),
+            "multiplicity N(0, 0, 0) = -2 must be a non-negative integer",
+        ),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(0, 0, 0): 1.0}),
+            "multiplicity N(0, 0, 0) = 1.0 must be a non-negative integer",
+        ),
+        (lambda: SixJTable({(0,) * 9: ONE}), "6j key (0, 0, 0, 0, 0, 0, 0, 0, 0) is not an index decuple"),
+        (
+            lambda: SixJTable({(0,) * 9 + ("1",): ONE}),
+            "6j key (0, 0, 0, 0, 0, 0, 0, 0, 0, '1') is not an index decuple",
+        ),
+        (
+            lambda: SixJTable({(0.0,) + (0,) * 9: ONE}),
+            "6j key (0.0, 0, 0, 0, 0, 0, 0, 0, 0, 0) is not an index decuple",
+        ),
+        (
+            lambda: SixJTable({(0,) * 10: "x"}),
+            "6j value for (0, 0, 0, 0, 0, 0, 0, 0, 0, 0) is not an exact scalar: 'x'",
+        ),
+    ],
+)
+def test_construction_error_texts(build, text):
+    with pytest.raises(FusionError) as info:
+        build()
+    assert str(info.value) == text
+
+
+def test_construction_accepts_bool_indices():
+    # isinstance(True, int) holds, so a bool index passes the key checks
+    data = FusionData(labels=("a", "b"), unit=0, mult={(0, 0, 0): 1, (True, False, True): 1})
+    assert data.n(1, 0, 1) == 1
+    assert len(SixJTable({(True,) + (0,) * 9: ONE})) == 1

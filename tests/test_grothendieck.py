@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfckit.catalog import build_entry, ck_super, ising_super, trivial_super
+from sfckit.envelope import underlying_fusion_rules
 from sfckit.fusion import FusionData
 from sfckit.grothendieck import (
     PI,
@@ -186,3 +187,30 @@ def test_ck_rings_associative_with_expected_shape():
         ring = build_sgr(ck_super(k))  # associativity is checked inside
         assert ring.rank == k // 2 + 1
         assert sorted(ring.majorana) == [k // 2]
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [("ising", ())]
+    + [("ck", (k,)) for k in (2, 6, 10, 14, 22)]
+    + [("super-z2", (1,)), ("super-z2", (3,)), ("super-zn-even", (4,)), ("super-zn-even", (4, 2))],
+)
+def test_sgr_constants_are_underlying_products(name, params):
+    # i -> [i^0] and pi -> [1^1] carry K_pi into the underlying fusion ring:
+    # [i][j] = sum_m (a + b pi)[m] goes to sum_m (a [m^0] + b [1^1][m^0]),
+    # which is [i^0][j^0] there
+    data = build_entry(name, *params).data
+    ring = build_sgr(data)
+    rules = underlying_fusion_rules(data)
+    index = {label: pos for pos, label in enumerate(rules.labels)}
+    even = [index[f"{label}^0"] for label in data.labels]
+    pi = index[f"{data.labels[data.base.unit]}^1"]
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            image: dict[int, int] = {}
+            for m in range(ring.rank):
+                c = ring.constants.get((i, j, m), ZPI_ZERO)
+                image[even[m]] = image.get(even[m], 0) + c.a
+                for n, x in rules.summands(pi, even[m]):
+                    image[n] = image.get(n, 0) + c.b * x
+            assert {n: x for n, x in sorted(image.items()) if x} == dict(rules.summands(even[i], even[j]))

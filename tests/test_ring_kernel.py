@@ -360,3 +360,80 @@ def test_sgr_kernel_on_random_rings():
         assert got == want
         seen.add(want is None)
     assert seen == {True, False}
+
+
+def test_sgr_majorana_source_unbalanced_at_bosonic_target():
+    # x is Majorana and [x][a] = pi[1]: its constant at the Bosonic 1 is
+    # unbalanced, so at pi = -1 the summand x still enters the contraction
+    # (with its pi = 1 value) and only the Majorana outputs drop out.
+    # Dropping x's summands altogether reports the unit triple (1, x, a).
+    unit = {key: ZPi(1, 0) for j in range(3) for key in ((0, j, j), (j, 0, j))}
+    ring = SGrRing(["1", "a", "x"], 0, [2], {**unit, (2, 1, 0): ZPi(0, 1)})
+    want = "ring is not associative at (a, x, a): 0 != pi[a]"
+    assert reference_ring_associativity(ring) == want
+    with pytest.raises(GrothendieckError) as info:
+        grothendieck._require_associative(ring)
+    assert str(info.value) == want
+    # [x][x] = pi[1] is associative: Z[pi] with x = pi x
+    unit = {key: ZPi(1, 0) for j in range(2) for key in ((0, j, j), (j, 0, j))}
+    ring = SGrRing(["1", "x"], 0, [1], {**unit, (1, 1, 0): ZPi(0, 1)})
+    assert reference_ring_associativity(ring) is None
+    grothendieck._require_associative(ring)
+
+
+def dense_defects(products, weights):
+    """associativity_defects as a dense loop over every (i, j, k, n)."""
+    rank = len(products)
+    want = []
+    for i in range(rank):
+        for j in range(rank):
+            for k in range(rank):
+                for n in range(rank):
+                    lhs = sum(x * y * weights[m] for m, x in products[i][j] for p, y in products[m][k] if p == n)
+                    rhs = sum(x * y * weights[t] for t, x in products[j][k] for p, y in products[i][t] if p == n)
+                    if lhs != rhs:
+                        want.append((i, j, k, n, lhs, rhs))
+    return want
+
+
+def test_associativity_defects_large_multiplicities():
+    # digits as large as the bound width * big**2 * wmax: a shift below the
+    # one the exactness proof needs carries digits into their neighbours
+    big = 10**6
+    signs = [[1, 1], [1, -1]]
+    products = [[[(m, signs[i][j] * big) for m in range(2)] for j in range(2)] for i in range(2)]
+    for weights in ([2, 2], [2, -2], [-1, 2]):
+        want = dense_defects(products, weights)
+        assert want
+        assert associativity_defects(products, weights) == want
+    assert max(abs(x) for d in dense_defects(products, [2, 2]) for x in d[4:]) == 2 * big**2 * 2
+    rng = random.Random(16)
+    for _ in range(40):
+        rank = rng.randint(1, 4)
+        products = [
+            [[(m, rng.randint(-big, big)) for m in range(rank) if rng.random() < 0.6] for _ in range(rank)]
+            for _ in range(rank)
+        ]
+        weights = [rng.choice((-2, -1, 1, 2)) for _ in range(rank)]
+        assert associativity_defects(products, weights) == dense_defects(products, weights)
+
+
+def test_relations_text_matches_sgr_multiply():
+    # each line reads one row of structure constants; on arbitrary rings,
+    # non-canonical Majorana constants included, the text is that of the
+    # basis products
+    rng = random.Random(5)
+    for _ in range(100):
+        rank = rng.randint(1, 4)
+        majorana = [i for i in range(rank) if rng.random() < 0.4]
+        constants = {
+            (i, j, m): random_zpi(rng)
+            for i in range(rank) for j in range(rank) for m in range(rank)
+            if rng.random() < 0.5
+        }
+        ring = SGrRing([f"y{i}" for i in range(rank)], 0, majorana, constants)
+        lines = grothendieck.relations_text(ring)
+        for i in range(rank):
+            for j in range(rank):
+                product = sgr_multiply(ring, ring.basis_vector(i), ring.basis_vector(j))
+                assert lines[i * rank + j].endswith(f" = {ring.format_element(product)}")

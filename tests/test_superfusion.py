@@ -276,3 +276,35 @@ def test_parity_classes_split_each_hom_space_by_parity():
             assert data.parity_counts(i, j, m) == (bits.count(0), bits.count(1))
     assert seen > 0
     assert ising_super().parity_counts(0, 0, 1) == (0, 0)  # an inadmissible triple
+
+
+@pytest.mark.parametrize(
+    "parities, object_type, text",
+    [
+        ({(0, 0, 0): 0}, (BOSONIC, BOSONIC), "parity key (0, 0, 0) is not an index quadruple"),
+        ({(0, 0, 0, 1, 1): 0}, (BOSONIC, BOSONIC), "parity key (0, 0, 0, 1, 1) is not an index quadruple"),
+        ({(0, 0, 0, "1"): 0}, (BOSONIC, BOSONIC), "parity key (0, 0, 0, '1') is not an index quadruple"),
+        ({(0, 0.0, 0, 1): 0}, (BOSONIC, BOSONIC), "parity key (0, 0.0, 0, 1) is not an index quadruple"),
+        ({(0, 2, 0, 1): 0}, (BOSONIC, BOSONIC), "parity key (0, 2, 0, 1) out of range"),
+        ({(-1, 0, 0, 1): 0}, (BOSONIC, BOSONIC), "parity key (-1, 0, 0, 1) out of range"),
+        ({(0, 0, 1, 1): 0}, (BOSONIC, BOSONIC), "parity key (0, 0, 1, 1) is not an admissible quadruple"),
+        ({(0, 0, 0, 2): 0}, (BOSONIC, BOSONIC), "parity key (0, 0, 0, 2) is not an admissible quadruple"),
+        ({(0, 0, 0, 1): 2}, (BOSONIC, BOSONIC), "parity s(0, 0, 0, 1) = 2 is not a bit"),
+        ({(0, 0, 0, 1): 0}, (BOSONIC, BOSONIC), "no parity assigned to quadruple (0, 1, 1, 1)"),
+        ({}, (BOSONIC,), "object_type has 1 entries for 2 labels"),
+        ({}, (BOSONIC, "weird"), "unknown object type 'weird'"),
+        ({}, {"0": BOSONIC}, "object_type missing label '1'"),
+    ],
+)
+def test_construction_error_texts(parities, object_type, text):
+    with pytest.raises(SuperFusionError) as info:
+        SuperFusionData(z2_base(), parities, object_type)
+    assert str(info.value) == text
+
+
+def test_construction_accepts_bool_parity_keys():
+    # isinstance(True, int) holds, so a bool index passes the key checks
+    parities = {(a, b, (a + b) % 2, 1): 0 for a in range(2) for b in range(2)}
+    parities[(True, False, True, True)] = parities.pop((1, 0, 1, 1))
+    data = SuperFusionData(z2_base(), parities, (BOSONIC, BOSONIC))
+    assert data.parity(1, 0, 1, 1) == 0

@@ -19,6 +19,10 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
 - the ``general`` workload's all-even Ising superfusion table
   (``perfbench/gen.even_superfusion``) with one entry negated, where some
   outer quadruples hold two super pentagon violations;
+- superfusion rules whose ring laws fail: ``test_ring_kernel.z3_parity_broken``,
+  whose pi-Grothendieck ring is not associative, and ``ck 10`` with its middle
+  multiplicity raised by one odd basis vector, which breaks the
+  associativity law of ``validate_superfusion``;
 - malformed files (``MALFORMED``): one field of a ``vec-zn 4`` file, a
   ``super-zn-even 4`` file or a Z/6 3-cocycle file replaced or one record
   duplicated, in the last ``mult``, ``sixj`` and ``parities`` records and a
@@ -126,8 +130,11 @@ def write_inputs(work: str) -> dict[str, str]:
     """Write every input into work; returns label -> path, in a fixed order."""
     from sfckit.catalog import build_entry, standard_three_cocycle
     from sfckit.cocycles import SuperCocycle, ThreeCocycle, cyclic_group
+    from sfckit.fusion import FusionData
     from sfckit.serialize import dumps_file, fusion_file, group_file, save_file, superfusion_file
+    from sfckit.superfusion import SuperFusionData
     from tests.test_kernel import CATALOG, flip
+    from tests.test_ring_kernel import z3_parity_broken
     from workloads import WORKLOADS, build_plan
 
     import gen
@@ -171,6 +178,13 @@ def write_inputs(work: str) -> dict[str, str]:
     sdata, stable = gen.even_superfusion(*gen.ising_fusion())
     middle = sorted(stable.entries)[len(stable) // 2]
     save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle)))
+    save("z3 parity broken", superfusion_file(z3_parity_broken()))
+    ck = build_entry("ck", 10).data
+    key = sorted(ck.base.mult)[len(ck.base.mult) // 2]
+    mult = {**ck.base.mult, key: ck.base.mult[key] + 1}
+    parities = {**ck.parities, (*key, mult[key]): 1}
+    bumped = SuperFusionData(FusionData(ck.labels, ck.base.unit, mult), parities, ck.object_type)
+    save("ck 10 bumped multiplicity", superfusion_file(bumped))
     vec, sup = build_entry("vec-zn", 4), build_entry("super-zn-even", 4)
     sources = {
         "vec-zn 4": fusion_file(vec.data, vec.sixj),
