@@ -15,7 +15,10 @@ The exhaustive scans (pentagon, super pentagon, 3-cocycle, 3-supercocycle)
 map every value to one int mod m = Phi_N(2**shift) (kronecker_form), an
 exact test of each identity: a product is one int multiply, and an
 instance holds iff its two sides agree mod m.  group_ring_reduce is the one
-reduction mod Phi_n: products, inverses, promotions and conductor descent.
+reduction mod Phi_n (products, inverses, promotions, descent, zeta): a fold
+mod z^n - 1, then a division by the nonzero terms of Phi_n, which
+cyclotomic_polynomial builds as a Moebius product.  No cache holds more
+than O(phi(n)) ints per order.
 
 Two values are equal iff they agree after promoting both into Q(zeta_m) for
 m = lcm of their orders.  Hashing and str() use the conductor form (the
@@ -49,34 +52,37 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide integer polynomials (low degree first); den monic, remainder 0."""
-    num = list(num)
-    dd = len(den) - 1
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c:
-            out[i - dd] = c
-            for j in range(dd + 1):
-                num[i - dd + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, low degree first, monic."""
+    """Integer coefficients of Phi_n, low degree first, monic.
+
+    With r = rad(n), the product of the primes of n, Phi_n(x) = Phi_r(x^(n/r)),
+    and for r > 1, Phi_r(x) = prod over d | r of (1 - x^d)^mu(r/d), the
+    Moebius product (Arnold and Monagan, Calculating cyclotomic polynomials,
+    Math. Comp. 80, 2011), worked as a power series mod x^(phi(r)+1): one
+    O(phi) pass per d, a product by 1 - x^d or a running sum at stride d.
+    """
     if n < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {n}")
-    num = [0] * (n + 1)
-    num[0] = -1
-    num[n] = 1
-    for d in range(1, n):
-        if n % d == 0:
-            num = _polydiv_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    if n == 1:
+        return (-1, 1)
+    divisors = [(1, 1)]  # (e, mu(e)) over the squarefree divisors e of n
+    for p in _prime_factors(n):
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    r = divisors[-1][0]
+    phi = euler_phi(r)
+    series = [1] + [0] * phi
+    for e, mu in divisors:
+        d = r // e  # the factor (1 - x^d)^mu(e)
+        if mu > 0:
+            for k in range(phi, d - 1, -1):
+                series[k] -= series[k - d]
+        else:
+            for k in range(d, phi + 1):
+                series[k] += series[k - d]
+    out = [0] * (phi * (n // r) + 1)
+    out[:: n // r] = series
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -103,22 +109,10 @@ def _check_length(order: int, length: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """z^k mod Phi_n for 0 <= k <= max(2*phi-2, n-1), as integer vectors."""
+def _division_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """phi(n) and the (i, c) of each nonzero c x^i of Phi_n below x^phi(n)."""
     poly = cyclotomic_polynomial(n)
-    phi = len(poly) - 1
-    kmax = max(2 * phi - 2, n - 1, 0)
-    cur = [0] * phi
-    cur[0] = 1
-    rows = [tuple(cur)]
-    for _ in range(kmax):
-        top = cur[phi - 1]
-        cur = [0] + cur[: phi - 1]
-        if top:
-            for i in range(phi):
-                cur[i] -= top * poly[i]
-        rows.append(tuple(cur))
-    return tuple(rows)
+    return len(poly) - 1, tuple((i, c) for i, c in enumerate(poly[:-1]) if c)
 
 
 def _descend(n: int, coeffs, p: int):
@@ -210,7 +204,7 @@ class Cyclotomic:
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
         if n < 1:
             raise ValueError(f"root-of-unity order must be >= 1, got {n}")
-        return _new(n, _power_table(n)[k % n], 1)
+        return _new(n, group_ring_reduce([0] * (k % n) + [1], n), 1)
 
     # -- structure ---------------------------------------------------------
 
@@ -387,23 +381,28 @@ class Cyclotomic:
 def group_ring_reduce(vec, n: int) -> list:
     """Power basis coefficients in Q[z]/Phi_n of sum vec[k] z^k.
 
-    The one reduction mod Phi_n: products, inverses, promotions and
-    conductor descent all go through it.  vec may be as long as
-    max(n, 2*phi(n) - 1), a product of two reduced values; a shorter vec is
-    padded with zeros.  Two group ring elements are the same field value iff
-    they reduce equal.
+    vec may have any length; up to phi(n) it is only padded with zeros.  A
+    longer vec is folded mod z^n - 1, then divided by Phi_n from the top,
+    each step touching only the nonzero terms of Phi_n below x^phi(n) (2 for
+    Phi_24, 1 for Phi_(2^k)), which it caches: O(phi(n)) ints per order.
+    Two group ring elements are the same field value iff they reduce equal.
     """
-    table = _power_table(n)
-    phi = euler_phi(n)
-    out = list(vec[:phi])
-    out += [0] * (phi - len(out))
-    for k in range(phi, len(vec)):
-        c = vec[k]
+    phi, terms = _division_terms(n)
+    if len(vec) <= phi:
+        return list(vec) + [0] * (phi - len(vec))
+    if len(vec) > n:
+        out = [0] * n
+        for k, c in enumerate(vec):
+            if c:
+                out[k % n] += c
+    else:
+        out = list(vec)
+    for k in range(len(out) - 1, phi - 1, -1):
+        c = out[k]
         if c:
-            for i, r in enumerate(table[k]):
-                if r:
-                    out[i] += c * r
-    return out
+            for i, a in terms:
+                out[k - phi + i] -= c * a
+    return out[:phi]
 
 
 def kronecker_form(values, lhs_terms: int, rhs_terms: int) -> tuple[int, list[int]]:

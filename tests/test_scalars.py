@@ -1,13 +1,18 @@
 """Tests for exact cyclotomic arithmetic."""
 
+import os
+import pathlib
 import pickle
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sfckit.scalars import (
@@ -20,10 +25,13 @@ from sfckit.scalars import (
     minus_one_pow,
     root_of_unity,
 )
+from sfckit import scalars
 from sfckit.catalog import build_entry, z2_supercocycle
+from sfckit.cli import EXIT_CHECK_FAILED
 from sfckit.cocycles import SuperCocycle, cyclic_group, lift_supercocycle
 from sfckit.envelope import lift_6j
 from sfckit.fusion import FusionError, SixJTable, check_6j_invertibility, check_pentagon, determinant
+from sfckit.serialize import fusion_file, save_file
 from tests.test_fusion import ising_exact_table
 from tests.test_kernel import CATALOG, carry, flip, gauge, generic_factor
 
@@ -511,3 +519,136 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
 def assert_not_ok(report):
     assert not report.ok and report.violations
     assert all(v.lhs != v.rhs for v in report.violations)
+
+
+# -- the reduction mod Phi_n against the definitions it replaced --------------------------
+
+
+def _polydiv_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Divide integer polynomials (low degree first); den monic, remainder 0."""
+    num = list(num)
+    dd = len(den) - 1
+    out = [0] * (len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c:
+            out[i - dd] = c
+            for j in range(dd + 1):
+                num[i - dd + j] -= c * den[j]
+    if any(num):
+        raise ArithmeticError("inexact polynomial division")
+    return out
+
+
+@lru_cache(maxsize=None)
+def divisor_quotient_phi(n: int) -> tuple[int, ...]:
+    """Phi_n = (x^n - 1) / prod of Phi_d over the proper divisors d of n.
+
+    The largest divisor goes first: the quotients stay sparser, and n < 2000
+    takes a third of the time of the smallest-first order."""
+    num = [0] * (n + 1)
+    num[0] = -1
+    num[n] = 1
+    for d in range(n - 1, 0, -1):
+        if n % d == 0:
+            num = _polydiv_exact(num, divisor_quotient_phi(d))
+    return tuple(num)
+
+
+def test_phi_n_matches_divisor_quotient():
+    for n in range(1, 2000):
+        assert cyclotomic_polynomial(n) == divisor_quotient_phi(n), n
+
+
+def reference_reduce(vec, n: int) -> list[Fraction]:
+    """sum vec[k] z^k mod Phi_n by Fraction long division by divisor_quotient_phi(n)."""
+    poly = divisor_quotient_phi(n)
+    phi = len(poly) - 1
+    rem = [Fraction(c) for c in vec] + [Fraction(0)] * phi
+    for i in range(len(rem) - 1, phi - 1, -1):
+        q = rem[i]
+        if q:
+            for j, a in enumerate(poly):
+                rem[i - phi + j] -= q * a
+    return rem[:phi]
+
+
+_reduce_orders = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 20, 24, 30, 105]
+
+
+@st.composite
+def group_ring_vectors(draw):
+    """(vec, n): int or Fraction entries, of any length from 0 to 3n."""
+    n = draw(st.sampled_from(_reduce_orders))
+    ints = st.integers(-9, 9)
+    entries = draw(st.sampled_from([ints, st.builds(Fraction, ints, st.integers(1, 6))]))
+    return draw(st.lists(entries, max_size=3 * n)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_ring_vectors())
+# lengths above max(n, 2 phi(n) - 1), the longest product of two reduced values
+@example(([1] * 3, 1))
+@example(([-1, 2, 3] * 7, 7))
+@example(([Fraction(k % 5 - 2, k % 3 + 1) for k in range(72)], 24))
+@example(([k % 7 - 3 for k in range(315)], 105))
+def test_group_ring_reduce_matches_fraction_long_division(case):
+    vec, n = case
+    assert group_ring_reduce(vec, n) == reference_reduce(vec, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 12, 15, 105])
+def test_zeta_matches_repeated_multiplication(n):
+    phi = euler_phi(n)
+    one = Cyclotomic(n, [1] + [0] * (phi - 1))
+    z = Cyclotomic(n, [0, 1] + [0] * (phi - 2)) if phi > 1 else Cyclotomic(n, [1 if n == 1 else -1])
+    up = [one]
+    for _ in range(2 * n):
+        up.append(up[-1] * z)
+    down = [one]
+    for _ in range(2 * n):
+        down.append(down[-1] * up[n - 1])
+    assert fields(up[n]) == fields(one)
+    for k in range(-2 * n, 2 * n):
+        assert fields(Cyclotomic.zeta(n, k)) == fields(up[k] if k >= 0 else down[-k]), k
+
+
+def mixed_order_file(*orders):
+    """vec-zn 2 with its first entries, in key order, set to zeta_n for n in
+    orders: a fusion file at conductor lcm(2, *orders) whose pentagon fails."""
+    entry = build_entry("vec-zn", 2)
+    entries = dict(entry.sixj.entries)
+    for key, n in zip(sorted(entries), orders):
+        entries[key] = root_of_unity(n, 1)
+    return fusion_file(entry.data, SixJTable(entries))
+
+
+# Starts argv[1:], waits for it with os.wait4 and prints its exit code, wall
+# time and peak RSS in KB.  Linux counts in a child's peak the image it was
+# forked from, so the child must come from a small, fresh interpreter like
+# this one, not from the test process.
+MEASURE_CHILD = """
+import os, subprocess, sys, threading, time
+start = time.perf_counter()
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+killer = threading.Timer(60, proc.kill)
+killer.start()
+_, status, usage = os.wait4(proc.pid, 0)
+killer.cancel()
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, time.perf_counter() - start, usage.ru_maxrss)
+"""
+
+
+def test_two_coprime_orders_check_in_small_memory(tmp_path):
+    # conductor 2 * 101 * 103 = 20806; a table of z^k mod Phi_20806 for every
+    # k < 20806, 10200 ints a row, once made this check 6.8 s and 1.7 GB
+    path = tmp_path / "zeta-101-103.json"
+    save_file(path, mixed_order_file(101, 103))
+    src = str(pathlib.Path(scalars.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", MEASURE_CHILD, sys.executable, "-m", "sfckit.cli", "check", str(path)]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    code, wall, rss_kb = proc.stdout.split()
+    assert int(code) == EXIT_CHECK_FAILED
+    assert float(wall) < 2.0
+    assert int(rss_kb) / 1024 < 100

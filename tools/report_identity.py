@@ -19,6 +19,10 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
 - the ``general`` workload's all-even Ising superfusion table
   (``perfbench/gen.even_superfusion``) with one entry negated, where some
   outer quadruples hold two super pentagon violations;
+- mixed conductors, where the witness sides are products across orders and
+  print through ``canonical``: ``vec-zn 2`` with its first entries set to
+  ``zeta_11`` and ``zeta_13`` (N = 286) and to ``zeta_3``, ``zeta_5`` and
+  ``zeta_7`` (N = 210) (``test_scalars.mixed_order_file``);
 - superfusion rules whose ring laws fail: ``test_ring_kernel.z3_parity_broken``,
   whose pi-Grothendieck ring is not associative, and ``ck 10`` with its middle
   multiplicity raised by one odd basis vector, which breaks the
@@ -135,6 +139,7 @@ def write_inputs(work: str) -> dict[str, str]:
     from sfckit.superfusion import SuperFusionData
     from tests.test_kernel import CATALOG, flip
     from tests.test_ring_kernel import z3_parity_broken
+    from tests.test_scalars import mixed_order_file
     from workloads import WORKLOADS, build_plan
 
     import gen
@@ -178,6 +183,8 @@ def write_inputs(work: str) -> dict[str, str]:
     sdata, stable = gen.even_superfusion(*gen.ising_fusion())
     middle = sorted(stable.entries)[len(stable) // 2]
     save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle)))
+    for orders in ((11, 13), (3, 5, 7)):
+        save(" ".join(["vec-zn 2 zeta", *map(str, orders)]), mixed_order_file(*orders))
     save("z3 parity broken", superfusion_file(z3_parity_broken()))
     ck = build_entry("ck", 10).data
     key = sorted(ck.base.mult)[len(ck.base.mult) // 2]
