@@ -10,8 +10,6 @@ Grothendieck paths only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cocycles import (
     CocycleError,
     GroupTable,
@@ -203,15 +201,26 @@ def trivial_super() -> SuperFusionData:
 # -- the catalog ----------------------------------------------------------------
 
 
-@dataclass
 class CatalogEntry:
-    name: str
-    params: dict
-    kind: str  # "fusion" | "superfusion"
-    data: object
-    sixj: object = None
-    source: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("name", "params", "kind", "data", "sixj", "source", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        params: dict,
+        kind: str,  # "fusion" | "superfusion"
+        data: object,
+        sixj: object = None,
+        source: dict | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.name = name
+        self.params = params
+        self.kind = kind
+        self.data = data
+        self.sixj = sixj
+        self.source = {} if source is None else source
+        self.notes = [] if notes is None else notes
 
     def describe(self) -> str:
         params = ", ".join(f"{k}={v}" for k, v in self.params.items())

@@ -10,14 +10,23 @@ stderr, so stdout carries that document alone.
 
 Each command imports the engines it runs inside its handler, so a command
 compiles and loads only those modules.
+
+One parser (parse_args) reads the command line from two tables: _FLAGS,
+each flag with its value and its check, and _COMMANDS, each command with its
+operands and the flags it reads; the -h text and the usage lines come from
+the same tables.  A usage error, such as a flag the command does not read,
+a missing or malformed value, --jobs below 1 or --max-violations below 0,
+prints one "sfckit: error:" line and exits 2.  argparse is not used: its
+import and its parsers cost a few milliseconds at every start.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .reporting import DEFAULT_MAX_VIOLATIONS, CatalogError, CheckReport, CocycleError, FusionError, Violation
 from .serialize import (
@@ -339,63 +348,175 @@ def _cmd_catalog(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+def _usage_error(message: str):
+    print(f"sfckit: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT_ERROR)
+
+
+def _which(text: str) -> str:
+    if text not in CHECK_KINDS:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(CHECK_KINDS)})")
+    return text
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _at_least(least: int):
+    def parse(text: str) -> int:
+        value = _int(text)
+        if value < least:
+            raise ValueError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+# Each flag with its option strings, the name of its value (None for a switch),
+# the function that reads and checks the value, its default and its help text.
 _FLAGS = {
-    "which": (("--which",), {"choices": CHECK_KINDS, "default": "all"}),
-    "normalize": (("--normalize",), {"action": "store_true",
-                                     "help": "apply the constant-coboundary normalization pre-pass to omega"}),
-    "json": (("--json",), {"action": "store_true", "help": "emit a machine-readable report"}),
-    "jobs": (("--jobs",), {"type": int, "default": 1,
-                           "help": "worker processes for the (super) pentagon scans (default: 1)"}),
-    "max-violations": (("--max-violations",), {"type": int, "default": DEFAULT_MAX_VIOLATIONS,
-                                               "help": "bound on violations listed per check"}),
-    "output": (("-o", "--output"), {"default": None, "help": "write the result to this file"}),
+    "which": (("--which",), "WHICH", _which, "all", f"the checks to run: {' | '.join(CHECK_KINDS)} (default: all)"),
+    "normalize": (("--normalize",), None, None, False, "apply the constant-coboundary normalization pre-pass to omega"),
+    "json": (("--json",), None, None, False, "emit a machine-readable report"),
+    "jobs": (("--jobs",), "N", _at_least(1), 1, "worker processes for the (super) pentagon scans (default: 1)"),
+    "max-violations": (("--max-violations",), "V", _at_least(0), DEFAULT_MAX_VIOLATIONS,
+                       f"bound on violations listed per check (default: {DEFAULT_MAX_VIOLATIONS})"),
+    "output": (("-o", "--output"), "OUT", str, None, "write the result to this file"),
+    "list": (("--list",), None, None, False, "list the available entries"),
 }
 
-# Each command with the handler that runs it, its help text, and the flags
-# that handler reads; a command accepts no other flag.
+# Each command with the handler that runs it, its operands, its help text,
+# and the flags that handler reads; a command accepts no other flag.  Every
+# command but catalog takes one FILE.
 _COMMANDS = {
-    "check": (_cmd_check, "run verification checks on a category file",
+    "check": (_cmd_check, "FILE", "run verification checks on a category file",
               ("which", "json", "jobs", "max-violations")),
-    "underlying": (_cmd_underlying, "construct the underlying fusion category",
-                   ("json", "jobs", "max-violations", "output")),
-    "lift-cocycle": (_cmd_lift_cocycle, "lift a 3-supercocycle to the central extension",
-                     ("json", "max-violations", "output")),
-    "extend-group": (_cmd_extend_group, "build the Z/2 central extension of a group",
-                     ("normalize", "json", "max-violations", "output")),
-    "sgr": (_cmd_sgr, "print the pi-Grothendieck ring of a superfusion file", ("json",)),
+    "underlying": (_cmd_underlying, "FILE", "construct the underlying fusion category",
+                   ("output", "json", "jobs", "max-violations")),
+    "lift-cocycle": (_cmd_lift_cocycle, "FILE", "lift a 3-supercocycle to the central extension",
+                     ("output", "json", "max-violations")),
+    "extend-group": (_cmd_extend_group, "FILE", "build the Z/2 central extension of a group",
+                     ("output", "normalize", "json", "max-violations")),
+    "sgr": (_cmd_sgr, "FILE", "print the pi-Grothendieck ring of a superfusion file", ("json",)),
+    "catalog": (_cmd_catalog, "[NAME [INT...]]", "emit a built-in example as a category file", ("list", "output")),
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sfckit",
-        description="Exact verification toolkit for fusion and superfusion category data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def usage(command: str) -> str:
+    """One command's grammar: sfckit COMMAND OPERANDS [FLAG]..."""
+    _, operands, _, flags = _COMMANDS[command]
+    words = ["sfckit", command, operands]
+    for key in flags:
+        names, metavar = _FLAGS[key][:2]
+        words.append(f"[{names[0]} {metavar}]" if metavar else f"[{names[0]}]")
+    return " ".join(words)
 
-    for command, (handler, text, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
-        p.add_argument("file")
-        for flag in flags:
-            names, options = _FLAGS[flag]
-            p.add_argument(*names, **options)
-        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("catalog", help="emit a built-in example as a category file")
-    p.add_argument("name", nargs="?")
-    p.add_argument("params", nargs="*", type=int)
-    p.add_argument("--list", action="store_true", help="list available entries")
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(handler=_cmd_catalog)
+def _help(command: str | None) -> str:
+    if command is None:
+        lines = ["usage: sfckit COMMAND ...", "",
+                 "Exact verification toolkit for fusion and superfusion category data.", ""]
+        for name, (_, _, text, _) in _COMMANDS.items():
+            lines += [usage(name), f"    {text}"]
+        lines += ["", "sfckit COMMAND -h describes the flags of COMMAND."]
+        return "\n".join(lines)
+    lines = [f"usage: {usage(command)}", "", _COMMANDS[command][2], ""]
+    for key in _COMMANDS[command][3]:
+        names, metavar, _, _, text = _FLAGS[key]
+        head = ", ".join(names) + (f" {metavar}" if metavar else "")
+        lines.append(f"  {head:<22}{text}")
+    lines.append(f"  {'-h, --help':<22}print this help and exit")
+    return "\n".join(lines)
 
-    return parser
+
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_operand(token: str) -> bool:
+    """Whether a word that names no flag is an operand or a flag's value:
+    as in argparse, "-", a negative number and a word with a space are."""
+    return not token.startswith("-") or token == "-" or " " in token or bool(_NEGATIVE_NUMBER.fullmatch(token))
+
+
+def parse_args(argv: list[str]):
+    """The handler and the arguments of a command line, by the tables above.
+
+    Flags and operands may come in any order, a flag's value as the next
+    word or after "=", a short flag's also joined to it (-oOUT); "--" ends
+    the flags.  A usage error prints one "sfckit: error:" line and raises
+    SystemExit(2); -h prints the help and raises SystemExit(0).
+    """
+    if not argv:
+        _usage_error(f"a command is required ({', '.join(_COMMANDS)})")
+    command, rest = argv[0], list(argv[1:])
+    if command in ("-h", "--help"):
+        print(_help(None))
+        raise SystemExit(EXIT_OK)
+    if command not in _COMMANDS:
+        _usage_error(f"invalid command: {command!r} (choose from {', '.join(_COMMANDS)})")
+    handler, operands, _, flags = _COMMANDS[command]
+    options = {name: key for key in flags for name in _FLAGS[key][0]}
+    args = SimpleNamespace(**{key.replace("-", "_"): _FLAGS[key][3] for key in flags})
+    words = []
+    while rest:
+        token = rest.pop(0)
+        if token in ("-h", "--help"):
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        if token == "--":
+            words += rest
+            break
+        name, eq, value = token.partition("=")
+        if token in options:
+            key, value = options[token], None
+        elif eq and name in options:
+            key = options[name]
+        elif token[1:2] != "-" and token[:2] in options:
+            key, value = options[token[:2]], token[2:]
+        elif _is_operand(token):
+            words.append(token)
+            continue
+        else:
+            _usage_error(f"unrecognized arguments: {token}")
+        names, metavar, parse = _FLAGS[key][:3]
+        where = f"argument {'/'.join(names)}"
+        if metavar is None:
+            if value is not None:
+                _usage_error(f"{where}: ignored explicit argument {value!r}")
+            value = True
+        else:
+            if value is None:
+                if not rest or not _is_operand(rest[0]):
+                    _usage_error(f"{where}: expected one argument")
+                value = rest.pop(0)
+            try:
+                value = parse(value)
+            except ValueError as exc:
+                _usage_error(f"{where}: {exc}")
+        setattr(args, key.replace("-", "_"), value)
+    if operands == "FILE":
+        if not words:
+            _usage_error("the following arguments are required: FILE")
+        if len(words) > 1:
+            _usage_error(f"unrecognized arguments: {' '.join(words[1:])}")
+        args.file = words[0]
+    else:
+        args.name = words[0] if words else None
+        try:
+            args.params = [_int(word) for word in words[1:]]
+        except ValueError as exc:
+            _usage_error(f"argument INT: {exc}")
+    return handler, args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return args.handler(args)
+        return handler(args)
     except (SchemaError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

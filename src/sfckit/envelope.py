@@ -10,10 +10,8 @@ keeping the verification independent of the construction path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fusion import FusionData, SixJTable, check_pentagon, validate_fusion
-from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, ValidationReport
+from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, ValidationReport, _immutable, _same_fields
 from .scalars import Cyclotomic
 from .superfusion import (
     FermionicSixJTable,
@@ -24,12 +22,23 @@ from .superfusion import (
 )
 
 
-@dataclass(frozen=True)
 class UnderlyingLabel:
     """A graded label i^a; Majorana objects only carry grade 0."""
 
-    base: int
-    grade: int
+    __slots__ = ("base", "grade")
+
+    def __init__(self, base: int, grade: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "grade", grade)
+
+    __setattr__ = __delattr__ = _immutable
+    __eq__ = _same_fields
+
+    def __hash__(self):
+        return hash((self.base, self.grade))
+
+    def __reduce__(self):
+        return (UnderlyingLabel, (self.base, self.grade))
 
 
 def _grades(data: SuperFusionData, i: int):
@@ -140,16 +149,25 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
     return SixJTable(entries)
 
 
-@dataclass
 class LiftVerification:
     """The super pentagon verdict on the input and, when it passes, the
     underlying category data with its independent pentagon check."""
 
-    super_pentagon: CheckReport
-    underlying: FusionData | None = None
-    sixj: SixJTable | None = None
-    fusion_validation: ValidationReport | None = None
-    pentagon: CheckReport | None = None
+    __slots__ = ("super_pentagon", "underlying", "sixj", "fusion_validation", "pentagon")
+
+    def __init__(
+        self,
+        super_pentagon: CheckReport,
+        underlying: FusionData | None = None,
+        sixj: SixJTable | None = None,
+        fusion_validation: ValidationReport | None = None,
+        pentagon: CheckReport | None = None,
+    ):
+        self.super_pentagon = super_pentagon
+        self.underlying = underlying
+        self.sixj = sixj
+        self.fusion_validation = fusion_validation
+        self.pentagon = pentagon
 
     @property
     def ok(self) -> bool:

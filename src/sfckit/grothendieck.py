@@ -10,9 +10,8 @@ parity count would double them and break the unit law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fusion import associativity_defects
+from .reporting import _immutable, _same_fields
 from .superfusion import SuperFusionData
 
 
@@ -20,12 +19,23 @@ class GrothendieckError(Exception):
     """Inconsistent input data detected while building a ring."""
 
 
-@dataclass(frozen=True)
 class ZPi:
     """a + b*pi with pi^2 = 1."""
 
-    a: int = 0
-    b: int = 0
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int = 0, b: int = 0):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    __setattr__ = __delattr__ = _immutable
+    __eq__ = _same_fields
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __reduce__(self):
+        return (ZPi, (self.a, self.b))
 
     def __add__(self, other: "ZPi") -> "ZPi":
         return ZPi(self.a + other.a, self.b + other.b)

@@ -12,9 +12,19 @@ raise them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 DEFAULT_MAX_VIOLATIONS = 25
+
+
+def _same_fields(self, other) -> bool:
+    """Equality of two instances of one plain ``__slots__`` class, field by field."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return [getattr(self, name) for name in self.__slots__] == [getattr(other, name) for name in self.__slots__]
+
+
+def _immutable(self, *args):
+    """``__setattr__`` and ``__delattr__`` of a value class: its fields are set once, in ``__init__``."""
+    raise AttributeError(f"{self.__class__.__name__} values are immutable")
 
 
 class FusionError(Exception):
@@ -29,14 +39,18 @@ class CatalogError(Exception):
     """A catalog entry failed its own validation suite."""
 
 
-@dataclass
 class Violation:
     """One failed instance of a checked identity."""
 
-    instance: tuple
-    lhs: object = None
-    rhs: object = None
-    detail: str = ""
+    __slots__ = ("instance", "lhs", "rhs", "detail")
+
+    def __init__(self, instance: tuple, lhs: object = None, rhs: object = None, detail: str = ""):
+        self.instance = instance
+        self.lhs = lhs
+        self.rhs = rhs
+        self.detail = detail
+
+    __eq__ = _same_fields
 
     def render(self) -> str:
         if self.detail:
@@ -54,7 +68,6 @@ class Violation:
         return out
 
 
-@dataclass
 class CheckReport:
     """Outcome of one identity check over an enumerated instance space.
 
@@ -62,12 +75,25 @@ class CheckReport:
     always counts all of them.
     """
 
-    name: str
-    ok: bool
-    checked: int
-    violations: list[Violation] = field(default_factory=list)
-    total_violations: int = 0
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("name", "ok", "checked", "violations", "total_violations", "warnings")
+
+    def __init__(
+        self,
+        name: str,
+        ok: bool,
+        checked: int,
+        violations: list[Violation] | None = None,
+        total_violations: int = 0,
+        warnings: list[str] | None = None,
+    ):
+        self.name = name
+        self.ok = ok
+        self.checked = checked
+        self.violations = [] if violations is None else violations
+        self.total_violations = total_violations
+        self.warnings = [] if warnings is None else warnings
+
+    __eq__ = _same_fields
 
     def summary(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -92,20 +118,26 @@ class CheckReport:
         }
 
 
-@dataclass
 class LawResult:
     """Pass/fail for one structural law, with every violated index tuple."""
 
-    law: str
-    ok: bool
-    violations: list = field(default_factory=list)
+    __slots__ = ("law", "ok", "violations")
+
+    def __init__(self, law: str, ok: bool, violations: list | None = None):
+        self.law = law
+        self.ok = ok
+        self.violations = [] if violations is None else violations
+
+    __eq__ = _same_fields
 
 
-@dataclass
 class ValidationReport:
-    subject: str
-    laws: list[LawResult] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("subject", "laws", "warnings")
+
+    def __init__(self, subject: str, laws: list[LawResult] | None = None, warnings: list[str] | None = None):
+        self.subject = subject
+        self.laws = [] if laws is None else laws
+        self.warnings = [] if warnings is None else warnings
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import attrgetter
@@ -94,16 +93,28 @@ def scalar_from_json(obj, where: str, *path) -> Cyclotomic:
 # -- container ------------------------------------------------------------------
 
 
-@dataclass
 class CategoryFile:
-    kind: str
-    fusion: FusionData | None = None
-    sixj: SixJTable | None = None
-    superfusion: SuperFusionData | None = None
-    group: GroupTable | None = None
-    omega: TwoCocycleZ2 | None = None
-    cocycle: ThreeCocycle | None = None
-    supercocycle: SuperCocycle | None = None
+    __slots__ = ("kind", "fusion", "sixj", "superfusion", "group", "omega", "cocycle", "supercocycle")
+
+    def __init__(
+        self,
+        kind: str,
+        fusion: FusionData | None = None,
+        sixj: SixJTable | None = None,
+        superfusion: SuperFusionData | None = None,
+        group: GroupTable | None = None,
+        omega: TwoCocycleZ2 | None = None,
+        cocycle: ThreeCocycle | None = None,
+        supercocycle: SuperCocycle | None = None,
+    ):
+        self.kind = kind
+        self.fusion = fusion
+        self.sixj = sixj
+        self.superfusion = superfusion
+        self.group = group
+        self.omega = omega
+        self.cocycle = cocycle
+        self.supercocycle = supercocycle
 
 
 def fusion_file(data: FusionData, table: SixJTable | None = None) -> CategoryFile:

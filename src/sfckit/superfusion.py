@@ -10,8 +10,6 @@ checks the corrected laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .fusion import (
     FusionData,
     FusionError,
@@ -119,12 +117,14 @@ class SuperFusionData:
 FermionicSixJTable = SixJTable
 
 
-@dataclass
 class ClassificationReport:
-    object_type: tuple
-    n_bosonic: int
-    n_majorana: int
-    mismatches: list = field(default_factory=list)
+    __slots__ = ("object_type", "n_bosonic", "n_majorana", "mismatches")
+
+    def __init__(self, object_type: tuple, n_bosonic: int, n_majorana: int, mismatches: list | None = None):
+        self.object_type = object_type
+        self.n_bosonic = n_bosonic
+        self.n_majorana = n_majorana
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:

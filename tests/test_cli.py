@@ -507,6 +507,91 @@ def test_commands_refuse_flags_they_do_not_read(command, flag, tmp_path, capsys)
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["check", "f.json"], {"file": "f.json", "which": "all", "json": False, "jobs": 1, "max_violations": 25}),
+        (["check", "--json", "--jobs", "2", "f.json", "--which=cocycle3", "--max-violations=0"],
+         {"file": "f.json", "which": "cocycle3", "json": True, "jobs": 2, "max_violations": 0}),
+        (["check", "--which", "super-pentagon", "--max-violations", "7", "--", "-f.json"],
+         {"file": "-f.json", "which": "super-pentagon", "json": False, "jobs": 1, "max_violations": 7}),
+        (["underlying", "-o", "u.json", "f.json", "--jobs=3"],
+         {"file": "f.json", "output": "u.json", "json": False, "jobs": 3, "max_violations": 25}),
+        (["lift-cocycle", "f.json", "--output=l.json", "--json"],
+         {"file": "f.json", "output": "l.json", "json": True, "max_violations": 25}),
+        (["extend-group", "-oe.json", "--normalize", "f.json"],
+         {"file": "f.json", "output": "e.json", "normalize": True, "json": False, "max_violations": 25}),
+        (["sgr", "--json", "f.json"], {"file": "f.json", "json": True}),
+        (["catalog", "vec-zn", "6", "-1", "-o", "v.json"],
+         {"name": "vec-zn", "params": [6, -1], "list": False, "output": "v.json"}),
+        (["catalog", "--list"], {"name": None, "params": [], "list": True, "output": None}),
+    ],
+)
+def test_parser_reads_the_documented_grammar(argv, want):
+    handler, args = cli.parse_args(argv)
+    assert handler is cli._COMMANDS[argv[0]][0]
+    assert vars(args) == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "a command is required"),
+        (["verify", "f.json"], "invalid command: 'verify'"),
+        (["check"], "the following arguments are required: FILE"),
+        (["check", "--json"], "the following arguments are required: FILE"),
+        (["check", "f.json", "g.json"], "unrecognized arguments: g.json"),
+        (["check", "f.json", "--jobs"], "argument --jobs: expected one argument"),
+        (["underlying", "f.json", "-o", "--json"], "argument -o/--output: expected one argument"),
+        (["check", "f.json", "--which", "hexagon"], "argument --which: invalid choice: 'hexagon'"),
+        (["check", "f.json", "--max-violations", "many"], "argument --max-violations: invalid int value: 'many'"),
+        (["check", "f.json", "--json=yes"], "argument --json: ignored explicit argument 'yes'"),
+        (["check", "f.json", "--output", "o.json"], "unrecognized arguments: --output"),
+        (["check", "f.json", "--max-viol", "3"], "unrecognized arguments: --max-viol"),
+        (["catalog", "vec-zn", "three"], "argument INT: invalid int value: 'three'"),
+        (["check", "f.json", "--max-violations", "-2"], "argument --max-violations: must be at least 0, got -2"),
+        (["check", "f.json", "--max-violations=-1"], "argument --max-violations: must be at least 0, got -1"),
+        (["check", "f.json", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+        (["underlying", "f.json", "--jobs=-3"], "argument --jobs: must be at least 1, got -3"),
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sfckit: error: {message}") and err.count("\n") == 1, err
+
+
+def test_library_scans_read_jobs_below_1_as_one_job():
+    # only the command line refuses --jobs 0
+    entry = build_entry("vec-zn", 4)
+    assert fusion.check_pentagon(entry.data, entry.sixj, jobs=0).ok
+
+
+@pytest.mark.parametrize("command", [None, *cli._COMMANDS])
+def test_help_names_every_flag(command, capsys):
+    argv = ["-h"] if command is None else [command, "--help"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == "" and "-h" in out
+    if command is None:  # one usage line per command
+        assert all(cli.usage(name) in out for name in cli._COMMANDS)
+        return
+    assert cli.usage(command) in out
+    for flag in cli._COMMANDS[command][3]:
+        assert all(option in out for option in cli._FLAGS[flag][0]), flag
+
+
+def test_readme_shows_the_usage_of_every_command():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command-line tool\n\n```\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines() == [cli.usage(name) for name in cli._COMMANDS]
+
+
 def test_catalog_stdout(capsys):
     assert main(["catalog", "trivial"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
@@ -526,6 +611,32 @@ def test_cli_import_starts_no_process_pool_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_check_loads_neither_dataclasses_nor_argparse(tmp_path):
+    # the decorators exec generated code on every import and argparse
+    # builds its parsers at every start, and no .pyc file caches either
+    path = tmp_path / "z6.json"
+    path.write_text(dumps_file(group_file(cyclic_group(6))))
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = (
+        "import sys; before = set(sys.modules); import sfckit.cli; "
+        "code = sfckit.cli.main(['check', sys.argv[1], '--json']); "
+        "print(code, sorted(set(sys.modules) - before), file=sys.stderr)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    exit_code, added = proc.stderr.split(" ", 1)
+    assert exit_code == "0", proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    assert "sfckit.cocycles" in added
+    for module in ("dataclasses", "argparse", "inspect", "gettext"):
+        assert f"'{module}'" not in added, module
 
 
 def test_jobs2_below_the_pool_gate_loads_no_pool_machinery(tmp_path):

@@ -8,7 +8,6 @@ and the ``lhs``/``rhs`` strings of every violation.
 """
 
 import contextlib
-import dataclasses
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -627,10 +626,17 @@ def test_truncated_witnesses_match_the_reference():
     assert want.total_violations > 25 and super_want.total_violations > 3
     assert super_want.violations[0].instance[:4] == super_want.violations[1].instance[:4]
     for k in (1, 3, 25):
-        cut = dataclasses.replace(want, violations=want.violations[:k])
+        cut = CheckReport(want.name, want.ok, want.checked, want.violations[:k], want.total_violations, want.warnings)
         for got in scan_reports(check_pentagon, data, mutant, max_violations=k):
             assert_same_report(got, cut)
-        cut = dataclasses.replace(super_want, violations=super_want.violations[:k])
+        cut = CheckReport(
+            super_want.name,
+            super_want.ok,
+            super_want.checked,
+            super_want.violations[:k],
+            super_want.total_violations,
+            super_want.warnings,
+        )
         for got in scan_reports(check_super_pentagon, super_data, super_mutant, max_violations=k):
             assert_same_report(got, cut)
 

@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import sfckit
-from sfckit import catalog, cli, cocycles, fusion, reporting, superfusion
+from sfckit import catalog, cli, cocycles, envelope, fusion, grothendieck, reporting, serialize, superfusion
 from sfckit.catalog import build_entry, ising_super
+from tests.test_kernel import flip
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -73,3 +74,42 @@ def test_every_data_class_survives_pickling():
         assert type(back) is type(obj)
         for name in type(obj).__slots__:
             assert fields(getattr(back, name)) == fields(getattr(obj, name)), (type(obj).__name__, name)
+
+
+def test_plain_record_classes_pickle_compare_and_freeze():
+    # the classes that were @dataclass: every field survives the default
+    # pickling of __slots__; the reports compare field by field, and ZPi and
+    # UnderlyingLabel are hashable values that refuse assignment
+    def fields(obj):
+        if hasattr(type(obj), "__slots__") and type(obj).__eq__ is object.__eq__:
+            return (type(obj),) + tuple(fields(getattr(obj, name)) for name in type(obj).__slots__)
+        if isinstance(obj, (tuple, list)):
+            return type(obj)(fields(x) for x in obj)
+        if isinstance(obj, dict):
+            return {key: fields(value) for key, value in obj.items()}
+        return obj
+
+    vec, sup = build_entry("vec-zn", 3), build_entry("super-zn-even", 2)
+    failing = fusion.check_pentagon(vec.data, flip(vec.sixj))
+    label, z = envelope.UnderlyingLabel(1, 0), grothendieck.ZPi(2, -1)
+    records = [
+        failing, failing.violations[0], fusion.validate_fusion(vec.data), envelope.verify_lift(sup.data, sup.sixj),
+        serialize.fusion_file(vec.data, vec.sixj), vec, superfusion.classify_objects(sup.data), label, z,
+    ]
+    for obj in records:
+        back = pickle.loads(pickle.dumps(obj))
+        assert type(back) is type(obj)
+        assert fields(back) == fields(obj), type(obj).__name__
+
+    assert failing.violations and failing == pickle.loads(pickle.dumps(failing))
+    assert failing != reporting.CheckReport(failing.name, failing.ok, failing.checked)
+    assert reporting.CheckReport("a", True, 0).violations is not reporting.CheckReport("a", True, 0).violations
+    assert reporting.LawResult("unit", True) == reporting.LawResult("unit", True, [])
+    assert {label: 1}[envelope.UnderlyingLabel(1, 0)] == 1 and label != envelope.UnderlyingLabel(1, 1)
+    assert z == grothendieck.ZPi(2, -1) and hash(z) == hash(grothendieck.ZPi(2, -1)) and z != grothendieck.ZPi(-1, 2)
+    for value in (label, z):
+        for name in type(value).__slots__:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(value, name, 5)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, name)

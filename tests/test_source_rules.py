@@ -1,16 +1,20 @@
-"""Two rules on the runtime package, checked on the syntax tree of every
-``src/sfckit/*.py``: it imports only the standard library, and no invariant
-is guarded by ``assert``, which ``python -O`` removes."""
+"""Three rules on the runtime package, checked on the syntax tree of every
+``src/sfckit/*.py``: it imports only the standard library, it imports
+neither ``dataclasses`` nor ``argparse``, whose work at each start no
+``.pyc`` file caches, and no invariant is guarded by ``assert``, which
+``python -O`` removes."""
 
 import ast
 import pathlib
 import sys
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "sfckit").glob("*.py"))
+SLOW_TO_START = ("dataclasses", "argparse")
 
 
 def rule_breaches(source: str) -> list[str]:
-    """Every assert statement and every absolute import outside the standard library."""
+    """Every assert statement, every absolute import outside the standard
+    library and every import of a module that is slow to start."""
     breaches = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Assert):
@@ -25,6 +29,8 @@ def rule_breaches(source: str) -> list[str]:
         for module in modules:
             if module.split(".")[0] not in sys.stdlib_module_names:
                 breaches.append(f"line {node.lineno}: import of {module}, outside the standard library")
+            elif module.split(".")[0] in SLOW_TO_START:
+                breaches.append(f"line {node.lineno}: import of {module}, slow to start")
     return breaches
 
 
@@ -35,9 +41,14 @@ def test_runtime_is_stdlib_only_and_assert_free():
 
 
 def test_rule_breaches_are_found():
-    source = "import os\nimport numpy as np\nfrom hypothesis import given\nfrom . import fusion\nassert os\n"
+    source = (
+        "import os\nimport numpy as np\nfrom hypothesis import given\nfrom . import fusion\nassert os\n"
+        "from dataclasses import dataclass\nimport argparse, json\n"
+    )
     assert rule_breaches(source) == [
         "line 2: import of numpy, outside the standard library",
         "line 3: import of hypothesis, outside the standard library",
         "line 5: assert statement",
+        "line 6: import of dataclasses, slow to start",
+        "line 7: import of argparse, slow to start",
     ]

@@ -242,7 +242,7 @@ def run(argv: list[str], work: str, stream: str) -> dict:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
+        except SystemExit as exc:  # a usage error on the command line
             code = exc.code
     stdout, stderr = out.getvalue(), err.getvalue().replace(work, "<work>")
     if stream == "stderr":
