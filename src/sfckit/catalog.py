@@ -78,16 +78,13 @@ def pointed_fusion_data(group: GroupTable, values) -> tuple[FusionData, SixJTabl
     No cocycle condition is checked here; pointed_fusion is the checked
     constructor.  Useful for installing deliberately broken tables.
     """
-    f = values if isinstance(values, ThreeCocycle) else ThreeCocycle(values)
-    mult = {(a, b, group.mul(a, b)): 1 for a in group.elements() for b in group.elements()}
+    f = (values if isinstance(values, ThreeCocycle) else ThreeCocycle(values)).values
+    mul, n = group.product, range(group.order)
+    mult = {(a, b, mul[a][b]): 1 for a in n for b in n}
     data = FusionData(labels=group.labels, unit=group.identity, mult=mult)
-    entries = {}
-    for a in group.elements():
-        for b in group.elements():
-            for c in group.elements():
-                ab = group.mul(a, b)
-                bc = group.mul(b, c)
-                entries[(a, b, ab, c, group.mul(ab, c), bc, 1, 1, 1, 1)] = f(a, b, c)
+    entries = {
+        (a, b, mul[a][b], c, mul[mul[a][b]][c], mul[b][c], 1, 1, 1, 1): f[a][b][c] for a in n for b in n for c in n
+    }
     return data, SixJTable(entries)
 
 
@@ -106,7 +103,7 @@ def pointed_superfusion_data(
 ) -> tuple[SuperFusionData, FermionicSixJTable]:
     """Pointed superfusion data from raw (omega, F~); no cocycle checks."""
     base, table = pointed_fusion_data(group, values)
-    parities = {(a, b, ab, 1): omega(a, b) for (a, b, ab) in base.mult}
+    parities = {(a, b, ab, 1): omega.values[a][b] for (a, b, ab) in base.mult}
     return SuperFusionData(base, parities, [BOSONIC] * group.order), table
 
 
@@ -114,7 +111,7 @@ def pointed_superfusion(
     group: GroupTable, sc: SuperCocycle
 ) -> tuple[SuperFusionData, FermionicSixJTable]:
     """All-Bosonic pointed superfusion data with parities omega and table F~."""
-    if sc.omega(group.identity, group.identity) != 0:
+    if sc.omega.values[group.identity][group.identity] != 0:
         raise CocycleError(
             "omega is not normalized at the identity; the unit Hom space of a "
             "Bosonic object is purely even (apply normalize_two_cocycle first)"
@@ -338,21 +335,14 @@ def build_entry(name: str, *params: int) -> CatalogEntry:
 
 def _validate_entry(entry: CatalogEntry) -> None:
     if entry.kind == "fusion":
-        report = validate_fusion(entry.data)
-        if not report.ok:
-            raise CatalogError(f"{entry.describe()}: {report.summary()}")
-        if entry.sixj is not None:
-            pentagon = check_pentagon(entry.data, entry.sixj, max_violations=1)
-            if not pentagon.ok:
-                raise CatalogError(f"{entry.describe()}: {pentagon.summary()}")
+        validate, check = validate_fusion, check_pentagon
     else:
-        report = validate_superfusion(entry.data)
-        if not report.ok:
-            raise CatalogError(f"{entry.describe()}: {report.summary()}")
-        if entry.sixj is not None:
-            pentagon = check_super_pentagon(entry.data, entry.sixj, max_violations=1)
-            if not pentagon.ok:
-                raise CatalogError(f"{entry.describe()}: {pentagon.summary()}")
+        validate, check = validate_superfusion, check_super_pentagon
+    report = validate(entry.data)
+    if report.ok and entry.sixj is not None:
+        report = check(entry.data, entry.sixj, max_violations=1)
+    if not report.ok:
+        raise CatalogError(f"{entry.describe()}: {report.summary()}")
 
 
 def superfusion_entries_with_tables() -> list[CatalogEntry]:

@@ -152,24 +152,21 @@ def _cmd_check(args) -> int:
     else:
         from .cocycles import check_2cocycle, check_3cocycle, check_supercocycle, validate_group
 
-        applicable = {
-            "cocycle2": cf.omega is not None,
-            "cocycle3": cf.cocycle is not None,
-            "supercocycle": cf.supercocycle is not None,
+        checks = {
+            "cocycle2": (cf.omega, check_2cocycle),
+            "cocycle3": (cf.cocycle, check_3cocycle),
+            "supercocycle": (cf.supercocycle, check_supercocycle),
         }
         if which != "all":
-            if which not in applicable:
+            if which not in checks:
                 raise SchemaError(f"check {which!r} does not apply to a group+cocycles file")
-            if not applicable[which]:
+            if checks[which][0] is None:
                 raise SchemaError(f"input carries no data for check {which!r}")
         ok &= run.add(validate_group(cf.group))
         if ok:
-            if applicable["cocycle2"] and which in ("cocycle2", "all"):
-                ok &= run.add(check_2cocycle(cf.group, cf.omega, max_violations=mv))
-            if applicable["cocycle3"] and which in ("cocycle3", "all"):
-                ok &= run.add(check_3cocycle(cf.group, cf.cocycle, max_violations=mv))
-            if applicable["supercocycle"] and which in ("supercocycle", "all"):
-                ok &= run.add(check_supercocycle(cf.group, cf.supercocycle, max_violations=mv))
+            for kind, (data, check) in checks.items():
+                if data is not None and which in (kind, "all"):
+                    ok &= run.add(check(cf.group, data, max_violations=mv))
     return run.finish(ok)
 
 

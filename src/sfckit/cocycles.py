@@ -2,8 +2,10 @@
 3-supercocycles, central extensions, and the supercocycle lift.
 
 All checks brute-force the full G^3 or G^4 index space; group orders here are
-tiny and transparency beats cleverness.  The G^4 scans run on the cube
-compiled to one int per value (see scalars.kronecker_form).
+tiny and transparency beats cleverness.  Every pass reads its tables by index,
+and the G^4 scans run on the cube compiled to one int per value (see
+scalars.kronecker_form).  The central extension G_omega stores (g, a), g in G
+and a in Z/2, at index 2g + a, and reads an index x as (x >> 1, x & 1).
 """
 
 from __future__ import annotations
@@ -12,13 +14,21 @@ from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, CocycleError, LawRes
 from .scalars import Cyclotomic, kronecker_form
 
 
+def _rows(table, what: str) -> tuple:
+    """table as a tuple of row tuples, refused unless it is a sequence of sequences."""
+    try:
+        return tuple(map(tuple, table))
+    except TypeError:
+        raise CocycleError(f"{what} is not a sequence of rows") from None
+
+
 class GroupTable:
     """A finite group as a full multiplication table over indices 0..n-1."""
 
     __slots__ = ("order", "product", "identity", "labels")
 
     def __init__(self, product, identity: int, labels=None):
-        product = tuple(tuple(row) for row in product)
+        product = _rows(product, "group table")
         order = len(product)
         if order == 0:
             raise CocycleError("group table must be non-empty")
@@ -54,18 +64,13 @@ class GroupTable:
 
 def validate_group(g: GroupTable) -> ValidationReport:
     report = ValidationReport(subject="group table")
-    assoc = [
-        (a, b, c)
-        for a in g.elements()
-        for b in g.elements()
-        for c in g.elements()
-        if g.mul(g.mul(a, b), c) != g.mul(a, g.mul(b, c))
-    ]
+    mul, n = g.product, range(g.order)
+    assoc = [(a, b, c) for a, row in enumerate(mul) for b in n for c in n if mul[row[b]][c] != row[mul[b][c]]]
     report.laws.append(LawResult("associativity", not assoc, assoc))
     e = g.identity
-    ident = [a for a in g.elements() if g.mul(e, a) != a or g.mul(a, e) != a]
+    ident = [a for a in n if mul[e][a] != a or mul[a][e] != a]
     report.laws.append(LawResult("identity", not ident, ident))
-    inverses = [a for a in g.elements() if not any(g.mul(a, b) == e and g.mul(b, a) == e for b in g.elements())]
+    inverses = [a for a, row in enumerate(mul) if not any(x == e and mul[b][a] == e for b, x in enumerate(row))]
     report.laws.append(LawResult("inverses", not inverses, inverses))
     return report
 
@@ -83,7 +88,7 @@ class TwoCocycleZ2:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        values = tuple(tuple(row) for row in values)
+        values = _rows(values, "omega table")
         n = len(values)
         for r, row in enumerate(values):
             if len(row) != n:
@@ -103,9 +108,11 @@ class ThreeCocycle:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        coerced = []
+        values = _rows(values, "cocycle table")
         n = len(values)
+        coerced = []
         for g, plane in enumerate(values):
+            plane = _rows(plane, f"cocycle plane {g}")
             if len(plane) != n:
                 raise CocycleError("cocycle table must be order^3")
             rows = []
@@ -128,20 +135,17 @@ class ThreeCocycle:
         return self.values[g][h][k]
 
 
-class SuperCocycle:
-    """A 3-supercocycle: scalar table F~ together with its 2-cocycle omega."""
+class SuperCocycle(ThreeCocycle):
+    """A 3-supercocycle: the scalar table F~ of a ThreeCocycle together with
+    its 2-cocycle omega."""
 
-    __slots__ = ("omega", "values")
+    __slots__ = ("omega",)
 
     def __init__(self, omega: TwoCocycleZ2, values):
-        table = ThreeCocycle(values)
-        if len(omega.values) != len(table.values):
+        super().__init__(values)
+        if len(omega.values) != len(self.values):
             raise CocycleError("omega and supercocycle tables disagree on the group order")
         self.omega = omega
-        self.values = table.values
-
-    def __call__(self, g: int, h: int, k: int) -> Cyclotomic:
-        return self.values[g][h][k]
 
 
 def _check_sizes(g: GroupTable, n: int, what: str) -> None:
@@ -154,28 +158,29 @@ def check_2cocycle(
 ) -> CheckReport:
     """omega(g,h) + omega(gh,k) = omega(h,k) + omega(g,hk) mod 2, over G^3."""
     _check_sizes(g, len(w.values), "omega")
+    mul, omega, n = g.product, w.values, range(g.order)
     violations = []
     total = 0
-    checked = 0
-    for a in g.elements():
-        for b in g.elements():
-            for c in g.elements():
-                checked += 1
-                lhs = (w(a, b) + w(g.mul(a, b), c)) % 2
-                rhs = (w(b, c) + w(a, g.mul(b, c))) % 2
+    for a in n:
+        wa, ma = omega[a], mul[a]
+        for b in n:
+            wab, w_ab, wb, mb = wa[b], omega[ma[b]], omega[b], mul[b]
+            for c in n:
+                lhs = (wab + w_ab[c]) % 2
+                rhs = (wb[c] + wa[mb[c]]) % 2
                 if lhs != rhs:
                     total += 1
                     if max_violations is None or len(violations) < max_violations:
                         violations.append(Violation(instance=(a, b, c), lhs=lhs, rhs=rhs))
-    return CheckReport("2-cocycle", total == 0, checked, violations, total)
+    return CheckReport("2-cocycle", total == 0, g.order**3, violations, total)
 
 
-def _cube_scan(g: GroupTable, values, omega, max_violations):
+def _cube_scan(name: str, g: GroupTable, values, omega, max_violations, warnings=None) -> CheckReport:
     """The 3-cocycle identity over G^4, on the cube compiled to one int per
     value mod m (see scalars.kronecker_form): a quadruple fails iff its two
     sides differ mod m, and a reported one is recomputed from the values.
-    omega is None for the plain identity; otherwise the right side takes
-    the sign (-1)^(omega(a,b) omega(c,d)).
+    omega, a bit table, is None for the plain identity; otherwise the right
+    side takes the sign (-1)^(omega(a,b) omega(c,d)).
     """
     n = g.order
     m, flat = kronecker_form((x for plane in values for row in plane for x in row), 1, 1)
@@ -188,7 +193,7 @@ def _cube_scan(g: GroupTable, values, omega, max_violations):
         for b in range(n):
             fab = fa[b]
             f_ab = f[mul[a][b]]
-            sign_ab = omega is not None and omega(a, b)
+            sign_ab = omega is not None and omega[a][b]
             for c in range(n):
                 x1 = fab[c]
                 x2 = fa[mul[b][c]]
@@ -198,7 +203,7 @@ def _cube_scan(g: GroupTable, values, omega, max_violations):
                 for d in range(n):
                     lhs = x1 * x2[d] % m * x3[d]
                     rhs = y1[d] * fab[mc[d]]
-                    negate = sign_ab and omega(c, d)
+                    negate = sign_ab and omega[c][d]
                     if (lhs + rhs if negate else lhs - rhs) % m:
                         total += 1
                         if max_violations is None or len(violations) < max_violations:
@@ -206,7 +211,7 @@ def _cube_scan(g: GroupTable, values, omega, max_violations):
                             lhs = values[a][b][c] * values[a][bc][d] * values[b][c][d]
                             rhs = values[ab][c][d] * values[a][b][cd]
                             violations.append(Violation((a, b, c, d), lhs, -rhs if negate else rhs))
-    return violations, total, n**4
+    return CheckReport(name, total == 0, n**4, violations, total, warnings)
 
 
 def check_3cocycle(
@@ -214,8 +219,7 @@ def check_3cocycle(
 ) -> CheckReport:
     """F(g,h,k) F(g,hk,l) F(h,k,l) = F(gh,k,l) F(g,h,kl), over G^4."""
     _check_sizes(g, len(f.values), "cocycle")
-    violations, total, checked = _cube_scan(g, f.values, None, max_violations)
-    return CheckReport("3-cocycle", total == 0, checked, violations, total)
+    return _cube_scan("3-cocycle", g, f.values, None, max_violations)
 
 
 def check_supercocycle(
@@ -225,14 +229,13 @@ def check_supercocycle(
     _check_sizes(g, len(sc.values), "supercocycle")
     w = sc.omega
     warnings = []
-    omega_report = check_2cocycle(g, w, max_violations=max_violations)
+    omega_report = check_2cocycle(g, w, max_violations=0)
     if not omega_report.ok:
         warnings.append(
             f"omega is not a 2-cocycle ({omega_report.total_violations} violating triples); "
             "the supercocycle identity below is checked on the raw data"
         )
-    violations, total, checked = _cube_scan(g, sc.values, w, max_violations)
-    return CheckReport("3-supercocycle", total == 0, checked, violations, total, warnings)
+    return _cube_scan("3-supercocycle", g, sc.values, w.values, max_violations, warnings)
 
 
 def normalize_two_cocycle(g: GroupTable, w: TwoCocycleZ2) -> TwoCocycleZ2:
@@ -245,16 +248,15 @@ def normalize_two_cocycle(g: GroupTable, w: TwoCocycleZ2) -> TwoCocycleZ2:
 
 
 def extension_labels(g: GroupTable) -> tuple[str, ...]:
-    return tuple(f"{g.labels[a]}^{bit}" for a in g.elements() for bit in (0, 1))
+    return tuple(f"{g.labels[x >> 1]}^{x & 1}" for x in range(2 * g.order))
 
 
 def central_extension(g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False) -> GroupTable:
     """The group on Z/2 x G with product g^a . h^b = (gh)^(a+b+omega(g,h)).
 
-    Elements (g, a) are encoded at index 2*g + a.  omega must be a 2-cocycle
-    (else the product is not associative; refused with a witness) and must be
-    normalized at the identity; normalize=True applies the constant-coboundary
-    pre-pass first.
+    omega must be a 2-cocycle (else the product is not associative; refused
+    with a witness) and must be normalized at the identity; normalize=True
+    applies the constant-coboundary pre-pass first.
     """
     report = check_2cocycle(g, w, max_violations=1)
     if not report.ok:
@@ -267,15 +269,8 @@ def central_extension(g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False
                 "apply normalize_two_cocycle first"
             )
         w = normalize_two_cocycle(g, w)
-    order = 2 * g.order
-    product = [[0] * order for _ in range(order)]
-    for a in g.elements():
-        for abit in (0, 1):
-            for b in g.elements():
-                for bbit in (0, 1):
-                    c = g.mul(a, b)
-                    cbit = (abit + bbit + w(a, b)) % 2
-                    product[2 * a + abit][2 * b + bbit] = 2 * c + cbit
+    mul, omega, n = g.product, w.values, range(2 * g.order)
+    product = [[2 * mul[x >> 1][y >> 1] + ((x + y + omega[x >> 1][y >> 1]) & 1) for y in n] for x in n]
     ext = GroupTable(product, identity=2 * g.identity, labels=extension_labels(g))
     check = validate_group(ext)
     if not check.ok:
@@ -300,16 +295,7 @@ def lift_supercocycle(
         witness = report.violations[0].instance
         raise CocycleError(f"not a 3-supercocycle; witness quadruple {witness}")
     ext = central_extension(g, sc.omega)
-    n = ext.order
-    values = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for a in g.elements():
-        for abit in (0, 1):
-            for b in g.elements():
-                for bbit in (0, 1):
-                    for c in g.elements():
-                        for cbit in (0, 1):
-                            v = sc(a, b, c)
-                            if cbit and sc.omega(a, b):
-                                v = -v
-                            values[2 * a + abit][2 * b + bbit][2 * c + cbit] = v
-    return ext, ThreeCocycle(values)
+    f, omega, n = sc.values, sc.omega.values, range(ext.order)
+    cube = [[[-f[x >> 1][y >> 1][z >> 1] if z & 1 and omega[x >> 1][y >> 1] else f[x >> 1][y >> 1][z >> 1]
+              for z in n] for y in n] for x in n]
+    return ext, ThreeCocycle(cube)

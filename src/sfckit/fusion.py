@@ -59,19 +59,21 @@ class FusionData:
             raise FusionError("label set must be non-empty")
         if len(set(labels)) != len(labels):
             raise FusionError("labels must be distinct")
-        if not (0 <= unit < len(labels)):
+        if type(unit) is not int:
+            raise FusionError(f"unit index {unit!r} is not an integer")
+        if not 0 <= unit < len(labels):
             raise FusionError(f"unit index {unit} out of range")
         rank = len(labels)
         clean: dict[tuple[int, int, int], int] = {}
         for key, value in mult.items():
-            if len(key) != 3:
+            if not isinstance(key, tuple) or len(key) != 3:
                 raise FusionError(f"multiplicity key {key!r} is not an index triple")
             i, j, m = key
-            if not (isinstance(i, int) and isinstance(j, int) and isinstance(m, int)):
+            if not (type(i) is int and type(j) is int and type(m) is int):
                 raise FusionError(f"multiplicity key {key!r} is not an index triple")
             if not (0 <= i < rank and 0 <= j < rank and 0 <= m < rank):
                 raise FusionError(f"multiplicity key {key} out of range for rank {rank}")
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise FusionError(f"multiplicity N{key} = {value!r} must be a non-negative integer")
             if value:
                 clean[(i, j, m)] = value
@@ -111,14 +113,13 @@ class SixJTable:
     def __init__(self, entries):
         clean: dict[tuple, Cyclotomic] = {}
         for key, value in entries.items():
-            key = tuple(key)
-            if len(key) != 10:
+            if not isinstance(key, tuple) or len(key) != 10:
                 raise FusionError(f"6j key {key!r} is not an index decuple")
             i, j, m, k, n, t, alpha, beta, eta, phi = key
             if not (
-                isinstance(i, int) and isinstance(j, int) and isinstance(m, int) and isinstance(k, int)
-                and isinstance(n, int) and isinstance(t, int) and isinstance(alpha, int)
-                and isinstance(beta, int) and isinstance(eta, int) and isinstance(phi, int)
+                type(i) is int and type(j) is int and type(m) is int and type(k) is int and type(n) is int
+                and type(t) is int and type(alpha) is int and type(beta) is int and type(eta) is int
+                and type(phi) is int
             ):
                 raise FusionError(f"6j key {key!r} is not an index decuple")
             coerced = Cyclotomic._coerce(value)
@@ -288,7 +289,7 @@ def _on_support(mult, key) -> bool:
 
 
 def decuple_is_admissible(data: FusionData, key: tuple) -> bool:
-    if len(key) != 10 or not all(isinstance(x, int) for x in key):
+    if len(key) != 10 or not all(type(x) is int for x in key):
         return False
     return _on_support(data.mult, key)
 

@@ -99,7 +99,7 @@ def _check_length(order: int, length: int) -> None:
 
     phi(n) >= sqrt(n / 2), so an order above 2 * length**2 is refused
     before it is factored: a hostile order costs no time or memory."""
-    if not isinstance(order, int):
+    if type(order) is not int:
         raise TypeError(f"cyclotomic order must be an int, got {order!r}")
     if order > 2 * length * length:
         raise ValueError(f"order {order} needs more than {length} coefficients, got {length}")
@@ -323,7 +323,7 @@ class Cyclotomic:
         return other * self.inverse()
 
     def __pow__(self, e: int):
-        if not isinstance(e, int):
+        if type(e) is not int:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)

@@ -61,17 +61,16 @@ class SuperFusionData:
                 raise SuperFusionError(f"unknown object type {x!r}")
         clean: dict[tuple[int, int, int, int], int] = {}
         for key, bit in parities.items():
-            key = tuple(key)
-            if len(key) != 4:
+            if not isinstance(key, tuple) or len(key) != 4:
                 raise SuperFusionError(f"parity key {key!r} is not an index quadruple")
             i, j, m, alpha = key
-            if not (isinstance(i, int) and isinstance(j, int) and isinstance(m, int) and isinstance(alpha, int)):
+            if not (type(i) is int and type(j) is int and type(m) is int and type(alpha) is int):
                 raise SuperFusionError(f"parity key {key!r} is not an index quadruple")
             if not (0 <= i < base.rank and 0 <= j < base.rank and 0 <= m < base.rank):
                 raise SuperFusionError(f"parity key {key} out of range")
             if not 1 <= alpha <= base.n(i, j, m):
                 raise SuperFusionError(f"parity key {key} is not an admissible quadruple")
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):
                 raise SuperFusionError(f"parity s{key} = {bit!r} is not a bit")
             clean[key] = bit
         classes = {}

@@ -237,3 +237,43 @@ def test_lift_supercocycle_refuses_invalid():
     bad = SuperCocycle(omega_product_z2(), [[[ONE] * 2] * 2] * 2)
     with pytest.raises(CocycleError, match="witness"):
         lift_supercocycle(g, bad)
+
+
+def test_extension_and_lift_at_every_index_on_z6_with_the_carry_cocycle():
+    # (g, a) sits at index 2g + a; omega is the carry of Z/6, F~ a 12th root of unity
+    n = 6
+    g = cyclic_group(n)
+    omega = [[int(a + b >= n) for b in range(n)] for a in range(n)]
+    tilde = [[[root_of_unity(2 * n, a * omega[b][c]) for c in range(n)] for b in range(n)] for a in range(n)]
+    sc = SuperCocycle(TwoCocycleZ2(omega), tilde)
+    assert check_supercocycle(g, sc).ok
+    ext = central_extension(g, sc.omega)
+    elements = [(x, y, a, b) for x in range(n) for y in range(n) for a in range(2) for b in range(2)]
+    assert [ext.product[2 * x + a][2 * y + b] for x, y, a, b in elements] == [
+        2 * ((x + y) % n) + (a + b + omega[x][y]) % 2 for x, y, a, b in elements
+    ]
+    ext, lifted = lift_supercocycle(g, sc)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                expected = [(-1) ** (c * omega[x][y]) * tilde[x][y][z] for c in range(2)]
+                for a in range(2):
+                    for b in range(2):
+                        assert [lifted(2 * x + a, 2 * y + b, 2 * z + c) for c in range(2)] == expected
+    assert check_3cocycle(ext, lifted).ok
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GroupTable([5], 0), "^group table is not a sequence of rows$"),
+        (lambda: GroupTable(5, 0), "^group table is not a sequence of rows$"),
+        (lambda: TwoCocycleZ2([(0, 0), 1]), "^omega table is not a sequence of rows$"),
+        (lambda: ThreeCocycle([5]), "^cocycle table is not a sequence of rows$"),
+        (lambda: ThreeCocycle([[ONE]]), "^cocycle plane 0 is not a sequence of rows$"),
+    ],
+    ids=["group row", "group", "omega", "cocycle plane", "cocycle row"],
+)
+def test_tables_refuse_rows_that_are_not_sequences(build, message):
+    with pytest.raises(CocycleError, match=message):
+        build()

@@ -517,16 +517,26 @@ def test_invertibility_ising_shaped_full_rank_block():
             lambda: SixJTable({(0,) * 10: "x"}),
             "6j value for (0, 0, 0, 0, 0, 0, 0, 0, 0, 0) is not an exact scalar: 'x'",
         ),
+        # a bool is an int subclass, and an index, multiplicity or unit is a plain int
+        (
+            lambda: FusionData(labels=("a", "b"), unit=0, mult={(0, 0, 0): 1, (True, False, True): 1}),
+            "multiplicity key (True, False, True) is not an index triple",
+        ),
+        (
+            lambda: FusionData(labels=("a",), unit=0, mult={(0, 0, 0): True}),
+            "multiplicity N(0, 0, 0) = True must be a non-negative integer",
+        ),
+        (lambda: FusionData(labels=("a",), unit=False, mult={}), "unit index False is not an integer"),
+        (
+            lambda: SixJTable({(True,) + (0,) * 9: ONE}),
+            "6j key (True, 0, 0, 0, 0, 0, 0, 0, 0, 0) is not an index decuple",
+        ),
+        # a key that is not a tuple
+        (lambda: FusionData(labels=("1",), unit=0, mult={5: 1}), "multiplicity key 5 is not an index triple"),
+        (lambda: SixJTable({5: 1}), "6j key 5 is not an index decuple"),
     ],
 )
 def test_construction_error_texts(build, text):
     with pytest.raises(FusionError) as info:
         build()
     assert str(info.value) == text
-
-
-def test_construction_accepts_bool_indices():
-    # isinstance(True, int) holds, so a bool index passes the key checks
-    data = FusionData(labels=("a", "b"), unit=0, mult={(0, 0, 0): 1, (True, False, True): 1})
-    assert data.n(1, 0, 1) == 1
-    assert len(SixJTable({(True,) + (0,) * 9: ONE})) == 1

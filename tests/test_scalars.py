@@ -71,6 +71,17 @@ def test_hostile_order_is_refused_before_it_is_factored():
         Cyclotomic(2.0, [1])
 
 
+def test_bool_order_and_exponent_are_refused():
+    # a bool is an int subclass; an order or an exponent is a plain int
+    with pytest.raises(TypeError):
+        Cyclotomic(True, [1])
+    with pytest.raises(TypeError):
+        Cyclotomic.from_nums(True, (1,), 1)
+    with pytest.raises(TypeError):
+        root_of_unity(4, 1) ** True
+    assert root_of_unity(4, 1) ** 1 == root_of_unity(4, 1)
+
+
 def test_zeta4_squared_is_minus_one():
     i = root_of_unity(4, 1)
     assert i * i == -1

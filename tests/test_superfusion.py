@@ -294,17 +294,17 @@ def test_parity_classes_split_each_hom_space_by_parity():
         ({}, (BOSONIC,), "object_type has 1 entries for 2 labels"),
         ({}, (BOSONIC, "weird"), "unknown object type 'weird'"),
         ({}, {"0": BOSONIC}, "object_type missing label '1'"),
+        # a bool is an int subclass, and an index or a parity bit is a plain int
+        (
+            {(0, 0, 0, 1): 0, (True, False, True, True): 0},
+            (BOSONIC, BOSONIC),
+            "parity key (True, False, True, True) is not an index quadruple",
+        ),
+        ({(0, 0, 0, 1): False}, (BOSONIC, BOSONIC), "parity s(0, 0, 0, 1) = False is not a bit"),
+        ({5: 0}, (BOSONIC, BOSONIC), "parity key 5 is not an index quadruple"),
     ],
 )
 def test_construction_error_texts(parities, object_type, text):
     with pytest.raises(SuperFusionError) as info:
         SuperFusionData(z2_base(), parities, object_type)
     assert str(info.value) == text
-
-
-def test_construction_accepts_bool_parity_keys():
-    # isinstance(True, int) holds, so a bool index passes the key checks
-    parities = {(a, b, (a + b) % 2, 1): 0 for a in range(2) for b in range(2)}
-    parities[(True, False, True, True)] = parities.pop((1, 0, 1, 1))
-    data = SuperFusionData(z2_base(), parities, (BOSONIC, BOSONIC))
-    assert data.parity(1, 0, 1, 1) == 0
