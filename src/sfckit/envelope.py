@@ -1,14 +1,18 @@
 """The underlying fusion category of a superfusion datum.
 
 Bosonic objects double into two graded labels i^0, i^1; Majorana objects keep
-the single representative i^0.  Fusion multiplicities split by basis-vector
-parity, and the 6j table lifts with the sign (-1)^(c * s^{ij}_m(alpha)),
-where c is the grade of the third tensor factor.  The lifted table is
-materialized so the ordinary pentagon check runs on it as a black box,
-keeping the verification independent of the construction path.
+the single representative i^0.  Index rule (_grading): object i has count[i] =
+2 // dim End(X_i) grades, and i^a (a < count[i]) sits at index first[i] + a,
+with first the running sum of count.  Fusion multiplicities split by
+basis-vector parity, and the 6j table lifts with the sign
+(-1)^(c * s^{ij}_m(alpha)), where c is the grade of the third tensor factor.
+The lifted table is materialized so the ordinary pentagon check runs on it as
+a black box, keeping the verification independent of the construction path.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .fusion import FusionData, SixJTable, check_pentagon, validate_fusion
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, ValidationReport, _immutable, _same_fields
@@ -41,23 +45,22 @@ class UnderlyingLabel:
         return (UnderlyingLabel, (self.base, self.grade))
 
 
-def _grades(data: SuperFusionData, i: int):
-    return (0,) if data.is_majorana(i) else (0, 1)
+def _grading(data: SuperFusionData) -> tuple[list[int], list[int]]:
+    """(count, first): object i has count[i] = 2 // dim End(X_i) grades, and
+    its label i^a sits at index first[i] + a.  The same 2 // d is the weight
+    of the middle object in validate_superfusion's ring law."""
+    count = [2 // data.endo_dim(i) for i in range(data.rank)]
+    return count, [0, *accumulate(count)]
 
 
 def build_label_set(data: SuperFusionData) -> list[UnderlyingLabel]:
-    """Graded labels in deterministic order: i^0 (and i^1 when Bosonic)."""
-    return [UnderlyingLabel(i, a) for i in range(data.rank) for a in _grades(data, i)]
+    """Graded labels in index order: i^0 (and i^1 when Bosonic)."""
+    count, _ = _grading(data)
+    return [UnderlyingLabel(i, a) for i in range(data.rank) for a in range(count[i])]
 
 
 def render_label(data: SuperFusionData, label: UnderlyingLabel) -> str:
     return f"{data.labels[label.base]}^{label.grade}"
-
-
-def _label_indexing(data: SuperFusionData):
-    labels = build_label_set(data)
-    index = {(lab.base, lab.grade): pos for pos, lab in enumerate(labels)}
-    return labels, index
 
 
 def underlying_fusion_rules(data: SuperFusionData) -> FusionData:
@@ -66,19 +69,18 @@ def underlying_fusion_rules(data: SuperFusionData) -> FusionData:
     N^{i^a j^b}_{m^c} counts the basis vectors of Hom(X_i x X_j, X_m) whose
     parity is a+b+c mod 2 (c = 0 for Majorana m).
     """
-    labels, index = _label_indexing(data)
+    count, first = _grading(data)
     mult: dict[tuple[int, int, int], int] = {}
-    for (i, j, m), _ in sorted(data.base.mult.items()):
-        even, odd = data.parity_counts(i, j, m)
-        for a in _grades(data, i):
-            for b in _grades(data, j):
-                for c in _grades(data, m):
-                    count = even if (a + b + c) % 2 == 0 else odd
-                    if count:
-                        mult[(index[(i, a)], index[(j, b)], index[(m, c)])] = count
+    for (i, j, m), classes in data._parity_classes.items():
+        for a in range(count[i]):
+            for b in range(count[j]):
+                for c in range(count[m]):
+                    size = len(classes[(a + b + c) & 1])
+                    if size:
+                        mult[(first[i] + a, first[j] + b, first[m] + c)] = size
     return FusionData(
-        labels=[render_label(data, lab) for lab in labels],
-        unit=index[(data.base.unit, 0)],
+        labels=[render_label(data, lab) for lab in build_label_set(data)],
+        unit=first[data.base.unit],
         mult=mult,
     )
 
@@ -104,7 +106,7 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
     Raises SuperFusionError on a nonzero entry off the parity-admissible
     support, which has no lift.
     """
-    _, index = _label_indexing(data)
+    count, first = _grading(data)
     classes = data._parity_classes
     entries: dict[tuple, Cyclotomic] = {}
     for key in sorted(table.entries):
@@ -120,32 +122,17 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
         beta2 = classes[(m, k, n)][s_n].index(beta) + 1
         eta2 = classes[(j, k, t)][s_t].index(eta) + 1
         phi2 = classes[(i, t, n)][s_f].index(phi) + 1
-        for a in _grades(data, i):
-            for b in _grades(data, j):
-                for c in _grades(data, k):
-                    gm = (a + b + s_m) % 2
-                    gt = (b + c + s_t) % 2
-                    gn = (a + b + c + s_m + s_n) % 2
-                    if data.is_majorana(m) and gm:
-                        continue
-                    if data.is_majorana(t) and gt:
-                        continue
-                    if data.is_majorana(n) and gn:
-                        continue
-                    # the grade of the fourth vector, a + gt + gn = s_f mod 2, holds by the parity rule
-                    lifted_key = (
-                        index[(i, a)],
-                        index[(j, b)],
-                        index[(m, gm)],
-                        index[(k, c)],
-                        index[(n, gn)],
-                        index[(t, gt)],
-                        alpha2,
-                        beta2,
-                        eta2,
-                        phi2,
-                    )
-                    entries[lifted_key] = -value if (c and s_m) else value
+        fi, fj, fm, fk, fn, ft = first[i], first[j], first[m], first[k], first[n], first[t]
+        for a in range(count[i]):
+            for b in range(count[j]):
+                for c in range(count[k]):
+                    gm = (a + b + s_m) & 1
+                    gt = (b + c + s_t) & 1
+                    gn = (a + b + c + s_m + s_n) & 1
+                    # Majorana: grade 0 only; the fourth grade a + gt + gn = s_f holds by the parity rule
+                    if gm < count[m] and gn < count[n] and gt < count[t]:
+                        lifted_key = (fi + a, fj + b, fm + gm, fk + c, fn + gn, ft + gt, alpha2, beta2, eta2, phi2)
+                        entries[lifted_key] = -value if (c and s_m) else value
     return SixJTable(entries)
 
 

@@ -202,6 +202,10 @@ class Cyclotomic:
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyclotomic":
+        if type(n) is not int:
+            raise TypeError(f"root-of-unity order must be an int, got {n!r}")
+        if type(k) is not int:
+            raise TypeError(f"root-of-unity exponent must be an int, got {k!r}")
         if n < 1:
             raise ValueError(f"root-of-unity order must be >= 1, got {n}")
         return _new(n, group_ring_reduce([0] * (k % n) + [1], n), 1)

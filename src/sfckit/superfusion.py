@@ -47,6 +47,9 @@ class SuperFusionData:
 
     def __init__(self, base: FusionData, parities, object_type):
         if isinstance(object_type, dict):
+            unknown = [lab for lab in object_type if lab not in base.labels]
+            if unknown:
+                raise SuperFusionError(f"object_type has unknown label {unknown[0]!r}")
             try:
                 object_type = [object_type[lab] for lab in base.labels]
             except KeyError as exc:

@@ -12,9 +12,10 @@ from sfckit.envelope import (
     underlying_fusion_rules,
     verify_lift,
 )
-from sfckit.fusion import SixJTable, check_pentagon, validate_fusion
+from sfckit.fusion import SixJTable, admissible_decuples, check_pentagon, validate_fusion
 from sfckit.scalars import ONE, root_of_unity
 from sfckit.superfusion import SuperFusionError
+from tests.test_fusion import ising_exact_table
 from tests.test_superfusion import pointed_super, z2_fermionic_table
 
 
@@ -222,33 +223,19 @@ def test_mutated_lift_fails_pentagon():
     assert not report.ok
 
 
-def test_exact_ising_table_is_grade_coherent():
-    """The Ising fusion category is the graded category of the Ising
-    superfusion datum.  Writing each of its admissible decuples in the
-    unambiguous graded form and undoing the (-1)^(c * s_alpha) twist must
-    give a value that depends only on the base decuple, across all grade
-    choices.  This pins the grade bookkeeping and the sign convention
-    against honest data with a Majorana object."""
-    from sfckit.envelope import _label_indexing
-    from sfckit.fusion import admissible_decuples
-    from tests.test_fusion import ising_exact_table
-
+def _untwisted_ising_entries():
+    """Each admissible decuple of the Kitaev Ising table on the graded rules
+    of ising_super(), written in the unambiguous graded form, as its base
+    decuple and its value with the (-1)^(c * s_alpha) twist undone."""
     data = ising_super()
     rules = underlying_fusion_rules(data)
-    ising_data, ising_table = ising_exact_table()
-    assert list(rules.labels) == ["1^0", "1^1", "X^0"]
-    assert rules.mult == ising_data.mult
-
-    labels, _ = _label_indexing(data)
+    _, ising_table = ising_exact_table()
+    labels = build_label_set(data)
     inverse = {}
     for (i, j, m), classes in data._parity_classes.items():
         for s, alphas in enumerate(classes):
             inverse[(i, j, m, s)] = dict(enumerate(alphas, 1))
-
-    grouped: dict[tuple, set] = {}
-    count = 0
     for gkey in admissible_decuples(rules):
-        count += 1
         graded = [(labels[x].base, labels[x].grade) for x in gkey[:6]]
         (i, a), (j, b), (m, gm), (k, c), (n, gn), (t, gt) = graded
         s_a = (a + b + gm) % 2
@@ -263,8 +250,42 @@ def test_exact_ising_table_is_grade_coherent():
             inverse[(i, t, n, s_f)][gkey[9]],
         )
         value = ising_table.entries[gkey]
-        untwisted = -value if (c and s_a) else value
+        yield base, (-value if (c and s_a) else value)
+
+
+def descended_ising_table() -> SixJTable:
+    """The 29 base entries on ising_super() that the Kitaev Ising table
+    determines: the table descended through the inverse of the twist."""
+    return SixJTable(dict(_untwisted_ising_entries()))
+
+
+def test_exact_ising_table_is_grade_coherent():
+    """The Ising fusion category is the graded category of the Ising
+    superfusion datum.  Writing each of its admissible decuples in the
+    unambiguous graded form and undoing the (-1)^(c * s_alpha) twist must
+    give a value that depends only on the base decuple, across all grade
+    choices.  This pins the grade bookkeeping and the sign convention
+    against honest data with a Majorana object."""
+    rules = underlying_fusion_rules(ising_super())
+    ising_data, _ = ising_exact_table()
+    assert list(rules.labels) == ["1^0", "1^1", "X^0"]
+    assert rules.mult == ising_data.mult
+
+    grouped: dict[tuple, set] = {}
+    count = 0
+    for base, untwisted in _untwisted_ising_entries():
+        count += 1
         grouped.setdefault(base, set()).add(str(untwisted))
     assert count == 36
     assert len(grouped) == 29
     assert all(len(values) == 1 for values in grouped.values())
+
+
+def test_twist_of_the_descended_ising_table_is_the_kitaev_table():
+    # _twist on honest data with a Majorana object, entry by entry
+    descended = descended_ising_table()
+    assert len(descended) == 29
+    lifted = envelope._twist(ising_super(), descended)
+    kitaev = ising_exact_table()[1].entries
+    assert len(lifted) == len(kitaev) == 36
+    assert lifted.entries == kitaev

@@ -80,6 +80,12 @@ def test_bool_order_and_exponent_are_refused():
     with pytest.raises(TypeError):
         root_of_unity(4, 1) ** True
     assert root_of_unity(4, 1) ** 1 == root_of_unity(4, 1)
+    for n, k, text in ((True, 1, "order must be an int, got True"), (4, True, "exponent must be an int, got True"),
+                       (2.0, 1, "order must be an int, got 2.0"), (4, 1.0, "exponent must be an int, got 1.0")):
+        with pytest.raises(TypeError, match=f"^root-of-unity {text}$"):
+            Cyclotomic.zeta(n, k)
+        with pytest.raises(TypeError, match=f"^root-of-unity {text}$"):
+            root_of_unity(n, k)
 
 
 def test_zeta4_squared_is_minus_one():

@@ -294,6 +294,7 @@ def test_parity_classes_split_each_hom_space_by_parity():
         ({}, (BOSONIC,), "object_type has 1 entries for 2 labels"),
         ({}, (BOSONIC, "weird"), "unknown object type 'weird'"),
         ({}, {"0": BOSONIC}, "object_type missing label '1'"),
+        ({}, {"0": BOSONIC, "1": BOSONIC, "nope": BOSONIC}, "object_type has unknown label 'nope'"),
         # a bool is an int subclass, and an index or a parity bit is a plain int
         (
             {(0, 0, 0, 1): 0, (True, False, True, True): 0},

@@ -23,6 +23,9 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
   print through ``canonical``: ``vec-zn 2`` with its first entries set to
   ``zeta_11`` and ``zeta_13`` (N = 286) and to ``zeta_3``, ``zeta_5`` and
   ``zeta_7`` (N = 210) (``test_scalars.mixed_order_file``);
+- a Majorana object with a table: ``ising`` with the 29 base entries that
+  the Kitaev Ising table determines (``test_envelope.descended_ising_table``),
+  whose super pentagon fails on the odd-odd entries the lift drops;
 - superfusion rules whose ring laws fail: ``test_ring_kernel.z3_parity_broken``,
   whose pi-Grothendieck ring is not associative, and ``ck 10`` with its middle
   multiplicity raised by one odd basis vector, which breaks the
@@ -132,11 +135,12 @@ def _negate_middle(values):
 
 def write_inputs(work: str) -> dict[str, str]:
     """Write every input into work; returns label -> path, in a fixed order."""
-    from sfckit.catalog import build_entry, standard_three_cocycle
+    from sfckit.catalog import build_entry, ising_super, standard_three_cocycle
     from sfckit.cocycles import SuperCocycle, ThreeCocycle, cyclic_group
     from sfckit.fusion import FusionData
     from sfckit.serialize import dumps_file, fusion_file, group_file, save_file, superfusion_file
     from sfckit.superfusion import SuperFusionData
+    from tests.test_envelope import descended_ising_table
     from tests.test_kernel import CATALOG, flip
     from tests.test_ring_kernel import z3_parity_broken
     from tests.test_scalars import mixed_order_file
@@ -185,6 +189,7 @@ def write_inputs(work: str) -> dict[str, str]:
     save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle)))
     for orders in ((11, 13), (3, 5, 7)):
         save(" ".join(["vec-zn 2 zeta", *map(str, orders)]), mixed_order_file(*orders))
+    save("descended ising superfusion", superfusion_file(ising_super(), descended_ising_table()))
     save("z3 parity broken", superfusion_file(z3_parity_broken()))
     ck = build_entry("ck", 10).data
     key = sorted(ck.base.mult)[len(ck.base.mult) // 2]
