@@ -294,7 +294,6 @@ def test_parity_classes_split_each_hom_space_by_parity():
         ({}, (BOSONIC,), "object_type has 1 entries for 2 labels"),
         ({}, (BOSONIC, "weird"), "unknown object type 'weird'"),
         ({}, {"0": BOSONIC}, "object_type missing label '1'"),
-        ({}, {"0": BOSONIC, "1": BOSONIC, "nope": BOSONIC}, "object_type has unknown label 'nope'"),
         # a bool is an int subclass, and an index or a parity bit is a plain int
         (
             {(0, 0, 0, 1): 0, (True, False, True, True): 0},
@@ -303,6 +302,7 @@ def test_parity_classes_split_each_hom_space_by_parity():
         ),
         ({(0, 0, 0, 1): False}, (BOSONIC, BOSONIC), "parity s(0, 0, 0, 1) = False is not a bit"),
         ({5: 0}, (BOSONIC, BOSONIC), "parity key 5 is not an index quadruple"),
+        ({}, {"0": BOSONIC, "1": BOSONIC, "nope": BOSONIC}, "object_type has unknown label 'nope'"),
     ],
 )
 def test_construction_error_texts(parities, object_type, text):
