@@ -3,9 +3,10 @@ group cocycles, the folded Ising superfusion rules, and the level-k truncated
 Clebsch-Gordan families.
 
 Entries validate themselves on construction.  The Ising and C_k entries carry
-no 6j tables (no exact values exist for them here; inventing them is out of
-the question), so they exercise classification, graded-label, and
-Grothendieck paths only.
+no 6j tables, so they exercise classification, graded-label, and Grothendieck
+paths only.  Exact Ising values exist (the Kitaev table is test data), but
+their folded table (tests/test_envelope.descended_ising_table) fails today's
+super pentagon until ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .cocycles import (
     check_supercocycle,
     cyclic_group,
 )
-from .fusion import FusionData, SixJTable, check_pentagon, validate_fusion
-from .reporting import CatalogError
+from .fusion import FusionData, SixJTable, _products_of, check_pentagon, validate_fusion
+from .reporting import CatalogError, _unchecked
 from .scalars import ONE, root_of_unity
 from .superfusion import (
     BOSONIC,
@@ -81,11 +82,12 @@ def pointed_fusion_data(group: GroupTable, values) -> tuple[FusionData, SixJTabl
     f = (values if isinstance(values, ThreeCocycle) else ThreeCocycle(values)).values
     mul, n = group.product, range(group.order)
     mult = {(a, b, mul[a][b]): 1 for a in n for b in n}
-    data = FusionData(labels=group.labels, unit=group.identity, mult=mult)
+    products = _products_of(group.order, mult)
+    data = _unchecked(FusionData, labels=group.labels, unit=group.identity, mult=mult, _products=products)
     entries = {
         (a, b, mul[a][b], c, mul[mul[a][b]][c], mul[b][c], 1, 1, 1, 1): f[a][b][c] for a in n for b in n for c in n
     }
-    return data, SixJTable(entries)
+    return data, _unchecked(SixJTable, entries=entries)
 
 
 def pointed_fusion(group: GroupTable, tau: ThreeCocycle) -> tuple[FusionData, SixJTable]:

@@ -10,7 +10,8 @@ and a in Z/2, at index 2g + a, and reads an index x as (x >> 1, x & 1).
 
 from __future__ import annotations
 
-from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, CocycleError, LawResult, ValidationReport, Violation
+from .reporting import (DEFAULT_MAX_VIOLATIONS, CheckReport, CocycleError, LawResult, ValidationReport, Violation,
+                        _unchecked)
 from .scalars import Cyclotomic, kronecker_form
 
 
@@ -270,8 +271,9 @@ def central_extension(g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False
             )
         w = normalize_two_cocycle(g, w)
     mul, omega, n = g.product, w.values, range(2 * g.order)
-    product = [[2 * mul[x >> 1][y >> 1] + ((x + y + omega[x >> 1][y >> 1]) & 1) for y in n] for x in n]
-    ext = GroupTable(product, identity=2 * g.identity, labels=extension_labels(g))
+    # unchecked: each product 2gh + bit is below 2 |G|, and the labels "g^a" are distinct as the labels g are
+    product = tuple(tuple(2 * mul[x >> 1][y >> 1] + ((x + y + omega[x >> 1][y >> 1]) & 1) for y in n) for x in n)
+    ext = _unchecked(GroupTable, order=len(n), product=product, identity=2 * g.identity, labels=extension_labels(g))
     check = validate_group(ext)
     if not check.ok:
         raise CocycleError(f"central extension is not a group: {check.summary()}")
@@ -298,4 +300,4 @@ def lift_supercocycle(
     f, omega, n = sc.values, sc.omega.values, range(ext.order)
     cube = [[[-f[x >> 1][y >> 1][z >> 1] if z & 1 and omega[x >> 1][y >> 1] else f[x >> 1][y >> 1][z >> 1]
               for z in n] for y in n] for x in n]
-    return ext, ThreeCocycle(cube)
+    return ext, _unchecked(ThreeCocycle, values=tuple(tuple(map(tuple, plane)) for plane in cube))

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .fusion import FusionData, SixJTable, check_pentagon, validate_fusion
-from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, ValidationReport, _immutable, _same_fields
+from .fusion import FusionData, SixJTable, _products_of, check_pentagon, validate_fusion
+from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, ValidationReport, _immutable, _same_fields, _unchecked
 from .scalars import Cyclotomic
 from .superfusion import (
     FermionicSixJTable,
@@ -78,11 +78,10 @@ def underlying_fusion_rules(data: SuperFusionData) -> FusionData:
                     size = len(classes[(a + b + c) & 1])
                     if size:
                         mult[(first[i] + a, first[j] + b, first[m] + c)] = size
-    return FusionData(
-        labels=[render_label(data, lab) for lab in build_label_set(data)],
-        unit=first[data.base.unit],
-        mult=mult,
-    )
+    # unchecked: the labels are distinct (each ends in its grade), and every key and count is in range and positive
+    labels = tuple(render_label(data, lab) for lab in build_label_set(data))
+    products = _products_of(len(labels), mult)
+    return _unchecked(FusionData, labels=labels, unit=first[data.base.unit], mult=mult, _products=products)
 
 
 def lift_6j(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
@@ -133,7 +132,7 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
                     if gm < count[m] and gn < count[n] and gt < count[t]:
                         lifted_key = (fi + a, fj + b, fm + gm, fk + c, fn + gn, ft + gt, alpha2, beta2, eta2, phi2)
                         entries[lifted_key] = -value if (c and s_m) else value
-    return SixJTable(entries)
+    return _unchecked(SixJTable, entries=entries)  # int keys, the table's own values or their negatives
 
 
 class LiftVerification:

@@ -66,11 +66,9 @@ class FusionData:
         rank = len(labels)
         clean: dict[tuple[int, int, int], int] = {}
         for key, value in mult.items():
-            if not isinstance(key, tuple) or len(key) != 3:
+            if not (isinstance(key, tuple) and len(key) == 3 and all(type(x) is int for x in key)):
                 raise FusionError(f"multiplicity key {key!r} is not an index triple")
             i, j, m = key
-            if not (type(i) is int and type(j) is int and type(m) is int):
-                raise FusionError(f"multiplicity key {key!r} is not an index triple")
             if not (0 <= i < rank and 0 <= j < rank and 0 <= m < rank):
                 raise FusionError(f"multiplicity key {key} out of range for rank {rank}")
             if type(value) is not int or value < 0:
@@ -80,13 +78,7 @@ class FusionData:
         self.labels = labels
         self.unit = unit
         self.mult = clean
-        products = [[[] for _ in range(rank)] for _ in range(rank)]
-        for (i, j, m), value in sorted(clean.items()):
-            products[i][j].append((m, value))
-        self._products = tuple(tuple(tuple(cell) for cell in row) for row in products)
-
-    def __reduce__(self):
-        return (FusionData, (self.labels, self.unit, self.mult))
+        self._products = _products_of(rank, clean)
 
     @property
     def rank(self) -> int:
@@ -101,6 +93,15 @@ class FusionData:
         return self._products[i][j]
 
 
+def _products_of(rank: int, mult) -> tuple:
+    """FusionData._products of the rules mult: products[i][j] lists the
+    summands (m, N^ij_m) of X_i x X_j, in index order."""
+    products = [[[] for _ in range(rank)] for _ in range(rank)]
+    for (i, j, m), value in sorted(mult.items()):
+        products[i][j].append((m, value))
+    return tuple(tuple(tuple(cell) for cell in row) for row in products)
+
+
 class SixJTable:
     """Sparse map from admissible decuples to exact scalars.
 
@@ -113,14 +114,7 @@ class SixJTable:
     def __init__(self, entries):
         clean: dict[tuple, Cyclotomic] = {}
         for key, value in entries.items():
-            if not isinstance(key, tuple) or len(key) != 10:
-                raise FusionError(f"6j key {key!r} is not an index decuple")
-            i, j, m, k, n, t, alpha, beta, eta, phi = key
-            if not (
-                type(i) is int and type(j) is int and type(m) is int and type(k) is int and type(n) is int
-                and type(t) is int and type(alpha) is int and type(beta) is int and type(eta) is int
-                and type(phi) is int
-            ):
+            if not (isinstance(key, tuple) and len(key) == 10 and all(type(x) is int for x in key)):
                 raise FusionError(f"6j key {key!r} is not an index decuple")
             coerced = Cyclotomic._coerce(value)
             if coerced is None:
@@ -315,11 +309,6 @@ def _require_on_support(bad) -> None:
         raise FusionError(
             f"{len(bad)} 6j entries sit on non-admissible decuples, e.g. {_preview(bad)}"
         )
-
-
-def require_admissible_support(data: FusionData, table: SixJTable) -> None:
-    """Raise FusionError if any table entry sits on a non-admissible decuple."""
-    _require_on_support(_off_support(data, table))
 
 
 def validate_sixj(data: FusionData, table: SixJTable) -> ValidationReport:
@@ -611,7 +600,7 @@ def check_6j_invertibility(data: FusionData, table: SixJTable) -> CheckReport:
     (t, eta, phi); a non-square block is reported as a fusion-data
     inconsistency, a singular square block as a failure.
     """
-    require_admissible_support(data, table)
+    _require_on_support(_off_support(data, table))
     basis = _hom_basis(data)
     rank = data.rank
     violations = []

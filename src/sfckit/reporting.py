@@ -22,6 +22,16 @@ def _same_fields(self, other) -> bool:
     return [getattr(self, name) for name in self.__slots__] == [getattr(other, name) for name in self.__slots__]
 
 
+def _unchecked(cls, **fields):
+    """An instance of cls with these field values, made without cls.__init__
+    and its checks: only for data derived from checked data, in the builders
+    that tests/test_source_rules.py lists."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    return obj
+
+
 def _immutable(self, *args):
     """``__setattr__`` and ``__delattr__`` of a value class: its fields are set once, in ``__init__``."""
     raise AttributeError(f"{self.__class__.__name__} values are immutable")

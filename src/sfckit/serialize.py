@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import attrgetter
 
+from .reporting import _unchecked
 from .scalars import Cyclotomic
 
 TYPE_CHECKING = False
@@ -233,24 +234,15 @@ def _encode_sixj(data, table) -> list:
 
 
 def _decode_fusion(payload: dict, where: str) -> CategoryFile:
-    from .fusion import FusionData, FusionError, SixJTable
+    from .fusion import FusionData, SixJTable, _products_of
 
     labels = _expect_list(payload.get("labels"), f"{where}.labels")
     lookup = _label_map(labels, f"{where}.labels")
     unit = _label(payload.get("unit"), lookup, f"{where}.unit")
     mult = _decode_mult(payload, lookup, where)
-    try:
-        data = FusionData(labels, unit, mult)
-    except FusionError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    data = _unchecked(FusionData, labels=tuple(labels), unit=unit, mult=mult, _products=_products_of(len(labels), mult))
     entries = _decode_sixj(payload, lookup, where, _once(scalar_from_json, repr))
-    table = None
-    if entries is not None:
-        try:
-            table = SixJTable(entries)
-        except FusionError as exc:
-            raise SchemaError(f"{where}.sixj: {exc}") from None
-    return fusion_file(data, table)
+    return fusion_file(data, None if entries is None else _unchecked(SixJTable, entries=entries))
 
 
 def _encode_fusion(cf: CategoryFile) -> dict:
@@ -294,7 +286,7 @@ def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
         _expect_list(rec, where_p, pos)
         _expect(len(rec) == 5, "expected [i, j, m, alpha, s]", where_p, pos)
         key = _resolve(rec, 3, lookup, where_p, pos) + (_expect_int(rec[3], where_p, pos, 3),)
-        bit = _expect_int(rec[4], where_p, pos, 4)
+        bit = _bit(rec[4], where_p, pos, 4)
         _expect(key not in parities, "duplicate parity record", where_p, pos)
         parities[key] = bit
     try:
@@ -458,7 +450,7 @@ def dumps_file(cf: CategoryFile) -> str:
 def loads_file(text: str) -> CategoryFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, and an int past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from None
     return decode_document(doc)
 

@@ -16,9 +16,10 @@ from .fusion import (
     SixJTable,
     associativity_defects,
     decuple_is_admissible,
-    require_admissible_support,
     _duality_law,
     _missing_entries,
+    _off_support,
+    _require_on_support,
     _scan_report,
     _unit_law,
 )
@@ -228,7 +229,7 @@ def validate_superfusion(data: SuperFusionData) -> ValidationReport:
 
 def check_support(data: SuperFusionData, table: FermionicSixJTable) -> CheckReport:
     """Every nonzero entry must sit on a parity-admissible decuple."""
-    require_admissible_support(data.base, table)
+    _require_on_support(_off_support(data.base, table))
     violations = []
     for key in sorted(table.entries):
         if table.entries[key].is_zero():

@@ -183,10 +183,39 @@ def test_malformed_superfusion_documents():
     with pytest.raises(SchemaError, match="bosonic"):
         loads_file(json.dumps(doc))
 
+    # a parity bit is read as an omega bit is, so its message names the record
+    doc = doc_for("super-zn-even", 2)
+    doc["payload"]["parities"][-1][4] = 2
+    with pytest.raises(SchemaError, match=r"^payload\.parities\[3\]\[4\]: expected a bit$"):
+        loads_file(json.dumps(doc))
+
+
+def five_thousand_digit_multiplicity() -> str:
+    """A vec-zn 2 document whose first multiplicity has 5000 digits, past
+    the interpreter's limit on int-from-string conversion."""
+    doc = doc_for("vec-zn", 2)
+    doc["payload"]["mult"][0][3] = "MULT"
+    return json.dumps(doc).replace('"MULT"', "1" * 5000)
+
 
 def test_invalid_json_is_a_schema_error():
     with pytest.raises(SchemaError, match="invalid JSON"):
         loads_file("{this is not json")
+    with pytest.raises(SchemaError, match="^invalid JSON: maximum recursion depth"):
+        loads_file("[" * 200_000)
+    with pytest.raises(SchemaError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)"):
+        loads_file(five_thousand_digit_multiplicity())
+
+
+@pytest.mark.parametrize("text", [lambda: "[" * 200_000, five_thousand_digit_multiplicity], ids=["deep", "long int"])
+def test_cli_exits_2_on_json_the_parser_cannot_hold(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text())
+    assert main(["check", str(path)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_group_document_errors():

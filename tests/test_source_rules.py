@@ -1,9 +1,12 @@
-"""Four rules on the runtime package, checked on the syntax tree of every
+"""Five rules on the runtime package, checked on the syntax tree of every
 ``src/sfckit/*.py``: it imports only the standard library, it imports
 neither ``dataclasses`` nor ``argparse``, whose work at each start no
 ``.pyc`` file caches, no invariant is guarded by ``assert``, which
-``python -O`` removes, and no value is tested with ``isinstance(x, int)``,
-which accepts a bool (the plain-int test is ``type(x) is int``)."""
+``python -O`` removes, no value is tested with ``isinstance(x, int)``,
+which accepts a bool (the plain-int test is ``type(x) is int``), and
+``reporting._unchecked``, which builds an object without its constructor's
+checks, is named only in the builders of derived data listed in
+UNCHECKED_BUILDERS."""
 
 import ast
 import pathlib
@@ -11,14 +14,42 @@ import sys
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "sfckit").glob("*.py"))
 SLOW_TO_START = ("dataclasses", "argparse")
+# (module, function): the only code that may name _unchecked.  The decoder
+# makes every check of the FusionData and SixJTable constructors; the others
+# derive their objects from data that has passed a constructor or the decoder.
+UNCHECKED_BUILDERS = {
+    ("serialize", "_decode_fusion"),
+    ("envelope", "underlying_fusion_rules"),
+    ("envelope", "_twist"),
+    ("cocycles", "lift_supercocycle"),
+    ("cocycles", "central_extension"),
+    ("catalog", "pointed_fusion_data"),
+}
 
 
-def rule_breaches(source: str) -> list[str]:
+def unchecked_uses(tree: ast.AST, scope: str = "") -> list[tuple[int, str]]:
+    """(line, scope) of every use of the name _unchecked, bare or as an
+    attribute, with scope the outermost function or class around it ("" in
+    module code)."""
+    uses = []
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if not scope and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = node.name
+        if "_unchecked" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            uses.append((node.lineno, scope))
+        uses += unchecked_uses(node, inner)
+    return uses
+
+
+def rule_breaches(source: str, stem: str = "") -> list[str]:
     """Every assert statement, every absolute import outside the standard
-    library, every import of a module that is slow to start and every
-    isinstance(x, int)."""
+    library, every import of a module that is slow to start, every
+    isinstance(x, int) and every use of _unchecked outside UNCHECKED_BUILDERS
+    (stem is the module's file name without .py)."""
+    tree = ast.parse(source)
     breaches = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Assert):
             breaches.append(f"line {node.lineno}: assert statement")
             continue
@@ -43,13 +74,22 @@ def rule_breaches(source: str) -> list[str]:
                 breaches.append(f"line {node.lineno}: import of {module}, outside the standard library")
             elif module.split(".")[0] in SLOW_TO_START:
                 breaches.append(f"line {node.lineno}: import of {module}, slow to start")
+    for line, scope in unchecked_uses(tree):
+        if (stem, scope) not in UNCHECKED_BUILDERS:
+            breaches.append(f"line {line}: _unchecked used in {scope or 'module code'}, not a builder of derived data")
     return breaches
 
 
 def test_runtime_is_stdlib_only_and_assert_free():
     assert len(SOURCES) >= 11
-    breaches = [f"{path.name} {b}" for path in SOURCES for b in rule_breaches(path.read_text())]
+    breaches = [f"{path.name} {b}" for path in SOURCES for b in rule_breaches(path.read_text(), path.stem)]
     assert breaches == []
+
+
+def test_unchecked_builders_are_exactly_the_listed_ones():
+    # no stale entry: each listed builder still builds unchecked
+    used = {(path.stem, scope) for path in SOURCES for _, scope in unchecked_uses(ast.parse(path.read_text()))}
+    assert used == UNCHECKED_BUILDERS
 
 
 def test_rule_breaches_are_found():
@@ -57,6 +97,7 @@ def test_rule_breaches_are_found():
         "import os\nimport numpy as np\nfrom hypothesis import given\nfrom . import fusion\nassert os\n"
         "from dataclasses import dataclass\nimport argparse, json\n"
         "ok = isinstance(x, bool) or isinstance(x, (int, str))\nbad = isinstance(x, int)\n"
+        "def _decode_fusion(payload):\n    return reporting._unchecked(FusionData, labels=payload)\n"
     )
     assert rule_breaches(source) == [
         "line 2: import of numpy, outside the standard library",
@@ -65,4 +106,5 @@ def test_rule_breaches_are_found():
         "line 6: import of dataclasses, slow to start",
         "line 7: import of argparse, slow to start",
         "line 9: isinstance(..., int) accepts bool",
+        "line 11: _unchecked used in _decode_fusion, not a builder of derived data",
     ]
