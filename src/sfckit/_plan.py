@@ -31,8 +31,9 @@ def outer_weights(data) -> list[int]:
 
         L(p) = sum_{m,n} N^ij_m N^mk_n N^nl_p,   R(p) = sum_{q,s} N^kl_q N^jq_s N^is_p.
 
-    The scan's loop nest only skips empty ranges, so the count is exact for
-    any multiplicities.  It is evaluated as sum_{n,s} A(n) C(s) T(n, s), with
+    The scan compares every right path ending at p once per left path
+    ending at p, so the count is exact for any multiplicities.  It is
+    evaluated as sum_{n,s} A(n) C(s) T(n, s), with
     A(n) = sum_m N^ij_m N^mk_n, C(s) = sum_q N^kl_q N^jq_s and
     T(n, s) = sum_p N^nl_p N^is_p, so it costs rank**4 small sums, not a scan.
     """

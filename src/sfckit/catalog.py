@@ -103,7 +103,8 @@ def pointed_fusion(group: GroupTable, tau: ThreeCocycle) -> tuple[FusionData, Si
 def pointed_superfusion_data(
     group: GroupTable, omega: TwoCocycleZ2, values
 ) -> tuple[SuperFusionData, FermionicSixJTable]:
-    """Pointed superfusion data from raw (omega, F~); no cocycle checks."""
+    """Pointed superfusion data from raw (omega, F~); no cocycle checks.
+    values goes to pointed_fusion_data as it is: a cocycle is not coerced again."""
     base, table = pointed_fusion_data(group, values)
     parities = {(a, b, ab, 1): omega.values[a][b] for (a, b, ab) in base.mult}
     return SuperFusionData(base, parities, [BOSONIC] * group.order), table
@@ -123,7 +124,7 @@ def pointed_superfusion(
         raise CocycleError(
             f"not a 3-supercocycle; witness quadruple {report.violations[0].instance}"
         )
-    return pointed_superfusion_data(group, sc.omega, sc.values)
+    return pointed_superfusion_data(group, sc.omega, sc)
 
 
 # -- folded families -----------------------------------------------------------
@@ -267,7 +268,7 @@ def _entry_super_z2(p: int = 1) -> CatalogEntry:
 def _entry_super_zn_even(n: int, p: int = 1) -> CatalogEntry:
     group = cyclic_group(n)
     sc = SuperCocycle(omega_zero(n), standard_three_cocycle(n, p).values)
-    data, table = pointed_superfusion_data(group, sc.omega, sc.values)
+    data, table = pointed_superfusion_data(group, sc.omega, sc)
     return CatalogEntry(
         "super-zn-even",
         {"n": n, "p": p},

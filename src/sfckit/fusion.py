@@ -10,18 +10,19 @@ as the scalar 0 during verification, and the list of missing entries
 (_missing_entries) is surfaced as a completeness warning, never silently
 required.
 
-The pentagon check enumerates only admissible chains: for each outer object
-quadruple it walks one list of Hom basis vectors (m, alpha) per (i, j),
-built once per scan, instead of the full rank**10 index space, which is
-what makes exhaustive exact verification instant at the scales this library
-targets.  The scan runs on ints: the table is compiled once to one int per
-value mod m (scalars.kronecker_form).  The same loop, rerun on the table's
-own values, gives each reported violation its exact sides.  The
-number of instances at each outer quadruple has a closed form in the
-multiplicities (_plan.outer_weights); it stands in for the scan of an empty
-table, and it cuts the outer quadruple space into contiguous chunks of
-equal work for worker processes.  Partial reports are merged in index
-order, so the result is identical for any worker count.
+The pentagon check enumerates only admissible chains and stored nonzeros.
+Each scan numbers the Hom basis vectors (_hom_index), and the table is
+compiled once to associator rows: rows[v1][v2] lists the (v3, v4, value) of
+each nonzero entry on the basis vectors v1..v4 (_rows).  A scan follows
+these rows, so it pays for the products it adds, not for the rank**10 index
+space.  The values are ints: one int per value mod m
+(scalars.kronecker_form).  The same loop, rerun on rows of the table's own
+values, gives each reported violation its exact sides.  The number of
+instances at each outer quadruple has a closed form in the multiplicities
+(_plan.outer_weights); it stands in for the scan of an empty table, and it
+cuts the outer quadruple space into contiguous chunks of equal work for
+worker processes.  Partial reports are merged in index order, so the result
+is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -34,14 +35,12 @@ from .scalars import ZERO, Cyclotomic, kronecker_form
 MISSING_ENTRY_PREVIEW = 5
 # A scan starts a process pool only from this many instances
 # (_plan.outer_weights) on.  Measured on a 2-vCPU x86-64 Linux guest with
-# CPython 3.11, fresh `sfckit check --jobs 2` processes, pool forced on vs
-# off, 10 alternating pairs each: two workers side by side each run at
-# about 0.55x, so the pool saves far less than half a scan, and on the
-# general Ising table (2176 instances, about 15 us each) it cost 60 ms.  On
-# vec-zn n (n**4 instances, about 5.5 us each) it lost 10 and 9 of 10
-# pairs at 20 736 and 65 536 instances, tied at 104 976 and 160 000, and
-# won 7, 8 and 7-9 of 10 at 194 481, 234 256 and 331 776.  Costlier
-# instances pay sooner, so the gate errs towards one process.
+# CPython 3.11, fresh `sfckit check` processes on vec-zn n (n**4 instances),
+# pool forced on vs off, 10 alternating pairs each: two workers side by
+# side each run at about 0.55x.  At about 5.5 us per instance the pool won
+# 7-9 of 10 from 194 481 instances on; at the row scan's 2.3 us it won 1, 4,
+# 2 (2 again) and 3 of 10 at 160 000, 234 256, 331 776 and 614 656.  No
+# size gave 9 of 10 either way, so the gate stays.
 POOL_MIN_INSTANCES = 200_000
 
 
@@ -332,78 +331,100 @@ def validate_sixj(data: FusionData, table: SixJTable) -> ValidationReport:
 # -- pentagon engine ----------------------------------------------------------
 
 
-def _hom_basis(data: FusionData):
-    """basis[i][j] lists every basis vector (m, alpha) of Hom(X_i x X_j, X_m),
-    alpha 1-based, in index order."""
-    return [
-        [[(m, alpha) for m, nijm in cell for alpha in range(1, nijm + 1)] for cell in row]
-        for row in data._products
-    ]
+def _hom_index(data: FusionData):
+    """(vectors, cells): vectors lists every Hom basis vector (a, b, c, alpha),
+    alpha 1-based, in index order, and vector v is vectors[v]; cells[a][b]
+    lists the (c, v) of the basis of Hom(X_a x X_b, X_c), in index order."""
+    vectors, cells = [], [[[] for _ in row] for row in data._products]
+    for a, row in enumerate(data._products):
+        for b, cell in enumerate(row):
+            for c, n in cell:
+                cells[a][b] += [(c, len(vectors) + x) for x in range(n)]
+                vectors += [(a, b, c, alpha) for alpha in range(1, n + 1)]
+    return vectors, cells
+
+
+def _rows(data: FusionData, keys, values):
+    """The associator rows of a table's decuple keys and values: rows[v1][v2]
+    lists (v3, v4, x) for each nonzero x whose decuple has the Hom basis
+    vectors (numbered by _hom_index) v1 = (i,j,m,alpha), v2 = (m,k,n,beta),
+    v3 = (j,k,t,eta), v4 = (i,t,n,phi), so row (m, alpha, beta) of F^{ijk}_n."""
+    number = {x: v for v, x in enumerate(_hom_index(data)[0])}
+    rows = [{} for _ in number]
+    for (i, j, m, k, n, t, alpha, beta, eta, phi), x in zip(keys, values):
+        if x:
+            row = rows[number[i, j, m, alpha]].setdefault(number[m, k, n, beta], [])
+            row.append((number[j, k, t, eta], number[i, t, n, phi], x))
+    return rows
 
 
 def _scan_chunk(data, entries, parities, outer, max_violations):
     """Check the (super) pentagon identity over one chunk of outer quadruples.
 
-    entries is (modulus, values).  For the verdicts it is the table compiled
-    by _compile: values maps each decuple to its value's int mod m (see
-    scalars.kronecker_form), so an instance fails iff its two sides differ
-    mod m.  For exact sides it is (_EXACT, the table's Cyclotomic entries):
-    x % _EXACT is x, so the same statements add up field values.
-
-    parities is None for the plain pentagon; for the super pentagon it maps
-    admissible Hom-space quadruples to parity bits, and the right-hand side
-    picks up (-1)**(s(i,j,m,alpha) * s(k,l,q,delta)), found once per (q, delta).
-    Returns (the first max_violations failing instances, each as
-    (instance, lhs, rhs), their total, the instances checked).
+    entries is (modulus, rows), rows as built by _rows: the ints of _compile
+    (scalars.kronecker_form), where an instance fails iff its sides differ
+    mod m, or for exact sides the table's own values under _EXACT, where
+    x % _EXACT is x.  An instance pairs a left path va, vb, vc (basis
+    vectors of Hom(i x j, m), Hom(m x k, n), Hom(n x l, p)) with a right
+    path vd, ve, vf (of Hom(k x l, q), Hom(j x q, s), Hom(i x s, p)) ending
+    at the same p.  Per left path, each side adds its stored nonzero terms
+    into a dict keyed by right path: the left side over rows[va][vb],
+    rows[vpsi][vc] and rows[vt][vk], the right over rows[vb][vc] and
+    rows[va][veps], times (-1)**(s(va) s(vd)) under parities (None for the
+    plain pentagon, else the bit of each admissible Hom-space quadruple).
+    The right paths at p are then compared in index order, a missing key
+    reading 0.  Returns (the first max_violations failing instances, each
+    as (instance, lhs, rhs), their total, the instances checked).
     """
-    modulus, ints = entries
-    basis = _hom_basis(data)
-    nf = data.mult.get
-    get = ints.get
+    modulus, rows = entries
+    vectors, cells = _hom_index(data)
+    odd = None if parities is None else [parities[x] for x in vectors]
     failing = []
     total = 0
     checked = 0
     for (i, j, k, l) in outer:
-        for m, alpha in basis[i][j]:
-            for n, beta in basis[m][k]:
-                for p, chi in basis[n][l]:
-                    for q, delta in basis[k][l]:
-                        negate = parities is not None and parities[(i, j, m, alpha)] and parities[(k, l, q, delta)]
-                        nmqp = nf((m, q, p), 0)
-                        for s, phi in basis[j][q]:
-                            for gamma in range(1, nf((i, s, p), 0) + 1):
-                                lhs = 0
-                                for t, eta in basis[j][k]:
-                                    nitn = nf((i, t, n), 0)
-                                    ntls = nf((t, l, s), 0)
-                                    if not ntls:
-                                        continue
-                                    for psi in range(1, nitn + 1):
-                                        f1 = get((i, j, m, k, n, t, alpha, beta, eta, psi))
-                                        if not f1:
-                                            continue
-                                        for kappa in range(1, ntls + 1):
-                                            f2 = get((i, t, n, l, p, s, psi, chi, kappa, gamma))
-                                            if not f2:
-                                                continue
-                                            f3 = get((j, k, t, l, s, q, eta, kappa, delta, phi))
-                                            if f3:
-                                                lhs += f1 * f2 % modulus * f3
-                                rhs = 0
-                                for eps in range(1, nmqp + 1):
-                                    g1 = get((m, k, n, l, p, q, beta, chi, delta, eps))
-                                    if g1:
-                                        g2 = get((i, j, m, q, p, s, alpha, eps, phi, gamma))
-                                        if g2:
-                                            rhs += g1 * g2
-                                if negate:
-                                    rhs = -rhs
-                                checked += 1
-                                if (lhs - rhs) % modulus:
-                                    total += 1
-                                    if max_violations is None or len(failing) < max_violations:
-                                        failing.append(((i, j, k, l, m, n, p, q, s,
-                                                         alpha, beta, chi, gamma, delta, phi), lhs, rhs))
+        cells_i, cells_j = cells[i], cells[j]
+        ends = {}  # p -> the right paths (vd, ve, vf) ending at p, in index order
+        for q, vd in cells[k][l]:
+            for s, ve in cells_j[q]:
+                for p, vf in cells_i[s]:
+                    ends.setdefault(p, []).append((vd, ve, vf))
+        for m, va in cells_i[j]:
+            row_a = rows[va]
+            negate = odd is not None and odd[va]
+            for n, vb in cells[m][k]:
+                row_ab = row_a.get(vb, ())
+                row_b = rows[vb]
+                for p, vc in cells[n][l]:
+                    paths = ends.get(p)
+                    if not paths:
+                        continue
+                    left = {}
+                    for vt, vpsi, f1 in row_ab:
+                        row_t = rows[vt]
+                        for vk, vf, f2 in rows[vpsi].get(vc, ()):
+                            terms = row_t.get(vk)
+                            if terms:
+                                f12 = f1 * f2 % modulus
+                                for vd, ve, f3 in terms:
+                                    key = (vd, ve, vf)
+                                    left[key] = left.get(key, 0) + f12 * f3
+                    right = {}
+                    for vd, veps, g1 in row_b.get(vc, ()):
+                        if negate and odd[vd]:
+                            g1 = -g1
+                        for ve, vf, g2 in row_a.get(veps, ()):
+                            key = (vd, ve, vf)
+                            right[key] = right.get(key, 0) + g1 * g2
+                    checked += len(paths)
+                    for key in paths:
+                        lhs, rhs = left.get(key, 0), right.get(key, 0)
+                        if (lhs - rhs) % modulus:
+                            total += 1
+                            if max_violations is None or len(failing) < max_violations:
+                                (_, _, q, delta), (_, _, s, phi) = vectors[key[0]], vectors[key[1]]
+                                labels = [vectors[v][3] for v in (va, vb, vc, key[2])]  # alpha, beta, chi, gamma
+                                failing.append(((i, j, k, l, m, n, p, q, s, *labels, delta, phi), lhs, rhs))
     return failing, total, checked
 
 
@@ -424,11 +445,11 @@ def _term_bounds(data):
 
 
 def _compile(data, entries):
-    """The scan form (m, int by decuple) of a table's entries.  A left side
+    """The scan form (m, rows of ints) of a table's entries.  A left side
     sums at most C M**2 products, a right side M (see _term_bounds)."""
     nmax, widest = _term_bounds(data)
     modulus, ints = kronecker_form(entries.values(), widest * nmax**2, nmax)
-    return modulus, dict(zip(entries, ints))
+    return modulus, _rows(data, entries, ints)
 
 
 def _scan_worker(args):
@@ -507,7 +528,8 @@ def _run_scan(data, entries, parities, max_violations, jobs):
     violations = []
     if hits:
         outer = sorted({hit[0][:4] for hit in hits})
-        exact = {hit[0]: hit[1:] for hit in _scan_chunk(data, (_EXACT, entries), parities, outer, None)[0]}
+        exact_rows = _rows(data, entries, entries.values())
+        exact = {hit[0]: hit[1:] for hit in _scan_chunk(data, (_EXACT, exact_rows), parities, outer, None)[0]}
         for instance, _, _ in hits:
             if instance not in exact:
                 raise ArithmeticError(f"pentagon instance {instance} fails mod m but holds exactly")
@@ -601,7 +623,7 @@ def check_6j_invertibility(data: FusionData, table: SixJTable) -> CheckReport:
     inconsistency, a singular square block as a failure.
     """
     _require_on_support(_off_support(data, table))
-    basis = _hom_basis(data)
+    vectors, cells = _hom_index(data)
     rank = data.rank
     violations = []
     checked = 0
@@ -609,12 +631,12 @@ def check_6j_invertibility(data: FusionData, table: SixJTable) -> CheckReport:
         for j in range(rank):
             for k in range(rank):
                 blocks: dict[int, tuple[list, list]] = {}
-                for m, alpha in basis[i][j]:
-                    for n, beta in basis[m][k]:
-                        blocks.setdefault(n, ([], []))[0].append((m, alpha, beta))
-                for t, eta in basis[j][k]:
-                    for n, phi in basis[i][t]:
-                        blocks.setdefault(n, ([], []))[1].append((t, eta, phi))
+                for m, va in cells[i][j]:
+                    for n, vb in cells[m][k]:
+                        blocks.setdefault(n, ([], []))[0].append((m, vectors[va][3], vectors[vb][3]))
+                for t, vt in cells[j][k]:
+                    for n, vphi in cells[i][t]:
+                        blocks.setdefault(n, ([], []))[1].append((t, vectors[vt][3], vectors[vphi][3]))
                 for n, (rows, cols) in sorted(blocks.items()):
                     checked += 1
                     if len(rows) != len(cols):

@@ -197,3 +197,21 @@ def test_pointed_entries_scan_their_identity_once(name, params, monkeypatch):
     monkeypatch.setattr(fusion, "_run_scan", counting_run)
     build_entry(name, *params)
     assert calls == {"cube": 0, "pentagon": 1}
+
+
+@pytest.mark.parametrize(
+    "name, params, coerced", [("super-z2", (1,), 1), ("super-zn-even", (4,), 2), ("vec-zn", (8,), 1)]
+)
+def test_pointed_entries_coerce_each_cube_once(name, params, coerced, monkeypatch):
+    # a SuperCocycle goes to pointed_fusion_data as it is; super-zn-even
+    # coerces twice, once for standard_three_cocycle and once for its SuperCocycle
+    calls = []
+    real_init = ThreeCocycle.__init__
+
+    def counting_init(self, values):
+        calls.append(type(self).__name__)
+        real_init(self, values)
+
+    monkeypatch.setattr(ThreeCocycle, "__init__", counting_init)
+    build_entry(name, *params)
+    assert len(calls) == coerced

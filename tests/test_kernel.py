@@ -233,6 +233,13 @@ def scan_reports(check, data, table, max_violations=None):
     return reports
 
 
+def truncated(report, k):
+    """report with only its first k violations listed (all for k None)."""
+    return CheckReport(
+        report.name, report.ok, report.checked, report.violations[:k], report.total_violations, report.warnings
+    )
+
+
 def assert_counts(data, checked):
     """The closed-form count is the scan's checked; the one-pass bound is at
     least that."""
@@ -354,7 +361,7 @@ def random_rules_and_table(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_rules_and_table())
 def test_kernel_matches_reference_on_random_rules(case):
-    # pins the flattened walk of the Hom bases under multiplicities above 1
+    # pins the row scan under multiplicities above 1
     data, table, parities = case
     unit_law = fusion._unit_law(data, [1] * data.rank).ok
 
@@ -369,14 +376,18 @@ def test_kernel_matches_reference_on_random_rules(case):
 
     want = reference_pentagon("pentagon", data, table.entries, None)
     assert_counts(data, want.checked)
-    assert_matches(check_pentagon(data, table, max_violations=None), want)
-
     super_data = SuperFusionData(data, parities, [BOSONIC] * data.rank)
     even = SixJTable(
         {key: v for key, v in table.entries.items() if v.is_zero() or is_parity_admissible(super_data, key)}
     )
-    want = reference_pentagon("super pentagon", data, even.entries, parities)
-    assert_matches(check_super_pentagon(super_data, even, max_violations=None), want)
+    super_want = reference_pentagon("super pentagon", data, even.entries, parities)
+    # the first k witnesses, where one left path may fail at several right
+    # paths, and the worker path, whose chunks merge in index order
+    with pool_forced():
+        for k, jobs in ((None, 1), (1, 1), (3, 1), (None, 2), (3, 2)):
+            assert_matches(check_pentagon(data, table, max_violations=k, jobs=jobs), truncated(want, k))
+            got = check_super_pentagon(super_data, even, max_violations=k, jobs=jobs)
+            assert_matches(got, truncated(super_want, k))
 
 
 # off the unit law: no pentagon instance reads (0, 1, 1, 0, 1, 1, 1, 1, 1, 1)
@@ -626,19 +637,10 @@ def test_truncated_witnesses_match_the_reference():
     assert want.total_violations > 25 and super_want.total_violations > 3
     assert super_want.violations[0].instance[:4] == super_want.violations[1].instance[:4]
     for k in (1, 3, 25):
-        cut = CheckReport(want.name, want.ok, want.checked, want.violations[:k], want.total_violations, want.warnings)
         for got in scan_reports(check_pentagon, data, mutant, max_violations=k):
-            assert_same_report(got, cut)
-        cut = CheckReport(
-            super_want.name,
-            super_want.ok,
-            super_want.checked,
-            super_want.violations[:k],
-            super_want.total_violations,
-            super_want.warnings,
-        )
+            assert_same_report(got, truncated(want, k))
         for got in scan_reports(check_super_pentagon, super_data, super_mutant, max_violations=k):
-            assert_same_report(got, cut)
+            assert_same_report(got, truncated(super_want, k))
 
 
 def test_witness_pass_scans_only_the_kept_outer_quadruples(monkeypatch):

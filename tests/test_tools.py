@@ -1,0 +1,31 @@
+"""Smoke tests of the measurement scripts under tools/."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_scan_cost_prints_the_cost_per_instance():
+    proc = subprocess.run(
+        [sys.executable, "tools/scan_cost.py", "--tiny", "--repeat", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout)
+    assert list(result) == [
+        "vec-zn 2",
+        "vec-zn 3",
+        "lifted super-zn-even 2",
+        "gauged ising x z1",
+        "gauged ising x z1 flipped",
+    ]
+    assert [row["instances"] for row in result.values()][:3] == [2**4, 3**4, 4**4]
+    assert [row["violations"] > 0 for row in result.values()] == [False] * 4 + [True]
+    for row in result.values():
+        assert row["best_s"] > 0 and row["us_per_instance"] > 0

@@ -1,0 +1,99 @@
+"""Time the (super) pentagon scan per checked instance, in process.
+
+Usage: python tools/scan_cost.py [--src SRC] [--repeat N] [--tiny]
+
+SRC is the directory that holds the ``sfckit`` package (default: this
+checkout's ``src``), so the same script times any tree.  Each input is
+scanned by ``fusion._run_scan`` with one job and the default
+``--max-violations`` (25), N times (default 7); the script prints one JSON
+object that maps each input to the best time in seconds, its instance and
+violation counts, and ``us_per_instance``, the best time over the
+instances checked.  The inputs:
+
+- ``vec-zn 8`` and ``vec-zn 12``: catalog tables, one term per side;
+- ``lifted super-zn-even 4``: the lift (``envelope.lift_6j``) of that
+  catalog table, on its underlying rules;
+- ``gauged ising x z2``: the ``general`` benchmark table
+  (``perfbench/gen``, seed 1), generic values in Q(zeta_8) and two-term
+  sides;
+- ``gauged ising x z3 flipped``: the same construction over Z/3 with one
+  entry negated (``tests/test_kernel.flip``), so the time includes the
+  exact witness pass on the kept violations.
+
+``--tiny`` scans the same families at their smallest sizes (Z/2, Z/3,
+``super-zn-even 2``, Ising alone) for a quick smoke run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZES = {"vec": (8, 12), "super": 4, "general": 2, "flipped": 3}
+TINY = {"vec": (2, 3), "super": 2, "general": 1, "flipped": 1}
+
+
+def inputs(sizes) -> dict:
+    """label -> (FusionData, table entries, parities)."""
+    from sfckit.catalog import build_entry
+    from sfckit.envelope import lift_6j, underlying_fusion_rules
+    from tests.test_kernel import flip
+
+    import gen
+
+    cases = {}
+    for n in sizes["vec"]:
+        entry = build_entry("vec-zn", n)
+        cases[f"vec-zn {n}"] = (entry.data, entry.sixj.entries, None)
+    entry = build_entry("super-zn-even", sizes["super"])
+    lifted = lift_6j(entry.data, entry.sixj)
+    cases[f"lifted super-zn-even {sizes['super']}"] = (underlying_fusion_rules(entry.data), lifted.entries, None)
+    for key, n, mutate in (("general", sizes["general"], False), ("flipped", sizes["flipped"], True)):
+        data, table = gen.ising_times_zn(n)
+        gauged = gen.gauge(data, table, seed=1)
+        label = f"gauged ising x z{n}" + (" flipped" if mutate else "")
+        cases[label] = (data, (flip(gauged) if mutate else gauged).entries, None)
+    return cases
+
+
+def measure(cases, repeat: int) -> dict:
+    from sfckit import fusion
+    from sfckit.reporting import DEFAULT_MAX_VIOLATIONS
+
+    out = {}
+    for label, (data, entries, parities) in cases.items():
+        best = None
+        for _ in range(repeat):
+            start = time.perf_counter()
+            violations, total, checked = fusion._run_scan(data, entries, parities, DEFAULT_MAX_VIOLATIONS, 1)
+            elapsed = time.perf_counter() - start
+            best = elapsed if best is None else min(best, elapsed)
+        out[label] = {
+            "best_s": round(best, 6),
+            "instances": checked,
+            "violations": total,
+            "us_per_instance": round(best / checked * 1e6, 3),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog="tools/scan_cost.py", description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"))
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--tiny", action="store_true")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    sys.path[:0] = [os.path.abspath(args.src), ROOT, os.path.join(ROOT, "perfbench")]
+    result = measure(inputs(TINY if args.tiny else SIZES), args.repeat)
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
