@@ -4,12 +4,12 @@ A value is the integer numerators of its coefficients in the power basis
 1, z, ..., z^(phi(n)-1) of Q[z]/Phi_n(z), Phi_n the n-th cyclotomic
 polynomial, over one positive integer denominator, in lowest terms: the
 integer form of FLINT's fmpq_poly.  Phi_n is irreducible over Q, so every
-nonzero value is invertible.  Arithmetic runs on ints; fractions.Fraction
-appears only at the boundary (the constructor, rational, rational_value,
-coeffs, str), and there is no floating point anywhere.  The power
-basis is a Z-basis of Z[zeta_n], the ring of integers, so the denominator
-(the least d with d * value integral) does not depend on the order.
-Values are immutable and safe to share between workers.
+nonzero value is invertible.  Arithmetic runs on ints, with no floats;
+fractions.Fraction is imported only to build or test one: coeffs (so str
+and rational_value) and a non-int coefficient in __init__ or _coerce.
+The power basis is a Z-basis of Z[zeta_n], the ring of integers, so the
+denominator (the least d with d * value integral) does not depend on the
+order.  Values are immutable and safe to share between workers.
 
 The exhaustive scans (pentagon, super pentagon, 3-cocycle, 3-supercocycle)
 map every value to one int mod m = Phi_N(2**shift) (kronecker_form), an
@@ -33,7 +33,6 @@ lies in Q(zeta_m) iff its zeta_p^1, ..., zeta_p^(p-1) parts agree.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -170,8 +169,11 @@ class Cyclotomic:
 
     def __init__(self, order: int, coeffs):
         cs = list(coeffs)
-        if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in cs):
-            raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {cs!r}")
+        if not all(type(c) is int for c in cs):
+            from fractions import Fraction  # off the int path, which loads no fractions
+
+            if any(isinstance(c, bool) or not isinstance(c, (int, Fraction)) for c in cs):
+                raise TypeError(f"cyclotomic coefficients must be int or Fraction, got {cs!r}")
         _check_length(order, len(cs))
         den = lcm(1, *(c.denominator for c in cs))
         object.__setattr__(self, "order", order)
@@ -186,6 +188,8 @@ class Cyclotomic:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(c, self.den) for c in self.nums)
 
     # -- constructors ------------------------------------------------------
@@ -222,7 +226,7 @@ class Cyclotomic:
         c = self.canonical()
         if c.order != 1:
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(c.nums[0], c.den)
+        return c.coeffs[0]
 
     def _promoted_nums(self, m: int) -> list:
         if m == self.order:
@@ -255,6 +259,10 @@ class Cyclotomic:
     def _coerce(x):
         if isinstance(x, Cyclotomic):
             return x
+        if type(x) is int:
+            return _new(1, (x,), 1)
+        from fractions import Fraction  # off the int path, which loads no fractions
+
         if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return _new(1, (x.numerator,), x.denominator)
         return None
@@ -331,8 +339,7 @@ class Cyclotomic:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        acc = Cyclotomic.rational(1)
-        base = self
+        acc, base = ONE, self
         while e:
             if e & 1:
                 acc = acc * base
@@ -367,18 +374,9 @@ class Cyclotomic:
             return str(c.coeffs[0])
         terms = []
         for k, q in enumerate(c.coeffs):
-            if not q:
-                continue
-            if k == 0:
-                terms.append(str(q))
-                continue
             z = f"z{c.order}" if k == 1 else f"z{c.order}^{k}"
-            if q == 1:
-                terms.append(z)
-            elif q == -1:
-                terms.append(f"-{z}")
-            else:
-                terms.append(f"{q}*{z}")
+            if q:
+                terms.append(str(q) if k == 0 else z if q == 1 else f"-{z}" if q == -1 else f"{q}*{z}")
         return " + ".join(terms).replace("+ -", "- ")
 
 
@@ -476,6 +474,8 @@ def root_of_unity(n: int, k: int) -> Cyclotomic:
 
 def minus_one_pow(x: int) -> Cyclotomic:
     """(-1)^x for a parity bit x."""
+    if type(x) is not int:
+        raise TypeError(f"parity bit must be an int, got {x!r}")
     if x not in (0, 1):
         raise ValueError(f"parity bit must be 0 or 1, got {x}")
     return MINUS_ONE if x else ONE

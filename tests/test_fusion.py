@@ -1,6 +1,7 @@
 """Tests for fusion data, pentagon verification, and 6j invertibility."""
 
 import concurrent.futures
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from sfckit.fusion import (
     validate_fusion,
     validate_sixj,
 )
-from sfckit.scalars import ONE, ZERO, Cyclotomic, root_of_unity
+from sfckit.scalars import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 
 
 def z2_pointed():
@@ -336,6 +337,30 @@ def cofactor_determinant(matrix):
     return total
 
 
+def random_scalar(rng):
+    """Zero one time in four, else a value of order 1, 3, 4, 8 or 24 with
+    small coefficients over denominators up to 3; one time in eight an int
+    or a Fraction instead."""
+    if rng.random() < 0.25:
+        return ZERO
+    if rng.random() < 0.125:
+        return rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4))))
+    order = rng.choice((1, 3, 4, 8, 24))
+    return Cyclotomic(order, [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(euler_phi(order))])
+
+
+def random_matrix(rng, size):
+    """A size x size matrix of random_scalar entries; one time in four a row
+    repeats another, one time in eight a row is zero."""
+    matrix = [[random_scalar(rng) for _ in range(size)] for _ in range(size)]
+    if size > 1 and rng.random() < 0.25:
+        a, b = rng.sample(range(size), 2)
+        matrix[a] = list(matrix[b])
+    if rng.random() < 0.125:
+        matrix[rng.randrange(size)] = [ZERO] * size
+    return matrix
+
+
 def test_determinant_matches_cofactor_expansion():
     z8 = root_of_unity(8, 1)
     s = (z8 + z8**7) * Cyclotomic.rational(Fraction(1, 2))  # 1/sqrt(2)
@@ -348,13 +373,39 @@ def test_determinant_matches_cofactor_expansion():
         [z8**2, ZERO, ONE],
     ]
     assert determinant(bigger) == cofactor_determinant(bigger)
+    # int and Fraction entries, as every Cyclotomic operation takes them
+    ints = determinant([[1, 2], [3, 4]])
+    assert isinstance(ints, Cyclotomic) and ints == -2
+    assert determinant([[Fraction(1, 2), z8], [0, 3]]) == Fraction(3, 2)
+    assert determinant([]) == 1
+    for bad in ([[1, None], [0, 1]], [["1"]], [[1.0]], [[True]]):
+        with pytest.raises(TypeError, match="exact scalars"):
+            determinant(bad)
+    with pytest.raises(ValueError, match="square"):
+        determinant([[1, 2]])
+    rng = random.Random(23)
+    singular = 0
+    for size in range(1, 6):
+        for _ in range(12):
+            matrix = random_matrix(rng, size)
+            want = cofactor_determinant(matrix)
+            assert determinant(matrix) == want, matrix
+            singular += want == 0
+    assert 0 < singular < 40  # both outcomes are exercised
 
 
 def test_invertibility_inverts_no_pivot_without_rows_below(monkeypatch):
-    # vec-zn 4 has only 1x1 blocks, so no elimination step needs an inverse
+    # division-free elimination: the check inverts no value on 1x1 blocks
+    # (vec-zn 4), the 2x2 blocks of gauged Ising x Z/2 or the 5x5 blocks of
+    # multiplicity-2 rules, and determinant inverts at most once
+    from perfbench.gen import gauge, ising_times_zn
     from sfckit.catalog import build_entry
+    from tests.test_kernel import multiplicity_two_table
 
     entry = build_entry("vec-zn", 4)
+    general = ising_times_zn(2)
+    cases = [(entry.data, entry.sixj), (general[0], gauge(*general, seed=1)), multiplicity_two_table(seed=5)]
+    assert max(len(rows) for _, (rows, _) in block_shapes(cases[2][0])) == 5
     real_inverse = Cyclotomic.inverse
     calls = []
 
@@ -363,8 +414,49 @@ def test_invertibility_inverts_no_pivot_without_rows_below(monkeypatch):
         return real_inverse(self)
 
     monkeypatch.setattr(Cyclotomic, "inverse", counting_inverse)
-    assert check_6j_invertibility(entry.data, entry.sixj).ok
+    for data, table in cases:
+        assert check_6j_invertibility(data, table).ok
     assert not calls
+    rng = random.Random(29)
+    for size in range(1, 6):
+        for _ in range(6):
+            matrix = [[random_scalar(rng) or ONE for _ in range(size)] for _ in range(size)]
+            calls.clear()
+            determinant(matrix)
+            assert len(calls) <= 1 if size > 2 else not calls
+
+
+def block_shapes(data):
+    """(rows, cols) of every block F^{ijk}_n, as check_6j_invertibility assembles them."""
+    shapes = []
+    for i in range(data.rank):
+        for j in range(data.rank):
+            for k in range(data.rank):
+                rows, cols = {}, {}
+                for m, a in data.summands(i, j):
+                    for n, b in data.summands(m, k):
+                        rows.setdefault(n, []).extend((m, x, y) for x in range(1, a + 1) for y in range(1, b + 1))
+                for t, c in data.summands(j, k):
+                    for n, d in data.summands(i, t):
+                        cols.setdefault(n, []).extend((t, x, y) for x in range(1, c + 1) for y in range(1, d + 1))
+                shapes += [((i, j, k, n), (rows.get(n, []), cols.get(n, []))) for n in sorted(rows.keys() | cols.keys())]
+    return shapes
+
+
+def invertibility_oracle(data, table):
+    """(checked, [(instance, detail)]) of check_6j_invertibility: each block
+    assembled as a dense matrix of its values, a missing entry reading 0,
+    and tested singular by cofactor expansion."""
+    shapes = block_shapes(data)
+    found = []
+    for (i, j, k, n), (rows, cols) in shapes:
+        if len(rows) != len(cols):
+            found.append(((i, j, k, n), f"block is {len(rows)}x{len(cols)}: fusion-data inconsistency"))
+            continue
+        block = [[table.get((i, j, m, k, n, t, a, b, e, f)) or ZERO for t, e, f in cols] for m, a, b in rows]
+        if cofactor_determinant(block) == 0:
+            found.append(((i, j, k, n), "block is singular"))
+    return len(shapes), found
 
 
 def test_invertibility_z2_blocks():

@@ -2,7 +2,8 @@
 
 Every case runs in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, as
 a user's command does, and pins the sfckit modules (and the process-pool
-machinery) loaded when the command returns.
+machinery) loaded when the command returns.  No passing command loads
+fractions or decimal: a value's coefficients are ints until one is printed.
 """
 
 import json
@@ -29,14 +30,14 @@ imported = importlib.import_module(module)
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = imported.main(argv)
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("sfckit", "concurrent"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("sfckit", "concurrent", "fractions", "decimal"))]))
 """
 
 
 def loaded_after(argv=None, module="sfckit.cli"):
-    """Exit code of main(argv) (None without argv) and the sfckit and
-    concurrent modules loaded after it, in a fresh interpreter that first
-    imports module."""
+    """Exit code of main(argv) (None without argv) and the sfckit,
+    concurrent, fractions and decimal modules loaded after it, in a fresh
+    interpreter that first imports module."""
     env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, module, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=60

@@ -16,6 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfbench.gen import gauge as gen_gauge
+from perfbench.gen import ising_times_zn
 from sfckit import _plan, fusion
 from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INTERNAL_ERROR, main
@@ -28,7 +30,14 @@ from sfckit.cocycles import (
     cyclic_group,
 )
 from sfckit.envelope import underlying_fusion_rules, verify_lift
-from sfckit.fusion import FusionData, SixJTable, admissible_decuples, check_pentagon, validate_sixj
+from sfckit.fusion import (
+    FusionData,
+    SixJTable,
+    admissible_decuples,
+    check_6j_invertibility,
+    check_pentagon,
+    validate_sixj,
+)
 from sfckit.reporting import CheckReport, Violation
 from sfckit.scalars import (
     ONE,
@@ -40,7 +49,13 @@ from sfckit.scalars import (
 )
 from sfckit.serialize import fusion_file, save_file
 from sfckit.superfusion import BOSONIC, SuperFusionData, check_super_pentagon, is_parity_admissible
-from tests.test_fusion import ising_exact_table, naive_pentagon_violations, z2_pointed, z2_table
+from tests.test_fusion import (
+    invertibility_oracle,
+    ising_exact_table,
+    naive_pentagon_violations,
+    z2_pointed,
+    z2_table,
+)
 
 # -- Cyclotomic reference loops --------------------------------------------------------
 
@@ -202,6 +217,14 @@ def mixed_order_table():
     ]
     entries = {key: values[(5 * pos + 1) % len(values)] for pos, key in enumerate(admissible_decuples(data))}
     return data, SixJTable(entries)
+
+
+def multiplicity_two_table(seed):
+    """Generic Q(zeta_8) values on the multiplicity-2 rules of
+    mixed_order_table, whose block F^{aaa}_a is 5x5."""
+    data = mixed_order_table()[0]
+    rng = random.Random(seed)
+    return data, SixJTable({key: generic_factor(rng, 8) for key in admissible_decuples(data)})
 
 
 def table_order(values):
@@ -721,3 +744,57 @@ def test_kronecker_bound_counts_denominators():
     data = FusionData(["1"], 0, {(0, 0, 0): 1})
     assert not assert_pentagon_matches(data, SixJTable({(0,) * 6 + (1,) * 4: value})).ok
     assert not assert_cube_matches(cyclic_group(1), [[[value]]]).ok
+
+
+# -- 6j invertibility ----------------------------------------------------------------------
+
+
+def assert_invertibility_matches(data, table):
+    """check_6j_invertibility against the cofactor oracle: checked, the
+    violations in order with their details, and the verdict."""
+    report = check_6j_invertibility(data, table)
+    checked, found = invertibility_oracle(data, table)
+    assert report.checked == checked
+    assert [(v.instance, v.detail) for v in report.violations] == found
+    assert report.ok == (not found) and report.total_violations == len(found)
+    return report
+
+
+def zeroed(table, position):
+    """table with its entry at position (in key order) set to 0."""
+    keys = sorted(table.entries)
+    return SixJTable({**table.entries, keys[position]: ZERO})
+
+
+def assert_invertibility_and_zero_mutants_match(data, table):
+    assert_invertibility_matches(data, table)
+    for position in sorted({0, len(table) // 2, len(table) - 1}) if len(table) else ():
+        assert_invertibility_matches(data, zeroed(table, position))
+
+
+@pytest.mark.parametrize("name, params", CATALOG)
+def test_invertibility_matches_cofactor_oracle_on_catalog(name, params):
+    # every catalog table (the empty table where there is none) and its lift
+    entry = build_entry(name, *params)
+    table = entry.sixj if entry.sixj is not None else SixJTable({})
+    if entry.kind == "fusion":
+        assert_invertibility_and_zero_mutants_match(entry.data, table)
+        return
+    assert_invertibility_and_zero_mutants_match(entry.data.base, table)
+    lift = verify_lift(entry.data, table)
+    assert_invertibility_and_zero_mutants_match(lift.underlying, lift.sixj)
+
+
+def test_invertibility_matches_cofactor_oracle_on_generic_tables():
+    # the 2x2 blocks of the general benchmark table, the 5x5 block of generic
+    # values on multiplicity-2 rules, and that block made rank one
+    rules, table = ising_times_zn(2)
+    general = (rules, gen_gauge(rules, table, seed=1))
+    multiple = multiplicity_two_table(seed=5)
+    for data, table in (general, multiple):
+        assert assert_invertibility_matches(data, table).ok
+        assert_invertibility_and_zero_mutants_match(data, table)
+    data, table = multiple
+    rank_one = {key: ONE if (key[0], key[1], key[3], key[4]) == (1, 1, 1, 1) else x for key, x in table.entries.items()}
+    report = assert_invertibility_matches(data, SixJTable(rank_one))
+    assert [v.instance for v in report.violations] == [(1, 1, 1, 1)]

@@ -147,6 +147,10 @@ def test_minus_one_pow():
             assert minus_one_pow(a) * minus_one_pow(b) == minus_one_pow((a + b) % 2)
     with pytest.raises(ValueError):
         minus_one_pow(2)
+    # a bool or float that equals 0 or 1 is not a parity bit
+    for bad in (True, False, 1.0, 0.0):
+        with pytest.raises(TypeError, match=f"parity bit must be an int, got {bad!r}"):
+            minus_one_pow(bad)
 
 
 def test_prime_root_sums_vanish():

@@ -27,5 +27,7 @@ def test_scan_cost_prints_the_cost_per_instance():
     ]
     assert [row["instances"] for row in result.values()][:3] == [2**4, 3**4, 4**4]
     assert [row["violations"] > 0 for row in result.values()] == [False] * 4 + [True]
+    assert [row["blocks"] for row in result.values()][:3] == [2**3, 3**3, 4**3]
     for row in result.values():
         assert row["best_s"] > 0 and row["us_per_instance"] > 0
+        assert row["invertibility_best_s"] > 0 and row["us_per_block"] > 0

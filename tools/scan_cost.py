@@ -1,4 +1,5 @@
-"""Time the (super) pentagon scan per checked instance, in process.
+"""Time the (super) pentagon scan per checked instance and the 6j
+invertibility check per block, in process.
 
 Usage: python tools/scan_cost.py [--src SRC] [--repeat N] [--tiny]
 
@@ -8,7 +9,10 @@ scanned by ``fusion._run_scan`` with one job and the default
 ``--max-violations`` (25), N times (default 7); the script prints one JSON
 object that maps each input to the best time in seconds, its instance and
 violation counts, and ``us_per_instance``, the best time over the
-instances checked.  The inputs:
+instances checked.  Each input's table is also checked by
+``fusion.check_6j_invertibility``, N times: ``invertibility_best_s`` is the
+best time, ``blocks`` the blocks checked and ``us_per_block`` the best time
+over the blocks.  The inputs:
 
 - ``vec-zn 8`` and ``vec-zn 12``: catalog tables, one term per side;
 - ``lifted super-zn-even 4``: the lift (``envelope.lift_6j``) of that
@@ -60,23 +64,36 @@ def inputs(sizes) -> dict:
     return cases
 
 
+def best_of(repeat: int, call):
+    """(the least time of repeat calls, the last call's result)."""
+    best = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = call()
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None else min(best, elapsed)
+    return best, result
+
+
 def measure(cases, repeat: int) -> dict:
     from sfckit import fusion
     from sfckit.reporting import DEFAULT_MAX_VIOLATIONS
 
     out = {}
     for label, (data, entries, parities) in cases.items():
-        best = None
-        for _ in range(repeat):
-            start = time.perf_counter()
-            violations, total, checked = fusion._run_scan(data, entries, parities, DEFAULT_MAX_VIOLATIONS, 1)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
+        best, (_, total, checked) = best_of(
+            repeat, lambda: fusion._run_scan(data, entries, parities, DEFAULT_MAX_VIOLATIONS, 1)
+        )
+        table = fusion.SixJTable(entries)
+        inv_best, report = best_of(repeat, lambda: fusion.check_6j_invertibility(data, table))
         out[label] = {
             "best_s": round(best, 6),
             "instances": checked,
             "violations": total,
             "us_per_instance": round(best / checked * 1e6, 3),
+            "invertibility_best_s": round(inv_best, 6),
+            "blocks": report.checked,
+            "us_per_block": round(inv_best / report.checked * 1e6, 3),
         }
     return out
 
