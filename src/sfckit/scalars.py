@@ -6,7 +6,8 @@ polynomial, over one positive integer denominator, in lowest terms: the
 integer form of FLINT's fmpq_poly.  Phi_n is irreducible over Q, so every
 nonzero value is invertible.  Arithmetic runs on ints, with no floats;
 fractions.Fraction is imported only to build or test one: coeffs (so str
-and rational_value) and a non-int coefficient in __init__ or _coerce.
+and rational_value) and a non-int coefficient in __init__; _coerce looks
+it up in sys.modules, as no Fraction exists before its module is loaded.
 The power basis is a Z-basis of Z[zeta_n], the ring of integers, so the
 denominator (the least d with d * value integral) does not depend on the
 order.  Values are immutable and safe to share between workers.
@@ -33,6 +34,7 @@ lies in Q(zeta_m) iff its zeta_p^1, ..., zeta_p^(p-1) parts agree.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -261,8 +263,8 @@ class Cyclotomic:
             return x
         if type(x) is int:
             return _new(1, (x,), 1)
-        from fractions import Fraction  # off the int path, which loads no fractions
-
+        # a Fraction exists only once its module is loaded, so none is imported here
+        Fraction = getattr(sys.modules.get("fractions"), "Fraction", int)
         if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
             return _new(1, (x.numerator,), x.denominator)
         return None
@@ -437,6 +439,9 @@ def kronecker_form(values, lhs_terms: int, rhs_terms: int) -> tuple[int, list[in
     Comput. 44, 2009).
     """
     values = list(values)
+    keys = [(v.order, v.nums, v.den) for v in values]
+    distinct = dict(zip(keys, values))  # the bound and the ints: once per distinct value
+    values = distinct.values()
     order = lcm(1, *(v.order for v in values))
     scale = lcm(1, *(v.den for v in values))
     peak = max((sum(map(abs, v.nums)) for v in values), default=0)
@@ -455,11 +460,11 @@ def kronecker_form(values, lhs_terms: int, rhs_terms: int) -> tuple[int, list[in
             break
         shift += 1
     inverses = {d: pow(d, -1, m) for d in {v.den for v in values}}
-    ints = []
-    for v in values:
+    image = {}
+    for key, v in distinct.items():
         step = order // v.order * shift
-        ints.append(sum(c << (k * step) for k, c in enumerate(v.nums) if c) * inverses[v.den] % m)
-    return m, ints
+        image[key] = sum(c << (k * step) for k, c in enumerate(v.nums) if c) * inverses[v.den] % m
+    return m, [image[key] for key in keys]
 
 
 ZERO = Cyclotomic.rational(0)

@@ -6,14 +6,17 @@ Scalars are encoded as {"order": n, "coeffs": [[num, den], ...]} with a bare
 integer allowed for rational integers.  Saving is deterministic (sorted keys,
 sorted records, canonical scalar forms), so save(load(f)) is byte-identical
 for canonically formatted files: exactly json.dumps(doc, sort_keys=True,
-indent=2) + "\n".  Each distinct scalar is encoded, rendered and decoded once
-per document, and a location is formatted only for an error.
+indent=2) + "\n".  dumps_file writes each record straight to that text in
+one pass, with each label quoted and each distinct scalar rendered (_render)
+once per document.  Reading decodes each distinct scalar once, and a
+location is formatted only for an error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
 from operator import attrgetter
@@ -57,9 +60,10 @@ def _once(convert, key):
 
     def call(x, *args):
         k = key(x)
-        if k not in memo:
-            memo[k] = convert(x, *args)
-        return memo[k]
+        out = memo.get(k)
+        if out is None:
+            out = memo[k] = convert(x, *args)
+        return out
 
     return call
 
@@ -134,9 +138,7 @@ def group_file(
 ) -> CategoryFile:
     if supercocycle is not None:
         omega = supercocycle.omega
-    return CategoryFile(
-        kind="group+cocycles", group=group, omega=omega, cocycle=cocycle, supercocycle=supercocycle
-    )
+    return CategoryFile("group+cocycles", group=group, omega=omega, cocycle=cocycle, supercocycle=supercocycle)
 
 
 # -- helpers ----------------------------------------------------------------------
@@ -223,16 +225,6 @@ def _decode_sixj(payload: dict, lookup: dict[str, int], where: str, scalar):
     return entries
 
 
-def _encode_sixj(data, table) -> list:
-    labels = data.labels
-    encode = _once(scalar_to_json, attrgetter("order", "nums", "den"))
-    return [
-        [labels[k[0]], labels[k[1]], labels[k[2]], labels[k[3]], labels[k[4]], labels[k[5]],
-         k[6], k[7], k[8], k[9], encode(v)]
-        for k, v in sorted(table.entries.items())
-    ]
-
-
 def _decode_fusion(payload: dict, where: str) -> CategoryFile:
     from .fusion import FusionData, SixJTable, _products_of
 
@@ -243,22 +235,6 @@ def _decode_fusion(payload: dict, where: str) -> CategoryFile:
     data = _unchecked(FusionData, labels=tuple(labels), unit=unit, mult=mult, _products=_products_of(len(labels), mult))
     entries = _decode_sixj(payload, lookup, where, _once(scalar_from_json, repr))
     return fusion_file(data, None if entries is None else _unchecked(SixJTable, entries=entries))
-
-
-def _encode_fusion(cf: CategoryFile) -> dict:
-    data = cf.fusion
-    labels = data.labels
-    payload = {
-        "labels": list(labels),
-        "unit": labels[data.unit],
-        "mult": [
-            [labels[i], labels[j], labels[m], value]
-            for (i, j, m), value in sorted(data.mult.items())
-        ],
-    }
-    if cf.sixj is not None:
-        payload["sixj"] = _encode_sixj(data, cf.sixj)
-    return payload
 
 
 def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
@@ -294,18 +270,6 @@ def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
     except FusionError as exc:
         raise SchemaError(f"{where}: {exc}") from None
     return superfusion_file(sdata, base_file.sixj)
-
-
-def _encode_superfusion(cf: CategoryFile) -> dict:
-    sdata = cf.superfusion
-    payload = _encode_fusion(CategoryFile(kind="fusion", fusion=sdata.base, sixj=cf.sixj))
-    labels = sdata.labels
-    payload["object_type"] = {labels[i]: sdata.object_type[i] for i in range(sdata.rank)}
-    payload["parities"] = [
-        [labels[i], labels[j], labels[m], alpha, bit]
-        for (i, j, m, alpha), bit in sorted(sdata.parities.items())
-    ]
-    return payload
 
 
 # -- group + cocycles payload --------------------------------------------------------
@@ -368,29 +332,93 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     if "supercocycle" in payload:
         _expect(omega is not None, "a supercocycle needs an omega table", f"{where}.supercocycle")
         supercocycle = cube("supercocycle", lambda values: SuperCocycle(omega, values))
-    return CategoryFile(
-        kind="group+cocycles", group=group, omega=omega, cocycle=cocycle, supercocycle=supercocycle
-    )
+    return group_file(group, omega, cocycle, supercocycle)
 
 
-def _encode_group(cf: CategoryFile) -> dict:
-    g = cf.group
-    payload: dict = {
-        "group": {
-            "order": g.order,
-            "product": [x for row in g.product for x in row],
-            "identity": g.identity,
-            "labels": list(g.labels),
-        }
+# -- writer: each record straight to text -------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _frame(depth: int, brackets: str = "[]") -> tuple[str, str, str]:
+    """The opening, separator and closing text of a non-empty list (or "{}" object) at depth."""
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad, "," + pad, pad[:-2] + brackets[1]
+
+
+def _join(items: list[str], depth: int, brackets: str = "[]") -> str:
+    """The text of the list (or "{}" object) at depth whose items have the texts items."""
+    if not items:
+        return brackets
+    start, sep, end = _frame(depth, brackets)
+    return start + sep.join(items) + end
+
+
+def _object(fields: dict[str, str], depth: int) -> str:
+    """The object at depth with the field texts fields, in sorted key order."""
+    return _join([_quote(k) + ": " + fields[k] for k in sorted(fields)], depth, "{}")
+
+
+def _records(rows, depth: int) -> str:
+    """The list at depth of records, each row the texts of one record's fields."""
+    start, sep, end = _frame(depth + 1)
+    return _join([start + sep.join(row) + end for row in rows], depth)
+
+
+def _render(x, depth: int = 0) -> str:
+    """json.dumps(x, sort_keys=True, indent=2) for the dicts, lists, strs and
+    ints of a scalar object, indented as at depth."""
+    if type(x) is str:
+        return _quote(x)
+    if type(x) is int:
+        return str(x)
+    if type(x) is list:  # coefficient pairs: their ints inline
+        return _join([str(v) if type(v) is int else _render(v, depth + 1) for v in x], depth)
+    if type(x) is not dict:
+        raise TypeError(f"an sfc-1 document holds no {type(x).__name__}")
+    return _join([_quote(k) + ": " + _render(x[k], depth + 1) for k in sorted(x)], depth, "{}")
+
+
+def _scalar_text(depth: int):
+    """x -> the text of scalar_to_json(x) at depth, once per distinct value."""
+    return _once(lambda x: _render(scalar_to_json(x), depth), attrgetter("order", "nums", "den"))
+
+
+def _fusion_fields(cf: CategoryFile) -> dict[str, str]:
+    sdata = cf.superfusion
+    data = cf.fusion if sdata is None else sdata.base
+    q = [_quote(lab) for lab in data.labels]  # each label quoted once
+    fields = {
+        "labels": _join(q, 2),
+        "unit": q[data.unit],
+        "mult": _records(([q[i], q[j], q[m], str(n)] for (i, j, m), n in sorted(data.mult.items())), 2),
     }
+    if cf.sixj is not None:
+        text = _scalar_text(4)
+        rows = (
+            [q[k[0]], q[k[1]], q[k[2]], q[k[3]], q[k[4]], q[k[5]], str(k[6]), str(k[7]), str(k[8]), str(k[9]), text(v)]
+            for k, v in sorted(cf.sixj.entries.items())
+        )
+        fields["sixj"] = _records(rows, 2)
+    if sdata is not None:
+        fields["object_type"] = _object({lab: _quote(t) for lab, t in zip(data.labels, sdata.object_type)}, 2)
+        rows = ([q[i], q[j], q[m], str(a), str(bit)] for (i, j, m, a), bit in sorted(sdata.parities.items()))
+        fields["parities"] = _records(rows, 2)
+    return fields
+
+
+def _group_fields(cf: CategoryFile) -> dict[str, str]:
+    g = cf.group
+    group = {"identity": str(g.identity), "order": str(g.order), "labels": _join([_quote(lab) for lab in g.labels], 3)}
+    group["product"] = _join([str(x) for row in g.product for x in row], 3)
+    fields = {"group": _object(group, 2)}
     if cf.omega is not None:
-        payload["omega"] = [list(row) for row in cf.omega.values]
-    encode = _once(scalar_to_json, attrgetter("order", "nums", "den"))
+        fields["omega"] = _records(([str(bit) for bit in row] for row in cf.omega.values), 2)
+    text = _scalar_text(5)
     for name in ("cocycle", "supercocycle"):
         table = getattr(cf, name)
         if table is not None:
-            payload[name] = [[[encode(x) for x in row] for row in plane] for plane in table.values]
-    return payload
+            fields[name] = _join([_records(([text(x) for x in row] for row in plane), 3) for plane in table.values], 2)
+    return fields
 
 
 # -- top level -------------------------------------------------------------------------
@@ -411,40 +439,12 @@ def decode_document(doc) -> CategoryFile:
     return _decode_group(payload, "payload")
 
 
-def encode_document(cf: CategoryFile) -> dict:
-    if cf.kind == "fusion":
-        payload = _encode_fusion(cf)
-    elif cf.kind == "superfusion":
-        payload = _encode_superfusion(cf)
-    elif cf.kind == "group+cocycles":
-        payload = _encode_group(cf)
-    else:
-        raise ValueError(f"unknown kind {cf.kind!r}")
-    return {"format_version": FORMAT_VERSION, "kind": cf.kind, "payload": payload}
-
-
-def _render(x, memo: dict, depth: int = 0) -> str:
-    """json.dumps(x, sort_keys=True, indent=2) for the dicts, lists, strs and
-    ints of a document, with each dict's text in memo by (id, depth)."""
-    if type(x) is str:
-        return _quote(x)
-    if type(x) is int:
-        return str(x)
-    pad = "\n" + "  " * (depth + 1)
-    if type(x) is list:  # records and coefficient pairs: their leaves inline
-        items = [_quote(v) if type(v) is str else str(v) if type(v) is int else _render(v, memo, depth + 1) for v in x]
-        return "[" + pad + f",{pad}".join(items) + pad[:-2] + "]" if x else "[]"
-    if type(x) is not dict:
-        raise TypeError(f"an sfc-1 document holds no {type(x).__name__}")
-    key = (id(x), depth)
-    if key not in memo:
-        items = [_quote(k) + ": " + _render(x[k], memo, depth + 1) for k in sorted(x)]
-        memo[key] = "{" + pad + f",{pad}".join(items) + pad[:-2] + "}" if x else "{}"
-    return memo[key]
-
-
 def dumps_file(cf: CategoryFile) -> str:
-    return _render(encode_document(cf), {}) + "\n"
+    if cf.kind not in KINDS:
+        raise ValueError(f"unknown kind {cf.kind!r}")
+    fields = _group_fields(cf) if cf.kind == "group+cocycles" else _fusion_fields(cf)
+    top = {"format_version": _quote(FORMAT_VERSION), "kind": _quote(cf.kind), "payload": _object(fields, 1)}
+    return _object(top, 0) + "\n"
 
 
 def loads_file(text: str) -> CategoryFile:

@@ -84,3 +84,22 @@ def test_command_loads_only_its_engines(argv, extra, inputs, tmp_path):
     code, loaded = loaded_after(argv.format(out=tmp_path / "out.json", **inputs).split())
     assert code == EXIT_OK
     assert loaded == CLI | extra
+
+
+COMPARE = """
+import sys
+from sfckit.scalars import ONE
+foreign = ONE == "x"
+loaded = "fractions" in sys.modules
+from fractions import Fraction
+print(foreign, loaded, ONE == Fraction(1), ONE == Fraction(1, 2))
+"""
+
+
+def test_comparing_with_a_foreign_object_loads_no_fractions():
+    # a Fraction exists only once fractions is loaded, so the comparison
+    # need not import it; once loaded, Fractions still compare by value
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-c", COMPARE], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True", "False"]

@@ -28,6 +28,7 @@ from sfckit.cocycles import (
     check_3cocycle,
     check_supercocycle,
     cyclic_group,
+    lift_supercocycle,
 )
 from sfckit.envelope import underlying_fusion_rules, verify_lift
 from sfckit.fusion import (
@@ -43,6 +44,7 @@ from sfckit.scalars import (
     ONE,
     ZERO,
     Cyclotomic,
+    cyclotomic_polynomial,
     euler_phi,
     kronecker_form,
     root_of_unity,
@@ -744,6 +746,67 @@ def test_kronecker_bound_counts_denominators():
     data = FusionData(["1"], 0, {(0, 0, 0): 1})
     assert not assert_pentagon_matches(data, SixJTable({(0,) * 6 + (1,) * 4: value})).ok
     assert not assert_cube_matches(cyclic_group(1), [[[value]]]).ok
+
+
+def per_value_kronecker_form(values, lhs_terms, rhs_terms):
+    """The reference for kronecker_form: its bound statistics and its ints
+    taken value by value, with no sharing between equal values."""
+    values = list(values)
+    order = lcm(1, *(v.order for v in values))
+    scale = lcm(1, *(v.den for v in values))
+    peak = max((sum(map(abs, v.nums)) for v in values), default=0)
+    top = max((scale // v.den * sum(map(abs, v.nums)) for v in values), default=0)
+    dmax = max((v.den for v in values), default=1)
+    own = min(scale**3, dmax ** (3 * lhs_terms + 2 * rhs_terms))
+    bound = min(lhs_terms * top**3 + rhs_terms * scale * top**2, own * (lhs_terms * peak**3 + rhs_terms * peak**2))
+    shift = (bound + 1).bit_length()
+    poly = cyclotomic_polynomial(order)
+    while True:
+        m = sum(c << (i * shift) for i, c in enumerate(poly))
+        if gcd(m, scale) == 1:
+            break
+        shift += 1
+    ints = []
+    for v in values:
+        step = order // v.order * shift
+        ints.append(sum(c << (k * step) for k, c in enumerate(v.nums) if c) * pow(v.den, -1, m) % m)
+    return m, ints
+
+
+def kronecker_inputs():
+    """label -> the values of every catalog table and cube, of their lifts,
+    and of the gauged tables."""
+    cases = {}
+    for name, params in CATALOG:
+        entry = build_entry(name, *params)
+        if entry.sixj is not None:
+            cases[f"{name} {params}"] = list(entry.sixj.entries.values())
+            if entry.kind == "superfusion":
+                cases[f"lifted {name} {params}"] = list(verify_lift(entry.data, entry.sixj).sixj.entries.values())
+        for kind in ("cocycle", "supercocycle"):
+            if kind in entry.source:
+                cube = entry.source[kind]
+                cases[f"{kind} of {name} {params}"] = [x for plane in cube.values for row in plane for x in row]
+                if kind == "supercocycle":
+                    lifted = lift_supercocycle(entry.source["group"], cube)[1]
+                    cases[f"lifted {kind} of {name} {params}"] = [x for plane in lifted.values for row in plane for x in row]
+    data, table = deligne_with_z3(*ising_exact_table())
+    cases["gauged ising x z3"] = list(gauge(data, table, seed=2).entries.values())
+    data, table = ising_times_zn(2)
+    cases["gauged ising x z2"] = list(gen_gauge(data, table, seed=1).entries.values())
+    return cases
+
+
+def test_kronecker_form_equals_the_per_value_map():
+    # equal values share one int; the modulus and every int are those of the
+    # value-by-value map, also when the values come from a generator
+    cases = kronecker_inputs()
+    assert any(len(set(values)) < len(values) for values in cases.values())
+    for label, values in cases.items():
+        for terms in ((1, 1), (4, 2)):
+            want = per_value_kronecker_form(values, *terms)
+            assert kronecker_form(values, *terms) == want, label
+            assert kronecker_form(iter(values), *terms) == want, label
 
 
 # -- 6j invertibility ----------------------------------------------------------------------

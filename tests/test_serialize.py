@@ -6,15 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
+from sfckit.catalog import build_entry, ising_super, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INPUT_ERROR, main
-from sfckit.cocycles import cyclic_group
+from sfckit.cocycles import GroupTable, cyclic_group, lift_supercocycle
+from sfckit.envelope import underlying_fusion_rules, verify_lift
+from sfckit.fusion import FusionData
 from sfckit.scalars import Cyclotomic, root_of_unity
 from sfckit.serialize import (
+    FORMAT_VERSION,
     SchemaError,
     _render,
     dumps_file,
-    encode_document,
     fusion_file,
     group_file,
     loads_file,
@@ -22,8 +24,10 @@ from sfckit.serialize import (
     scalar_to_json,
     superfusion_file,
 )
+from sfckit.superfusion import SuperFusionData
+from tests.test_envelope import descended_ising_table
 from tests.test_fusion import ising_exact_table
-from tests.test_kernel import CATALOG, gauge
+from tests.test_kernel import CATALOG, deligne_with_z3, gauge
 from tests.test_scalars import count_fractions
 
 
@@ -255,11 +259,65 @@ def test_group_tables_fail_with_location(mutate, message):
         loads_file(json.dumps(doc))
 
 
-# -- the renderer against its oracle -------------------------------------------------------
+# -- the one-pass writer against its reference document -----------------------------------
+
+
+def reference_document(cf) -> dict:
+    """The document of cf as dicts, lists, strs and ints: the writer's
+    output must be json.dumps of it with sorted keys and indent 2."""
+    if cf.kind == "group+cocycles":
+        payload = reference_group_payload(cf)
+    else:
+        sdata = cf.superfusion
+        payload = reference_fusion_payload(cf.fusion if sdata is None else sdata.base, cf.sixj)
+        if sdata is not None:
+            labels = sdata.labels
+            payload["object_type"] = {labels[i]: sdata.object_type[i] for i in range(sdata.rank)}
+            payload["parities"] = [
+                [labels[i], labels[j], labels[m], alpha, bit] for (i, j, m, alpha), bit in sorted(sdata.parities.items())
+            ]
+    return {"format_version": FORMAT_VERSION, "kind": cf.kind, "payload": payload}
+
+
+def reference_fusion_payload(data, table) -> dict:
+    labels = data.labels
+    payload = {
+        "labels": list(labels),
+        "unit": labels[data.unit],
+        "mult": [[labels[i], labels[j], labels[m], value] for (i, j, m), value in sorted(data.mult.items())],
+    }
+    if table is not None:
+        payload["sixj"] = [
+            [*(labels[x] for x in key[:6]), *key[6:], scalar_to_json(value)] for key, value in sorted(table.entries.items())
+        ]
+    return payload
+
+
+def reference_group_payload(cf) -> dict:
+    g = cf.group
+    payload = {
+        "group": {
+            "order": g.order,
+            "product": [x for row in g.product for x in row],
+            "identity": g.identity,
+            "labels": list(g.labels),
+        }
+    }
+    if cf.omega is not None:
+        payload["omega"] = [list(row) for row in cf.omega.values]
+    for name in ("cocycle", "supercocycle"):
+        table = getattr(cf, name)
+        if table is not None:
+            payload[name] = [[[scalar_to_json(x) for x in row] for row in plane] for plane in table.values]
+    return payload
 
 
 def oracle(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def assert_writer_matches_reference(cf):
+    assert dumps_file(cf) == oracle(reference_document(cf)) + "\n"
 
 
 def catalog_files(name, params):
@@ -275,35 +333,78 @@ def catalog_files(name, params):
     return files
 
 
+def written_files(cf):
+    """The files that underlying, lift-cocycle and extend-group write from cf."""
+    if cf.kind == "superfusion":
+        if cf.sixj is None:
+            return [fusion_file(underlying_fusion_rules(cf.superfusion))]
+        lift = verify_lift(cf.superfusion, cf.sixj)
+        return [fusion_file(lift.underlying, lift.sixj)] if lift.sixj is not None else []
+    if cf.kind == "group+cocycles" and cf.supercocycle is not None:
+        ext, lifted = lift_supercocycle(cf.group, cf.supercocycle)
+        return [group_file(ext, cocycle=lifted), group_file(ext)]
+    return []
+
+
 @pytest.mark.parametrize("name, params", CATALOG)
 def test_render_equals_json_dumps_on_catalog(name, params):
+    # every catalog file, its group files and what the commands write from them
     for cf in catalog_files(name, params):
-        doc = encode_document(cf)
-        assert _render(doc, {}) == oracle(doc)
-        assert dumps_file(cf) == oracle(doc) + "\n"
+        assert_writer_matches_reference(cf)
+        for written in written_files(cf):
+            assert_writer_matches_reference(written)
+
+
+def test_writer_equals_reference_on_generic_and_majorana_tables():
+    data, table = deligne_with_z3(*ising_exact_table())
+    assert_writer_matches_reference(fusion_file(data, gauge(data, table, seed=2)))
+    assert_writer_matches_reference(superfusion_file(ising_super(), descended_ising_table()))
+    assert_writer_matches_reference(fusion_file(data))
+
+
+EDGE_LABELS = ["café", "∞", "\U0001f600", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", ""]
+
+
+def relabelled(data):
+    return FusionData(EDGE_LABELS[: data.rank], data.unit, data.mult)
+
+
+def test_writer_equals_reference_on_edge_labels():
+    vec = build_entry("vec-zn", 8)
+    assert_writer_matches_reference(fusion_file(relabelled(vec.data), vec.sixj))
+    sup = build_entry("super-zn-even", 4)
+    sdata = SuperFusionData(relabelled(sup.data.base), sup.data.parities, sup.data.object_type)
+    assert_writer_matches_reference(superfusion_file(sdata, sup.sixj))
+    # object_type is keyed by label: "café" (X, Majorana) sorts before "∞" (1)
+    ising = ising_super()
+    base = FusionData(EDGE_LABELS[1::-1], ising.base.unit, ising.base.mult)
+    sdata = SuperFusionData(base, ising.parities, ising.object_type)
+    assert_writer_matches_reference(superfusion_file(sdata, descended_ising_table()))
+    g = cyclic_group(8)
+    edge_group = GroupTable(g.product, g.identity, EDGE_LABELS)
+    assert_writer_matches_reference(group_file(edge_group, cocycle=standard_three_cocycle(8)))
 
 
 def test_render_equals_json_dumps_on_edge_documents():
     scalar = {"order": 4, "coeffs": [[0, 1], [-1, 3]]}
-    labels = ["café", "∞", "\U0001f600", 'say "hi"', "back\\slash", "\x00\x01\x1f\x7f", "tab\tnew\nline\r", ""]
     docs = [
-        {"labels": labels, "map": {lab: lab for lab in labels}},
+        {"labels": EDGE_LABELS, "map": {lab: lab for lab in EDGE_LABELS}},
         {"empty list": [], "empty dict": {}, "nested": [[], {}, [[]], [{}]], "x": {"y": {}}},
         {"big": -(10**40), "ints": [0, -1, 10**30, -(2**64)], "zero": 0},
-        # one dict object at two depths: the memo key holds the depth
+        # one dict object at two depths
         {"a": scalar, "b": [scalar, [scalar, {"c": scalar}]], "d": {"e": scalar}},
         [scalar, [scalar]],
         "just a string",
         -7,
     ]
     for doc in docs:
-        assert _render(doc, {}) == oracle(doc)
+        assert _render(doc) == oracle(doc)
 
 
 @pytest.mark.parametrize("value", [1.5, True, None, ("a",), {1: 2}])
 def test_render_refuses_what_no_document_holds(value):
     with pytest.raises(TypeError):
-        _render({"payload": [value]}, {})
+        _render({"payload": [value]})
 
 
 # -- decoder locations ---------------------------------------------------------------------

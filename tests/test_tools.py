@@ -31,3 +31,22 @@ def test_scan_cost_prints_the_cost_per_instance():
     for row in result.values():
         assert row["best_s"] > 0 and row["us_per_instance"] > 0
         assert row["invertibility_best_s"] > 0 and row["us_per_block"] > 0
+
+
+def test_codec_cost_prints_the_cost_per_record():
+    proc = subprocess.run(
+        [sys.executable, "tools/codec_cost.py", "--tiny", "--repeat", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    result = json.loads(proc.stdout)
+    assert list(result) == ["vec-zn 2", "super-zn-even 2", "ck 6", "gauged ising x z1", "carry z3 group"]
+    # vec-zn 2: 4 mult and 8 sixj records; the Z/3 group file: two 27-entry cubes
+    assert result["vec-zn 2"]["records"] == 4 + 8
+    assert result["carry z3 group"]["records"] == 2 * 3**3
+    for row in result.values():
+        assert row["bytes"] > 0 and row["dump_best_s"] > 0 and row["load_best_s"] > 0
+        assert row["dump_us_per_record"] > 0 and row["load_us_per_record"] > 0
