@@ -163,10 +163,13 @@ def _cmd_check(args) -> int:
             if checks[which][0] is None:
                 raise SchemaError(f"input carries no data for check {which!r}")
         ok &= run.add(validate_group(cf.group))
+        reports = {}
         if ok:
             for kind, (data, check) in checks.items():
                 if data is not None and which in (kind, "all"):
-                    ok &= run.add(check(cf.group, data, max_violations=mv))
+                    shared = {"omega_report": reports.get("cocycle2")} if kind == "supercocycle" else {}
+                    reports[kind] = check(cf.group, data, max_violations=mv, **shared)
+                    ok &= run.add(reports[kind])
     return run.finish(ok)
 
 
@@ -238,16 +241,19 @@ def _cmd_lift_cocycle(args) -> int:
     cf = run.read_input(args.file)
     if cf.kind != "group+cocycles" or cf.supercocycle is None:
         raise SchemaError("lift-cocycle needs a group+cocycles file with a supercocycle table")
-    from .cocycles import check_3cocycle, check_supercocycle, lift_supercocycle, validate_group
+    from .cocycles import check_2cocycle, check_3cocycle, check_supercocycle, lift_supercocycle, validate_group
 
     ok = run.add(validate_group(cf.group))
     if ok:
-        supercocycle = check_supercocycle(cf.group, cf.supercocycle, max_violations=args.max_violations)
+        omega = check_2cocycle(cf.group, cf.omega, max_violations=1)
+        supercocycle = check_supercocycle(
+            cf.group, cf.supercocycle, max_violations=args.max_violations, omega_report=omega
+        )
         ok &= run.add(supercocycle)
     if not ok:
         return run.finish(False)
     try:
-        ext, lifted = lift_supercocycle(cf.group, cf.supercocycle, report=supercocycle)
+        ext, lifted = lift_supercocycle(cf.group, cf.supercocycle, report=supercocycle, omega_report=omega)
     except CocycleError as exc:
         run.note(str(exc))
         return run.finish(False)
@@ -267,11 +273,12 @@ def _cmd_extend_group(args) -> int:
 
     ok = run.add(validate_group(cf.group))
     if ok:
-        ok &= run.add(check_2cocycle(cf.group, cf.omega, max_violations=args.max_violations))
+        omega = check_2cocycle(cf.group, cf.omega, max_violations=args.max_violations)
+        ok &= run.add(omega)
     if not ok:
         return run.finish(False)
     try:
-        ext = central_extension(cf.group, cf.omega, normalize=args.normalize)
+        ext = central_extension(cf.group, cf.omega, normalize=args.normalize, report=omega)
     except CocycleError as exc:
         run.note(str(exc))
         return run.finish(False)

@@ -1,18 +1,21 @@
 """The pointed case: finite groups, Z/2-valued 2-cocycles, 3-cocycles,
 3-supercocycles, central extensions, and the supercocycle lift.
 
-All checks brute-force the full G^3 or G^4 index space; group orders here are
-tiny and transparency beats cleverness.  Every pass reads its tables by index,
-and the G^4 scans run on the cube compiled to one int per value (see
-scalars.kronecker_form).  The central extension G_omega stores (g, a), g in G
-and a in Z/2, at index 2g + a, and reads an index x as (x >> 1, x & 1).
+Every check visits the whole G^3 or G^4 index space and reads its tables by
+index.  The G^4 identities run in _cube.scan, on the cube compiled to one
+int per value (scalars.kronecker_form); the (super) pentagon of a group's
+fusion rules runs in the same kernel.  A command that already holds the
+2-cocycle report of omega hands it to check_supercocycle and, through
+lift_supercocycle, to central_extension, so omega is checked once.  The
+central extension G_omega stores (g, a), g in G and a in Z/2, at index
+2g + a, and reads an index x as (x >> 1, x & 1).
 """
 
 from __future__ import annotations
 
 from .reporting import (DEFAULT_MAX_VIOLATIONS, CheckReport, CocycleError, LawResult, ValidationReport, Violation,
                         _unchecked)
-from .scalars import Cyclotomic, kronecker_form
+from .scalars import Cyclotomic
 
 
 def _rows(table, what: str) -> tuple:
@@ -176,43 +179,12 @@ def check_2cocycle(
     return CheckReport("2-cocycle", total == 0, g.order**3, violations, total)
 
 
-def _cube_scan(name: str, g: GroupTable, values, omega, max_violations, warnings=None) -> CheckReport:
-    """The 3-cocycle identity over G^4, on the cube compiled to one int per
-    value mod m (see scalars.kronecker_form): a quadruple fails iff its two
-    sides differ mod m, and a reported one is recomputed from the values.
-    omega, a bit table, is None for the plain identity; otherwise the right
-    side takes the sign (-1)^(omega(a,b) omega(c,d)).
-    """
-    n = g.order
-    m, flat = kronecker_form((x for plane in values for row in plane for x in row), 1, 1)
-    f = [[flat[(a * n + b) * n : (a * n + b + 1) * n] for b in range(n)] for a in range(n)]
-    mul = g.product
-    violations = []
-    total = 0
-    for a in range(n):
-        fa = f[a]
-        for b in range(n):
-            fab = fa[b]
-            f_ab = f[mul[a][b]]
-            sign_ab = omega is not None and omega[a][b]
-            for c in range(n):
-                x1 = fab[c]
-                x2 = fa[mul[b][c]]
-                x3 = f[b][c]
-                y1 = f_ab[c]
-                mc = mul[c]
-                for d in range(n):
-                    lhs = x1 * x2[d] % m * x3[d]
-                    rhs = y1[d] * fab[mc[d]]
-                    negate = sign_ab and omega[c][d]
-                    if (lhs + rhs if negate else lhs - rhs) % m:
-                        total += 1
-                        if max_violations is None or len(violations) < max_violations:
-                            bc, ab, cd = mul[b][c], mul[a][b], mc[d]
-                            lhs = values[a][b][c] * values[a][bc][d] * values[b][c][d]
-                            rhs = values[ab][c][d] * values[a][b][cd]
-                            violations.append(Violation((a, b, c, d), lhs, -rhs if negate else rhs))
-    return CheckReport(name, total == 0, n**4, violations, total, warnings)
+def _cube_report(name: str, g: GroupTable, values, omega, max_violations, warnings=None) -> CheckReport:
+    """The report of the _cube.scan of the identity over G^4 (omega None: plain)."""
+    from ._cube import scan  # here, so that extend-group does not compile it
+
+    failing, total = scan(g.product, values, omega, max_violations)
+    return CheckReport(name, total == 0, g.order**4, [Violation(*hit) for hit in failing], total, warnings)
 
 
 def check_3cocycle(
@@ -220,23 +192,32 @@ def check_3cocycle(
 ) -> CheckReport:
     """F(g,h,k) F(g,hk,l) F(h,k,l) = F(gh,k,l) F(g,h,kl), over G^4."""
     _check_sizes(g, len(f.values), "cocycle")
-    return _cube_scan("3-cocycle", g, f.values, None, max_violations)
+    return _cube_report("3-cocycle", g, f.values, None, max_violations)
 
 
 def check_supercocycle(
-    g: GroupTable, sc: SuperCocycle, *, max_violations: int | None = DEFAULT_MAX_VIOLATIONS
+    g: GroupTable,
+    sc: SuperCocycle,
+    *,
+    max_violations: int | None = DEFAULT_MAX_VIOLATIONS,
+    omega_report: CheckReport | None = None,
 ) -> CheckReport:
-    """F~(g,h,k) F~(g,hk,l) F~(h,k,l) = (-1)^(omega(g,h) omega(k,l)) F~(gh,k,l) F~(g,h,kl)."""
+    """F~(g,h,k) F~(g,hk,l) F~(h,k,l) = (-1)^(omega(g,h) omega(k,l)) F~(gh,k,l) F~(g,h,kl).
+
+    A caller that already holds check_2cocycle(g, sc.omega) passes it as
+    ``omega_report``, and the G^3 pass is not repeated.
+    """
     _check_sizes(g, len(sc.values), "supercocycle")
     w = sc.omega
     warnings = []
-    omega_report = check_2cocycle(g, w, max_violations=0)
+    if omega_report is None:
+        omega_report = check_2cocycle(g, w, max_violations=0)
     if not omega_report.ok:
         warnings.append(
             f"omega is not a 2-cocycle ({omega_report.total_violations} violating triples); "
             "the supercocycle identity below is checked on the raw data"
         )
-    return _cube_scan("3-supercocycle", g, sc.values, w.values, max_violations, warnings)
+    return _cube_report("3-supercocycle", g, sc.values, w.values, max_violations, warnings)
 
 
 def normalize_two_cocycle(g: GroupTable, w: TwoCocycleZ2) -> TwoCocycleZ2:
@@ -252,14 +233,19 @@ def extension_labels(g: GroupTable) -> tuple[str, ...]:
     return tuple(f"{g.labels[x >> 1]}^{x & 1}" for x in range(2 * g.order))
 
 
-def central_extension(g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False) -> GroupTable:
+def central_extension(
+    g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False, report: CheckReport | None = None
+) -> GroupTable:
     """The group on Z/2 x G with product g^a . h^b = (gh)^(a+b+omega(g,h)).
 
     omega must be a 2-cocycle (else the product is not associative; refused
     with a witness) and must be normalized at the identity; normalize=True
-    applies the constant-coboundary pre-pass first.
+    applies the constant-coboundary pre-pass first.  A caller that already
+    holds check_2cocycle(g, w) with max_violations >= 1 passes it as
+    ``report``, and the G^3 pass is not repeated.
     """
-    report = check_2cocycle(g, w, max_violations=1)
+    if report is None:
+        report = check_2cocycle(g, w, max_violations=1)
     if not report.ok:
         witness = report.violations[0].instance
         raise CocycleError(f"omega is not a 2-cocycle; witness triple {witness}")
@@ -281,7 +267,11 @@ def central_extension(g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False
 
 
 def lift_supercocycle(
-    g: GroupTable, sc: SuperCocycle, *, report: CheckReport | None = None
+    g: GroupTable,
+    sc: SuperCocycle,
+    *,
+    report: CheckReport | None = None,
+    omega_report: CheckReport | None = None,
 ) -> tuple[GroupTable, ThreeCocycle]:
     """Lift a 3-supercocycle to a genuine 3-cocycle on the central extension.
 
@@ -289,14 +279,15 @@ def lift_supercocycle(
     grade-0 arguments is F~ itself.  Raises CocycleError when sc fails the
     supercocycle identity.  A caller that already holds
     check_supercocycle(g, sc) passes it as ``report``, and the G^4 scan is
-    not repeated.
+    not repeated; one that holds check_2cocycle(g, sc.omega) with
+    max_violations >= 1 passes it as ``omega_report``, for both checks.
     """
     if report is None:
-        report = check_supercocycle(g, sc, max_violations=1)
+        report = check_supercocycle(g, sc, max_violations=1, omega_report=omega_report)
     if not report.ok:
         witness = report.violations[0].instance
         raise CocycleError(f"not a 3-supercocycle; witness quadruple {witness}")
-    ext = central_extension(g, sc.omega)
+    ext = central_extension(g, sc.omega, report=omega_report)
     f, omega, n = sc.values, sc.omega.values, range(ext.order)
     cube = [[[-f[x >> 1][y >> 1][z >> 1] if z & 1 and omega[x >> 1][y >> 1] else f[x >> 1][y >> 1][z >> 1]
               for z in n] for y in n] for x in n]

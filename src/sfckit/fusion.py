@@ -22,7 +22,8 @@ instances at each outer quadruple has a closed form in the multiplicities
 (_plan.outer_weights); it stands in for the scan of an empty table, and it
 cuts the outer quadruple space into contiguous chunks of equal work for
 worker processes.  Partial reports are merged in index order, so the result
-is identical for any worker count.
+is identical for any worker count.  Rules that are a group's skip all this:
+_run_scan hands them to the 3-(super)cocycle kernel of _cube, in one process.
 """
 
 from __future__ import annotations
@@ -483,26 +484,32 @@ def _usable_cpus() -> int:
 
 
 def _run_scan(data, entries, parities, max_violations, jobs):
-    """(violations, total, checked) of the (super) pentagon scan.
+    """(violations, total, checked) of the (super) pentagon scan: _cube.pentagon_scan
+    where the rules are a group's (every X_i x X_j one simple X_ij, N = 1, and
+    (ij)k = i(jk); a Majorana X has N^{1X}_X = 2), else _row_scan."""
+    mul = [[c[0][0] if len(c) == 1 and c[0][1] == 1 else None for c in row] for row in data._products]
+    group = all(None not in row for row in mul)
+    if group and all(mul[ij][k] == row[mul[j][k]] for row in mul for j, ij in enumerate(row) for k in range(len(row))):
+        from ._cube import pentagon_scan  # here, so that only group rules compile it
+
+        return pentagon_scan(mul, entries, parities, max_violations)
+    return _row_scan(data, entries, parities, max_violations, jobs)
+
+
+def _row_scan(data, entries, parities, max_violations, jobs):
+    """(violations, total, checked) of the (super) pentagon scan by _scan_chunk.
 
     With no entries every instance reads 0 = 0, so the count is returned
     without a scan.  A pool starts only for at least POOL_MIN_INSTANCES
     instances, with one worker per usable CPU at most, each taking one
     contiguous chunk of about equal work; the parts merge in index order.
     The kept violations get their sides from one exact _scan_chunk run on
-    their outer quadruples, where each must fail too (else ArithmeticError).
-    _instance_bound rules out a small scan before _plan is imported and the
-    exact count made, which would cost about 4 ms of an 80 ms
-    `sfckit check --jobs 2` on vec-zn 8.
+    their outer quadruples, over the five F-blocks read there, where each
+    must fail too (else ArithmeticError).  _instance_bound rules out a small
+    scan before _plan is imported and the exact count made, which would
+    cost about 4 ms of an 80 ms `sfckit check --jobs 2` on vec-zn 8.
     """
-    rank = data.rank
-    outer = [
-        (i, j, k, l)
-        for i in range(rank)
-        for j in range(rank)
-        for k in range(rank)
-        for l in range(rank)
-    ]
+    outer = list(product(range(data.rank), repeat=4))
     jobs = max(1, int(jobs))
     if jobs > 1 and entries and _instance_bound(data) < POOL_MIN_INSTANCES:
         jobs = 1
@@ -529,7 +536,12 @@ def _run_scan(data, entries, parities, max_violations, jobs):
     violations = []
     if hits:
         outer = sorted({hit[0][:4] for hit in hits})
-        exact_rows = _rows(data, entries, entries.values())
+        blocks = set()  # the F^{abc} read at the outer quadruples (i, j, k, l) of the hits
+        for i, j, k, l in outer:
+            blocks |= {(i, j, k), (j, k, l), *((i, j, q) for q, _ in data.summands(k, l))}
+            blocks |= {(i, t, l) for t, _ in data.summands(j, k)} | {(m, k, l) for m, _ in data.summands(i, j)}
+        kept = [key for key in entries if (key[0], key[1], key[3]) in blocks]
+        exact_rows = _rows(data, kept, map(entries.get, kept))
         exact = {hit[0]: hit[1:] for hit in _scan_chunk(data, (_EXACT, exact_rows), parities, outer, None)[0]}
         for instance, _, _ in hits:
             if instance not in exact:

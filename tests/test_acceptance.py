@@ -19,6 +19,7 @@ from sfckit.catalog import (
     z2_supercocycle,
 )
 from perfbench.gen import carry_group_parts, flip_cube
+from sfckit import fusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.cocycles import (
     SuperCocycle,
@@ -90,7 +91,10 @@ def test_criterion_2_pointed_lift_is_genuine_cocycle():
         assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_3_general_machinery_agrees_with_pointed_pipeline():
+def test_criterion_3_general_machinery_agrees_with_pointed_pipeline(monkeypatch):
+    # the pentagon side scans on the row engine, so the cube kernel of the
+    # cocycle side is compared with an independent engine, not with itself
+    monkeypatch.setattr(fusion, "_run_scan", fusion._row_scan)
     with criterion(3, "main theorem via the general machinery"):
         # every catalog superfusion datum with a fermionic 6j table lifts to a
         # pentagon-passing underlying category
@@ -157,7 +161,9 @@ def _random_coboundary(rng, group, n):
     return values
 
 
-def test_criterion_4_pentagon_oracle_equivalence():
+def test_criterion_4_pentagon_oracle_equivalence(monkeypatch):
+    # as in criterion 3: the row engine against the cube kernel
+    monkeypatch.setattr(fusion, "_run_scan", fusion._row_scan)
     with criterion(4, "pentagon verdict equals 3-cocycle verdict"):
         rng = random.Random(20250811)
         cases = []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from sfckit import cocycles, fusion
+from sfckit import _cube, cocycles, fusion
 from sfckit.catalog import (
     CatalogError,
     build_entry,
@@ -181,9 +181,10 @@ def test_z2_supercocycle_even_power_is_invalid():
 
 @pytest.mark.parametrize("name, params", [("vec-zn", (4,)), ("super-zn-even", (3,))])
 def test_pointed_entries_scan_their_identity_once(name, params, monkeypatch):
-    # the pentagon scan of the entry's own validation is the only scan
-    calls = {"cube": 0, "pentagon": 0}
-    real_cube, real_run = cocycles._cube_scan, fusion._run_scan
+    # the pentagon scan of the entry's own validation is the only scan: no
+    # cocycle check runs, and the G^4 kernel runs once, for the pentagon
+    calls = {"cube": 0, "pentagon": 0, "kernel": 0}
+    real_cube, real_run, real_kernel = cocycles._cube_report, fusion._run_scan, _cube.scan
 
     def counting_cube(*args):
         calls["cube"] += 1
@@ -193,10 +194,15 @@ def test_pointed_entries_scan_their_identity_once(name, params, monkeypatch):
         calls["pentagon"] += 1
         return real_run(*args)
 
-    monkeypatch.setattr(cocycles, "_cube_scan", counting_cube)
+    def counting_kernel(*args):
+        calls["kernel"] += 1
+        return real_kernel(*args)
+
+    monkeypatch.setattr(cocycles, "_cube_report", counting_cube)
     monkeypatch.setattr(fusion, "_run_scan", counting_run)
+    monkeypatch.setattr(_cube, "scan", counting_kernel)
     build_entry(name, *params)
-    assert calls == {"cube": 0, "pentagon": 1}
+    assert calls == {"cube": 0, "pentagon": 1, "kernel": 1}
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from sfckit import cli, cocycles, fusion, grothendieck, superfusion
+from sfckit import _cube, cli, cocycles, fusion, grothendieck, superfusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
@@ -163,17 +163,31 @@ def test_underlying_refuses_bad_input(tmp_path, super_z2_file, capsys):
 
 
 def test_underlying_scans_each_identity_once(tmp_path, super_z2_file, monkeypatch):
-    real_scan = fusion._scan_chunk
+    # super-z2 and its underlying Z/4 rules are a group's: counted once on
+    # the row engine, forced, and once on the cube kernel they dispatch to
+    real_scan, real_cube = fusion._scan_chunk, _cube.pentagon_scan
     scans = {"super": 0, "plain": 0}
+    cubes = {"super": 0, "plain": 0}
 
     def counting_scan(data, entries, parities, outer, max_violations):
         scans["plain" if parities is None else "super"] += 1
         return real_scan(data, entries, parities, outer, max_violations)
 
+    def counting_cube(mul, entries, parities, max_violations):
+        cubes["plain" if parities is None else "super"] += 1
+        return real_cube(mul, entries, parities, max_violations)
+
     monkeypatch.setattr(fusion, "_scan_chunk", counting_scan)
+    monkeypatch.setattr(_cube, "pentagon_scan", counting_cube)
     out = tmp_path / "underlying.json"
+    with monkeypatch.context() as forced:
+        forced.setattr(fusion, "_run_scan", fusion._row_scan)
+        assert main(["underlying", str(super_z2_file), "-o", str(out), "--jobs", "1"]) == EXIT_OK
+    assert scans == {"super": 1, "plain": 1}
+    assert cubes == {"super": 0, "plain": 0}
     assert main(["underlying", str(super_z2_file), "-o", str(out), "--jobs", "1"]) == EXIT_OK
     assert scans == {"super": 1, "plain": 1}
+    assert cubes == {"super": 1, "plain": 1}
 
 
 def test_check_runs_support_once(super_z2_file, monkeypatch, capsys):
@@ -242,6 +256,67 @@ def test_lift_cocycle_scans_supercocycle_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     names = [check.get("name") or check.get("subject") for check in json.loads(capsys.readouterr().out)["checks"]]
     assert names == ["group table", "3-supercocycle", "3-cocycle (on the central extension)"]
+
+
+def identity_group_files(tmp_path):
+    """The group files of tools/report_identity.py (each catalog entry built
+    from a group, with its cube and with its middle value negated) and a
+    Z/3 supercocycle whose omega is not a 2-cocycle."""
+    files = []
+    for name, params in CATALOG:
+        source = build_entry(name, *params).source
+        group, tau, sc = source.get("group"), source.get("cocycle"), source.get("supercocycle")
+        for cube in (tau, sc):
+            if cube is None:
+                continue
+            flat = [x for plane in cube.values for row in plane for x in row]
+            flat[len(flat) // 2] = -flat[len(flat) // 2]
+            n = group.order
+            flipped = [[flat[(a * n + b) * n : (a * n + b + 1) * n] for b in range(n)] for a in range(n)]
+            if cube is tau:
+                files += [group_file(group, cocycle=tau), group_file(group, cocycle=cocycles.ThreeCocycle(flipped))]
+            else:
+                flipped = SuperCocycle(sc.omega, flipped)
+                files += [group_file(group, supercocycle=sc), group_file(group, supercocycle=flipped)]
+    omega = TwoCocycleZ2([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    files.append(group_file(cyclic_group(3), supercocycle=SuperCocycle(omega, [[[1] * 3] * 3] * 3)))
+    paths = []
+    for at, cf in enumerate(files):
+        paths.append(tmp_path / f"group-{at}.json")
+        paths[-1].write_text(dumps_file(cf))
+    return list(zip(paths, files))
+
+
+def test_each_command_checks_omega_once(tmp_path, monkeypatch, capsys):
+    # check, lift-cocycle and extend-group hand the command's one 2-cocycle
+    # report to check_supercocycle and central_extension
+    real_check = cocycles.check_2cocycle
+    calls = []
+
+    def counting_check(g, w, **kwargs):
+        calls.append(1)
+        return real_check(g, w, **kwargs)
+
+    monkeypatch.setattr(cocycles, "check_2cocycle", counting_check)
+    out = str(tmp_path / "out.json")
+    commands = (
+        ["check"],
+        ["check", "--max-violations", "0"],
+        ["check", "--which", "supercocycle"],
+        ["lift-cocycle", "-o", out],
+        ["extend-group", "-o", out],
+    )
+    files = identity_group_files(tmp_path)
+    assert any(not real_check(cf.group, cf.omega).ok for _, cf in files if cf.omega is not None)
+    for path, cf in files:
+        for command in commands:
+            calls.clear()
+            code = main([command[0], str(path), *command[1:], "--json"])
+            capsys.readouterr()
+            needs_supercocycle = command[0] == "lift-cocycle" or command[-1] == "supercocycle"
+            runs = cf.omega is not None and (cf.supercocycle is not None or not needs_supercocycle)
+            assert code != EXIT_INPUT_ERROR or not runs, (path, command)
+            assert len(calls) == runs, (path, command)
 
 
 def test_cocycle_error_reaching_main_is_a_failed_check(tmp_path, monkeypatch, capsys):

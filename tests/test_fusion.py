@@ -235,10 +235,19 @@ def test_pentagon_rejects_off_support_entries():
     assert not report.ok
 
 
+def ising_broken_table():
+    """ising_exact_table with one entry of its 2x2 block negated: rules that
+    are not a group's, so the scan takes the row engine and may pool."""
+    data, table = ising_exact_table()
+    entries = dict(table.entries)
+    entries[(2, 2, 1, 2, 2, 1, 1, 1, 1, 1)] = -entries[(2, 2, 1, 2, 2, 1, 1, 1, 1, 1)]
+    return data, SixJTable(entries)
+
+
 def test_pentagon_jobs_are_deterministic(monkeypatch):
-    data = z2_pointed()
-    table = z2_table(Cyclotomic.rational(2))
+    data, table = ising_broken_table()
     sequential = check_pentagon(data, table, max_violations=None, jobs=1)
+    assert not sequential.ok
     parallel = check_pentagon(data, table, max_violations=None, jobs=2)
     assert sequential.to_json() == parallel.to_json()
     # the same through the process pool
@@ -288,8 +297,7 @@ def test_pool_workers_are_bounded(monkeypatch, affinity, host_cpus, jobs, want):
         monkeypatch.delattr(fusion.os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(fusion.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    data = z2_pointed()
-    table = z2_table(Cyclotomic.rational(2))
+    data, table = ising_broken_table()
     report = check_pentagon(data, table, max_violations=None, jobs=jobs)
     assert RecordingExecutor.seen == ([] if want is None else [want])
     assert report.to_json() == check_pentagon(data, table, max_violations=None).to_json()
@@ -299,8 +307,7 @@ def test_pool_gate_is_the_instance_count(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
     monkeypatch.setattr(fusion, "_usable_cpus", lambda: 2)
-    data = z2_pointed()
-    table = z2_table(ONE)
+    data, table = ising_exact_table()
     checked = check_pentagon(data, table, jobs=2).checked
     monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", checked + 1)
     check_pentagon(data, table, jobs=2)

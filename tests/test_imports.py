@@ -17,7 +17,8 @@ import pytest
 from sfckit.catalog import z2_supercocycle
 from sfckit.cli import EXIT_OK, main
 from sfckit.cocycles import cyclic_group
-from sfckit.serialize import dumps_file, group_file
+from sfckit.serialize import dumps_file, fusion_file, group_file
+from tests.test_fusion import ising_exact_table
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.scalars", "sfckit.serialize"}
@@ -51,7 +52,9 @@ def loaded_after(argv=None, module="sfckit.cli"):
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
     paths = {"group": root / "gz2.json", "fusion": root / "vec-z3.json", "super": root / "super-z2.json"}
+    paths["ising"] = root / "ising.json"
     paths["group"].write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    paths["ising"].write_text(dumps_file(fusion_file(*ising_exact_table())))
     assert main(["catalog", "vec-zn", "3", "-o", str(paths["fusion"])]) == EXIT_OK
     assert main(["catalog", "super-z2", "1", "-o", str(paths["super"])]) == EXIT_OK
     return {kind: str(path) for kind, path in paths.items()}
@@ -66,18 +69,28 @@ def test_import_sfckit_cli_loads_only_the_front_end():
 
 
 # --jobs 2 on every command that takes it: each scan is under the pool gate,
-# so none may load the pool machinery or the scan planner (sfckit._plan)
+# so none may load the pool machinery or the scan planner (sfckit._plan).
+# The G^4 kernel (sfckit._cube) loads only where a 3-(super)cocycle check or
+# the (super) pentagon of a group's rules runs.
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        ("check {group} --jobs 2", {"sfckit.cocycles"}),
-        ("lift-cocycle {group} -o {out}", {"sfckit.cocycles"}),
+        ("check {group} --jobs 2", {"sfckit.cocycles", "sfckit._cube"}),
+        ("lift-cocycle {group} -o {out}", {"sfckit.cocycles", "sfckit._cube"}),
         ("extend-group {group} -o {out}", {"sfckit.cocycles"}),
-        ("check {fusion} --jobs 2", {"sfckit.fusion"}),
-        ("check {super} --jobs 2", {"sfckit.fusion", "sfckit.superfusion"}),
+        ("check {fusion} --jobs 2", {"sfckit.fusion", "sfckit._cube"}),
+        ("check {super} --jobs 2", {"sfckit.fusion", "sfckit.superfusion", "sfckit._cube"}),
         ("sgr {super}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.grothendieck"}),
-        ("underlying {super} --jobs 2 -o {out}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope"}),
-        ("catalog vec-zn 3 -o {out}", {"sfckit.catalog", "sfckit.cocycles", "sfckit.fusion", "sfckit.superfusion"}),
+        (
+            "underlying {super} --jobs 2 -o {out}",
+            {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope", "sfckit._cube"},
+        ),
+        (
+            "catalog vec-zn 3 -o {out}",
+            {"sfckit.catalog", "sfckit.cocycles", "sfckit.fusion", "sfckit.superfusion", "sfckit._cube"},
+        ),
+        # the Ising rules are not a group's: the row engine scans them
+        ("check {ising} --jobs 2", {"sfckit.fusion"}),
     ],
 )
 def test_command_loads_only_its_engines(argv, extra, inputs, tmp_path):

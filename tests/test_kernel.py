@@ -49,7 +49,7 @@ from sfckit.scalars import (
     kronecker_form,
     root_of_unity,
 )
-from sfckit.serialize import fusion_file, save_file
+from sfckit.serialize import fusion_file, group_file, save_file, superfusion_file
 from sfckit.superfusion import BOSONIC, SuperFusionData, check_super_pentagon, is_parity_admissible
 from tests.test_fusion import (
     invertibility_oracle,
@@ -691,23 +691,56 @@ def test_witness_pass_scans_only_the_kept_outer_quadruples(monkeypatch):
     assert report.total_violations > 0 and report.violations == [] and len(calls) == 1
 
 
+def not_a_ring_map(values, lhs_terms, rhs_terms):
+    """A stand-in for kronecker_form whose ints are not a ring map."""
+    return 2**61 - 1, [pos + 2 for pos, _ in enumerate(values)]
+
+
 def test_int_failure_that_holds_exactly_is_an_internal_error(tmp_path, monkeypatch, capsys):
     # ints that are not a ring map make a valid table fail mod m; the exact
-    # run of the same loop finds its sides equal, so no witness is printed
-    entry = build_entry("vec-zn", 3)
-    path = tmp_path / "vec-z3.json"
-    save_file(str(path), fusion_file(entry.data, entry.sixj))
-
-    def not_a_ring_map(values, lhs_terms, rhs_terms):
-        return 2**61 - 1, [pos + 2 for pos, _ in enumerate(values)]
+    # run of the same loop finds its sides equal, so no witness is printed.
+    # The Ising rules are not a group's, so the row engine scans them.
+    data, table = ising_exact_table()
+    path = tmp_path / "ising.json"
+    save_file(str(path), fusion_file(data, table))
 
     monkeypatch.setattr(fusion, "kronecker_form", not_a_ring_map)
     with pytest.raises(ArithmeticError, match=r"instance \((\d+, ){14}\d+\)"):
-        check_pentagon(entry.data, entry.sixj)
+        check_pentagon(data, table)
     capsys.readouterr()
     assert main(["check", str(path)]) == EXIT_INTERNAL_ERROR
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: internal error: ArithmeticError")
+
+
+def test_cube_failure_that_holds_exactly_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # the same for the G^4 kernel: the 3-cocycle and 3-supercocycle checks
+    # and the (super) pentagon of a group's rules.  (_cube is imported here:
+    # tools import this module to run on trees from before it.)
+    from sfckit import _cube
+
+    vec, sup = build_entry("vec-zn", 3), build_entry("super-zn-even", 2)
+    paths = [tmp_path / name for name in ("vec-z3.json", "z3.json", "super-z4.json", "z4.json")]
+    save_file(str(paths[0]), fusion_file(vec.data, vec.sixj))
+    save_file(str(paths[1]), group_file(vec.source["group"], cocycle=vec.source["cocycle"]))
+    save_file(str(paths[2]), superfusion_file(sup.data, sup.sixj))
+    save_file(str(paths[3]), group_file(sup.source["group"], supercocycle=sup.source["supercocycle"]))
+
+    monkeypatch.setattr(_cube, "kronecker_form", not_a_ring_map)
+    quadruple = r"quadruple \((\d+, ){3}\d+\) fails mod m but holds exactly"
+    with pytest.raises(ArithmeticError, match=quadruple):
+        check_3cocycle(vec.source["group"], vec.source["cocycle"])
+    with pytest.raises(ArithmeticError, match=quadruple):
+        check_supercocycle(sup.source["group"], sup.source["supercocycle"])
+    with pytest.raises(ArithmeticError, match=quadruple):
+        check_pentagon(vec.data, vec.sixj)
+    with pytest.raises(ArithmeticError, match=quadruple):
+        check_super_pentagon(sup.data, sup.sixj)
+    for path in paths:
+        capsys.readouterr()
+        assert main(["check", str(path)]) == EXIT_INTERNAL_ERROR
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: internal error: ArithmeticError"), path
 
 
 def test_kernel_cube_step_at_largest_denominator():

@@ -21,15 +21,19 @@ def test_scan_cost_prints_the_cost_per_instance():
     assert list(result) == [
         "vec-zn 2",
         "vec-zn 3",
+        "vec-zn 2 flipped",
         "lifted super-zn-even 2",
         "gauged ising x z1",
         "gauged ising x z1 flipped",
     ]
-    assert [row["instances"] for row in result.values()][:3] == [2**4, 3**4, 4**4]
-    assert [row["violations"] > 0 for row in result.values()] == [False] * 4 + [True]
-    assert [row["blocks"] for row in result.values()][:3] == [2**3, 3**3, 4**3]
+    assert [row["instances"] for row in result.values()][:4] == [2**4, 3**4, 2**4, 4**4]
+    assert [row["violations"] > 0 for row in result.values()] == [False, False, True, False, False, True]
+    assert [row["blocks"] for row in result.values()][:4] == [2**3, 3**3, 2**3, 4**3]
+    # the rules of Z/n go to the G^4 kernel, the Ising rules to the row engine
+    assert [row["path"] for row in result.values()] == ["group"] * 4 + ["row"] * 2
     for row in result.values():
         assert row["best_s"] > 0 and row["us_per_instance"] > 0
+        assert row["row_best_s"] > 0 and row["row_us_per_instance"] > 0
         assert row["invertibility_best_s"] > 0 and row["us_per_block"] > 0
 
 

@@ -23,6 +23,11 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
   print through ``canonical``: ``vec-zn 2`` with its first entries set to
   ``zeta_11`` and ``zeta_13`` (N = 286) and to ``zeta_3``, ``zeta_5`` and
   ``zeta_7`` (N = 210) (``test_scalars.mixed_order_file``);
+- pointed tables off the catalog: the rules of S3 with a gauged trivial
+  cocycle (``perfbench/gen.gauge_cube``) and one entry negated, ``vec-zn 4``
+  with every ninth entry left out, and one-product rules of rank 3 whose
+  product is not associative, where ``(ij)k = i(jk)`` fails and the scans
+  of a group's rules do not apply;
 - a Majorana object with a table: ``ising`` with the 29 base entries that
   the Kitaev Ising table determines (``test_envelope.descended_ising_table``),
   whose super pentagon fails on the odd-odd entries the lift drops;
@@ -135,9 +140,10 @@ def _negate_middle(values):
 
 def write_inputs(work: str) -> dict[str, str]:
     """Write every input into work; returns label -> path, in a fixed order."""
-    from sfckit.catalog import build_entry, ising_super, standard_three_cocycle
-    from sfckit.cocycles import SuperCocycle, ThreeCocycle, cyclic_group
-    from sfckit.fusion import FusionData
+    from sfckit.catalog import build_entry, ising_super, pointed_fusion_data, standard_three_cocycle
+    from sfckit.cocycles import GroupTable, SuperCocycle, ThreeCocycle, cyclic_group
+    from sfckit.fusion import FusionData, SixJTable, admissible_decuples
+    from sfckit.scalars import MINUS_ONE, ONE
     from sfckit.serialize import dumps_file, fusion_file, group_file, save_file, superfusion_file
     from sfckit.superfusion import SuperFusionData
     from tests.test_envelope import descended_ising_table
@@ -189,6 +195,17 @@ def write_inputs(work: str) -> dict[str, str]:
     save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle)))
     for orders in ((11, 13), (3, 5, 7)):
         save(" ".join(["vec-zn 2 zeta", *map(str, orders)]), mixed_order_file(*orders))
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    s3 = GroupTable([[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms], 0)
+    data, table = pointed_fusion_data(s3, ThreeCocycle(gen.gauge_cube(s3, [[[ONE] * 6] * 6] * 6, seed=1)))
+    save("s3 gauged flipped", fusion_file(data, flip(table)))
+    vec = build_entry("vec-zn", 4)
+    sparse = SixJTable({key: v for at, (key, v) in enumerate(sorted(vec.sixj.entries.items())) if at % 9})
+    save("vec-zn 4 missing entries", fusion_file(vec.data, sparse))
+    product = [[0, 1, 2], [2, 0, 1], [2, 1, 0]]
+    rules = FusionData(["0", "1", "2"], 0, {(a, b, product[a][b]): 1 for a in range(3) for b in range(3)})
+    table = SixJTable({key: ONE if at % 2 else MINUS_ONE for at, key in enumerate(admissible_decuples(rules))})
+    save("non-associative pointed rules", fusion_file(rules, table))
     save("descended ising superfusion", superfusion_file(ising_super(), descended_ising_table()))
     save("z3 parity broken", superfusion_file(z3_parity_broken()))
     ck = build_entry("ck", 10).data

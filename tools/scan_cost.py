@@ -9,12 +9,19 @@ scanned by ``fusion._run_scan`` with one job and the default
 ``--max-violations`` (25), N times (default 7); the script prints one JSON
 object that maps each input to the best time in seconds, its instance and
 violation counts, and ``us_per_instance``, the best time over the
-instances checked.  Each input's table is also checked by
-``fusion.check_6j_invertibility``, N times: ``invertibility_best_s`` is the
-best time, ``blocks`` the blocks checked and ``us_per_block`` the best time
-over the blocks.  The inputs:
+instances checked.  ``path`` names the engine that ran: ``group`` where
+``_run_scan`` hands the rules of a group to the G^4 kernel
+(``_cube.pentagon_scan``), else ``row``.  The same scan by the row engine
+alone (``fusion._row_scan``; ``_run_scan`` in a tree without it) gives
+``row_best_s`` and ``row_us_per_instance``.  Each input's table is also
+checked by ``fusion.check_6j_invertibility``, N times:
+``invertibility_best_s`` is the best time, ``blocks`` the blocks checked
+and ``us_per_block`` the best time over the blocks.  The inputs:
 
-- ``vec-zn 8`` and ``vec-zn 12``: catalog tables, one term per side;
+- ``vec-zn 8`` and ``vec-zn 12``: catalog tables, one term per side, and
+  ``vec-zn 8 flipped``, with one entry negated
+  (``tests/test_kernel.flip``), so the time includes the exact sides of
+  the kept violations;
 - ``lifted super-zn-even 4``: the lift (``envelope.lift_6j``) of that
   catalog table, on its underlying rules;
 - ``gauged ising x z2``: the ``general`` benchmark table
@@ -53,6 +60,8 @@ def inputs(sizes) -> dict:
     for n in sizes["vec"]:
         entry = build_entry("vec-zn", n)
         cases[f"vec-zn {n}"] = (entry.data, entry.sixj.entries, None)
+    entry = build_entry("vec-zn", sizes["vec"][0])
+    cases[f"vec-zn {sizes['vec'][0]} flipped"] = (entry.data, flip(entry.sixj).entries, None)
     entry = build_entry("super-zn-even", sizes["super"])
     lifted = lift_6j(entry.data, entry.sixj)
     cases[f"lifted super-zn-even {sizes['super']}"] = (underlying_fusion_rules(entry.data), lifted.entries, None)
@@ -75,22 +84,41 @@ def best_of(repeat: int, call):
     return best, result
 
 
+def dispatched_path(scan) -> str:
+    """"group" if the call scan() runs the G^4 kernel, else "row"."""
+    try:
+        from sfckit import _cube
+    except ImportError:  # a tree from before group rules went to the kernel
+        return "row"
+    real, ran = _cube.pentagon_scan, []
+    _cube.pentagon_scan = lambda *args: ran.append(1) or real(*args)
+    try:
+        scan()
+    finally:
+        _cube.pentagon_scan = real
+    return "group" if ran else "row"
+
+
 def measure(cases, repeat: int) -> dict:
     from sfckit import fusion
     from sfckit.reporting import DEFAULT_MAX_VIOLATIONS
 
+    row_scan = getattr(fusion, "_row_scan", fusion._run_scan)
     out = {}
     for label, (data, entries, parities) in cases.items():
-        best, (_, total, checked) = best_of(
-            repeat, lambda: fusion._run_scan(data, entries, parities, DEFAULT_MAX_VIOLATIONS, 1)
-        )
+        args = (data, entries, parities, DEFAULT_MAX_VIOLATIONS, 1)
+        best, (_, total, checked) = best_of(repeat, lambda: fusion._run_scan(*args))
+        row_best, _ = best_of(repeat, lambda: row_scan(*args))
         table = fusion.SixJTable(entries)
         inv_best, report = best_of(repeat, lambda: fusion.check_6j_invertibility(data, table))
         out[label] = {
+            "path": dispatched_path(lambda: fusion._run_scan(*args)),
             "best_s": round(best, 6),
             "instances": checked,
             "violations": total,
             "us_per_instance": round(best / checked * 1e6, 3),
+            "row_best_s": round(row_best, 6),
+            "row_us_per_instance": round(row_best / checked * 1e6, 3),
             "invertibility_best_s": round(inv_best, 6),
             "blocks": report.checked,
             "us_per_block": round(inv_best / report.checked * 1e6, 3),
