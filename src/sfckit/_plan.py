@@ -1,11 +1,11 @@
 """Planning a pentagon or super pentagon scan before it runs.
 
-The number of instances that fusion._scan_chunk checks at each outer
+The number of instances that _rowscan._scan_chunk checks at each outer
 quadruple has a closed form in the multiplicities (outer_weights).  It
 stands in for the scan of an empty table, gates the process pool, and cuts
-the outer quadruples into contiguous chunks of equal work.  fusion._run_scan
-imports this module only when it plans a scan (more than one job, or an
-empty table), so other commands do not compile it.
+the outer quadruples into contiguous chunks of equal work.
+_rowscan.row_scan imports this module only when it plans a scan (more than
+one job, or an empty table), so other commands do not compile it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def _paths(first, second) -> tuple:
 
 def outer_weights(data) -> list[int]:
     """For each outer quadruple (i, j, k, l) of the FusionData data, in scan
-    order, the number of instances fusion._scan_chunk checks there:
+    order, the number of instances _rowscan._scan_chunk checks there:
     sum_p L(p) R(p), with the left and right path counts
 
         L(p) = sum_{m,n} N^ij_m N^mk_n N^nl_p,   R(p) = sum_{q,s} N^kl_q N^jq_s N^is_p.

@@ -1,0 +1,223 @@
+"""The row engine: the (super) pentagon scan of fusion rules that are not a group's.
+
+The table is compiled once to associator rows: rows[v1][v2] lists the (v3,
+v4, value) of each nonzero entry on the Hom basis vectors v1..v4, numbered
+by fusion._hom_index (_rows).  A scan follows these rows, so it pays for the
+products it adds, not for the rank**10 index space.  The values are ints,
+one per value mod m (scalars.kronecker_form); the same loop, rerun on rows
+of the table's own values, gives each reported violation its exact sides.
+The closed-form instance count of _plan stands in for the scan of an empty
+table and cuts the outer quadruples into chunks of equal work for worker
+processes.  fusion._run_scan imports this module only for rules that are
+not a group's.
+"""
+
+from __future__ import annotations
+
+import os
+from itertools import product
+
+from .fusion import FusionData, _hom_index
+from .reporting import Violation
+from .scalars import Cyclotomic, kronecker_form
+
+# A scan starts a process pool only from this many instances
+# (_plan.outer_weights) on.  Measured on a 2-vCPU x86-64 Linux guest with
+# CPython 3.11, fresh `sfckit check` processes on vec-zn n (n**4 instances),
+# pool forced on vs off, 10 alternating pairs each: two workers side by
+# side each run at about 0.55x.  At about 5.5 us per instance the pool won
+# 7-9 of 10 from 194 481 instances on; at the row scan's 2.3 us it won 1, 4,
+# 2 (2 again) and 3 of 10 at 160 000, 234 256, 331 776 and 614 656.  No
+# size gave 9 of 10 either way, so the gate stays.
+POOL_MIN_INSTANCES = 200_000
+
+
+def _rows(data: FusionData, keys, values):
+    """The associator rows of a table's decuple keys and values: rows[v1][v2]
+    lists (v3, v4, x) for each nonzero x whose decuple has the Hom basis
+    vectors (numbered by _hom_index) v1 = (i,j,m,alpha), v2 = (m,k,n,beta),
+    v3 = (j,k,t,eta), v4 = (i,t,n,phi), so row (m, alpha, beta) of F^{ijk}_n."""
+    number = {x: v for v, x in enumerate(_hom_index(data)[0])}
+    rows = [{} for _ in number]
+    for (i, j, m, k, n, t, alpha, beta, eta, phi), x in zip(keys, values):
+        if x:
+            row = rows[number[i, j, m, alpha]].setdefault(number[m, k, n, beta], [])
+            row.append((number[j, k, t, eta], number[i, t, n, phi], x))
+    return rows
+
+
+def _scan_chunk(data, entries, parities, outer, max_violations):
+    """Check the (super) pentagon identity over one chunk of outer quadruples.
+
+    entries is (modulus, rows), rows as built by _rows: the ints of _compile
+    (scalars.kronecker_form), where an instance fails iff its sides differ
+    mod m, or for exact sides the table's own values under _EXACT, where
+    x % _EXACT is x.  An instance pairs a left path va, vb, vc (basis
+    vectors of Hom(i x j, m), Hom(m x k, n), Hom(n x l, p)) with a right
+    path vd, ve, vf (of Hom(k x l, q), Hom(j x q, s), Hom(i x s, p)) ending
+    at the same p.  Per left path, each side adds its stored nonzero terms
+    into a dict keyed by right path: the left side over rows[va][vb],
+    rows[vpsi][vc] and rows[vt][vk], the right over rows[vb][vc] and
+    rows[va][veps], times (-1)**(s(va) s(vd)) under parities (None for the
+    plain pentagon, else the bit of each admissible Hom-space quadruple).
+    The right paths at p are then compared in index order, a missing key
+    reading 0.  Returns (the first max_violations failing instances, each
+    as (instance, lhs, rhs), their total, the instances checked).
+    """
+    modulus, rows = entries
+    vectors, cells = _hom_index(data)
+    odd = None if parities is None else [parities[x] for x in vectors]
+    failing = []
+    total = 0
+    checked = 0
+    for (i, j, k, l) in outer:
+        cells_i, cells_j = cells[i], cells[j]
+        ends = {}  # p -> the right paths (vd, ve, vf) ending at p, in index order
+        for q, vd in cells[k][l]:
+            for s, ve in cells_j[q]:
+                for p, vf in cells_i[s]:
+                    ends.setdefault(p, []).append((vd, ve, vf))
+        for m, va in cells_i[j]:
+            row_a = rows[va]
+            negate = odd is not None and odd[va]
+            for n, vb in cells[m][k]:
+                row_ab = row_a.get(vb, ())
+                row_b = rows[vb]
+                for p, vc in cells[n][l]:
+                    paths = ends.get(p)
+                    if not paths:
+                        continue
+                    left = {}
+                    for vt, vpsi, f1 in row_ab:
+                        row_t = rows[vt]
+                        for vk, vf, f2 in rows[vpsi].get(vc, ()):
+                            terms = row_t.get(vk)
+                            if terms:
+                                f12 = f1 * f2 % modulus
+                                for vd, ve, f3 in terms:
+                                    key = (vd, ve, vf)
+                                    left[key] = left.get(key, 0) + f12 * f3
+                    right = {}
+                    for vd, veps, g1 in row_b.get(vc, ()):
+                        if negate and odd[vd]:
+                            g1 = -g1
+                        for ve, vf, g2 in row_a.get(veps, ()):
+                            key = (vd, ve, vf)
+                            right[key] = right.get(key, 0) + g1 * g2
+                    checked += len(paths)
+                    for key in paths:
+                        lhs, rhs = left.get(key, 0), right.get(key, 0)
+                        if (lhs - rhs) % modulus:
+                            total += 1
+                            if max_violations is None or len(failing) < max_violations:
+                                (_, _, q, delta), (_, _, s, phi) = vectors[key[0]], vectors[key[1]]
+                                labels = [vectors[v][3] for v in (va, vb, vc, key[2])]  # alpha, beta, chi, gamma
+                                failing.append(((i, j, k, l, m, n, p, q, s, *labels, delta, phi), lhs, rhs))
+    return failing, total, checked
+
+
+class _Exact:
+    """The modulus of an exact scan: x % _EXACT is x."""
+
+    def __rmod__(self, x):
+        return x
+
+
+_EXACT = _Exact()
+
+
+def _term_bounds(data):
+    """(M, C): the largest multiplicity N^ab_c and the largest sum_c N^ab_c."""
+    cells = [[x for _, x in cell] for row in data._products for cell in row]
+    return max(max(cell, default=0) for cell in cells), max(map(sum, cells))
+
+
+def _compile(data, entries):
+    """The scan form (m, rows of ints) of a table's entries.  A left side
+    sums at most C M**2 products, a right side M (see _term_bounds)."""
+    nmax, widest = _term_bounds(data)
+    modulus, ints = kronecker_form(entries.values(), widest * nmax**2, nmax)
+    return modulus, _rows(data, entries, ints)
+
+
+def _scan_worker(args):
+    return _scan_chunk(*args)
+
+
+def _instance_bound(data: FusionData) -> int:
+    """An upper bound on the instances of a scan, in one pass over the rules.
+
+    An instance is a term N^ij_m N^mk_n N^nl_p N^kl_q N^jq_s N^is_p; its
+    sums over q and s are at most M C**2, with M the largest multiplicity and
+    C the largest sum_c N^ab_c, and the rest factor through row sums.  On
+    the rules of a group, where M = C = 1, it is exact: rank**4.
+    """
+    products = data._products
+    nmax, widest = _term_bounds(data)
+    row = [sum(x for cell in cells for _, x in cell) for cells in products]  # row[a] = sum_{b,c} N^ab_c
+    tails = [sum(x * row[c] for cell in cells for c, x in cell) for cells in products]  # sum_{k,n} N^mk_n row[n]
+    return nmax * widest**2 * sum(x * tails[c] for cells in products for cell in cells for c, x in cell)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the size of its affinity mask
+    (which taskset shrinks; a cgroup CPU quota does not) where the OS has
+    one, else the host's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def row_scan(data, entries, parities, max_violations, jobs):
+    """(violations, total, checked) of the (super) pentagon scan by _scan_chunk.
+
+    With no entries every instance reads 0 = 0, so the count is returned
+    without a scan.  A pool starts only for at least POOL_MIN_INSTANCES
+    instances, with one worker per usable CPU at most, each taking one
+    contiguous chunk of about equal work; the parts merge in index order.
+    The kept violations get their sides from one exact _scan_chunk run on
+    their outer quadruples, over the five F-blocks read there, where each
+    must fail too (else ArithmeticError).  _instance_bound rules out a small
+    scan before _plan is imported and the exact count made, which would
+    cost about 4 ms of an 80 ms `sfckit check --jobs 2` on vec-zn 8.
+    """
+    outer = list(product(range(data.rank), repeat=4))
+    jobs = max(1, int(jobs))
+    if jobs > 1 and entries and _instance_bound(data) < POOL_MIN_INSTANCES:
+        jobs = 1
+    chunks = [outer]
+    if jobs > 1 or not entries:
+        from ._plan import outer_weights, weighted_chunks  # here, so that only a planned scan compiles it
+
+        weights = outer_weights(data)
+        if not entries:
+            return [], 0, sum(weights)
+        if sum(weights) >= POOL_MIN_INSTANCES:
+            chunks = weighted_chunks(outer, weights, min(jobs, _usable_cpus()))
+    compiled = _compile(data, entries)
+    if len(chunks) < 2:
+        parts = [_scan_chunk(data, compiled, parities, outer, max_violations)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # here, not at module level: it costs every command ~15 ms
+
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(
+                pool.map(_scan_worker, [(data, compiled, parities, chunk, max_violations) for chunk in chunks])
+            )
+    hits = [hit for part in parts for hit in part[0]][:max_violations]
+    violations = []
+    if hits:
+        outer = sorted({hit[0][:4] for hit in hits})
+        blocks = set()  # the F^{abc} read at the outer quadruples (i, j, k, l) of the hits
+        for i, j, k, l in outer:
+            blocks |= {(i, j, k), (j, k, l), *((i, j, q) for q, _ in data.summands(k, l))}
+            blocks |= {(i, t, l) for t, _ in data.summands(j, k)} | {(m, k, l) for m, _ in data.summands(i, j)}
+        kept = [key for key in entries if (key[0], key[1], key[3]) in blocks]
+        exact_rows = _rows(data, kept, map(entries.get, kept))
+        exact = {hit[0]: hit[1:] for hit in _scan_chunk(data, (_EXACT, exact_rows), parities, outer, None)[0]}
+        for instance, _, _ in hits:
+            if instance not in exact:
+                raise ArithmeticError(f"pentagon instance {instance} fails mod m but holds exactly")
+            violations.append(Violation(instance, *map(Cyclotomic._coerce, exact[instance])))
+    return violations, sum(part[1] for part in parts), sum(part[2] for part in parts)

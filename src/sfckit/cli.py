@@ -9,7 +9,7 @@ A command that writes a document to stdout (no -o) prints its report on
 stderr, so stdout carries that document alone.
 
 Each command imports the engines it runs inside its handler, so a command
-compiles and loads only those modules.
+compiles and loads only those modules, and the sfc-1 writer only if it writes.
 
 One parser (parse_args) reads the command line from two tables: _FLAGS,
 each flag with its value and its check, and _COMMANDS, each command with its

@@ -7,19 +7,16 @@ integer allowed for rational integers.  Saving is deterministic (sorted keys,
 sorted records, canonical scalar forms), so save(load(f)) is byte-identical
 for canonically formatted files: exactly json.dumps(doc, sort_keys=True,
 indent=2) + "\n".  dumps_file writes each record straight to that text in
-one pass, with each label quoted and each distinct scalar rendered (_render)
-once per document.  Reading decodes each distinct scalar once, and a
-location is formatted only for an error.
+one pass, by the writer of _writer, which it imports on first use: reading
+a file does not compile the writer.  Reading decodes each distinct scalar
+once, and a location is formatted only for an error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from operator import attrgetter
 
 from .reporting import _unchecked
 from .scalars import Cyclotomic
@@ -238,8 +235,7 @@ def _decode_fusion(payload: dict, where: str) -> CategoryFile:
 
 
 def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
-    from .fusion import FusionError
-    from .superfusion import BOSONIC, MAJORANA, SuperFusionData
+    from .superfusion import BOSONIC, MAJORANA, SuperFusionData, SuperFusionError, _split_parities
 
     base_file = _decode_fusion(payload, where)
     data = base_file.fusion
@@ -247,14 +243,12 @@ def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
 
     types_obj = payload.get("object_type")
     _expect(isinstance(types_obj, dict), "expected a label -> type map", f"{where}.object_type")
-    object_type = {}
     for lab, value in types_obj.items():
         w = f"{where}.object_type[{lab!r}]"
         _label(lab, lookup, w)
         _expect(value in (BOSONIC, MAJORANA), f"expected 'bosonic' or 'majorana', got {value!r}", w)
-        object_type[lab] = value
     for lab in data.labels:
-        _expect(lab in object_type, f"missing label {lab!r}", f"{where}.object_type")
+        _expect(lab in types_obj, f"missing label {lab!r}", f"{where}.object_type")
 
     where_p = f"{where}.parities"
     parities = {}
@@ -265,10 +259,17 @@ def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
         bit = _bit(rec[4], where_p, pos, 4)
         _expect(key not in parities, "duplicate parity record", where_p, pos)
         parities[key] = bit
+    # the checks of the SuperFusionData constructor left, in its order
+    mult = data.mult
+    bad = [key for key in parities if not 0 < key[3] <= mult.get(key[:3], 0)]
+    if bad:
+        _fail(f"parity key {bad[0]} is not an admissible quadruple", where)
     try:
-        sdata = SuperFusionData(data, parities, object_type)
-    except FusionError as exc:
+        classes = _split_parities(mult, parities)
+    except SuperFusionError as exc:
         raise SchemaError(f"{where}: {exc}") from None
+    object_type = tuple([types_obj[lab] for lab in data.labels])
+    sdata = _unchecked(SuperFusionData, base=data, parities=parities, object_type=object_type, _parity_classes=classes)
     return superfusion_file(sdata, base_file.sixj)
 
 
@@ -335,92 +336,6 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     return group_file(group, omega, cocycle, supercocycle)
 
 
-# -- writer: each record straight to text -------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _frame(depth: int, brackets: str = "[]") -> tuple[str, str, str]:
-    """The opening, separator and closing text of a non-empty list (or "{}" object) at depth."""
-    pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad, "," + pad, pad[:-2] + brackets[1]
-
-
-def _join(items: list[str], depth: int, brackets: str = "[]") -> str:
-    """The text of the list (or "{}" object) at depth whose items have the texts items."""
-    if not items:
-        return brackets
-    start, sep, end = _frame(depth, brackets)
-    return start + sep.join(items) + end
-
-
-def _object(fields: dict[str, str], depth: int) -> str:
-    """The object at depth with the field texts fields, in sorted key order."""
-    return _join([_quote(k) + ": " + fields[k] for k in sorted(fields)], depth, "{}")
-
-
-def _records(rows, depth: int) -> str:
-    """The list at depth of records, each row the texts of one record's fields."""
-    start, sep, end = _frame(depth + 1)
-    return _join([start + sep.join(row) + end for row in rows], depth)
-
-
-def _render(x, depth: int = 0) -> str:
-    """json.dumps(x, sort_keys=True, indent=2) for the dicts, lists, strs and
-    ints of a scalar object, indented as at depth."""
-    if type(x) is str:
-        return _quote(x)
-    if type(x) is int:
-        return str(x)
-    if type(x) is list:  # coefficient pairs: their ints inline
-        return _join([str(v) if type(v) is int else _render(v, depth + 1) for v in x], depth)
-    if type(x) is not dict:
-        raise TypeError(f"an sfc-1 document holds no {type(x).__name__}")
-    return _join([_quote(k) + ": " + _render(x[k], depth + 1) for k in sorted(x)], depth, "{}")
-
-
-def _scalar_text(depth: int):
-    """x -> the text of scalar_to_json(x) at depth, once per distinct value."""
-    return _once(lambda x: _render(scalar_to_json(x), depth), attrgetter("order", "nums", "den"))
-
-
-def _fusion_fields(cf: CategoryFile) -> dict[str, str]:
-    sdata = cf.superfusion
-    data = cf.fusion if sdata is None else sdata.base
-    q = [_quote(lab) for lab in data.labels]  # each label quoted once
-    fields = {
-        "labels": _join(q, 2),
-        "unit": q[data.unit],
-        "mult": _records(([q[i], q[j], q[m], str(n)] for (i, j, m), n in sorted(data.mult.items())), 2),
-    }
-    if cf.sixj is not None:
-        text = _scalar_text(4)
-        rows = (
-            [q[k[0]], q[k[1]], q[k[2]], q[k[3]], q[k[4]], q[k[5]], str(k[6]), str(k[7]), str(k[8]), str(k[9]), text(v)]
-            for k, v in sorted(cf.sixj.entries.items())
-        )
-        fields["sixj"] = _records(rows, 2)
-    if sdata is not None:
-        fields["object_type"] = _object({lab: _quote(t) for lab, t in zip(data.labels, sdata.object_type)}, 2)
-        rows = ([q[i], q[j], q[m], str(a), str(bit)] for (i, j, m, a), bit in sorted(sdata.parities.items()))
-        fields["parities"] = _records(rows, 2)
-    return fields
-
-
-def _group_fields(cf: CategoryFile) -> dict[str, str]:
-    g = cf.group
-    group = {"identity": str(g.identity), "order": str(g.order), "labels": _join([_quote(lab) for lab in g.labels], 3)}
-    group["product"] = _join([str(x) for row in g.product for x in row], 3)
-    fields = {"group": _object(group, 2)}
-    if cf.omega is not None:
-        fields["omega"] = _records(([str(bit) for bit in row] for row in cf.omega.values), 2)
-    text = _scalar_text(5)
-    for name in ("cocycle", "supercocycle"):
-        table = getattr(cf, name)
-        if table is not None:
-            fields[name] = _join([_records(([text(x) for x in row] for row in plane), 3) for plane in table.values], 2)
-    return fields
-
-
 # -- top level -------------------------------------------------------------------------
 
 
@@ -440,11 +355,9 @@ def decode_document(doc) -> CategoryFile:
 
 
 def dumps_file(cf: CategoryFile) -> str:
-    if cf.kind not in KINDS:
-        raise ValueError(f"unknown kind {cf.kind!r}")
-    fields = _group_fields(cf) if cf.kind == "group+cocycles" else _fusion_fields(cf)
-    top = {"format_version": _quote(FORMAT_VERSION), "kind": _quote(cf.kind), "payload": _object(fields, 1)}
-    return _object(top, 0) + "\n"
+    from ._writer import dumps  # here, so that only the commands that write compile the writer
+
+    return dumps(cf)
 
 
 def loads_file(text: str) -> CategoryFile:

@@ -77,19 +77,10 @@ class SuperFusionData:
             if type(bit) is not int or bit not in (0, 1):
                 raise SuperFusionError(f"parity s{key} = {bit!r} is not a bit")
             clean[key] = bit
-        classes = {}
-        for (i, j, m), nijm in base.mult.items():
-            split = ([], [])
-            for alpha in range(1, nijm + 1):
-                bit = clean.get((i, j, m, alpha))
-                if bit is None:
-                    raise SuperFusionError(f"no parity assigned to quadruple {(i, j, m, alpha)}")
-                split[bit].append(alpha)
-            classes[(i, j, m)] = (tuple(split[0]), tuple(split[1]))
         self.base = base
         self.parities = clean
         self.object_type = object_type
-        self._parity_classes = classes
+        self._parity_classes = _split_parities(base.mult, clean)
 
     @property
     def labels(self):
@@ -113,6 +104,21 @@ class SuperFusionData:
         """(#even, #odd) basis vectors of Hom(X_i x X_j, X_m)."""
         even, odd = self._parity_classes.get((i, j, m), ((), ()))
         return len(even), len(odd)
+
+
+def _split_parities(mult, parities) -> dict:
+    """SuperFusionData._parity_classes of the rules mult under the bits
+    parities of their quadruples; a quadruple with no bit raises."""
+    classes = {}
+    for (i, j, m), nijm in mult.items():
+        split = ([], [])
+        for alpha in range(1, nijm + 1):
+            bit = parities.get((i, j, m, alpha))
+            if bit is None:
+                raise SuperFusionError(f"no parity assigned to quadruple {(i, j, m, alpha)}")
+            split[bit].append(alpha)
+        classes[(i, j, m)] = (tuple(split[0]), tuple(split[1]))
+    return classes
 
 
 # A fermionic 6j table has the plain table's form; check_support checks that

@@ -19,7 +19,7 @@ from sfckit.catalog import (
     z2_supercocycle,
 )
 from perfbench.gen import carry_group_parts, flip_cube
-from sfckit import fusion
+from sfckit import _rowscan, fusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.cocycles import (
     SuperCocycle,
@@ -94,7 +94,7 @@ def test_criterion_2_pointed_lift_is_genuine_cocycle():
 def test_criterion_3_general_machinery_agrees_with_pointed_pipeline(monkeypatch):
     # the pentagon side scans on the row engine, so the cube kernel of the
     # cocycle side is compared with an independent engine, not with itself
-    monkeypatch.setattr(fusion, "_run_scan", fusion._row_scan)
+    monkeypatch.setattr(fusion, "_run_scan", _rowscan.row_scan)
     with criterion(3, "main theorem via the general machinery"):
         # every catalog superfusion datum with a fermionic 6j table lifts to a
         # pentagon-passing underlying category
@@ -163,7 +163,7 @@ def _random_coboundary(rng, group, n):
 
 def test_criterion_4_pentagon_oracle_equivalence(monkeypatch):
     # as in criterion 3: the row engine against the cube kernel
-    monkeypatch.setattr(fusion, "_run_scan", fusion._row_scan)
+    monkeypatch.setattr(fusion, "_run_scan", _rowscan.row_scan)
     with criterion(4, "pentagon verdict equals 3-cocycle verdict"):
         rng = random.Random(20250811)
         cases = []

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from sfckit import _cube, cli, cocycles, fusion, grothendieck, superfusion
+from sfckit import _cube, _rowscan, cli, cocycles, fusion, grothendieck, superfusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
@@ -165,7 +165,7 @@ def test_underlying_refuses_bad_input(tmp_path, super_z2_file, capsys):
 def test_underlying_scans_each_identity_once(tmp_path, super_z2_file, monkeypatch):
     # super-z2 and its underlying Z/4 rules are a group's: counted once on
     # the row engine, forced, and once on the cube kernel they dispatch to
-    real_scan, real_cube = fusion._scan_chunk, _cube.pentagon_scan
+    real_scan, real_cube = _rowscan._scan_chunk, _cube.pentagon_scan
     scans = {"super": 0, "plain": 0}
     cubes = {"super": 0, "plain": 0}
 
@@ -177,11 +177,11 @@ def test_underlying_scans_each_identity_once(tmp_path, super_z2_file, monkeypatc
         cubes["plain" if parities is None else "super"] += 1
         return real_cube(mul, entries, parities, max_violations)
 
-    monkeypatch.setattr(fusion, "_scan_chunk", counting_scan)
+    monkeypatch.setattr(_rowscan, "_scan_chunk", counting_scan)
     monkeypatch.setattr(_cube, "pentagon_scan", counting_cube)
     out = tmp_path / "underlying.json"
     with monkeypatch.context() as forced:
-        forced.setattr(fusion, "_run_scan", fusion._row_scan)
+        forced.setattr(fusion, "_run_scan", _rowscan.row_scan)
         assert main(["underlying", str(super_z2_file), "-o", str(out), "--jobs", "1"]) == EXIT_OK
     assert scans == {"super": 1, "plain": 1}
     assert cubes == {"super": 0, "plain": 0}
@@ -234,7 +234,7 @@ def test_check_counts_a_tableless_scan(tmp_path, monkeypatch, capsys):
     # table: they are counted, not scanned
     path = tmp_path / "ck-22.json"
     assert main(["catalog", "ck", "22", "-o", str(path)]) == EXIT_OK
-    monkeypatch.setattr(fusion, "_scan_chunk", None)
+    monkeypatch.setattr(_rowscan, "_scan_chunk", None)
     assert main(["check", str(path), "--json"]) == EXIT_OK
     pentagon = json.loads(capsys.readouterr().out)["checks"][-1]
     assert (pentagon["name"], pentagon["checked"], pentagon["ok"]) == ("super pentagon", 179_349_372, True)

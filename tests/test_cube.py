@@ -1,4 +1,4 @@
-"""The G^4 kernel (sfckit._cube) against the row engine (fusion._row_scan).
+"""The G^4 kernel (sfckit._cube) against the row engine (_rowscan.row_scan).
 
 fusion._run_scan scans the (super) pentagon of a group's fusion rules with
 the 3-(super)cocycle kernel of _cube.  The row engine stays the oracle: on
@@ -15,7 +15,7 @@ from math import lcm
 
 import pytest
 
-from sfckit import _cube, fusion
+from sfckit import _cube, _rowscan, fusion
 from sfckit.catalog import build_entry, pointed_fusion_data, pointed_superfusion_data
 from sfckit.cocycles import GroupTable, TwoCocycleZ2, cyclic_group
 from sfckit.envelope import lift_6j, underlying_fusion_rules
@@ -123,13 +123,13 @@ def kernel_calls(monkeypatch):
 
 def assert_paths_agree(check, data, table, kernel_calls, monkeypatch):
     """check(data, table) at every limit by the dispatched scan, which must
-    be the kernel, and by _row_scan; returns the full report."""
+    be the kernel, and by _rowscan.row_scan; returns the full report."""
     for k in LIMITS:
         before = kernel_calls[0]
         got = check(data, table, max_violations=k)
         assert kernel_calls[0] == before + 1
         with monkeypatch.context() as mp:
-            mp.setattr(fusion, "_run_scan", fusion._row_scan)
+            mp.setattr(fusion, "_run_scan", _rowscan.row_scan)
             want = check(data, table, max_violations=k)
         assert kernel_calls[0] == before + 1
         assert_same_report(got, want)
@@ -137,10 +137,10 @@ def assert_paths_agree(check, data, table, kernel_calls, monkeypatch):
 
 
 def assert_scans_agree(data, entries, parities):
-    """_run_scan and _row_scan on raw entries (no support check), at every limit."""
+    """_run_scan and _rowscan.row_scan on raw entries (no support check), at every limit."""
     for k in LIMITS:
         got = fusion._run_scan(data, entries, parities, k, 1)
-        want = fusion._row_scan(data, entries, parities, k, 1)
+        want = _rowscan.row_scan(data, entries, parities, k, 1)
         assert got[1:] == want[1:]
         assert [(v.instance, v.lhs, v.rhs) for v in got[0]] == [(v.instance, v.lhs, v.rhs) for v in want[0]]
         assert [v.to_json() for v in got[0]] == [v.to_json() for v in want[0]]
@@ -245,8 +245,8 @@ def test_rules_that_are_not_a_group_take_the_row_engine(kernel_calls, monkeypatc
     rng = random.Random(5)
     table = SixJTable({key: root_of_unity(4, rng.randrange(4)) for key in admissible_decuples(data)})
     rows = []
-    real = fusion._row_scan
-    monkeypatch.setattr(fusion, "_row_scan", lambda *args: rows.append(1) or real(*args))
+    real = _rowscan.row_scan
+    monkeypatch.setattr(_rowscan, "row_scan", lambda *args: rows.append(1) or real(*args))
     check_pentagon(data, table, max_violations=None)
     # a group's rules with one product doubled, and the Ising rules
     doubled = FusionData(["0", "1"], 0, {(0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 2})
@@ -257,10 +257,10 @@ def test_rules_that_are_not_a_group_take_the_row_engine(kernel_calls, monkeypatc
 
 
 def test_group_rules_start_no_pool(kernel_calls, monkeypatch):
-    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr(fusion, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_rowscan, "_usable_cpus", lambda: 4)
     entry = build_entry("vec-zn", 4)
     kernel_calls[0] = 0
     reports = [check_pentagon(entry.data, flip(entry.sixj), jobs=jobs).to_json() for jobs in (1, 2, 4)]

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from sfckit import fusion
+# sfckit._rowscan is imported in the functions that use it: tools import this
+# module to run on trees from before it.
 from sfckit.fusion import (
     FusionData,
     FusionError,
@@ -245,14 +246,16 @@ def ising_broken_table():
 
 
 def test_pentagon_jobs_are_deterministic(monkeypatch):
+    from sfckit import _rowscan
+
     data, table = ising_broken_table()
     sequential = check_pentagon(data, table, max_violations=None, jobs=1)
     assert not sequential.ok
     parallel = check_pentagon(data, table, max_violations=None, jobs=2)
     assert sequential.to_json() == parallel.to_json()
     # the same through the process pool
-    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", 0)
-    monkeypatch.setattr(fusion, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(_rowscan, "_usable_cpus", lambda: 2)
     pooled = check_pentagon(data, table, max_violations=None, jobs=2)
     assert sequential.to_json() == pooled.to_json()
 
@@ -289,14 +292,16 @@ class RecordingExecutor:
 def test_pool_workers_are_bounded(monkeypatch, affinity, host_cpus, jobs, want):
     # at most min(jobs, usable CPUs, chunks) workers, the usable CPUs being
     # the affinity mask where the OS has one; one worker means no pool
+    from sfckit import _rowscan
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", 0)
-    monkeypatch.setattr(fusion.os, "cpu_count", lambda: host_cpus)
+    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
+    monkeypatch.setattr(_rowscan.os, "cpu_count", lambda: host_cpus)
     if affinity is None:
-        monkeypatch.delattr(fusion.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(_rowscan.os, "sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr(fusion.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(_rowscan.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     data, table = ising_broken_table()
     report = check_pentagon(data, table, max_violations=None, jobs=jobs)
     assert RecordingExecutor.seen == ([] if want is None else [want])
@@ -304,15 +309,17 @@ def test_pool_workers_are_bounded(monkeypatch, affinity, host_cpus, jobs, want):
 
 
 def test_pool_gate_is_the_instance_count(monkeypatch):
+    from sfckit import _rowscan
+
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr(fusion, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_rowscan, "_usable_cpus", lambda: 2)
     data, table = ising_exact_table()
     checked = check_pentagon(data, table, jobs=2).checked
-    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", checked + 1)
+    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", checked + 1)
     check_pentagon(data, table, jobs=2)
     assert RecordingExecutor.seen == []
-    monkeypatch.setattr(fusion, "POOL_MIN_INSTANCES", checked)
+    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", checked)
     check_pentagon(data, table, jobs=2)
     assert RecordingExecutor.seen == [2]
 

@@ -22,26 +22,33 @@ from tests.test_fusion import ising_exact_table
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.scalars", "sfckit.serialize"}
+WRITER, ROW_ENGINE = "sfckit._writer", "sfckit._rowscan"
 
 CHILD = """
 import contextlib, importlib, io, json, sys
-module, argv = sys.argv[1], json.loads(sys.argv[2])
+module, function, argv = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 code = None
 imported = importlib.import_module(module)
 if argv is not None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = imported.main(argv)
+        code = getattr(imported, function)(argv)
+    code = getattr(code, "kind", code)  # an exit code, or the kind of a loaded file
 print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("sfckit", "concurrent", "fractions", "decimal"))]))
 """
 
 
-def loaded_after(argv=None, module="sfckit.cli"):
-    """Exit code of main(argv) (None without argv) and the sfckit,
-    concurrent, fractions and decimal modules loaded after it, in a fresh
-    interpreter that first imports module."""
+def loaded_after(argv=None, module="sfckit.cli", function="main"):
+    """Exit code of main(argv) (None without argv; the kind of the file
+    for load_file) and the sfckit, concurrent, fractions and decimal
+    modules loaded after it, in a fresh interpreter that first imports
+    module."""
     env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, module, json.dumps(argv)], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", CHILD, module, function, json.dumps(argv)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout)
@@ -71,32 +78,58 @@ def test_import_sfckit_cli_loads_only_the_front_end():
 # --jobs 2 on every command that takes it: each scan is under the pool gate,
 # so none may load the pool machinery or the scan planner (sfckit._plan).
 # The G^4 kernel (sfckit._cube) loads only where a 3-(super)cocycle check or
-# the (super) pentagon of a group's rules runs.
+# the (super) pentagon of a group's rules runs, the row engine
+# (sfckit._rowscan) only where the (super) pentagon of other rules runs, and
+# the sfc-1 writer (sfckit._writer) only where a command writes a file.
 @pytest.mark.parametrize(
     "argv, extra",
     [
         ("check {group} --jobs 2", {"sfckit.cocycles", "sfckit._cube"}),
-        ("lift-cocycle {group} -o {out}", {"sfckit.cocycles", "sfckit._cube"}),
-        ("extend-group {group} -o {out}", {"sfckit.cocycles"}),
+        ("lift-cocycle {group} -o {out}", {"sfckit.cocycles", "sfckit._cube", WRITER}),
+        ("extend-group {group} -o {out}", {"sfckit.cocycles", WRITER}),
         ("check {fusion} --jobs 2", {"sfckit.fusion", "sfckit._cube"}),
         ("check {super} --jobs 2", {"sfckit.fusion", "sfckit.superfusion", "sfckit._cube"}),
         ("sgr {super}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.grothendieck"}),
         (
             "underlying {super} --jobs 2 -o {out}",
-            {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope", "sfckit._cube"},
+            {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope", "sfckit._cube", WRITER},
         ),
         (
             "catalog vec-zn 3 -o {out}",
-            {"sfckit.catalog", "sfckit.cocycles", "sfckit.fusion", "sfckit.superfusion", "sfckit._cube"},
+            {"sfckit.catalog", "sfckit.cocycles", "sfckit.fusion", "sfckit.superfusion", "sfckit._cube", WRITER},
         ),
         # the Ising rules are not a group's: the row engine scans them
-        ("check {ising} --jobs 2", {"sfckit.fusion"}),
+        ("check {ising} --jobs 2", {"sfckit.fusion", ROW_ENGINE}),
     ],
 )
 def test_command_loads_only_its_engines(argv, extra, inputs, tmp_path):
     code, loaded = loaded_after(argv.format(out=tmp_path / "out.json", **inputs).split())
     assert code == EXIT_OK
     assert loaded == CLI | extra
+
+
+# At the default --jobs: a command that only reads loads no writer, and the
+# (super) pentagon of a group's rules loads no row engine.
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        ("check {group}", {WRITER, ROW_ENGINE}),
+        ("check {fusion}", {WRITER, ROW_ENGINE}),
+        ("check {super}", {WRITER, ROW_ENGINE}),
+        ("sgr {super}", {WRITER, ROW_ENGINE}),
+        ("underlying {super} -o {out}", {ROW_ENGINE}),
+    ],
+)
+def test_command_leaves_the_engines_it_does_not_run_unloaded(argv, absent, inputs, tmp_path):
+    code, loaded = loaded_after(argv.format(out=tmp_path / "out.json", **inputs).split())
+    assert code == EXIT_OK
+    assert not loaded & absent
+
+
+def test_loading_a_file_loads_no_writer(inputs):
+    kind, loaded = loaded_after(inputs["super"], module="sfckit.serialize", function="load_file")
+    assert kind == "superfusion"
+    assert loaded == CLI - {"sfckit.cli"} | {"sfckit.fusion", "sfckit.superfusion"}
 
 
 COMPARE = """

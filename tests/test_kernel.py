@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from perfbench.gen import gauge as gen_gauge
 from perfbench.gen import ising_times_zn
+# sfckit._rowscan is imported in the functions that use it: tools import this
+# module to run on trees from before it.
 from sfckit import _plan, fusion
 from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INTERNAL_ERROR, main
@@ -243,9 +245,11 @@ def assert_same_report(got, want):
 def pool_forced():
     """Scans at jobs > 1 start the process pool whatever their size and the
     host's CPU count, so the pool path is covered on small inputs."""
+    from sfckit import _rowscan
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fusion, "POOL_MIN_INSTANCES", 0)
-        mp.setattr(fusion, "_usable_cpus", lambda: 2)
+        mp.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
+        mp.setattr(_rowscan, "_usable_cpus", lambda: 2)
         yield
 
 
@@ -268,8 +272,10 @@ def truncated(report, k):
 def assert_counts(data, checked):
     """The closed-form count is the scan's checked; the one-pass bound is at
     least that."""
+    from sfckit import _rowscan
+
     assert sum(_plan.outer_weights(data)) == checked
-    assert fusion._instance_bound(data) >= checked
+    assert _rowscan._instance_bound(data) >= checked
 
 
 def assert_pentagon_matches(data, table):
@@ -449,21 +455,25 @@ def outer_quadruples(data):
 def test_empty_table_count_equals_the_scan(k):
     # the empty-table shortcut against a real scan of the empty table, on the
     # folded rules and on the table-less underlying fusion rules
+    from sfckit import _rowscan
+
     entry = build_entry("ising") if k is None else build_entry("ck", k)
     rules = [(entry.data.base, entry.data.parities)]
     if k != 10:  # the underlying rules of ck 10 take 1.5M instances to scan
         rules.append((underlying_fusion_rules(entry.data), None))
     for data, parities in rules:
-        scanned = fusion._scan_chunk(data, fusion._compile(data, {}), parities, outer_quadruples(data), None)
+        scanned = _rowscan._scan_chunk(data, _rowscan._compile(data, {}), parities, outer_quadruples(data), None)
         for jobs in (1, 2):
             assert fusion._run_scan(data, {}, parities, None, jobs) == scanned
 
 
 @pytest.mark.parametrize("name, params", [("vec-zn", (n,)) for n in (1, 2, 3, 5, 8)] + [("super-zn-even", (4,))])
 def test_instance_bound_is_exact_on_groups(name, params):
+    from sfckit import _rowscan
+
     data = build_entry(name, *params).data
     data = getattr(data, "base", data)
-    assert fusion._instance_bound(data) == sum(_plan.outer_weights(data)) == data.rank**4
+    assert _rowscan._instance_bound(data) == sum(_plan.outer_weights(data)) == data.rank**4
 
 
 @settings(max_examples=200, deadline=None)
@@ -669,7 +679,9 @@ def test_truncated_witnesses_match_the_reference():
 
 
 def test_witness_pass_scans_only_the_kept_outer_quadruples(monkeypatch):
-    real_scan = fusion._scan_chunk
+    from sfckit import _rowscan
+
+    real_scan = _rowscan._scan_chunk
     calls = []
 
     def counting_scan(data, entries, parities, outer, max_violations):
@@ -677,7 +689,7 @@ def test_witness_pass_scans_only_the_kept_outer_quadruples(monkeypatch):
         calls.append(result[2])
         return result
 
-    monkeypatch.setattr(fusion, "_scan_chunk", counting_scan)
+    monkeypatch.setattr(_rowscan, "_scan_chunk", counting_scan)
     data, table = ising_exact_table()
     assert check_pentagon(data, table).ok and len(calls) == 1
     calls.clear()
@@ -700,11 +712,13 @@ def test_int_failure_that_holds_exactly_is_an_internal_error(tmp_path, monkeypat
     # ints that are not a ring map make a valid table fail mod m; the exact
     # run of the same loop finds its sides equal, so no witness is printed.
     # The Ising rules are not a group's, so the row engine scans them.
+    from sfckit import _rowscan
+
     data, table = ising_exact_table()
     path = tmp_path / "ising.json"
     save_file(str(path), fusion_file(data, table))
 
-    monkeypatch.setattr(fusion, "kronecker_form", not_a_ring_map)
+    monkeypatch.setattr(_rowscan, "kronecker_form", not_a_ring_map)
     with pytest.raises(ArithmeticError, match=r"instance \((\d+, ){14}\d+\)"):
         check_pentagon(data, table)
     capsys.readouterr()

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from sfckit._writer import _render
 from sfckit.catalog import build_entry, ising_super, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INPUT_ERROR, main
 from sfckit.cocycles import GroupTable, cyclic_group, lift_supercocycle
@@ -15,7 +16,6 @@ from sfckit.scalars import Cyclotomic, root_of_unity
 from sfckit.serialize import (
     FORMAT_VERSION,
     SchemaError,
-    _render,
     dumps_file,
     fusion_file,
     group_file,
@@ -174,7 +174,17 @@ def test_malformed_documents_fail_with_location(mutate, fragment):
 def test_malformed_superfusion_documents():
     doc = doc_for("super-z2", 1)
     doc["payload"]["parities"].pop()
-    with pytest.raises(SchemaError, match="parity"):
+    with pytest.raises(SchemaError, match=r"^payload: no parity assigned to quadruple \(1, 1, 0, 1\)$"):
+        loads_file(json.dumps(doc))
+
+    # the decoder checks each parity key's alpha as the constructor does:
+    # after every record has decoded, so a later record's error comes first
+    doc = doc_for("super-z2", 1)
+    doc["payload"]["parities"][1][3] = 2
+    with pytest.raises(SchemaError, match=r"^payload: parity key \(0, 1, 1, 2\) is not an admissible quadruple$"):
+        loads_file(json.dumps(doc))
+    doc["payload"]["parities"].append(doc["payload"]["parities"][2])
+    with pytest.raises(SchemaError, match=r"^payload\.parities\[4\]: duplicate parity record$"):
         loads_file(json.dumps(doc))
 
     doc = doc_for("super-z2", 1)

@@ -15,10 +15,12 @@ import sys
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "sfckit").glob("*.py"))
 SLOW_TO_START = ("dataclasses", "argparse")
 # (module, function): the only code that may name _unchecked.  The decoder
-# makes every check of the FusionData and SixJTable constructors; the others
-# derive their objects from data that has passed a constructor or the decoder.
+# makes every check of the FusionData, SixJTable and SuperFusionData
+# constructors; the others derive their objects from data that has passed a
+# constructor or the decoder.
 UNCHECKED_BUILDERS = {
     ("serialize", "_decode_fusion"),
+    ("serialize", "_decode_superfusion"),
     ("envelope", "underlying_fusion_rules"),
     ("envelope", "_twist"),
     ("cocycles", "lift_supercocycle"),

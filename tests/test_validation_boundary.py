@@ -2,8 +2,9 @@
 
 Input is checked once: by the sfc-1 decoder, or by a public constructor for
 a library caller.  What the package derives from checked data (decoded
-fusion rules and tables, the underlying category, the G_omega lift, pointed
-rules) is built by ``reporting._unchecked``, with no checks.  The public
+fusion rules, superfusion rules and tables, the underlying category, the
+G_omega lift, pointed rules) is built by ``reporting._unchecked``, with no
+checks.  The public
 constructors stay the oracle: every unchecked object equals, field by field
 and in its pickle, the object its constructor builds from the same fields;
 a mutated document either fails in the decoder with a location or decodes
@@ -28,6 +29,7 @@ from sfckit.cocycles import GroupTable, ThreeCocycle, lift_supercocycle
 from sfckit.envelope import lift_6j, underlying_fusion_rules
 from sfckit.fusion import FusionData, SixJTable
 from sfckit.serialize import SchemaError, dumps_file, fusion_file, load_file, loads_file
+from sfckit.superfusion import SuperFusionData
 from tests.test_kernel import CATALOG
 from tests.test_serialize import catalog_files
 
@@ -40,6 +42,7 @@ from workloads import WORKLOADS, build_plan, settle_oracles
 PUBLIC = {
     FusionData: lambda x: FusionData(x.labels, x.unit, x.mult),
     SixJTable: lambda x: SixJTable(x.entries),
+    SuperFusionData: lambda x: SuperFusionData(x.base, x.parities, x.object_type),
     GroupTable: lambda x: GroupTable(x.product, x.identity, x.labels),
     ThreeCocycle: lambda x: ThreeCocycle(x.values),
 }
@@ -58,8 +61,14 @@ def assert_as_checked(obj):
         if type(got) is dict:
             assert list(got) == list(want), name
     assert pickle.dumps(obj) == pickle.dumps(checked)
-    back = pickle.loads(pickle.dumps(obj))
-    assert [getattr(back, name) for name in cls.__slots__] == [getattr(obj, name) for name in cls.__slots__]
+    assert fields(pickle.loads(pickle.dumps(obj))) == fields(obj)
+
+
+def fields(obj) -> list:
+    """The field values of obj, each one of the classes in PUBLIC (the
+    FusionData base of a SuperFusionData) by its own field values."""
+    values = [getattr(obj, name) for name in type(obj).__slots__]
+    return [fields(x) if type(x) in PUBLIC else x for x in values]
 
 
 def derived(cf):
@@ -69,6 +78,7 @@ def derived(cf):
     if cf.kind == "fusion":
         yield cf.fusion
     elif cf.kind == "superfusion":
+        yield cf.superfusion
         yield cf.superfusion.base
         yield underlying_fusion_rules(cf.superfusion)
         if cf.sixj is not None:

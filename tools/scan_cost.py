@@ -12,9 +12,10 @@ violation counts, and ``us_per_instance``, the best time over the
 instances checked.  ``path`` names the engine that ran: ``group`` where
 ``_run_scan`` hands the rules of a group to the G^4 kernel
 (``_cube.pentagon_scan``), else ``row``.  The same scan by the row engine
-alone (``fusion._row_scan``; ``_run_scan`` in a tree without it) gives
-``row_best_s`` and ``row_us_per_instance``.  Each input's table is also
-checked by ``fusion.check_6j_invertibility``, N times:
+alone gives ``row_best_s`` and ``row_us_per_instance``, and ``row_engine``
+names the function timed: ``sfckit._rowscan.row_scan``, or in older trees
+``fusion._row_scan`` or, before that, ``fusion._run_scan``.  Each input's
+table is also checked by ``fusion.check_6j_invertibility``, N times:
 ``invertibility_best_s`` is the best time, ``blocks`` the blocks checked
 and ``us_per_block`` the best time over the blocks.  The inputs:
 
@@ -99,11 +100,22 @@ def dispatched_path(scan) -> str:
     return "group" if ran else "row"
 
 
+def row_engine():
+    """The row engine's scan, in this tree or an older one."""
+    try:
+        from sfckit._rowscan import row_scan
+    except ImportError:  # a tree from before the row engine left fusion
+        from sfckit import fusion
+
+        return getattr(fusion, "_row_scan", fusion._run_scan)
+    return row_scan
+
+
 def measure(cases, repeat: int) -> dict:
     from sfckit import fusion
     from sfckit.reporting import DEFAULT_MAX_VIOLATIONS
 
-    row_scan = getattr(fusion, "_row_scan", fusion._run_scan)
+    row_scan = row_engine()
     out = {}
     for label, (data, entries, parities) in cases.items():
         args = (data, entries, parities, DEFAULT_MAX_VIOLATIONS, 1)
@@ -117,6 +129,7 @@ def measure(cases, repeat: int) -> dict:
             "instances": checked,
             "violations": total,
             "us_per_instance": round(best / checked * 1e6, 3),
+            "row_engine": f"{row_scan.__module__}.{row_scan.__name__}",
             "row_best_s": round(row_best, 6),
             "row_us_per_instance": round(row_best / checked * 1e6, 3),
             "invertibility_best_s": round(inv_best, 6),
