@@ -2,15 +2,18 @@
 
 Submodules:
 
-- scalars: the ground field, exact cyclotomic arithmetic
-- fusion: fusion rules, 6j tables, pentagon verification, invertibility
+- scalars: the ground field, exact cyclotomic arithmetic; a command loads
+  it only to read a 6j table or a group or to run a pentagon scan
+- fusion: fusion rules, 6j tables, pentagon verification; 6j invertibility
+  (determinant, check_6j_invertibility) from _invertibility on first access
 - superfusion: parities, Bosonic/Majorana objects, super pentagon
 - envelope: the underlying fusion category and the sign-twisted 6j lift
 - cocycles: finite groups, 2-/3-/super-cocycles, central extensions
 - grothendieck: Z[pi]/(pi^2-1) and pi-Grothendieck rings
 - catalog: built-in example families
 - serialize: the "sfc-1" JSON container
-- cli: the sfckit command-line tool
+- cli: the sfckit command-line tool, each command's handler in its own
+  private module (_cmd_check, _cmd_underlying, ...)
 
 Importing the package loads no submodule: each public name below is imported
 from its submodule on first access, so a command pays only for what it runs.

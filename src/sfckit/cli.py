@@ -8,8 +8,15 @@ output could not be written, 3 = an internal error.
 A command that writes a document to stdout (no -o) prints its report on
 stderr, so stdout carries that document alone.
 
-Each command imports the engines it runs inside its handler, so a command
-compiles and loads only those modules, and the sfc-1 writer only if it writes.
+Each command's handler is the handle function of its own private module
+(_cmd_check, _cmd_underlying, ...), which parse_args imports; the handler
+imports the engines it runs.  So a command compiles only its own handler and
+engines, the sfc-1 writer only if it writes, and the field arithmetic
+(scalars) only to read a 6j table or a group or to run a pentagon scan: sgr
+and underlying on (super)fusion rules alone compile none.  The handler
+modules import this one, so under "python -m sfckit.cli" it is loaded a
+second time, as sfckit.cli beside __main__; the two copies raise and catch
+the same classes, so a command runs the same either way.
 
 One parser (parse_args) reads the command line from two tables: _FLAGS,
 each flag with its value and its check, and _COMMANDS, each command with its
@@ -28,19 +35,8 @@ import sys
 import time
 from types import SimpleNamespace
 
-from .reporting import DEFAULT_MAX_VIOLATIONS, CatalogError, CheckReport, CocycleError, FusionError, Violation
-from .serialize import (
-    CategoryFile,
-    SchemaError,
-    dumps_file,
-    fusion_file,
-    group_file,
-    load_file,
-    read_document,
-    save_file,
-    sha256_digest,
-    superfusion_file,
-)
+from .reporting import DEFAULT_MAX_VIOLATIONS, CatalogError, CocycleError, FusionError
+from .serialize import CategoryFile, SchemaError, dumps_file, read_document, save_file, sha256_digest
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -108,247 +104,6 @@ def _write_output(args, cf: CategoryFile) -> None:
         sys.stdout.write(dumps_file(cf))
 
 
-# -- commands -------------------------------------------------------------------
-
-
-def _cmd_check(args) -> int:
-    run = _Run("check", args)
-    cf = run.read_input(args.file)
-    which = args.which
-    ok = True
-    mv = args.max_violations
-    jobs = args.jobs
-
-    if cf.kind == "fusion":
-        from .fusion import SixJTable, _check_pentagon, _require_on_support, validate_fusion, validate_sixj
-
-        if which not in ("pentagon", "all"):
-            raise SchemaError(f"check {which!r} does not apply to a fusion file")
-        table = cf.sixj if cf.sixj is not None else SixJTable({})
-        sixj = validate_sixj(cf.fusion, table)
-        _require_on_support(sixj.law("support").violations)
-        ok &= run.add(validate_fusion(cf.fusion))
-        ok &= run.add(sixj)
-        if ok:
-            if cf.sixj is None:
-                run.note("no 6j table in input; pentagon runs against the empty table")
-            ok &= run.add(_check_pentagon(cf.fusion, table, sixj, mv, jobs))
-    elif cf.kind == "superfusion":
-        from .fusion import SixJTable
-        from .superfusion import check_super_pentagon, check_support, validate_superfusion
-
-        if which not in ("super-pentagon", "all"):
-            raise SchemaError(f"check {which!r} does not apply to a superfusion file")
-        ok &= run.add(validate_superfusion(cf.superfusion))
-        table = cf.sixj if cf.sixj is not None else SixJTable({})
-        if cf.sixj is None:
-            run.note("no fermionic 6j table in input; super pentagon runs against the empty table")
-        support = check_support(cf.superfusion, table)
-        ok &= run.add(support)
-        if ok:
-            ok &= run.add(
-                check_super_pentagon(cf.superfusion, table, max_violations=mv, jobs=jobs, support=support)
-            )
-    else:
-        from .cocycles import check_2cocycle, check_3cocycle, check_supercocycle, validate_group
-
-        checks = {
-            "cocycle2": (cf.omega, check_2cocycle),
-            "cocycle3": (cf.cocycle, check_3cocycle),
-            "supercocycle": (cf.supercocycle, check_supercocycle),
-        }
-        if which != "all":
-            if which not in checks:
-                raise SchemaError(f"check {which!r} does not apply to a group+cocycles file")
-            if checks[which][0] is None:
-                raise SchemaError(f"input carries no data for check {which!r}")
-        ok &= run.add(validate_group(cf.group))
-        reports = {}
-        if ok:
-            for kind, (data, check) in checks.items():
-                if data is not None and which in (kind, "all"):
-                    shared = {"omega_report": reports.get("cocycle2")} if kind == "supercocycle" else {}
-                    reports[kind] = check(cf.group, data, max_violations=mv, **shared)
-                    ok &= run.add(reports[kind])
-    return run.finish(ok)
-
-
-def _cmd_underlying(args) -> int:
-    run = _Run("underlying", args)
-    cf = run.read_input(args.file)
-    if cf.kind != "superfusion":
-        raise SchemaError(f"underlying needs a superfusion file, got kind {cf.kind!r}")
-    from .envelope import underlying_fusion_rules, verify_lift
-    from .superfusion import validate_superfusion
-
-    data = cf.superfusion
-    ok = run.add(validate_superfusion(data))
-    if not ok:
-        return run.finish(False)
-    if cf.sixj is None:
-        run.note("no fermionic 6j table: emitting graded labels and fusion rules only")
-        out = fusion_file(underlying_fusion_rules(data))
-    else:
-        result = verify_lift(data, cf.sixj, max_violations=args.max_violations, jobs=args.jobs)
-        ok &= run.add(result.super_pentagon)
-        if not ok:
-            run.note("input fails the super pentagon; refusing to lift")
-            return run.finish(False)
-        ok &= run.add(result.fusion_validation)
-        ok &= run.add(result.pentagon)
-        out = fusion_file(result.underlying, result.sixj)
-    _write_output(args, out)
-    if args.output and out.sixj is not None:
-        ok &= run.add(_check_written(args.output, out, args.max_violations))
-    return run.finish(ok)
-
-
-def _check_written(path: str, cf: CategoryFile, max_violations: int | None) -> CheckReport:
-    """Reload a written fusion file and compare its labels, unit,
-    multiplicities and every 6j entry exactly with the in-memory data.
-
-    Equal data has an equal pentagon verdict, so this guards the written file
-    as well as a second pentagon scan would.
-    """
-    violations = []
-    checked = 0
-    try:
-        back = load_file(path)
-    except SchemaError as exc:
-        violations.append(Violation(instance=(), detail=str(exc)))
-    else:
-        for attr in ("labels", "unit", "mult"):
-            checked += 1
-            if getattr(back.fusion, attr, None) != getattr(cf.fusion, attr):
-                violations.append(Violation(instance=(attr,), detail="reloaded value differs from the written one"))
-        want = cf.sixj.entries
-        got = getattr(back.sixj, "entries", {})
-        for key in sorted(want.keys() | got.keys()):
-            checked += 1
-            if want.get(key) != got.get(key):
-                violations.append(Violation(instance=key, lhs=got.get(key), rhs=want.get(key)))
-    return CheckReport(
-        name="written file round trip",
-        ok=not violations,
-        checked=checked,
-        violations=violations[:max_violations],
-        total_violations=len(violations),
-    )
-
-
-def _cmd_lift_cocycle(args) -> int:
-    run = _Run("lift-cocycle", args)
-    cf = run.read_input(args.file)
-    if cf.kind != "group+cocycles" or cf.supercocycle is None:
-        raise SchemaError("lift-cocycle needs a group+cocycles file with a supercocycle table")
-    from .cocycles import check_2cocycle, check_3cocycle, check_supercocycle, lift_supercocycle, validate_group
-
-    ok = run.add(validate_group(cf.group))
-    if ok:
-        omega = check_2cocycle(cf.group, cf.omega, max_violations=1)
-        supercocycle = check_supercocycle(
-            cf.group, cf.supercocycle, max_violations=args.max_violations, omega_report=omega
-        )
-        ok &= run.add(supercocycle)
-    if not ok:
-        return run.finish(False)
-    try:
-        ext, lifted = lift_supercocycle(cf.group, cf.supercocycle, report=supercocycle, omega_report=omega)
-    except CocycleError as exc:
-        run.note(str(exc))
-        return run.finish(False)
-    recheck = check_3cocycle(ext, lifted, max_violations=args.max_violations)
-    recheck.name = "3-cocycle (on the central extension)"
-    ok &= run.add(recheck)
-    _write_output(args, group_file(ext, cocycle=lifted))
-    return run.finish(ok)
-
-
-def _cmd_extend_group(args) -> int:
-    run = _Run("extend-group", args)
-    cf = run.read_input(args.file)
-    if cf.kind != "group+cocycles" or cf.omega is None:
-        raise SchemaError("extend-group needs a group+cocycles file with an omega table")
-    from .cocycles import central_extension, check_2cocycle, validate_group
-
-    ok = run.add(validate_group(cf.group))
-    if ok:
-        omega = check_2cocycle(cf.group, cf.omega, max_violations=args.max_violations)
-        ok &= run.add(omega)
-    if not ok:
-        return run.finish(False)
-    try:
-        ext = central_extension(cf.group, cf.omega, normalize=args.normalize, report=omega)
-    except CocycleError as exc:
-        run.note(str(exc))
-        return run.finish(False)
-    ext_check = validate_group(ext)
-    ext_check.subject = "extended group"
-    ok &= run.add(ext_check)
-    _write_output(args, group_file(ext))
-    return run.finish(ok)
-
-
-def _cmd_sgr(args) -> int:
-    run = _Run("sgr", args)
-    cf = run.read_input(args.file)
-    if cf.kind != "superfusion":
-        raise SchemaError(f"sgr needs a superfusion file, got kind {cf.kind!r}")
-    from .grothendieck import GrothendieckError, build_sgr, relations_text
-    from .superfusion import validate_superfusion
-
-    data = cf.superfusion
-    ok = run.add(validate_superfusion(data))
-    if not ok:
-        return run.finish(False)
-    try:
-        ring = build_sgr(data)
-    except GrothendieckError as exc:
-        run.note(f"associativity/unit failure: {exc}")
-        return run.finish(False)
-    constants = {
-        f"[{ring.labels[i]}][{ring.labels[j]}] -> [{ring.labels[m]}]": str(c)
-        for (i, j, m), c in sorted(ring.constants.items())
-    }
-    extra = {
-        "basis": list(ring.labels),
-        "majorana": sorted(ring.labels[i] for i in ring.majorana),
-        "constants": constants,
-        "relations": relations_text(ring),
-    }
-    if not args.json:
-        print("basis:", ", ".join(f"[{lab}]" for lab in ring.labels))
-        print("majorana:", ", ".join(extra["majorana"]) or "(none)")
-        print("structure constants:")
-        for key, value in constants.items():
-            print(f"  {key}: {value}")
-        for line in extra["relations"]:
-            print(line)
-    return run.finish(True, extra=extra)
-
-
-def _cmd_catalog(args) -> int:
-    from .catalog import CATALOG, build_entry, catalog_names
-
-    if args.list:
-        for name in catalog_names():
-            spec, _ = CATALOG[name]
-            params = " ".join(spec)
-            print(f"{name} {params}".strip())
-        return EXIT_OK
-    if not args.name:
-        raise CatalogError("catalog needs an entry name (or --list)")
-    entry = build_entry(args.name, *args.params)
-    if entry.kind == "fusion":
-        out = fusion_file(entry.data, entry.sixj)
-    else:
-        out = superfusion_file(entry.data, entry.sixj)
-    _write_output(args, out)
-    for note in entry.notes:
-        print(f"note: {note}", file=sys.stderr)
-    return EXIT_OK
-
-
 # -- argument parsing --------------------------------------------------------------
 
 
@@ -393,20 +148,20 @@ _FLAGS = {
     "list": (("--list",), None, None, False, "list the available entries"),
 }
 
-# Each command with the handler that runs it, its operands, its help text,
-# and the flags that handler reads; a command accepts no other flag.  Every
-# command but catalog takes one FILE.
+# Each command with the module whose handle function runs it, its operands,
+# its help text, and the flags that handler reads; a command accepts no other
+# flag.  Every command but catalog takes one FILE.
 _COMMANDS = {
-    "check": (_cmd_check, "FILE", "run verification checks on a category file",
+    "check": ("_cmd_check", "FILE", "run verification checks on a category file",
               ("which", "json", "jobs", "max-violations")),
-    "underlying": (_cmd_underlying, "FILE", "construct the underlying fusion category",
+    "underlying": ("_cmd_underlying", "FILE", "construct the underlying fusion category",
                    ("output", "json", "jobs", "max-violations")),
-    "lift-cocycle": (_cmd_lift_cocycle, "FILE", "lift a 3-supercocycle to the central extension",
+    "lift-cocycle": ("_cmd_lift_cocycle", "FILE", "lift a 3-supercocycle to the central extension",
                      ("output", "json", "max-violations")),
-    "extend-group": (_cmd_extend_group, "FILE", "build the Z/2 central extension of a group",
+    "extend-group": ("_cmd_extend_group", "FILE", "build the Z/2 central extension of a group",
                      ("output", "normalize", "json", "max-violations")),
-    "sgr": (_cmd_sgr, "FILE", "print the pi-Grothendieck ring of a superfusion file", ("json",)),
-    "catalog": (_cmd_catalog, "[NAME [INT...]]", "emit a built-in example as a category file", ("list", "output")),
+    "sgr": ("_cmd_sgr", "FILE", "print the pi-Grothendieck ring of a superfusion file", ("json",)),
+    "catalog": ("_cmd_catalog", "[NAME [INT...]]", "emit a built-in example as a category file", ("list", "output")),
 }
 
 
@@ -447,7 +202,8 @@ def _is_operand(token: str) -> bool:
 
 
 def parse_args(argv: list[str]):
-    """The handler and the arguments of a command line, by the tables above.
+    """The handler (its module's handle, imported here) and the arguments of a
+    command line, by the tables above.
 
     Flags and operands may come in any order, a flag's value as the next
     word or after "=", a short flag's also joined to it (-oOUT); "--" ends
@@ -462,7 +218,7 @@ def parse_args(argv: list[str]):
         raise SystemExit(EXIT_OK)
     if command not in _COMMANDS:
         _usage_error(f"invalid command: {command!r} (choose from {', '.join(_COMMANDS)})")
-    handler, operands, _, flags = _COMMANDS[command]
+    module, operands, _, flags = _COMMANDS[command]
     options = {name: key for key in flags for name in _FLAGS[key][0]}
     args = SimpleNamespace(**{key.replace("-", "_"): _FLAGS[key][3] for key in flags})
     words = []
@@ -514,7 +270,8 @@ def parse_args(argv: list[str]):
             args.params = [_int(word) for word in words[1:]]
         except ValueError as exc:
             _usage_error(f"argument INT: {exc}")
-    return handler, args
+    # __import__, as the import statement calls it: -X importtime does not see importlib.import_module
+    return __import__(module, globals(), None, ("handle",), 1).handle, args
 
 
 def main(argv=None) -> int:

@@ -244,6 +244,12 @@ def central_extension(
     holds check_2cocycle(g, w) with max_violations >= 1 passes it as
     ``report``, and the G^3 pass is not repeated.
     """
+    return _extension(g, w, normalize, report)[0]
+
+
+def _extension(g: GroupTable, w: TwoCocycleZ2, normalize: bool, report) -> tuple[GroupTable, ValidationReport]:
+    """central_extension and its validate_group report (ok), which
+    extend-group prints: the group is validated once."""
     if report is None:
         report = check_2cocycle(g, w, max_violations=1)
     if not report.ok:
@@ -263,7 +269,7 @@ def central_extension(
     check = validate_group(ext)
     if not check.ok:
         raise CocycleError(f"central extension is not a group: {check.summary()}")
-    return ext
+    return ext, check
 
 
 def lift_supercocycle(

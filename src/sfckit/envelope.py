@@ -16,7 +16,6 @@ from itertools import accumulate
 
 from .fusion import FusionData, SixJTable, _products_of, check_pentagon, validate_fusion
 from .reporting import DEFAULT_MAX_VIOLATIONS, CheckReport, ValidationReport, _immutable, _same_fields, _unchecked
-from .scalars import Cyclotomic
 from .superfusion import (
     FermionicSixJTable,
     SuperFusionData,
@@ -107,7 +106,7 @@ def _twist(data: SuperFusionData, table: FermionicSixJTable) -> SixJTable:
     """
     count, first = _grading(data)
     classes = data._parity_classes
-    entries: dict[tuple, Cyclotomic] = {}
+    entries = {}
     for key in sorted(table.entries):
         value = table.entries[key]
         if value.is_zero():

@@ -9,7 +9,9 @@ for canonically formatted files: exactly json.dumps(doc, sort_keys=True,
 indent=2) + "\n".  dumps_file writes each record straight to that text in
 one pass, by the writer of _writer, which it imports on first use: reading
 a file does not compile the writer.  Reading decodes each distinct scalar
-once, and a location is formatted only for an error.
+once, and a location is formatted only for an error.  The field arithmetic
+(scalars) is imported by the decoder of a 6j table or of a group's cocycles,
+so reading rules alone does not compile it.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import json
 from math import gcd, lcm
 
 from .reporting import _unchecked
-from .scalars import Cyclotomic
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # annotation names only: each decoder imports the engine of its kind
     from .cocycles import GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2
     from .fusion import FusionData, SixJTable
+    from .scalars import Cyclotomic
     from .superfusion import FermionicSixJTable, SuperFusionData
 
 FORMAT_VERSION = "sfc-1"
@@ -65,31 +67,43 @@ def _once(convert, key):
     return call
 
 
+def _scalar_reader():
+    """obj, where, *path -> the scalar obj at that location (see _fail), each
+    distinct JSON form decoded once, for one document.  The first reader
+    loads the field arithmetic."""
+    from .scalars import Cyclotomic
+
+    def read(obj, where: str, *path) -> Cyclotomic:
+        if type(obj) is int:
+            return Cyclotomic.rational(obj)
+        if type(obj) is not dict:
+            bad = "expected a scalar, got a boolean" if type(obj) is bool else "expected an integer or a scalar object"
+            _fail(bad, where, *path)
+        extra = obj.keys() - {"order", "coeffs"}
+        if extra:
+            _fail(f"unknown scalar fields {sorted(extra)}", where, *path)
+        order, coeffs = obj.get("order"), obj.get("coeffs")
+        if type(order) is not int or order < 1:
+            _fail("expected a positive integer", where, *path, ".order")
+        if type(coeffs) is not list or not coeffs:
+            _fail("expected a non-empty list", where, *path, ".coeffs")
+        pairs = [[c, 1] if type(c) is int else c for c in coeffs]
+        for pos, c in enumerate(pairs):
+            pair = type(c) is list and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
+            if not (pair and c[1]):
+                _fail("zero denominator" if pair else "expected [numerator, denominator]", where, *path, ".coeffs", pos)
+        den = lcm(*(d for _, d in pairs))  # > 0: the signs move onto the numerators
+        try:
+            return Cyclotomic.from_nums(order, [n * (den // d) for n, d in pairs], den)
+        except ValueError as exc:
+            _fail(str(exc), where, *path)
+
+    return _once(read, repr)
+
+
 def scalar_from_json(obj, where: str, *path) -> Cyclotomic:
     """The scalar obj at the location where, path (see _fail)."""
-    if type(obj) is int:
-        return Cyclotomic.rational(obj)
-    if type(obj) is not dict:
-        bad = "expected a scalar, got a boolean" if type(obj) is bool else "expected an integer or a scalar object"
-        _fail(bad, where, *path)
-    extra = obj.keys() - {"order", "coeffs"}
-    if extra:
-        _fail(f"unknown scalar fields {sorted(extra)}", where, *path)
-    order, coeffs = obj.get("order"), obj.get("coeffs")
-    if type(order) is not int or order < 1:
-        _fail("expected a positive integer", where, *path, ".order")
-    if type(coeffs) is not list or not coeffs:
-        _fail("expected a non-empty list", where, *path, ".coeffs")
-    pairs = [[c, 1] if type(c) is int else c for c in coeffs]
-    for pos, c in enumerate(pairs):
-        pair = type(c) is list and len(c) == 2 and type(c[0]) is int and type(c[1]) is int
-        if not (pair and c[1]):
-            _fail("zero denominator" if pair else "expected [numerator, denominator]", where, *path, ".coeffs", pos)
-    den = lcm(*(d for _, d in pairs))  # > 0: the signs move onto the numerators
-    try:
-        return Cyclotomic.from_nums(order, [n * (den // d) for n, d in pairs], den)
-    except ValueError as exc:
-        _fail(str(exc), where, *path)
+    return _scalar_reader()(obj, where, *path)
 
 
 # -- container ------------------------------------------------------------------
@@ -204,10 +218,10 @@ def _decode_mult(payload: dict, lookup: dict[str, int], where: str):
     return mult
 
 
-def _decode_sixj(payload: dict, lookup: dict[str, int], where: str, scalar):
+def _decode_sixj(payload: dict, lookup: dict[str, int], where: str):
     if "sixj" not in payload:
         return None
-    entries = {}
+    entries, scalar = {}, _scalar_reader()
     where = f"{where}.sixj"
     for pos, rec in enumerate(_expect_list(payload["sixj"], where)):
         _expect_list(rec, where, pos)
@@ -230,7 +244,7 @@ def _decode_fusion(payload: dict, where: str) -> CategoryFile:
     unit = _label(payload.get("unit"), lookup, f"{where}.unit")
     mult = _decode_mult(payload, lookup, where)
     data = _unchecked(FusionData, labels=tuple(labels), unit=unit, mult=mult, _products=_products_of(len(labels), mult))
-    entries = _decode_sixj(payload, lookup, where, _once(scalar_from_json, repr))
+    entries = _decode_sixj(payload, lookup, where)
     return fusion_file(data, None if entries is None else _unchecked(SixJTable, entries=entries))
 
 
@@ -315,7 +329,7 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     except CocycleError as exc:
         raise SchemaError(f"{where}.group: {exc}") from None
 
-    scalar = _once(scalar_from_json, repr)
+    scalar = _scalar_reader()
 
     def cube(name, make):
         w = f"{where}.{name}"

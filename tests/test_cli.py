@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import contextlib
+import importlib
 import json
 import os
 import pathlib
@@ -61,6 +62,34 @@ def test_check_json_report(super_z2_file, capsys):
     assert len(doc["digest"]) == 64
     assert any(c.get("name") == "super pentagon" for c in doc["checks"])
     assert "elapsed_s" in doc
+
+
+@pytest.mark.parametrize("mutate", [False, True])
+def test_python_m_runs_the_command_as_main_does(mutate, tmp_path, super_z2_file, capsys):
+    # under -m the handler modules load the module a second time, as
+    # sfckit.cli beside __main__: same exit code, same report
+    path = super_z2_file
+    if mutate:
+        doc = json.loads(path.read_text())
+        rec = next(rec for rec in doc["payload"]["sixj"] if rec[10] == 1)
+        rec[10] = -1
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+    argv = ["check", str(path), "--json"]
+    code = main(argv)
+    want = json.loads(capsys.readouterr().out)
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sfckit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    got = json.loads(proc.stdout)
+    del want["elapsed_s"], got["elapsed_s"]
+    assert code == (EXIT_CHECK_FAILED if mutate else EXIT_OK)
+    assert (proc.returncode, got) == (code, want)
 
 
 def test_check_fails_on_mutated_file(tmp_path, super_z2_file, capsys):
@@ -317,6 +346,22 @@ def test_each_command_checks_omega_once(tmp_path, monkeypatch, capsys):
             runs = cf.omega is not None and (cf.supercocycle is not None or not needs_supercocycle)
             assert code != EXIT_INPUT_ERROR or not runs, (path, command)
             assert len(calls) == runs, (path, command)
+
+
+def test_extend_group_validates_each_group_once(tmp_path, monkeypatch, capsys):
+    # the input group, then the extension once: the report that
+    # cocycles._extension makes of it is the command's "extended group"
+    real_validate = cocycles.validate_group
+    calls = []
+    monkeypatch.setattr(cocycles, "validate_group", lambda g: calls.append(g.order) or real_validate(g))
+    src = tmp_path / "gz2.json"
+    src.write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    assert main(["extend-group", str(src), "-o", str(tmp_path / "ext.json"), "--json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == [2, 4]
+    assert [(check["subject"], check["ok"]) for check in doc["checks"] if "subject" in check] == [
+        ("group table", True), ("extended group", True)
+    ]
 
 
 def test_cocycle_error_reaching_main_is_a_failed_check(tmp_path, monkeypatch, capsys):
@@ -604,7 +649,7 @@ def test_commands_refuse_flags_they_do_not_read(command, flag, tmp_path, capsys)
 )
 def test_parser_reads_the_documented_grammar(argv, want):
     handler, args = cli.parse_args(argv)
-    assert handler is cli._COMMANDS[argv[0]][0]
+    assert handler is importlib.import_module(f"sfckit.{cli._COMMANDS[argv[0]][0]}").handle
     assert vars(args) == want
 
 

@@ -2,8 +2,11 @@
 
 Every case runs in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, as
 a user's command does, and pins the sfckit modules (and the process-pool
-machinery) loaded when the command returns.  No passing command loads
-fractions or decimal: a value's coefficients are ints until one is printed.
+machinery) loaded when the command returns: the front end, the command's
+own handler module and no other, and its engines.  The field arithmetic
+(sfckit.scalars) loads only with a 6j table or a group, and no command
+loads the 6j invertibility module.  No passing command loads fractions or
+decimal: a value's coefficients are ints until one is printed.
 """
 
 import json
@@ -14,15 +17,15 @@ import sys
 
 import pytest
 
-from sfckit.catalog import z2_supercocycle
+from sfckit.catalog import build_entry, z2_supercocycle
 from sfckit.cli import EXIT_OK, main
 from sfckit.cocycles import cyclic_group
-from sfckit.serialize import dumps_file, fusion_file, group_file
+from sfckit.serialize import dumps_file, fusion_file, group_file, superfusion_file
 from tests.test_fusion import ising_exact_table
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.scalars", "sfckit.serialize"}
-WRITER, ROW_ENGINE = "sfckit._writer", "sfckit._rowscan"
+CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.serialize"}
+WRITER, ROW_ENGINE, SCALARS = "sfckit._writer", "sfckit._rowscan", "sfckit.scalars"
 
 CHILD = """
 import contextlib, importlib, io, json, sys
@@ -59,8 +62,9 @@ def loaded_after(argv=None, module="sfckit.cli", function="main"):
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
     paths = {"group": root / "gz2.json", "fusion": root / "vec-z3.json", "super": root / "super-z2.json"}
-    paths["ising"] = root / "ising.json"
+    paths["ising"], paths["rules"] = root / "ising.json", root / "ck6.json"
     paths["group"].write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    paths["rules"].write_text(dumps_file(superfusion_file(build_entry("ck", 6).data)))
     paths["ising"].write_text(dumps_file(fusion_file(*ising_exact_table())))
     assert main(["catalog", "vec-zn", "3", "-o", str(paths["fusion"])]) == EXIT_OK
     assert main(["catalog", "super-z2", "1", "-o", str(paths["super"])]) == EXIT_OK
@@ -72,6 +76,7 @@ def test_import_sfckit_loads_no_submodule():
 
 
 def test_import_sfckit_cli_loads_only_the_front_end():
+    # no handler module and no field arithmetic
     assert loaded_after() == (None, CLI)
 
 
@@ -80,32 +85,39 @@ def test_import_sfckit_cli_loads_only_the_front_end():
 # The G^4 kernel (sfckit._cube) loads only where a 3-(super)cocycle check or
 # the (super) pentagon of a group's rules runs, the row engine
 # (sfckit._rowscan) only where the (super) pentagon of other rules runs, and
-# the sfc-1 writer (sfckit._writer) only where a command writes a file.
+# the sfc-1 writer (sfckit._writer) only where a command writes a file.  The
+# field arithmetic loads only where the input carries a 6j table or a group:
+# sgr and underlying on the rules of ck 6 load none.  Each command loads its
+# own handler module and no other, and none loads sfckit._invertibility.
 @pytest.mark.parametrize(
     "argv, extra",
     [
-        ("check {group} --jobs 2", {"sfckit.cocycles", "sfckit._cube"}),
-        ("lift-cocycle {group} -o {out}", {"sfckit.cocycles", "sfckit._cube", WRITER}),
-        ("extend-group {group} -o {out}", {"sfckit.cocycles", WRITER}),
-        ("check {fusion} --jobs 2", {"sfckit.fusion", "sfckit._cube"}),
-        ("check {super} --jobs 2", {"sfckit.fusion", "sfckit.superfusion", "sfckit._cube"}),
-        ("sgr {super}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.grothendieck"}),
+        ("check {group} --jobs 2", {"sfckit.cocycles", "sfckit._cube", SCALARS}),
+        ("lift-cocycle {group} -o {out}", {"sfckit.cocycles", "sfckit._cube", WRITER, SCALARS}),
+        ("extend-group {group} -o {out}", {"sfckit.cocycles", WRITER, SCALARS}),
+        ("check {fusion} --jobs 2", {"sfckit.fusion", "sfckit._cube", SCALARS}),
+        ("check {super} --jobs 2", {"sfckit.fusion", "sfckit.superfusion", "sfckit._cube", SCALARS}),
+        ("sgr {super}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.grothendieck", SCALARS}),
         (
             "underlying {super} --jobs 2 -o {out}",
-            {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope", "sfckit._cube", WRITER},
+            {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope", "sfckit._cube", WRITER, SCALARS},
         ),
         (
             "catalog vec-zn 3 -o {out}",
-            {"sfckit.catalog", "sfckit.cocycles", "sfckit.fusion", "sfckit.superfusion", "sfckit._cube", WRITER},
+            {"sfckit.catalog", "sfckit.cocycles", "sfckit.fusion", "sfckit.superfusion", "sfckit._cube", WRITER,
+             SCALARS},
         ),
         # the Ising rules are not a group's: the row engine scans them
-        ("check {ising} --jobs 2", {"sfckit.fusion", ROW_ENGINE}),
+        ("check {ising} --jobs 2", {"sfckit.fusion", ROW_ENGINE, SCALARS}),
+        ("sgr {rules}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.grothendieck"}),
+        ("underlying {rules} -o {out}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope", WRITER}),
     ],
 )
 def test_command_loads_only_its_engines(argv, extra, inputs, tmp_path):
-    code, loaded = loaded_after(argv.format(out=tmp_path / "out.json", **inputs).split())
+    argv = argv.format(out=tmp_path / "out.json", **inputs).split()
+    code, loaded = loaded_after(argv)
     assert code == EXIT_OK
-    assert loaded == CLI | extra
+    assert loaded == CLI | {f"sfckit._cmd_{argv[0].replace('-', '_')}"} | extra
 
 
 # At the default --jobs: a command that only reads loads no writer, and the
@@ -129,7 +141,7 @@ def test_command_leaves_the_engines_it_does_not_run_unloaded(argv, absent, input
 def test_loading_a_file_loads_no_writer(inputs):
     kind, loaded = loaded_after(inputs["super"], module="sfckit.serialize", function="load_file")
     assert kind == "superfusion"
-    assert loaded == CLI - {"sfckit.cli"} | {"sfckit.fusion", "sfckit.superfusion"}
+    assert loaded == CLI - {"sfckit.cli"} | {"sfckit.fusion", "sfckit.superfusion", SCALARS}
 
 
 COMPARE = """

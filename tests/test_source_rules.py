@@ -24,7 +24,7 @@ UNCHECKED_BUILDERS = {
     ("envelope", "underlying_fusion_rules"),
     ("envelope", "_twist"),
     ("cocycles", "lift_supercocycle"),
-    ("cocycles", "central_extension"),
+    ("cocycles", "_extension"),
     ("catalog", "pointed_fusion_data"),
 }
 

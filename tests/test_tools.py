@@ -84,11 +84,23 @@ def test_import_cost_prints_the_modules_each_command_loads():
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
     result = json.loads(proc.stdout)
-    assert list(result) == ["check", "underlying", "lift-cocycle", "sgr"]
-    assert [row["input"] for row in result.values()] == ["vec-zn 3", "super-zn-even 2", "super-zn-even 2 group", "ck 6"]
-    # only the commands that write load the writer; no command here runs the row engine
+    assert list(result) == ["check", "underlying", "lift-cocycle", "sgr", "underlying-rules"]
+    assert [row["input"] for row in result.values()] == [
+        "vec-zn 3", "super-zn-even 2", "super-zn-even 2 group", "ck 6", "ck 6"
+    ]
+    # only the commands that write load the writer, and only those with a
+    # table or a group the field arithmetic; no command here runs the row engine
     writes = {name: "sfckit._writer" in row["modules"] for name, row in result.items()}
-    assert writes == {"check": False, "underlying": True, "lift-cocycle": True, "sgr": False}
+    assert writes == {"check": False, "underlying": True, "lift-cocycle": True, "sgr": False, "underlying-rules": True}
+    scalars = {name: "sfckit.scalars" in row["modules"] for name, row in result.items()}
+    assert scalars == {"check": True, "underlying": True, "lift-cocycle": True, "sgr": False, "underlying-rules": False}
+    # each command's own handler module, and only it, is timed
+    handlers = {name: [m for m in row["modules"] if m.startswith("sfckit._cmd_")] for name, row in result.items()}
+    assert handlers == {
+        "check": ["sfckit._cmd_check"], "underlying": ["sfckit._cmd_underlying"],
+        "lift-cocycle": ["sfckit._cmd_lift_cocycle"], "sgr": ["sfckit._cmd_sgr"],
+        "underlying-rules": ["sfckit._cmd_underlying"],
+    }
     for row in result.values():
         assert {"sfckit", "sfckit.cli", "sfckit.serialize"} <= set(row["modules"])
         assert "sfckit._rowscan" not in row["modules"]

@@ -19,7 +19,9 @@ the benchmark's:
   (``pointed``);
 - ``lift-cocycle``: the group file of that entry's supercocycle, written
   with ``-o`` (``pointed``);
-- ``sgr``: the rules of ``ck 22``, no table (``structural``).
+- ``sgr``: the rules of ``ck 22``, no table (``structural``);
+- ``underlying-rules``: ``underlying`` on the same rules, written with
+  ``-o`` (``structural``).
 
 ``--tiny`` runs on ``vec-zn 3``, ``super-zn-even 2`` and ``ck 6`` for a
 quick smoke run.
@@ -63,6 +65,7 @@ def commands(sizes, workdir: str) -> dict:
         "underlying": (f"super-zn-even {sizes['super']}", ["underlying", path["super"], "-o", out]),
         "lift-cocycle": (f"super-zn-even {sizes['super']} group", ["lift-cocycle", path["group"], "-o", out]),
         "sgr": (f"ck {sizes['ck']}", ["sgr", path["ck"]]),
+        "underlying-rules": (f"ck {sizes['ck']}", ["underlying", path["ck"], "-o", out]),
     }
 
 
