@@ -3,7 +3,8 @@
 Submodules:
 
 - scalars: the ground field, exact cyclotomic arithmetic; a command loads
-  it only to read a 6j table or a group or to run a pentagon scan
+  it only to read a 6j table or a group's 3-(super)cocycle or to run a
+  pentagon scan
 - fusion: fusion rules, 6j tables, pentagon verification; 6j invertibility
   (determinant, check_6j_invertibility) from _invertibility on first access
 - superfusion: parities, Bosonic/Majorana objects, super pentagon

@@ -10,7 +10,6 @@ def handle(args) -> int:
     which = args.which
     ok = True
     mv = args.max_violations
-    jobs = args.jobs
 
     if cf.kind == "fusion":
         from .fusion import SixJTable, _check_pentagon, _require_on_support, validate_fusion, validate_sixj
@@ -25,7 +24,7 @@ def handle(args) -> int:
         if ok:
             if cf.sixj is None:
                 run.note("no 6j table in input; pentagon runs against the empty table")
-            ok &= run.add(_check_pentagon(cf.fusion, table, sixj, mv, jobs))
+            ok &= run.add(_check_pentagon(cf.fusion, table, sixj, mv))
     elif cf.kind == "superfusion":
         from .fusion import SixJTable
         from .superfusion import check_super_pentagon, check_support, validate_superfusion
@@ -39,9 +38,7 @@ def handle(args) -> int:
         support = check_support(cf.superfusion, table)
         ok &= run.add(support)
         if ok:
-            ok &= run.add(
-                check_super_pentagon(cf.superfusion, table, max_violations=mv, jobs=jobs, support=support)
-            )
+            ok &= run.add(check_super_pentagon(cf.superfusion, table, max_violations=mv, support=support))
     else:
         from .cocycles import check_2cocycle, check_3cocycle, check_supercocycle, validate_group
 

@@ -21,7 +21,7 @@ def handle(args) -> int:
         run.note("no fermionic 6j table: emitting graded labels and fusion rules only")
         out = fusion_file(underlying_fusion_rules(data))
     else:
-        result = verify_lift(data, cf.sixj, max_violations=args.max_violations, jobs=args.jobs)
+        result = verify_lift(data, cf.sixj, max_violations=args.max_violations)
         ok &= run.add(result.super_pentagon)
         if not ok:
             run.note("input fails the super pentagon; refusing to lift")

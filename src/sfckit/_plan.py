@@ -2,16 +2,11 @@
 
 The number of instances that _rowscan._scan_chunk checks at each outer
 quadruple has a closed form in the multiplicities (outer_weights).  It
-stands in for the scan of an empty table, gates the process pool, and cuts
-the outer quadruples into contiguous chunks of equal work.
-_rowscan.row_scan imports this module only when it plans a scan (more than
-one job, or an empty table), so other commands do not compile it.
+stands in for the scan of an empty table.  _rowscan.row_scan imports this
+module only for an empty table, so other commands do not compile it.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
-from itertools import accumulate
 
 
 def _paths(first, second) -> tuple:
@@ -67,15 +62,3 @@ def outer_weights(data) -> list[int]:
                                 weight += a * c * get(s, 0)
                     weights.append(weight)
     return weights
-
-
-def weighted_chunks(outer, weights, parts):
-    """outer cut into at most parts contiguous, non-empty chunks of about equal
-    summed weight: no chunk weighs more than total/parts + max(weights)."""
-    prefix = list(accumulate(weights))
-    if not prefix:
-        return []
-    total = prefix[-1]
-    # chunk c ends at the first quadruple whose prefix sum reaches c * total / parts
-    cuts = [0] + [bisect_left(prefix, -(-c * total // parts)) + 1 for c in range(1, parts)] + [len(outer)]
-    return [outer[a:b] for a, b in zip(cuts, cuts[1:]) if a < b]

@@ -7,30 +7,17 @@ products it adds, not for the rank**10 index space.  The values are ints,
 one per value mod m (scalars.kronecker_form); the same loop, rerun on rows
 of the table's own values, gives each reported violation its exact sides.
 The closed-form instance count of _plan stands in for the scan of an empty
-table and cuts the outer quadruples into chunks of equal work for worker
-processes.  fusion._run_scan imports this module only for rules that are
-not a group's.
+table.  Every scan runs in the calling process.  fusion._run_scan imports
+this module only for rules that are not a group's.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import product
 
 from .fusion import FusionData, _hom_index
 from .reporting import Violation
 from .scalars import Cyclotomic, kronecker_form
-
-# A scan starts a process pool only from this many instances
-# (_plan.outer_weights) on.  Measured on a 2-vCPU x86-64 Linux guest with
-# CPython 3.11, fresh `sfckit check` processes on vec-zn n (n**4 instances),
-# pool forced on vs off, 10 alternating pairs each: two workers side by
-# side each run at about 0.55x.  At about 5.5 us per instance the pool won
-# 7-9 of 10 from 194 481 instances on; at the row scan's 2.3 us it won 1, 4,
-# 2 (2 again) and 3 of 10 at 160 000, 234 256, 331 776 and 614 656.  No
-# size gave 9 of 10 either way, so the gate stays.
-POOL_MIN_INSTANCES = 200_000
-
 
 def _rows(data: FusionData, keys, values):
     """The associator rows of a table's decuple keys and values: rows[v1][v2]
@@ -47,7 +34,7 @@ def _rows(data: FusionData, keys, values):
 
 
 def _scan_chunk(data, entries, parities, outer, max_violations):
-    """Check the (super) pentagon identity over one chunk of outer quadruples.
+    """Check the (super) pentagon identity over a list of outer quadruples.
 
     entries is (modulus, rows), rows as built by _rows: the ints of _compile
     (scalars.kronecker_form), where an instance fails iff its sides differ
@@ -140,72 +127,22 @@ def _compile(data, entries):
     return modulus, _rows(data, entries, ints)
 
 
-def _scan_worker(args):
-    return _scan_chunk(*args)
-
-
-def _instance_bound(data: FusionData) -> int:
-    """An upper bound on the instances of a scan, in one pass over the rules.
-
-    An instance is a term N^ij_m N^mk_n N^nl_p N^kl_q N^jq_s N^is_p; its
-    sums over q and s are at most M C**2, with M the largest multiplicity and
-    C the largest sum_c N^ab_c, and the rest factor through row sums.  On
-    the rules of a group, where M = C = 1, it is exact: rank**4.
-    """
-    products = data._products
-    nmax, widest = _term_bounds(data)
-    row = [sum(x for cell in cells for _, x in cell) for cells in products]  # row[a] = sum_{b,c} N^ab_c
-    tails = [sum(x * row[c] for cell in cells for c, x in cell) for cells in products]  # sum_{k,n} N^mk_n row[n]
-    return nmax * widest**2 * sum(x * tails[c] for cells in products for cell in cells for c, x in cell)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: the size of its affinity mask
-    (which taskset shrinks; a cgroup CPU quota does not) where the OS has
-    one, else the host's CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def row_scan(data, entries, parities, max_violations, jobs):
+def row_scan(data, entries, parities, max_violations):
     """(violations, total, checked) of the (super) pentagon scan by _scan_chunk.
 
-    With no entries every instance reads 0 = 0, so the count is returned
-    without a scan.  A pool starts only for at least POOL_MIN_INSTANCES
-    instances, with one worker per usable CPU at most, each taking one
-    contiguous chunk of about equal work; the parts merge in index order.
-    The kept violations get their sides from one exact _scan_chunk run on
-    their outer quadruples, over the five F-blocks read there, where each
-    must fail too (else ArithmeticError).  _instance_bound rules out a small
-    scan before _plan is imported and the exact count made, which would
-    cost about 4 ms of an 80 ms `sfckit check --jobs 2` on vec-zn 8.
+    With no entries every instance reads 0 = 0, so the count
+    (_plan.outer_weights) is returned without a scan.  Otherwise one
+    _scan_chunk runs over all outer quadruples.  The kept violations get
+    their sides from one exact _scan_chunk run on their outer quadruples,
+    over the five F-blocks read there, where each must fail too (else
+    ArithmeticError).
     """
+    if not entries:
+        from ._plan import outer_weights  # here, so that only an empty-table scan compiles it
+
+        return [], 0, sum(outer_weights(data))
     outer = list(product(range(data.rank), repeat=4))
-    jobs = max(1, int(jobs))
-    if jobs > 1 and entries and _instance_bound(data) < POOL_MIN_INSTANCES:
-        jobs = 1
-    chunks = [outer]
-    if jobs > 1 or not entries:
-        from ._plan import outer_weights, weighted_chunks  # here, so that only a planned scan compiles it
-
-        weights = outer_weights(data)
-        if not entries:
-            return [], 0, sum(weights)
-        if sum(weights) >= POOL_MIN_INSTANCES:
-            chunks = weighted_chunks(outer, weights, min(jobs, _usable_cpus()))
-    compiled = _compile(data, entries)
-    if len(chunks) < 2:
-        parts = [_scan_chunk(data, compiled, parities, outer, max_violations)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # here, not at module level: it costs every command ~15 ms
-
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(
-                pool.map(_scan_worker, [(data, compiled, parities, chunk, max_violations) for chunk in chunks])
-            )
-    hits = [hit for part in parts for hit in part[0]][:max_violations]
+    hits, total, checked = _scan_chunk(data, _compile(data, entries), parities, outer, max_violations)
     violations = []
     if hits:
         outer = sorted({hit[0][:4] for hit in hits})
@@ -220,4 +157,4 @@ def row_scan(data, entries, parities, max_violations, jobs):
             if instance not in exact:
                 raise ArithmeticError(f"pentagon instance {instance} fails mod m but holds exactly")
             violations.append(Violation(instance, *map(Cyclotomic._coerce, exact[instance])))
-    return violations, sum(part[1] for part in parts), sum(part[2] for part in parts)
+    return violations, total, checked

@@ -12,8 +12,9 @@ Each command's handler is the handle function of its own private module
 (_cmd_check, _cmd_underlying, ...), which parse_args imports; the handler
 imports the engines it runs.  So a command compiles only its own handler and
 engines, the sfc-1 writer only if it writes, and the field arithmetic
-(scalars) only to read a 6j table or a group or to run a pentagon scan: sgr
-and underlying on (super)fusion rules alone compile none.  The handler
+(scalars) only to read a 6j table or a group's 3-(super)cocycle or to run a
+pentagon scan: sgr and underlying on (super)fusion rules alone, and
+extend-group on a group with only an omega table, compile none.  The handler
 modules import this one, so under "python -m sfckit.cli" it is loaded a
 second time, as sfckit.cli beside __main__; the two copies raise and catch
 the same classes, so a command runs the same either way.
@@ -141,7 +142,7 @@ _FLAGS = {
     "which": (("--which",), "WHICH", _which, "all", f"the checks to run: {' | '.join(CHECK_KINDS)} (default: all)"),
     "normalize": (("--normalize",), None, None, False, "apply the constant-coboundary normalization pre-pass to omega"),
     "json": (("--json",), None, None, False, "emit a machine-readable report"),
-    "jobs": (("--jobs",), "N", _at_least(1), 1, "worker processes for the (super) pentagon scans (default: 1)"),
+    "jobs": (("--jobs",), "N", _at_least(1), 1, "accepted and checked; every scan runs in one process (default: 1)"),
     "max-violations": (("--max-violations",), "V", _at_least(0), DEFAULT_MAX_VIOLATIONS,
                        f"bound on violations listed per check (default: {DEFAULT_MAX_VIOLATIONS})"),
     "output": (("-o", "--output"), "OUT", str, None, "write the result to this file"),

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 from .reporting import (DEFAULT_MAX_VIOLATIONS, CheckReport, CocycleError, LawResult, ValidationReport, Violation,
                         _unchecked)
-from .scalars import Cyclotomic
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # annotation name only: ThreeCocycle imports the field arithmetic when it is built
+    from .scalars import Cyclotomic
 
 
 def _rows(table, what: str) -> tuple:
@@ -112,6 +115,8 @@ class ThreeCocycle:
     __slots__ = ("values",)
 
     def __init__(self, values):
+        from .scalars import Cyclotomic
+
         values = _rows(values, "cocycle table")
         n = len(values)
         coerced = []

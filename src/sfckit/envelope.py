@@ -172,9 +172,10 @@ def verify_lift(
     Raises SuperFusionError for a table off the parity-admissible support.
     When the super pentagon fails nothing is lifted, and only
     ``super_pentagon`` is set.  A failure after the lift is surfaced, never
-    ignored: it means an implementation fault.
+    ignored: it means an implementation fault.  ``jobs`` is accepted and
+    ignored: every scan runs in the calling process.
     """
-    super_pentagon = check_super_pentagon(data, table, max_violations=max_violations, jobs=jobs)
+    super_pentagon = check_super_pentagon(data, table, max_violations=max_violations)
     if not super_pentagon.ok:
         return LiftVerification(super_pentagon)
     rules = underlying_fusion_rules(data)
@@ -184,5 +185,5 @@ def verify_lift(
         underlying=rules,
         sixj=lifted,
         fusion_validation=validate_fusion(rules),
-        pentagon=check_pentagon(rules, lifted, max_violations=max_violations, jobs=jobs),
+        pentagon=check_pentagon(rules, lifted, max_violations=max_violations),
     )

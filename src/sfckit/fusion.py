@@ -324,7 +324,7 @@ def _hom_index(data: FusionData):
     return vectors, cells
 
 
-def _run_scan(data, entries, parities, max_violations, jobs):
+def _run_scan(data, entries, parities, max_violations):
     """(violations, total, checked) of the (super) pentagon scan: _cube.pentagon_scan
     where the rules are a group's (every X_i x X_j one simple X_ij, N = 1, and
     (ij)k = i(jk); a Majorana X has N^{1X}_X = 2), else _rowscan.row_scan.
@@ -337,7 +337,7 @@ def _run_scan(data, entries, parities, max_violations, jobs):
         return pentagon_scan(mul, entries, parities, max_violations)
     from ._rowscan import row_scan
 
-    return row_scan(data, entries, parities, max_violations, jobs)
+    return row_scan(data, entries, parities, max_violations)
 
 
 def _missing_warning(missing) -> list[str]:
@@ -361,24 +361,23 @@ def check_pentagon(
 
     Raises FusionError off the admissible support.  Missing entries (the
     completeness list of validate_sixj) count as 0 and are named in one
-    warning.
+    warning.  ``jobs`` is accepted and ignored: every scan runs in the
+    calling process.
     """
-    return _check_pentagon(data, table, validate_sixj(data, table), max_violations, jobs)
+    return _check_pentagon(data, table, validate_sixj(data, table), max_violations)
 
 
-def _check_pentagon(data, table, validation, max_violations, jobs) -> CheckReport:
+def _check_pentagon(data, table, validation, max_violations) -> CheckReport:
     """check_pentagon with validation = validate_sixj(data, table) already
     made by the caller, whose support and missing-entry lists it reuses."""
     _require_on_support(validation.law("support").violations)
-    return _scan_report(
-        "pentagon", data, table, None, validation.law("completeness").violations, max_violations, jobs
-    )
+    return _scan_report("pentagon", data, table, None, validation.law("completeness").violations, max_violations)
 
 
-def _scan_report(name, data, table, parities, missing, max_violations, jobs) -> CheckReport:
+def _scan_report(name, data, table, parities, missing, max_violations) -> CheckReport:
     """The report of the (super) pentagon scan of table over data (parities
     as in _scan_chunk), with one warning naming the missing entries."""
-    violations, total, checked = _run_scan(data, table.entries, parities, max_violations, jobs)
+    violations, total, checked = _run_scan(data, table.entries, parities, max_violations)
     return CheckReport(
         name=name,
         ok=total == 0,

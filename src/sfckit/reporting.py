@@ -2,8 +2,7 @@
 
 Verification never mutates its inputs and always produces a report; structural
 problems with the input data itself raise instead.  Reports are deterministic:
-identical inputs give identical reports, independent of the worker count used
-to produce them.
+identical inputs give identical reports.
 
 The error classes that the command line maps to exit codes live here, in a
 module that every command loads, and are re-exported by the modules that

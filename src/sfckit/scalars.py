@@ -10,7 +10,7 @@ and rational_value) and a non-int coefficient in __init__; _coerce looks
 it up in sys.modules, as no Fraction exists before its module is loaded.
 The power basis is a Z-basis of Z[zeta_n], the ring of integers, so the
 denominator (the least d with d * value integral) does not depend on the
-order.  Values are immutable and safe to share between workers.
+order.  Values are immutable.
 
 The exhaustive scans (pentagon, super pentagon, 3-cocycle, 3-supercocycle)
 map every value to one int mod m = Phi_N(2**shift) (kronecker_form), an

@@ -329,7 +329,8 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     except CocycleError as exc:
         raise SchemaError(f"{where}.group: {exc}") from None
 
-    scalar = _scalar_reader()
+    if "cocycle" in payload or "supercocycle" in payload:
+        scalar = _scalar_reader()  # so that an omega-only file loads no field arithmetic
 
     def cube(name, make):
         w = f"{where}.{name}"

@@ -269,6 +269,7 @@ def check_super_pentagon(
     already holds check_support(data, table) passes it as ``support``, and the
     support pass is not repeated.  Missing entries (the completeness list of
     validate_sixj on data.base) count as 0 and are named in one warning.
+    ``jobs`` is accepted and ignored: every scan runs in the calling process.
     """
     if support is None:
         support = check_support(data, table)
@@ -279,5 +280,5 @@ def check_super_pentagon(
             f"decuples, e.g. {first.instance}"
         )
     return _scan_report(
-        "super pentagon", data.base, table, data.parities, _missing_entries(data.base, table), max_violations, jobs
+        "super pentagon", data.base, table, data.parities, _missing_entries(data.base, table), max_violations
     )

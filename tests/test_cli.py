@@ -1,6 +1,5 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
-import contextlib
 import importlib
 import json
 import os
@@ -16,7 +15,9 @@ from sfckit.fusion import SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
 from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
 from sfckit.catalog import build_entry, z2_supercocycle
-from tests.test_kernel import CATALOG, flip, pool_forced
+from sfckit.envelope import verify_lift
+from tests.test_fusion import ising_broken_table, ising_exact_table
+from tests.test_kernel import CATALOG, all_even, flip
 from tests.test_ring_kernel import outcome, reference_build_sgr, z3_parity_broken
 
 
@@ -580,8 +581,8 @@ def test_sgr_renders_relations_once(tmp_path, monkeypatch, capsys):
 
 def test_jobs_flag_matches_sequential(tmp_path, capsys):
     # the whole --json report minus elapsed_s, the exit code and the written
-    # bytes, on every catalog table and its sign-flip mutant, at --jobs 1,
-    # at --jobs 2 below the pool gate and at --jobs 2 through the pool
+    # bytes, on every catalog table and its sign-flip mutant, at --jobs 1
+    # and at --jobs 2
     commands = []
     for name, params in CATALOG:
         entry = build_entry(name, *params)
@@ -599,16 +600,15 @@ def test_jobs_flag_matches_sequential(tmp_path, capsys):
     assert len(commands) == 25
     for argv, want in commands:
         runs = []
-        for jobs, pooled in (("1", False), ("2", False), ("2", True)):
+        for jobs in ("1", "2"):
             out = tmp_path / f"out-{len(runs)}.json"
             extra = ["-o", str(out)] if argv[0] == "underlying" else []
-            with pool_forced() if pooled else contextlib.nullcontext():
-                code = main([*argv, *extra, "--jobs", jobs, "--json"])
+            code = main([*argv, *extra, "--jobs", jobs, "--json"])
             doc = json.loads(capsys.readouterr().out)
             del doc["elapsed_s"]
             runs.append((code, doc, out.read_bytes() if extra else None))
         assert runs[0][0] == want, argv
-        assert runs[0] == runs[1] == runs[2], argv
+        assert runs[0] == runs[1], argv
 
 
 @pytest.mark.parametrize(
@@ -684,10 +684,29 @@ def test_usage_errors_exit_2_with_one_line(argv, message, capsys):
     assert err.startswith(f"sfckit: error: {message}") and err.count("\n") == 1, err
 
 
-def test_library_scans_read_jobs_below_1_as_one_job():
-    # only the command line refuses --jobs 0
-    entry = build_entry("vec-zn", 4)
-    assert fusion.check_pentagon(entry.data, entry.sixj, jobs=0).ok
+def ising_even_flipped():
+    """The Ising rules with every basis vector even and one entry of the
+    table negated: a non-pointed super pentagon with violations."""
+    data, table = ising_exact_table()
+    return all_even(data), flip(table)
+
+
+@pytest.mark.parametrize(
+    "check, inputs",
+    [
+        (fusion.check_pentagon, ising_broken_table),
+        (superfusion.check_super_pentagon, ising_even_flipped),
+        (lambda *args, **kwargs: verify_lift(*args, **kwargs).super_pentagon, ising_even_flipped),
+    ],
+    ids=["check_pentagon", "check_super_pentagon", "verify_lift"],
+)
+def test_library_scans_read_jobs_below_1_as_one_job(check, inputs):
+    # only the command line refuses --jobs 0; the library takes any jobs and
+    # gives the same report, here on the row engine with violations
+    data, table = inputs()
+    reports = [check(data, table, max_violations=None, jobs=jobs).to_json() for jobs in (0, 1, 2, 64)]
+    assert not reports[0]["ok"] and reports[0]["violations"]
+    assert all(report == reports[0] for report in reports)
 
 
 @pytest.mark.parametrize("command", [None, *cli._COMMANDS])

@@ -8,7 +8,6 @@ sides, and the warnings.  Rules that are not a group's take the row
 engine.
 """
 
-import concurrent.futures
 import random
 from itertools import permutations
 from math import lcm
@@ -22,7 +21,6 @@ from sfckit.envelope import lift_6j, underlying_fusion_rules
 from sfckit.fusion import FusionData, SixJTable, admissible_decuples, check_pentagon
 from sfckit.scalars import ZERO, root_of_unity
 from sfckit.superfusion import check_super_pentagon, is_parity_admissible
-from tests.test_fusion import RecordingExecutor
 from tests.test_kernel import flip, generic_factor, table_order
 from tests.test_scalars import mixed_order_file
 
@@ -139,8 +137,8 @@ def assert_paths_agree(check, data, table, kernel_calls, monkeypatch):
 def assert_scans_agree(data, entries, parities):
     """_run_scan and _rowscan.row_scan on raw entries (no support check), at every limit."""
     for k in LIMITS:
-        got = fusion._run_scan(data, entries, parities, k, 1)
-        want = _rowscan.row_scan(data, entries, parities, k, 1)
+        got = fusion._run_scan(data, entries, parities, k)
+        want = _rowscan.row_scan(data, entries, parities, k)
         assert got[1:] == want[1:]
         assert [(v.instance, v.lhs, v.rhs) for v in got[0]] == [(v.instance, v.lhs, v.rhs) for v in want[0]]
         assert [v.to_json() for v in got[0]] == [v.to_json() for v in want[0]]
@@ -255,14 +253,3 @@ def test_rules_that_are_not_a_group_take_the_row_engine(kernel_calls, monkeypatc
     check_super_pentagon(ising.data, ising.sixj if ising.sixj is not None else SixJTable({}))
     assert (len(rows), kernel_calls[0]) == (3, 0)
 
-
-def test_group_rules_start_no_pool(kernel_calls, monkeypatch):
-    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr(_rowscan, "_usable_cpus", lambda: 4)
-    entry = build_entry("vec-zn", 4)
-    kernel_calls[0] = 0
-    reports = [check_pentagon(entry.data, flip(entry.sixj), jobs=jobs).to_json() for jobs in (1, 2, 4)]
-    assert reports[0] == reports[1] == reports[2]
-    assert RecordingExecutor.seen == [] and kernel_calls[0] == 3

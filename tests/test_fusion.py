@@ -1,6 +1,5 @@
 """Tests for fusion data, pentagon verification, and 6j invertibility."""
 
-import concurrent.futures
 import random
 from fractions import Fraction
 
@@ -238,90 +237,19 @@ def test_pentagon_rejects_off_support_entries():
 
 def ising_broken_table():
     """ising_exact_table with one entry of its 2x2 block negated: rules that
-    are not a group's, so the scan takes the row engine and may pool."""
+    are not a group's, so the scan takes the row engine."""
     data, table = ising_exact_table()
     entries = dict(table.entries)
     entries[(2, 2, 1, 2, 2, 1, 1, 1, 1, 1)] = -entries[(2, 2, 1, 2, 2, 1, 1, 1, 1, 1)]
     return data, SixJTable(entries)
 
 
-def test_pentagon_jobs_are_deterministic(monkeypatch):
-    from sfckit import _rowscan
-
+def test_pentagon_jobs_are_deterministic():
     data, table = ising_broken_table()
     sequential = check_pentagon(data, table, max_violations=None, jobs=1)
     assert not sequential.ok
     parallel = check_pentagon(data, table, max_violations=None, jobs=2)
     assert sequential.to_json() == parallel.to_json()
-    # the same through the process pool
-    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
-    monkeypatch.setattr(_rowscan, "_usable_cpus", lambda: 2)
-    pooled = check_pentagon(data, table, max_violations=None, jobs=2)
-    assert sequential.to_json() == pooled.to_json()
-
-
-class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps in
-    this process, so no process starts."""
-
-    seen: list = []
-
-    def __init__(self, max_workers):
-        self.seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize(
-    "affinity, host_cpus, jobs, want",
-    [
-        ({0, 1, 2}, 64, 10_000, 3),
-        ({5}, 64, 10_000, None),
-        (set(range(8)), 64, 2, 2),
-        (None, 3, 10_000, 3),
-        (None, None, 10_000, None),
-    ],
-)
-def test_pool_workers_are_bounded(monkeypatch, affinity, host_cpus, jobs, want):
-    # at most min(jobs, usable CPUs, chunks) workers, the usable CPUs being
-    # the affinity mask where the OS has one; one worker means no pool
-    from sfckit import _rowscan
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
-    monkeypatch.setattr(_rowscan.os, "cpu_count", lambda: host_cpus)
-    if affinity is None:
-        monkeypatch.delattr(_rowscan.os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(_rowscan.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-    data, table = ising_broken_table()
-    report = check_pentagon(data, table, max_violations=None, jobs=jobs)
-    assert RecordingExecutor.seen == ([] if want is None else [want])
-    assert report.to_json() == check_pentagon(data, table, max_violations=None).to_json()
-
-
-def test_pool_gate_is_the_instance_count(monkeypatch):
-    from sfckit import _rowscan
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(RecordingExecutor, "seen", [])
-    monkeypatch.setattr(_rowscan, "_usable_cpus", lambda: 2)
-    data, table = ising_exact_table()
-    checked = check_pentagon(data, table, jobs=2).checked
-    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", checked + 1)
-    check_pentagon(data, table, jobs=2)
-    assert RecordingExecutor.seen == []
-    monkeypatch.setattr(_rowscan, "POOL_MIN_INSTANCES", checked)
-    check_pentagon(data, table, jobs=2)
-    assert RecordingExecutor.seen == [2]
 
 
 def test_max_violations_bound():

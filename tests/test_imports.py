@@ -1,12 +1,12 @@
 """Each command imports only the modules it runs.
 
 Every case runs in a fresh interpreter with PYTHONDONTWRITEBYTECODE=1, as
-a user's command does, and pins the sfckit modules (and the process-pool
+a user's command does, and pins the sfckit modules (and any process-pool
 machinery) loaded when the command returns: the front end, the command's
 own handler module and no other, and its engines.  The field arithmetic
-(sfckit.scalars) loads only with a 6j table or a group, and no command
-loads the 6j invertibility module.  No passing command loads fractions or
-decimal: a value's coefficients are ints until one is printed.
+(sfckit.scalars) loads only with a 6j table or a group's 3-(super)cocycle,
+and no command loads the 6j invertibility module.  No passing command loads
+fractions or decimal: a value's coefficients are ints until one is printed.
 """
 
 import json
@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from sfckit.catalog import build_entry, z2_supercocycle
+from sfckit.catalog import build_entry, omega_product_z2, z2_supercocycle
 from sfckit.cli import EXIT_OK, main
 from sfckit.cocycles import cyclic_group
 from sfckit.serialize import dumps_file, fusion_file, group_file, superfusion_file
@@ -63,6 +63,8 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
     paths = {"group": root / "gz2.json", "fusion": root / "vec-z3.json", "super": root / "super-z2.json"}
     paths["ising"], paths["rules"] = root / "ising.json", root / "ck6.json"
+    paths["omega"] = root / "omega-z2.json"
+    paths["omega"].write_text(dumps_file(group_file(cyclic_group(2), omega_product_z2())))
     paths["group"].write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
     paths["rules"].write_text(dumps_file(superfusion_file(build_entry("ck", 6).data)))
     paths["ising"].write_text(dumps_file(fusion_file(*ising_exact_table())))
@@ -80,15 +82,18 @@ def test_import_sfckit_cli_loads_only_the_front_end():
     assert loaded_after() == (None, CLI)
 
 
-# --jobs 2 on every command that takes it: each scan is under the pool gate,
-# so none may load the pool machinery or the scan planner (sfckit._plan).
+# --jobs 2 on every command that takes it: every scan runs in one process,
+# so none may load pool machinery, and a table with entries is scanned
+# without the scan planner (sfckit._plan).
 # The G^4 kernel (sfckit._cube) loads only where a 3-(super)cocycle check or
 # the (super) pentagon of a group's rules runs, the row engine
 # (sfckit._rowscan) only where the (super) pentagon of other rules runs, and
 # the sfc-1 writer (sfckit._writer) only where a command writes a file.  The
-# field arithmetic loads only where the input carries a 6j table or a group:
-# sgr and underlying on the rules of ck 6 load none.  Each command loads its
-# own handler module and no other, and none loads sfckit._invertibility.
+# field arithmetic loads only where the input carries a 6j table or a group's
+# 3-(super)cocycle: sgr and underlying on the rules of ck 6, and the omega
+# checks of a group file with only an omega table, load none.  Each command
+# loads its own handler module and no other, and none loads
+# sfckit._invertibility.
 @pytest.mark.parametrize(
     "argv, extra",
     [
@@ -111,6 +116,9 @@ def test_import_sfckit_cli_loads_only_the_front_end():
         ("check {ising} --jobs 2", {"sfckit.fusion", ROW_ENGINE, SCALARS}),
         ("sgr {rules}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.grothendieck"}),
         ("underlying {rules} -o {out}", {"sfckit.fusion", "sfckit.superfusion", "sfckit.envelope", WRITER}),
+        # a group file with only an omega table: no scalar is read
+        ("extend-group {omega} -o {out}", {"sfckit.cocycles", WRITER}),
+        ("check {omega} --which cocycle2", {"sfckit.cocycles"}),
     ],
 )
 def test_command_loads_only_its_engines(argv, extra, inputs, tmp_path):

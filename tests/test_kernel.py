@@ -7,7 +7,6 @@ input: verdict, ``checked``, ``total_violations``, missing-entry warnings,
 and the ``lhs``/``rhs`` strings of every violation.
 """
 
-import contextlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -241,25 +240,9 @@ def assert_same_report(got, want):
     assert got.to_json() == want.to_json()
 
 
-@contextlib.contextmanager
-def pool_forced():
-    """Scans at jobs > 1 start the process pool whatever their size and the
-    host's CPU count, so the pool path is covered on small inputs."""
-    from sfckit import _rowscan
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_rowscan, "POOL_MIN_INSTANCES", 0)
-        mp.setattr(_rowscan, "_usable_cpus", lambda: 2)
-        yield
-
-
 def scan_reports(check, data, table, max_violations=None):
-    """check(data, table) at jobs 1, at jobs 2 below the pool gate, and at
-    jobs 2 through the pool."""
-    reports = [check(data, table, max_violations=max_violations, jobs=jobs) for jobs in (1, 2)]
-    with pool_forced():
-        reports.append(check(data, table, max_violations=max_violations, jobs=2))
-    return reports
+    """check(data, table) at jobs 1 and at jobs 2."""
+    return [check(data, table, max_violations=max_violations, jobs=jobs) for jobs in (1, 2)]
 
 
 def truncated(report, k):
@@ -270,12 +253,8 @@ def truncated(report, k):
 
 
 def assert_counts(data, checked):
-    """The closed-form count is the scan's checked; the one-pass bound is at
-    least that."""
-    from sfckit import _rowscan
-
+    """The closed-form count is the scan's checked."""
     assert sum(_plan.outer_weights(data)) == checked
-    assert _rowscan._instance_bound(data) >= checked
 
 
 def assert_pentagon_matches(data, table):
@@ -413,12 +392,11 @@ def test_kernel_matches_reference_on_random_rules(case):
     )
     super_want = reference_pentagon("super pentagon", data, even.entries, parities)
     # the first k witnesses, where one left path may fail at several right
-    # paths, and the worker path, whose chunks merge in index order
-    with pool_forced():
-        for k, jobs in ((None, 1), (1, 1), (3, 1), (None, 2), (3, 2)):
-            assert_matches(check_pentagon(data, table, max_violations=k, jobs=jobs), truncated(want, k))
-            got = check_super_pentagon(super_data, even, max_violations=k, jobs=jobs)
-            assert_matches(got, truncated(super_want, k))
+    # paths, at any jobs
+    for k, jobs in ((None, 1), (1, 1), (3, 1), (None, 2), (3, 2)):
+        assert_matches(check_pentagon(data, table, max_violations=k, jobs=jobs), truncated(want, k))
+        got = check_super_pentagon(super_data, even, max_violations=k, jobs=jobs)
+        assert_matches(got, truncated(super_want, k))
 
 
 # off the unit law: no pentagon instance reads (0, 1, 1, 0, 1, 1, 1, 1, 1, 1)
@@ -463,42 +441,14 @@ def test_empty_table_count_equals_the_scan(k):
         rules.append((underlying_fusion_rules(entry.data), None))
     for data, parities in rules:
         scanned = _rowscan._scan_chunk(data, _rowscan._compile(data, {}), parities, outer_quadruples(data), None)
-        for jobs in (1, 2):
-            assert fusion._run_scan(data, {}, parities, None, jobs) == scanned
+        assert fusion._run_scan(data, {}, parities, None) == scanned
 
 
 @pytest.mark.parametrize("name, params", [("vec-zn", (n,)) for n in (1, 2, 3, 5, 8)] + [("super-zn-even", (4,))])
-def test_instance_bound_is_exact_on_groups(name, params):
-    from sfckit import _rowscan
-
+def test_outer_weights_count_rank4_on_groups(name, params):
     data = build_entry(name, *params).data
     data = getattr(data, "base", data)
-    assert _rowscan._instance_bound(data) == sum(_plan.outer_weights(data)) == data.rank**4
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 50), max_size=40), st.integers(1, 9))
-def test_weighted_chunks_are_contiguous_and_balanced(weights, parts):
-    outer = list(range(len(weights)))
-    chunks = _plan.weighted_chunks(outer, weights, parts)
-    assert [x for chunk in chunks for x in chunk] == outer
-    assert len(chunks) <= parts and all(chunks)
-    bound = sum(weights) / parts + max(weights, default=0)
-    assert all(sum(weights[x] for x in chunk) <= bound for chunk in chunks)
-
-
-def test_weighted_chunks_balance_a_skewed_scan():
-    # on ck 10 the work per outer quadruple grows with the labels: two
-    # chunks of equal length would carry 24% and 76% of it
-    data = build_entry("ck", 10).data.base
-    weights = _plan.outer_weights(data)
-    outer = outer_quadruples(data)
-    by_index = dict(zip(outer, weights))
-    for parts in (2, 3, 7):
-        chunks = _plan.weighted_chunks(outer, weights, parts)
-        assert len(chunks) == parts
-        loads = [sum(by_index[x] for x in chunk) for chunk in chunks]
-        assert max(loads) <= sum(weights) / parts + max(weights)
+    assert sum(_plan.outer_weights(data)) == data.rank**4
 
 
 # -- 3-cocycle and 3-supercocycle ----------------------------------------------------------
@@ -638,7 +588,7 @@ def step_largest_denominator(values):
 def test_kernel_gauged_ising_times_z3():
     # N = 24 and per-value denominators of about 32 bits, a modulus of 2816
     # bits: the table and its sign-flip mutant against the reference at
-    # every --jobs path, and a one-step mutant at jobs 1
+    # jobs 1 and 2, and a one-step mutant at jobs 1
     data, table = deligne_with_z3(*ising_exact_table())
     gauged = gauge(data, table, seed=2)
     values = list(gauged.entries.values())
@@ -660,7 +610,7 @@ def all_even(data):
 
 
 def test_truncated_witnesses_match_the_reference():
-    # the first k violations, with their sides, at every --jobs path; the super
+    # the first k violations, with their sides, at jobs 1 and 2; the super
     # pentagon's violations come in pairs on one outer quadruple, so k = 1
     # and 3 cut inside one
     data, table = deligne_with_z3(*ising_exact_table())

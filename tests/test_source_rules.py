@@ -1,8 +1,10 @@
-"""Five rules on the runtime package, checked on the syntax tree of every
+"""Six rules on the runtime package, checked on the syntax tree of every
 ``src/sfckit/*.py``: it imports only the standard library, it imports
 neither ``dataclasses`` nor ``argparse``, whose work at each start no
-``.pyc`` file caches, no invariant is guarded by ``assert``, which
-``python -O`` removes, no value is tested with ``isinstance(x, int)``,
+``.pyc`` file caches, it imports none of ``concurrent``,
+``multiprocessing`` and ``threading``, so every scan runs in one process
+(a pool never beat one process on any measured size), no invariant is
+guarded by ``assert``, which ``python -O`` removes, no value is tested with ``isinstance(x, int)``,
 which accepts a bool (the plain-int test is ``type(x) is int``), and
 ``reporting._unchecked``, which builds an object without its constructor's
 checks, is named only in the builders of derived data listed in
@@ -14,6 +16,7 @@ import sys
 
 SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "sfckit").glob("*.py"))
 SLOW_TO_START = ("dataclasses", "argparse")
+SINGLE_PROCESS = ("concurrent", "multiprocessing", "threading")
 # (module, function): the only code that may name _unchecked.  The decoder
 # makes every check of the FusionData, SixJTable and SuperFusionData
 # constructors; the others derive their objects from data that has passed a
@@ -46,7 +49,8 @@ def unchecked_uses(tree: ast.AST, scope: str = "") -> list[tuple[int, str]]:
 
 def rule_breaches(source: str, stem: str = "") -> list[str]:
     """Every assert statement, every absolute import outside the standard
-    library, every import of a module that is slow to start, every
+    library, every import of a module that is slow to start or that runs
+    work in more than one process or thread, every
     isinstance(x, int) and every use of _unchecked outside UNCHECKED_BUILDERS
     (stem is the module's file name without .py)."""
     tree = ast.parse(source)
@@ -76,6 +80,8 @@ def rule_breaches(source: str, stem: str = "") -> list[str]:
                 breaches.append(f"line {node.lineno}: import of {module}, outside the standard library")
             elif module.split(".")[0] in SLOW_TO_START:
                 breaches.append(f"line {node.lineno}: import of {module}, slow to start")
+            elif module.split(".")[0] in SINGLE_PROCESS:
+                breaches.append(f"line {node.lineno}: import of {module}, a second process or thread")
     for line, scope in unchecked_uses(tree):
         if (stem, scope) not in UNCHECKED_BUILDERS:
             breaches.append(f"line {line}: _unchecked used in {scope or 'module code'}, not a builder of derived data")
@@ -98,6 +104,7 @@ def test_rule_breaches_are_found():
     source = (
         "import os\nimport numpy as np\nfrom hypothesis import given\nfrom . import fusion\nassert os\n"
         "from dataclasses import dataclass\nimport argparse, json\n"
+        "from concurrent import futures\nimport multiprocessing, threading\n"
         "ok = isinstance(x, bool) or isinstance(x, (int, str))\nbad = isinstance(x, int)\n"
         "def _decode_fusion(payload):\n    return reporting._unchecked(FusionData, labels=payload)\n"
     )
@@ -107,6 +114,9 @@ def test_rule_breaches_are_found():
         "line 5: assert statement",
         "line 6: import of dataclasses, slow to start",
         "line 7: import of argparse, slow to start",
-        "line 9: isinstance(..., int) accepts bool",
-        "line 11: _unchecked used in _decode_fusion, not a builder of derived data",
+        "line 8: import of concurrent, a second process or thread",
+        "line 9: import of multiprocessing, a second process or thread",
+        "line 9: import of threading, a second process or thread",
+        "line 11: isinstance(..., int) accepts bool",
+        "line 13: _unchecked used in _decode_fusion, not a builder of derived data",
     ]

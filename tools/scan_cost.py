@@ -5,8 +5,8 @@ Usage: python tools/scan_cost.py [--src SRC] [--repeat N] [--tiny]
 
 SRC is the directory that holds the ``sfckit`` package (default: this
 checkout's ``src``), so the same script times any tree.  Each input is
-scanned by ``fusion._run_scan`` with one job and the default
-``--max-violations`` (25), N times (default 7); the script prints one JSON
+scanned by ``fusion._run_scan`` with the default ``--max-violations``
+(25) (and one job, in older trees whose scans take a job count), N times (default 7); the script prints one JSON
 object that maps each input to the best time in seconds, its instance and
 violation counts, and ``us_per_instance``, the best time over the
 instances checked.  ``path`` names the engine that ran: ``group`` where
@@ -39,6 +39,7 @@ and ``us_per_block`` the best time over the blocks.  The inputs:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -111,20 +112,29 @@ def row_engine():
     return row_scan
 
 
+def one_job(scan):
+    """scan(data, entries, parities, max_violations), passing jobs = 1 on in
+    an older tree whose scan also takes a job count."""
+    if len(inspect.signature(scan).parameters) > 4:
+        return lambda *args: scan(*args, 1)
+    return scan
+
+
 def measure(cases, repeat: int) -> dict:
     from sfckit import fusion
     from sfckit.reporting import DEFAULT_MAX_VIOLATIONS
 
     row_scan = row_engine()
+    run_scan, run_row_scan = one_job(fusion._run_scan), one_job(row_scan)
     out = {}
     for label, (data, entries, parities) in cases.items():
-        args = (data, entries, parities, DEFAULT_MAX_VIOLATIONS, 1)
-        best, (_, total, checked) = best_of(repeat, lambda: fusion._run_scan(*args))
-        row_best, _ = best_of(repeat, lambda: row_scan(*args))
+        args = (data, entries, parities, DEFAULT_MAX_VIOLATIONS)
+        best, (_, total, checked) = best_of(repeat, lambda: run_scan(*args))
+        row_best, _ = best_of(repeat, lambda: run_row_scan(*args))
         table = fusion.SixJTable(entries)
         inv_best, report = best_of(repeat, lambda: fusion.check_6j_invertibility(data, table))
         out[label] = {
-            "path": dispatched_path(lambda: fusion._run_scan(*args)),
+            "path": dispatched_path(lambda: run_scan(*args)),
             "best_s": round(best, 6),
             "instances": checked,
             "violations": total,
