@@ -6,9 +6,13 @@ by fusion._hom_index (_rows).  A scan follows these rows, so it pays for the
 products it adds, not for the rank**10 index space.  The values are ints,
 one per value mod m (scalars.kronecker_form); the same loop, rerun on rows
 of the table's own values, gives each reported violation its exact sides.
-The closed-form instance count of _plan stands in for the scan of an empty
-table.  Every scan runs in the calling process.  fusion._run_scan imports
-this module only for rules that are not a group's.
+The loop reduces only by x % modulus, and three modulus objects share that
+protocol: the int m; _Fold, which gives the same x % m by folding at 2**k
+where that is cheaper (_reducer); and _EXACT, under which x % _EXACT is x
+for the exact rerun.  The closed-form instance count of _plan stands in
+for the scan of an empty table.  Every scan runs in the calling process.
+fusion._run_scan imports this module only for rules that are not a
+group's.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ def _scan_chunk(data, entries, parities, outer, max_violations):
     """Check the (super) pentagon identity over a list of outer quadruples.
 
     entries is (modulus, rows), rows as built by _rows: the ints of _compile
-    (scalars.kronecker_form), where an instance fails iff its sides differ
-    mod m, or for exact sides the table's own values under _EXACT, where
-    x % _EXACT is x.  An instance pairs a left path va, vb, vc (basis
-    vectors of Hom(i x j, m), Hom(m x k, n), Hom(n x l, p)) with a right
-    path vd, ve, vf (of Hom(k x l, q), Hom(j x q, s), Hom(i x s, p)) ending
-    at the same p.  Per left path, each side adds its stored nonzero terms
+    (scalars.kronecker_form) under m or _Fold(m), where an instance fails
+    iff its sides differ mod m, or for exact sides the table's own values
+    under _EXACT, where x % _EXACT is x.  An instance pairs a left path va,
+    vb, vc (basis vectors of Hom(i x j, m), Hom(m x k, n), Hom(n x l, p))
+    with a right path vd, ve, vf (of Hom(k x l, q), Hom(j x q, s),
+    Hom(i x s, p)) ending at the same p.  Per left path, each side adds its stored nonzero terms
     into a dict keyed by right path: the left side over rows[va][vb],
     rows[vpsi][vc] and rows[vt][vk], the right over rows[vb][vc] and
     rows[va][veps], times (-1)**(s(va) s(vd)) under parities (None for the
@@ -112,6 +116,42 @@ class _Exact:
 
 _EXACT = _Exact()
 
+# A fold strips about k - (the bits of r); below 320 one x % m was as cheap
+# (CPython 3.11 on a 2-vCPU host, x a product of two residues: 2**k + 1 broke
+# even at 260-290 bits, the Phi_24 form, r of k/2 bits, at about 700)
+FOLD_MIN_BITS = 320
+
+
+class _Fold:
+    """m = 2**k + r with |r| < 2**(k/2): x % _Fold(m, k) is x % m.
+
+    As 2**k = -r mod m, x = hi 2**k + lo folds to lo - hi r, of at most
+    max(k, b - k/2) + 1 bits for x of b bits, until x has at most k + 2;
+    one x % m with a quotient of a few bits ends it.
+    """
+
+    __slots__ = ("m", "k", "mask", "r", "limit")
+
+    def __init__(self, m, k):
+        self.m, self.k, self.mask, self.r, self.limit = m, k, (1 << k) - 1, m - (1 << k), k + 2
+
+    def __rmod__(self, x):
+        k, limit = self.k, self.limit
+        while x.bit_length() > limit:
+            x = (x & self.mask) - (x >> k) * self.r
+        return x % self.m
+
+
+def _reducer(m):
+    """_Fold(m, k) where folding is cheaper than x % m, else m.  2**k is the
+    power of 2 nearest m, so r = m - 2**k may be negative (Phi_24(w) = w**8
+    - w**4 + 1).  The fold is chosen where r has at most half of k's bits
+    (every power-of-two N, where r = 1, and N = 12 or 24, not a prime N)
+    and each fold strips at least FOLD_MIN_BITS."""
+    k = min(m.bit_length() - 1, m.bit_length(), key=lambda k: abs(m - (1 << k)))
+    spare = abs(m - (1 << k)).bit_length()
+    return _Fold(m, k) if 2 * spare <= k and k - spare >= FOLD_MIN_BITS else m
+
 
 def _term_bounds(data):
     """(M, C): the largest multiplicity N^ab_c and the largest sum_c N^ab_c."""
@@ -120,11 +160,12 @@ def _term_bounds(data):
 
 
 def _compile(data, entries):
-    """The scan form (m, rows of ints) of a table's entries.  A left side
-    sums at most C M**2 products, a right side M (see _term_bounds)."""
+    """The scan form (_reducer(m), rows of ints) of a table's entries.  A
+    left side sums at most C M**2 products, a right side M (see
+    _term_bounds)."""
     nmax, widest = _term_bounds(data)
     modulus, ints = kronecker_form(entries.values(), widest * nmax**2, nmax)
-    return modulus, _rows(data, entries, ints)
+    return _reducer(modulus), _rows(data, entries, ints)
 
 
 def row_scan(data, entries, parities, max_violations):

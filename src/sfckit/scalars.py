@@ -15,10 +15,13 @@ order.  Values are immutable.
 The exhaustive scans (pentagon, super pentagon, 3-cocycle, 3-supercocycle)
 map every value to one int mod m = Phi_N(2**shift) (kronecker_form), an
 exact test of each identity: a product is one int multiply, and an
-instance holds iff its two sides agree mod m.  group_ring_reduce is the one
-reduction mod Phi_n (products, inverses, promotions, descent, zeta): a fold
-mod z^n - 1, then a division by the nonzero terms of Phi_n, which
-cyclotomic_polynomial builds as a Moebius product.  No cache holds more
+instance holds iff its two sides agree mod m.  shift comes from the
+smaller of two bounds on the cleared sides, one of them per term, where
+each product's own denominators cancel (the row engine reduces a large m
+by folding, _rowscan._Fold).  group_ring_reduce is the one reduction mod
+Phi_n (products, inverses, promotions, descent, zeta): a fold mod z^n - 1,
+then a division by the nonzero terms of Phi_n, which cyclotomic_polynomial
+builds as a Moebius product.  No cache holds more
 than O(phi(n)) ints per order.
 
 Two values are equal iff they agree after promoting both into Q(zeta_m) for
@@ -430,13 +433,18 @@ def kronecker_form(values, lhs_terms: int, rhs_terms: int) -> tuple[int, list[in
 
     L1(y) has two bounds, and shift comes from the smaller.  With D the
     lcm of the denominators and M the largest L1 of D * value, c = D**3
-    gives T_l M**3 + T_r D M**2 (T_l = lhs_terms, T_r = rhs_terms).  With
-    B the largest numerator L1 and dmax the largest denominator, c = the
-    product of the instance's own denominators, or D**3, whichever is less,
-    gives min(D**3, dmax**(3 T_l + 2 T_r)) (T_l B**3 + T_r B**2).  While D
-    shares a factor with m, shift grows by 1.  This is Kronecker
-    substitution, the evaluation trick behind FLINT (Harvey, J. Symb.
-    Comput. 44, 2009).
+    gives T_l M**3 + T_r D M**2 (T_l = lhs_terms >= 1, T_r = rhs_terms).
+    With B the largest numerator L1 and dmax the largest denominator, let c
+    be the product of all S = 3 T_l + 2 T_r denominators of the instance's
+    values.  In c x1 x2 x3 the term's own three denominators cancel, which
+    leaves its numerators times the other S - 3 denominators; in c y1 y2,
+    S - 2 remain.  Y, the sum of these integer multiples of products of
+    numerator polynomials, is unreduced, and any integer Y with Y(zeta_N)
+    = y serves the norm argument, so L1(y) <= T_l dmax**(S-3) B**3 +
+    T_r dmax**(S-2) B**2.  Both c divide a power of D, prime to m, so y
+    maps to 0 iff lhs - rhs does.  While D shares a factor with m, shift
+    grows by 1.  This is Kronecker substitution, the evaluation trick
+    behind FLINT (Harvey, J. Symb. Comput. 44, 2009).
     """
     values = list(values)
     keys = [(v.order, v.nums, v.den) for v in values]
@@ -447,10 +455,10 @@ def kronecker_form(values, lhs_terms: int, rhs_terms: int) -> tuple[int, list[in
     peak = max((sum(map(abs, v.nums)) for v in values), default=0)
     top = max((scale // v.den * sum(map(abs, v.nums)) for v in values), default=0)
     dmax = max((v.den for v in values), default=1)
-    own = min(scale**3, dmax ** (3 * lhs_terms + 2 * rhs_terms))
+    others = dmax ** (3 * lhs_terms + 2 * rhs_terms - 3)
     bound = min(
         lhs_terms * top**3 + rhs_terms * scale * top**2,
-        own * (lhs_terms * peak**3 + rhs_terms * peak**2),
+        others * (lhs_terms * peak**3 + rhs_terms * dmax * peak**2),
     )
     shift = (bound + 1).bit_length()
     poly = cyclotomic_polynomial(order)

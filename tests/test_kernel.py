@@ -586,9 +586,10 @@ def step_largest_denominator(values):
 
 
 def test_kernel_gauged_ising_times_z3():
-    # N = 24 and per-value denominators of about 32 bits, a modulus of 2816
-    # bits: the table and its sign-flip mutant against the reference at
-    # jobs 1 and 2, and a one-step mutant at jobs 1
+    # N = 24 and per-value denominators of about 32 bits, a modulus of 2048
+    # bits (2816 before the per-term bound), reduced by folding: the table
+    # and its sign-flip mutant against the reference at jobs 1 and 2, and a
+    # one-step mutant at jobs 1
     data, table = deligne_with_z3(*ising_exact_table())
     gauged = gauge(data, table, seed=2)
     values = list(gauged.entries.values())
@@ -745,6 +746,49 @@ def test_kronecker_bound_counts_denominators():
     assert not assert_cube_matches(cyclic_group(1), [[[value]]]).ok
 
 
+def row_scan_matches_reference(data, entries, parities=None):
+    """_rowscan.row_scan against reference_pentagon, at every violation:
+    the same instances, sides, total and checked; returns the reference."""
+    from sfckit import _rowscan
+
+    want = reference_pentagon("pentagon", data, entries, parities)
+    violations, total, checked = _rowscan.row_scan(data, entries, parities, None)
+    assert violations == want.violations
+    assert (total, checked) == (want.total_violations, want.checked)
+    return want
+
+
+def test_kronecker_bound_is_per_term():
+    # one object, F = a/d = -2/3.  Cleared by its instance's own five
+    # denominators, F**3 - F**2 is y = d**2 a**3 - d**3 a**2, whose L1 is the
+    # per-term bound d**2 |a|**3 + d**3 a**2 = 180 exactly.  D**3 clears it to
+    # a**3 - d a**2, again exactly its bound |a|**3 + d a**2 = 20, and m comes
+    # from the smaller: 2**5 - 1 > 20.  The row engine (called directly: rank
+    # 1 is a group's rules) and the G^4 kernel both still fail it
+    a, d = -2, 3
+    value = Cyclotomic.rational(Fraction(a, d))
+    assert d**5 * (value**3 - value**2) == d**2 * a**3 - d**3 * a**2 == -(d**2 * abs(a) ** 3 + d**3 * a**2)
+    assert d**3 * (value**3 - value**2) == a**3 - d * a**2 == -(abs(a) ** 3 + d * a**2)
+    assert kronecker_form([value], 1, 1)[0] == 2**5 - 1
+    data = FusionData(["1"], 0, {(0, 0, 0): 1})
+    entries = {(0,) * 6 + (1,) * 4: value}
+    assert not row_scan_matches_reference(data, entries).ok
+    assert not assert_pentagon_matches(data, SixJTable(entries)).ok
+    assert not assert_cube_matches(cyclic_group(1), [[[value]]]).ok
+    # on Z/2 (N = 2) with values 1, -1, 1/3 and -1/5, the per-term bound is
+    # the smaller: 5**2 + 5**3 = 150 against 15**3 + 15 * 15**2 = 6750, so
+    # m = 2**8 + 1.  Over all five denominators the bound was 2 * 5**5 =
+    # 6250, and m = 2**16 + 1, the first Phi_2(2**shift) from 2**13 + 1 on
+    # that is prime to 15
+    entry = build_entry("vec-zn", 2)
+    keys = sorted(entry.sixj.entries)
+    third, fifth = Cyclotomic.rational(Fraction(1, 3)), Cyclotomic.rational(Fraction(-1, 5))
+    entries = {**entry.sixj.entries, keys[3]: third, keys[6]: fifth}
+    assert kronecker_form(entries.values(), 1, 1)[0] == 2**8 + 1
+    assert row_scan_matches_reference(entry.data, entries).total_violations > 0
+    assert not assert_pentagon_matches(entry.data, SixJTable(entries)).ok
+
+
 def per_value_kronecker_form(values, lhs_terms, rhs_terms):
     """The reference for kronecker_form: its bound statistics and its ints
     taken value by value, with no sharing between equal values."""
@@ -754,8 +798,9 @@ def per_value_kronecker_form(values, lhs_terms, rhs_terms):
     peak = max((sum(map(abs, v.nums)) for v in values), default=0)
     top = max((scale // v.den * sum(map(abs, v.nums)) for v in values), default=0)
     dmax = max((v.den for v in values), default=1)
-    own = min(scale**3, dmax ** (3 * lhs_terms + 2 * rhs_terms))
-    bound = min(lhs_terms * top**3 + rhs_terms * scale * top**2, own * (lhs_terms * peak**3 + rhs_terms * peak**2))
+    terms = 3 * lhs_terms + 2 * rhs_terms
+    per_term = lhs_terms * dmax ** (terms - 3) * peak**3 + rhs_terms * dmax ** (terms - 2) * peak**2
+    bound = min(lhs_terms * top**3 + rhs_terms * scale * top**2, per_term)
     shift = (bound + 1).bit_length()
     poly = cyclotomic_polynomial(order)
     while True:
@@ -804,6 +849,52 @@ def test_kronecker_form_equals_the_per_value_map():
             want = per_value_kronecker_form(values, *terms)
             assert kronecker_form(values, *terms) == want, label
             assert kronecker_form(iter(values), *terms) == want, label
+
+
+def cyclotomic_modulus(n, shift):
+    """Phi_n(2**shift), the m of kronecker_form."""
+    return sum(c << (i * shift) for i, c in enumerate(cyclotomic_polynomial(n)))
+
+
+@pytest.mark.parametrize("n, shift", [(8, 100), (16, 50), (12, 200), (24, 100)])
+def test_fold_reduces_like_the_int(n, shift):
+    # m = 2**k + r, r = 1 for N = 8 and 16 and -(2**(k/2)) + 1 for 12 and 24:
+    # x % _Fold(m) is x % m on both signs, from 0 to 3k bits
+    from sfckit import _rowscan
+
+    m = cyclotomic_modulus(n, shift)
+    fold = _rowscan._reducer(m)
+    k = euler_phi(n) * shift
+    assert isinstance(fold, _rowscan._Fold) and (fold.m, fold.k, fold.r) == (m, k, m - 2**k)
+    assert (fold.r > 0) == (n in (8, 16))
+    rng = random.Random(n)
+    xs = [0, 1, m - 1, m, m + 1, 2**k, 2 * m, m * m, (m - 1) ** 2, 2 ** (3 * k) - 1]
+    xs += [rng.getrandbits(rng.randint(1, 3 * k)) for _ in range(300)]
+    for x in xs:
+        assert x % fold == x % m and -x % fold == -x % m, x
+
+
+def test_reducer_gate_keeps_the_int():
+    # a prime N, where |r| has nearly all of k's bits, and an m whose fold
+    # strips fewer than FOLD_MIN_BITS, keep x % m
+    from sfckit import _rowscan
+
+    prime, small = cyclotomic_modulus(7, 200), cyclotomic_modulus(8, _rowscan.FOLD_MIN_BITS // 4)
+    assert _rowscan._reducer(prime) is prime and _rowscan._reducer(small) is small
+    assert isinstance(_rowscan._reducer(cyclotomic_modulus(8, _rowscan.FOLD_MIN_BITS // 4 + 1)), _rowscan._Fold)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_row_scan_through_the_fold_matches_the_reference(n):
+    # the gauged Ising x Z/n tables of perfbench/gen (N = 8 and 24), compiled
+    # to a _Fold, and their sign-flip mutants
+    from sfckit import _rowscan
+
+    data, table = ising_times_zn(n)
+    gauged = gen_gauge(data, table, seed=1)
+    assert isinstance(_rowscan._compile(data, gauged.entries)[0], _rowscan._Fold)
+    assert row_scan_matches_reference(data, gauged.entries).ok
+    assert row_scan_matches_reference(data, flip(gauged).entries).total_violations > 0
 
 
 # -- 6j invertibility ----------------------------------------------------------------------

@@ -31,6 +31,11 @@ def test_scan_cost_prints_the_cost_per_instance():
     assert [row["blocks"] for row in result.values()][:4] == [2**3, 3**3, 2**3, 4**3]
     # the rules of Z/n go to the G^4 kernel, the Ising rules to the row engine
     assert [row["path"] for row in result.values()] == ["group"] * 4 + ["row"] * 2
+    # the row engine reduces the small moduli of the pointed tables by x % m,
+    # and the 385-bit one of the gauged Ising table (N = 8) by folding
+    assert [row["reducer"] for row in result.values()] == ["int"] * 4 + ["fold"] * 2
+    assert [row["modulus_bits"] for row in result.values()][4:] == [385, 385]
+    assert all(0 < row["modulus_bits"] < 320 for row in list(result.values())[:4])
     for row in result.values():
         assert row["best_s"] > 0 and row["us_per_instance"] > 0
         assert row["row_engine"] == "sfckit._rowscan.row_scan"

@@ -14,7 +14,11 @@ instances checked.  ``path`` names the engine that ran: ``group`` where
 (``_cube.pentagon_scan``), else ``row``.  The same scan by the row engine
 alone gives ``row_best_s`` and ``row_us_per_instance``, and ``row_engine``
 names the function timed: ``sfckit._rowscan.row_scan``, or in older trees
-``fusion._row_scan`` or, before that, ``fusion._run_scan``.  Each input's
+``fusion._row_scan`` or, before that, ``fusion._run_scan``.
+``modulus_bits`` is the size of the row engine's modulus m
+(``_rowscan._compile``), and ``reducer`` says how its scan reduces mod m:
+``"int"`` by ``x % m``, ``"fold"`` by ``_rowscan._Fold``; both are
+``null`` in trees without ``_rowscan._compile``.  Each input's
 table is also checked by ``fusion.check_6j_invertibility``, N times:
 ``invertibility_best_s`` is the best time, ``blocks`` the blocks checked
 and ``us_per_block`` the best time over the blocks.  The inputs:
@@ -120,6 +124,19 @@ def one_job(scan):
     return scan
 
 
+def compiled_modulus(data, entries):
+    """(the bits of m, "int" or "fold") of the row engine's compiled table,
+    or (None, None) in a tree without _rowscan._compile."""
+    try:
+        from sfckit._rowscan import _compile
+    except ImportError:
+        return None, None
+    modulus = _compile(data, entries)[0]
+    if isinstance(modulus, int):
+        return modulus.bit_length(), "int"
+    return modulus.m.bit_length(), "fold"
+
+
 def measure(cases, repeat: int) -> dict:
     from sfckit import fusion
     from sfckit.reporting import DEFAULT_MAX_VIOLATIONS
@@ -133,6 +150,7 @@ def measure(cases, repeat: int) -> dict:
         row_best, _ = best_of(repeat, lambda: run_row_scan(*args))
         table = fusion.SixJTable(entries)
         inv_best, report = best_of(repeat, lambda: fusion.check_6j_invertibility(data, table))
+        bits, reducer = compiled_modulus(data, entries)
         out[label] = {
             "path": dispatched_path(lambda: run_scan(*args)),
             "best_s": round(best, 6),
@@ -142,6 +160,8 @@ def measure(cases, repeat: int) -> dict:
             "row_engine": f"{row_scan.__module__}.{row_scan.__name__}",
             "row_best_s": round(row_best, 6),
             "row_us_per_instance": round(row_best / checked * 1e6, 3),
+            "modulus_bits": bits,
+            "reducer": reducer,
             "invertibility_best_s": round(inv_best, 6),
             "blocks": report.checked,
             "us_per_block": round(inv_best / report.checked * 1e6, 3),
