@@ -737,6 +737,22 @@ def test_catalog_stdout(capsys):
     assert doc["kind"] == "fusion"
 
 
+def test_cli_import_starts_no_process_pool_machinery():
+    # every scan runs in the calling process: importing the CLI loads no
+    # concurrent.* module
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    code = "import sys, sfckit.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_a_check_loads_neither_dataclasses_nor_argparse(tmp_path):
     # the decorators exec generated code on every import and argparse
     # builds its parsers at every start, and no .pyc file caches either
@@ -763,18 +779,15 @@ def test_a_check_loads_neither_dataclasses_nor_argparse(tmp_path):
         assert f"'{module}'" not in added, module
 
 
-def test_cli_import_and_a_jobs2_check_load_no_concurrent_module(tmp_path):
-    # every scan runs in the calling process: neither `import sfckit.cli`
-    # nor `check --jobs 2` loads concurrent.*, and the check still counts
-    # every instance of vec-zn 8
+def test_jobs2_below_the_pool_gate_loads_no_pool_machinery(tmp_path):
+    # every scan runs in the calling process: `check --jobs 2` loads no
+    # concurrent.* module and still counts every instance of vec-zn 8
     path = tmp_path / "vec-z8.json"
     assert main(["catalog", "vec-zn", "8", "-o", str(path)]) == EXIT_OK
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    loaded = "sorted(m for m in sys.modules if m.startswith('concurrent'))"
     code = (
-        f"import sys, sfckit.cli; print({loaded}, file=sys.stderr); "
-        "code = sfckit.cli.main(['check', sys.argv[1], '--jobs', '2', '--json']); "
-        f"print(code, {loaded}, file=sys.stderr)"
+        "import sys, sfckit.cli; code = sfckit.cli.main(['check', sys.argv[1], '--jobs', '2', '--json']); "
+        "print(code, sorted(m for m in sys.modules if m.startswith('concurrent')), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, str(path)],
@@ -783,5 +796,5 @@ def test_cli_import_and_a_jobs2_check_load_no_concurrent_module(tmp_path):
         text=True,
         timeout=60,
     )
-    assert proc.stderr.splitlines() == ["[]", "0 []"], proc.stderr
+    assert proc.stderr.strip() == "0 []"
     assert json.loads(proc.stdout)["checks"][-1]["checked"] == 4096
