@@ -12,7 +12,7 @@ def handle(args) -> int:
     mv = args.max_violations
 
     if cf.kind == "fusion":
-        from .fusion import SixJTable, _check_pentagon, _require_on_support, validate_fusion, validate_sixj
+        from .fusion import SixJTable, _require_on_support, _scan_report, validate_fusion, validate_sixj
 
         if which not in ("pentagon", "all"):
             raise SchemaError(f"check {which!r} does not apply to a fusion file")
@@ -24,7 +24,8 @@ def handle(args) -> int:
         if ok:
             if cf.sixj is None:
                 run.note("no 6j table in input; pentagon runs against the empty table")
-            ok &= run.add(_check_pentagon(cf.fusion, table, sixj, mv))
+            missing = sixj.law("completeness").violations
+            ok &= run.add(_scan_report("pentagon", cf.fusion, table, None, missing, mv))
     elif cf.kind == "superfusion":
         from .fusion import SixJTable
         from .superfusion import check_super_pentagon, check_support, validate_superfusion

@@ -7,7 +7,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 
-from .serialize import FORMAT_VERSION, KINDS, CategoryFile, _once, scalar_to_json
+from .serialize import FORMAT_VERSION, KINDS, CategoryFile, _once
 
 
 @lru_cache(maxsize=None)
@@ -36,23 +36,17 @@ def _records(rows, depth: int) -> str:
     return _join([start + sep.join(row) + end for row in rows], depth)
 
 
-def _render(x, depth: int = 0) -> str:
-    """json.dumps(x, sort_keys=True, indent=2) for the dicts, lists, strs and
-    ints of a scalar object, indented as at depth."""
-    if type(x) is str:
-        return _quote(x)
-    if type(x) is int:
-        return str(x)
-    if type(x) is list:  # coefficient pairs: their ints inline
-        return _join([str(v) if type(v) is int else _render(v, depth + 1) for v in x], depth)
-    if type(x) is not dict:
-        raise TypeError(f"an sfc-1 document holds no {type(x).__name__}")
-    return _join([_quote(k) + ": " + _render(x[k], depth + 1) for k in sorted(x)], depth, "{}")
-
-
 def _scalar_text(depth: int):
-    """x -> the text of scalar_to_json(x) at depth, once per distinct value."""
-    return _once(lambda x: _render(scalar_to_json(x), depth), attrgetter("order", "nums", "den"))
+    """x -> the text of scalar_to_json(x) at depth, from x._reduced, once per distinct value."""
+
+    def text(x) -> str:
+        order, pairs = x._reduced()
+        if order == 1 and pairs[0][1] == 1:
+            return str(pairs[0][0])
+        coeffs = _records(([str(n), str(d)] for n, d in pairs), depth + 1)
+        return _object({"coeffs": coeffs, "order": str(order)}, depth)
+
+    return _once(text, attrgetter("order", "nums", "den"))
 
 
 def _fusion_fields(cf: CategoryFile) -> dict[str, str]:

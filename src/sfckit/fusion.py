@@ -364,12 +364,7 @@ def check_pentagon(
     warning.  ``jobs`` is accepted and ignored: every scan runs in the
     calling process.
     """
-    return _check_pentagon(data, table, validate_sixj(data, table), max_violations)
-
-
-def _check_pentagon(data, table, validation, max_violations) -> CheckReport:
-    """check_pentagon with validation = validate_sixj(data, table) already
-    made by the caller, whose support and missing-entry lists it reuses."""
+    validation = validate_sixj(data, table)
     _require_on_support(validation.law("support").violations)
     return _scan_report("pentagon", data, table, None, validation.law("completeness").violations, max_violations)
 

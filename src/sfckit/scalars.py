@@ -4,10 +4,10 @@ A value is the integer numerators of its coefficients in the power basis
 1, z, ..., z^(phi(n)-1) of Q[z]/Phi_n(z), Phi_n the n-th cyclotomic
 polynomial, over one positive integer denominator, in lowest terms: the
 integer form of FLINT's fmpq_poly.  Phi_n is irreducible over Q, so every
-nonzero value is invertible.  Arithmetic runs on ints, with no floats;
-fractions.Fraction is imported only to build or test one: coeffs (so str
-and rational_value) and a non-int coefficient in __init__; _coerce looks
-it up in sys.modules, as no Fraction exists before its module is loaded.
+nonzero value is invertible.  Arithmetic and output (_reduced: str, the
+sfc-1 codec and writer) run on ints, with no floats; fractions.Fraction is
+imported only for coeffs (so rational_value) and a non-int coefficient in
+__init__; _coerce finds it in sys.modules, as none exists before loading.
 The power basis is a Z-basis of Z[zeta_n], the ring of integers, so the
 denominator (the least d with d * value integral) does not depend on the
 order.  Values are immutable.
@@ -373,15 +373,21 @@ class Cyclotomic:
     def __repr__(self):
         return f"Cyclotomic({self})"
 
-    def __str__(self):
+    def _reduced(self) -> tuple[int, list[tuple[int, int]]]:
+        """The conductor and each coefficient there as (numerator, denominator) in lowest terms."""
         c = self.canonical()
-        if c.order == 1:
-            return str(c.coeffs[0])
+        return c.order, [(n // g, c.den // g) for n in c.nums for g in (gcd(n, c.den),)]
+
+    def __str__(self):
+        order, pairs = self._reduced()
+        texts = [str(n) if d == 1 else f"{n}/{d}" for n, d in pairs]
+        if order == 1:
+            return texts[0]
         terms = []
-        for k, q in enumerate(c.coeffs):
-            z = f"z{c.order}" if k == 1 else f"z{c.order}^{k}"
-            if q:
-                terms.append(str(q) if k == 0 else z if q == 1 else f"-{z}" if q == -1 else f"{q}*{z}")
+        for k, q in enumerate(texts):
+            z = f"z{order}" if k == 1 else f"z{order}^{k}"
+            if q != "0":
+                terms.append(q if k == 0 else z if q == "1" else f"-{z}" if q == "-1" else f"{q}*{z}")
         return " + ".join(terms).replace("+ -", "- ")
 
 

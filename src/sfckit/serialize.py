@@ -6,19 +6,19 @@ Scalars are encoded as {"order": n, "coeffs": [[num, den], ...]} with a bare
 integer allowed for rational integers.  Saving is deterministic (sorted keys,
 sorted records, canonical scalar forms), so save(load(f)) is byte-identical
 for canonically formatted files: exactly json.dumps(doc, sort_keys=True,
-indent=2) + "\n".  dumps_file writes each record straight to that text in
-one pass, by the writer of _writer, which it imports on first use: reading
-a file does not compile the writer.  Reading decodes each distinct scalar
-once, and a location is formatted only for an error.  The field arithmetic
-(scalars) is imported by the decoder of a 6j table or of a group's cocycles,
-so reading rules alone does not compile it.
+indent=2) + "\n", which dumps_file writes in one pass by _writer, imported
+on first use.  The decoder makes each check of the constructors of what it
+returns, a fault at its own location, and builds it unchecked; it decodes
+each distinct scalar once, and formats a location only for an error.  The
+field arithmetic (scalars) is imported by the decoder of a 6j table or of
+a group's cocycles, so reading rules alone does not compile it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from math import gcd, lcm
+from math import lcm
 
 from .reporting import _unchecked
 
@@ -45,10 +45,10 @@ def sha256_digest(data: bytes) -> str:
 
 
 def scalar_to_json(x: Cyclotomic):
-    c = x.canonical()
-    if c.order == 1 and c.den == 1:
-        return c.nums[0]
-    return {"order": c.order, "coeffs": [[n // gcd(n, c.den), c.den // gcd(n, c.den)] for n in c.nums]}
+    order, pairs = x._reduced()
+    if order == 1 and pairs[0][1] == 1:
+        return pairs[0][0]
+    return {"order": order, "coeffs": [list(pair) for pair in pairs]}
 
 
 def _once(convert, key):
@@ -293,14 +293,14 @@ def _decode_superfusion(payload: dict, where: str) -> CategoryFile:
 _LEVELS = ("entries", "rows", "planes")
 
 
-def _decode_table(obj, n: int, depth: int, leaf, where: str, *path) -> list:
-    """A nested n x ... x n list (depth levels: rows of entries, planes of
+def _decode_table(obj, n: int, depth: int, leaf, where: str, *path) -> tuple:
+    """A nested n x ... x n tuple (depth levels: rows of entries, planes of
     rows) with each entry decoded by leaf(value, where, *path)."""
     items = _expect_list(obj, where, *path)
     _expect(len(items) == n, f"expected {n} {_LEVELS[depth - 1]}", where, *path)
     if depth == 1:
-        return [leaf(x, where, *path, pos) for pos, x in enumerate(items)]
-    return [_decode_table(x, n, depth - 1, leaf, where, *path, pos) for pos, x in enumerate(items)]
+        return tuple([leaf(x, where, *path, pos) for pos, x in enumerate(items)])
+    return tuple([_decode_table(x, n, depth - 1, leaf, where, *path, pos) for pos, x in enumerate(items)])
 
 
 def _bit(value, where: str, *path) -> int:
@@ -309,7 +309,7 @@ def _bit(value, where: str, *path) -> int:
 
 
 def _decode_group(payload: dict, where: str) -> CategoryFile:
-    from .cocycles import CocycleError, GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2
+    from .cocycles import GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2
 
     gobj = payload.get("group")
     _expect(isinstance(gobj, dict), "expected a group object", f"{where}.group")
@@ -318,36 +318,39 @@ def _decode_group(payload: dict, where: str) -> CategoryFile:
     flat = _expect_list(gobj.get("product"), f"{where}.group.product")
     _expect(len(flat) == order * order, f"expected {order * order} row-major entries", f"{where}.group.product")
     for pos, x in enumerate(flat):
-        _expect_int(x, where, ".group.product", pos)
+        if not 0 <= _expect_int(x, where, ".group.product", pos) < order:
+            _fail(f"group table entry {x} out of range", where, ".group.product", pos)
     identity = _expect_int(gobj.get("identity"), f"{where}.group.identity")
+    _expect(0 <= identity < order, f"identity index {identity} out of range", f"{where}.group.identity")
     labels = gobj.get("labels")
-    if labels is not None:
+    if labels is None:
+        labels = [str(x) for x in range(order)]
+    else:
         _label_map(_expect_list(labels, f"{where}.group.labels"), f"{where}.group.labels")
-    product = [flat[r * order : (r + 1) * order] for r in range(order)]
-    try:
-        group = GroupTable(product, identity, labels)
-    except CocycleError as exc:
-        raise SchemaError(f"{where}.group: {exc}") from None
+        _expect(len(labels) == order, "labels must be distinct and match the group order", f"{where}.group.labels")
+    product = tuple([tuple(flat[r * order : (r + 1) * order]) for r in range(order)])
+    group = _unchecked(GroupTable, order=order, product=product, identity=identity, labels=tuple(labels))
 
     if "cocycle" in payload or "supercocycle" in payload:
         scalar = _scalar_reader()  # so that an omega-only file loads no field arithmetic
 
-    def cube(name, make):
-        w = f"{where}.{name}"
-        values = _decode_table(payload[name], order, 3, scalar, w)
-        try:
-            return make(values)
-        except CocycleError as exc:
-            raise SchemaError(f"{w}: {exc}") from None
+    def nonzero(obj, w, *path):
+        x = scalar(obj, w, *path)
+        if x.is_zero():
+            _fail(f"cocycle value at {path} is zero; values must lie in k^x", w, *path)
+        return x
+
+    def cube(name):
+        return _decode_table(payload[name], order, 3, nonzero, f"{where}.{name}")
 
     omega = cocycle = supercocycle = None
     if "omega" in payload:
-        omega = TwoCocycleZ2(_decode_table(payload["omega"], order, 2, _bit, f"{where}.omega"))
+        omega = _unchecked(TwoCocycleZ2, values=_decode_table(payload["omega"], order, 2, _bit, f"{where}.omega"))
     if "cocycle" in payload:
-        cocycle = cube("cocycle", ThreeCocycle)
+        cocycle = _unchecked(ThreeCocycle, values=cube("cocycle"))
     if "supercocycle" in payload:
         _expect(omega is not None, "a supercocycle needs an omega table", f"{where}.supercocycle")
-        supercocycle = cube("supercocycle", lambda values: SuperCocycle(omega, values))
+        supercocycle = _unchecked(SuperCocycle, omega=omega, values=cube("supercocycle"))
     return group_file(group, omega, cocycle, supercocycle)
 
 

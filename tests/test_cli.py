@@ -259,6 +259,18 @@ def test_check_validates_a_fusion_table_once(tmp_path, monkeypatch, capsys):
     assert names == ["fusion data", "6j table", "pentagon"]
 
 
+def test_check_gates_support_once(tmp_path, monkeypatch, capsys):
+    # the command gates the table on its support once, before validate_fusion,
+    # and hands the scan only the missing entries
+    path = tmp_path / "vec-z3.json"
+    assert main(["catalog", "vec-zn", "3", "-o", str(path)]) == EXIT_OK
+    real_gate, calls = fusion._require_on_support, []
+    monkeypatch.setattr(fusion, "_require_on_support", lambda bad: calls.append(list(bad)) or real_gate(bad))
+    assert main(["check", str(path)]) == EXIT_OK
+    assert calls == [[]]
+    capsys.readouterr()
+
+
 def test_check_counts_a_tableless_scan(tmp_path, monkeypatch, capsys):
     # ck 22 has 179 349 372 instances, every one 0 = 0 against the empty
     # table: they are counted, not scanned

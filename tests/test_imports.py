@@ -5,8 +5,9 @@ a user's command does, and pins the sfckit modules (and any process-pool
 machinery) loaded when the command returns: the front end, the command's
 own handler module and no other, and its engines.  The field arithmetic
 (sfckit.scalars) loads only with a 6j table or a group's 3-(super)cocycle,
-and no command loads the 6j invertibility module.  No passing command loads
-fractions or decimal: a value's coefficients are ints until one is printed.
+and no command loads the 6j invertibility module.  No command loads
+fractions or decimal, not even a failing check that prints its violations:
+a value is printed and written from its int numerators and denominator.
 """
 
 import json
@@ -17,11 +18,12 @@ import sys
 
 import pytest
 
-from sfckit.catalog import build_entry, omega_product_z2, z2_supercocycle
-from sfckit.cli import EXIT_OK, main
-from sfckit.cocycles import cyclic_group
+from sfckit.catalog import build_entry, omega_product_z2, standard_three_cocycle, z2_supercocycle
+from sfckit.cli import EXIT_CHECK_FAILED, EXIT_OK, main
+from sfckit.cocycles import ThreeCocycle, cyclic_group
 from sfckit.serialize import dumps_file, fusion_file, group_file, superfusion_file
-from tests.test_fusion import ising_exact_table
+from tests.test_fusion import ising_broken_table, ising_exact_table
+from tests.test_kernel import flip, flip_cube
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.serialize"}
@@ -64,6 +66,14 @@ def inputs(tmp_path_factory):
     paths = {"group": root / "gz2.json", "fusion": root / "vec-z3.json", "super": root / "super-z2.json"}
     paths["ising"], paths["rules"] = root / "ising.json", root / "ck6.json"
     paths["omega"] = root / "omega-z2.json"
+    # mutants whose check fails: group rules, rules for the row engine, a cube
+    paths["vec_flipped"], paths["ising_flipped"] = root / "vec-z3-flipped.json", root / "ising-flipped.json"
+    paths["cube_flipped"] = root / "z3-flipped.json"
+    vec = build_entry("vec-zn", 3)
+    paths["vec_flipped"].write_text(dumps_file(fusion_file(vec.data, flip(vec.sixj))))
+    paths["ising_flipped"].write_text(dumps_file(fusion_file(*ising_broken_table())))
+    cube = ThreeCocycle(flip_cube(standard_three_cocycle(3).values, (1, 1, 1)))
+    paths["cube_flipped"].write_text(dumps_file(group_file(cyclic_group(3), cocycle=cube)))
     paths["omega"].write_text(dumps_file(group_file(cyclic_group(2), omega_product_z2())))
     paths["group"].write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
     paths["rules"].write_text(dumps_file(superfusion_file(build_entry("ck", 6).data)))
@@ -144,6 +154,22 @@ def test_command_leaves_the_engines_it_does_not_run_unloaded(argv, absent, input
     code, loaded = loaded_after(argv.format(out=tmp_path / "out.json", **inputs).split())
     assert code == EXIT_OK
     assert not loaded & absent
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        ("check {vec_flipped}", {"sfckit.fusion", "sfckit._cube", SCALARS}),
+        ("check {ising_flipped}", {"sfckit.fusion", ROW_ENGINE, SCALARS}),
+        ("check {cube_flipped}", {"sfckit.cocycles", "sfckit._cube", SCALARS}),
+        ("check {cube_flipped} --json", {"sfckit.cocycles", "sfckit._cube", SCALARS}),
+    ],
+)
+def test_a_failing_check_prints_its_violations_without_fractions(argv, extra, inputs):
+    # the printed sides are exact values: str formats them from ints
+    code, loaded = loaded_after(argv.format(**inputs).split())
+    assert code == EXIT_CHECK_FAILED
+    assert loaded == CLI | {"sfckit._cmd_check"} | extra
 
 
 def test_loading_a_file_loads_no_writer(inputs):

@@ -6,12 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from sfckit._writer import _render
 from sfckit.catalog import build_entry, ising_super, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INPUT_ERROR, main
-from sfckit.cocycles import GroupTable, cyclic_group, lift_supercocycle
+from sfckit.cocycles import GroupTable, ThreeCocycle, cyclic_group, lift_supercocycle
 from sfckit.envelope import underlying_fusion_rules, verify_lift
-from sfckit.fusion import FusionData
+from sfckit.fusion import FusionData, SixJTable
 from sfckit.scalars import Cyclotomic, root_of_unity
 from sfckit.serialize import (
     FORMAT_VERSION,
@@ -256,7 +255,8 @@ def test_group_document_errors():
         (lambda p: p["supercocycle"][1].pop(), r"payload\.supercocycle\[1\]: expected 2 rows"),
         (lambda p: p["supercocycle"][1][0].pop(), r"payload\.supercocycle\[1\]\[0\]: expected 2 entries"),
         (lambda p: p["supercocycle"][1][0].__setitem__(1, 1.5), r"payload\.supercocycle\[1\]\[0\]\[1\]: expected an"),
-        (lambda p: p["supercocycle"][0][0].__setitem__(0, 0), r"payload\.supercocycle: cocycle value at \(0, 0, 0\) is zero"),
+        (lambda p: p["supercocycle"][0][0].__setitem__(0, 0),
+         r"payload\.supercocycle\[0\]\[0\]\[0\]: cocycle value at \(0, 0, 0\) is zero"),
         (lambda p: p.update(cocycle=p["supercocycle"][:1]), r"payload\.cocycle: expected 2 planes"),
     ],
     ids=["omega rows", "omega entries", "omega bool", "omega float", "cube planes", "cube rows",
@@ -298,7 +298,7 @@ def reference_fusion_payload(data, table) -> dict:
     }
     if table is not None:
         payload["sixj"] = [
-            [*(labels[x] for x in key[:6]), *key[6:], scalar_to_json(value)] for key, value in sorted(table.entries.items())
+            [*(labels[x] for x in key[:6]), *key[6:], reference_scalar(value)] for key, value in sorted(table.entries.items())
         ]
     return payload
 
@@ -318,8 +318,29 @@ def reference_group_payload(cf) -> dict:
     for name in ("cocycle", "supercocycle"):
         table = getattr(cf, name)
         if table is not None:
-            payload[name] = [[[scalar_to_json(x) for x in row] for row in plane] for plane in table.values]
+            payload[name] = [[[reference_scalar(x) for x in row] for row in plane] for plane in table.values]
     return payload
+
+
+def reference_scalar(x):
+    """The JSON form of x, from its Fraction coefficients at its conductor."""
+    c = x.canonical()
+    if c.order == 1 and c.coeffs[0].denominator == 1:
+        return c.coeffs[0].numerator
+    return {"order": c.order, "coeffs": [[q.numerator, q.denominator] for q in c.coeffs]}
+
+
+def reference_str(x) -> str:
+    """str(x), from its Fraction coefficients at its conductor."""
+    c = x.canonical()
+    if c.order == 1:
+        return str(c.coeffs[0])
+    terms = []
+    for k, q in enumerate(c.coeffs):
+        z = f"z{c.order}" if k == 1 else f"z{c.order}^{k}"
+        if q:
+            terms.append(str(q) if k == 0 else z if q == 1 else f"-{z}" if q == -1 else f"{q}*{z}")
+    return " + ".join(terms).replace("+ -", "- ")
 
 
 def oracle(doc) -> str:
@@ -395,26 +416,30 @@ def test_writer_equals_reference_on_edge_labels():
     assert_writer_matches_reference(group_file(edge_group, cocycle=standard_three_cocycle(8)))
 
 
-def test_render_equals_json_dumps_on_edge_documents():
-    scalar = {"order": 4, "coeffs": [[0, 1], [-1, 3]]}
-    docs = [
-        {"labels": EDGE_LABELS, "map": {lab: lab for lab in EDGE_LABELS}},
-        {"empty list": [], "empty dict": {}, "nested": [[], {}, [[]], [{}]], "x": {"y": {}}},
-        {"big": -(10**40), "ints": [0, -1, 10**30, -(2**64)], "zero": 0},
-        # one dict object at two depths
-        {"a": scalar, "b": [scalar, [scalar, {"c": scalar}]], "d": {"e": scalar}},
-        [scalar, [scalar]],
-        "just a string",
-        -7,
+def huge_and_negative_values():
+    """Values with numerators and denominators of 40 to 133 digits, of both signs."""
+    big = 10**40 + 7
+    return [
+        Cyclotomic.rational(-(big**3)),
+        Cyclotomic.rational(Fraction(-(2**200), 3**70)),
+        Cyclotomic.from_nums(8, [-big, 0, big**2, -3], 7**50),
+        Cyclotomic.from_nums(3, [big, -(big**3)], 1),
     ]
-    for doc in docs:
-        assert _render(doc) == oracle(doc)
 
 
-@pytest.mark.parametrize("value", [1.5, True, None, ("a",), {1: 2}])
-def test_render_refuses_what_no_document_holds(value):
-    with pytest.raises(TypeError):
-        _render({"payload": [value]})
+def test_writer_equals_reference_on_huge_and_negative_numerators():
+    # in a sixj record (depth 4) and in a cube (depth 5)
+    values = huge_and_negative_values()
+    entry = build_entry("vec-zn", 2)
+    keys = sorted(entry.sixj.entries)
+    entries = {**entry.sixj.entries, **dict(zip(keys, values))}
+    assert_writer_matches_reference(fusion_file(entry.data, SixJTable(entries)))
+    g = cyclic_group(2)
+    cube = [[[values[(4 * a + 2 * b + c) % 4] for c in range(2)] for b in range(2)] for a in range(2)]
+    assert_writer_matches_reference(group_file(g, cocycle=ThreeCocycle(cube)))
+    for x in values:
+        assert scalar_to_json(x) == reference_scalar(x)
+        assert str(x) == reference_str(x)
 
 
 # -- decoder locations ---------------------------------------------------------------------
@@ -468,7 +493,7 @@ DECODER_FAULTS = [
     ("superfusion", ("parities", 15, "+"), None, "payload.parities[16]: duplicate parity record"),
     ("group", ("cocycle", 5, 4, 3), True, "payload.cocycle[5][4][3]: expected a scalar, got a boolean"),
     ("group", ("cocycle", 5, 4, 3), "1", "payload.cocycle[5][4][3]: expected an integer or a scalar object"),
-    ("group", ("cocycle", 5, 4, 3), 0, "payload.cocycle: cocycle value at (5, 4, 3) is zero; values must lie in k^x"),
+    ("group", ("cocycle", 5, 4, 3), 0, "payload.cocycle[5][4][3]: cocycle value at (5, 4, 3) is zero; values must lie in k^x"),
     ("group", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 0]]},
      "payload.cocycle[5][4][3].coeffs[1]: zero denominator"),
     ("group", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": [[0, 1], [-1, 1], [1, 1]]},
@@ -480,6 +505,10 @@ DECODER_FAULTS = [
     ("group", ("cocycle", 5, 4, 3), {"order": 3, "coeffs": []},
      "payload.cocycle[5][4][3].coeffs: expected a non-empty list"),
     ("group", ("cocycle", 5, 4), [1] * 5, "payload.cocycle[5][4]: expected 6 entries"),
+    ("group", ("group", "product", 33), 6, "payload.group.product[33]: group table entry 6 out of range"),
+    ("group", ("group", "product", 0), -1, "payload.group.product[0]: group table entry -1 out of range"),
+    ("group", ("group", "identity"), 6, "payload.group.identity: identity index 6 out of range"),
+    ("group", ("group", "labels"), ["0", "1"], "payload.group.labels: labels must be distinct and match the group order"),
 ]
 
 

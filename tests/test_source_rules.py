@@ -18,12 +18,14 @@ SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "sfck
 SLOW_TO_START = ("dataclasses", "argparse")
 SINGLE_PROCESS = ("concurrent", "multiprocessing", "threading")
 # (module, function): the only code that may name _unchecked.  The decoder
-# makes every check of the FusionData, SixJTable and SuperFusionData
-# constructors; the others derive their objects from data that has passed a
-# constructor or the decoder.
+# makes every check of the FusionData, SixJTable, SuperFusionData,
+# GroupTable, TwoCocycleZ2, ThreeCocycle and SuperCocycle constructors; the
+# others derive their objects from data that has passed a constructor or
+# the decoder.
 UNCHECKED_BUILDERS = {
     ("serialize", "_decode_fusion"),
     ("serialize", "_decode_superfusion"),
+    ("serialize", "_decode_group"),
     ("envelope", "underlying_fusion_rules"),
     ("envelope", "_twist"),
     ("cocycles", "lift_supercocycle"),

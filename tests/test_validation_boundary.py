@@ -1,10 +1,11 @@
 """The unchecked builder against the checked doors.
 
 Input is checked once: by the sfc-1 decoder, or by a public constructor for
-a library caller.  What the package derives from checked data (decoded
-fusion rules, superfusion rules and tables, the underlying category, the
-G_omega lift, pointed rules) is built by ``reporting._unchecked``, with no
-checks.  The public
+a library caller.  What the decoder returns (fusion rules, superfusion
+rules and tables, groups, omega tables and cubes) and what the package
+derives from checked data (the underlying category, the G_omega lift,
+pointed rules) is built by ``reporting._unchecked``, with no checks.  The
+public
 constructors stay the oracle: every unchecked object equals, field by field
 and in its pickle, the object its constructor builds from the same fields;
 a mutated document either fails in the decoder with a location or decodes
@@ -12,23 +13,26 @@ to objects that the constructors accept unchanged; and no command on a
 benchmark input passes derived data through a public constructor.
 """
 
+import contextlib
 import copy
+import io
 import json
 import pickle
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sfckit.catalog import build_entry
-from sfckit.cli import main
-from sfckit.cocycles import GroupTable, ThreeCocycle, lift_supercocycle
+from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
+from sfckit.cli import EXIT_INPUT_ERROR, main
+from sfckit.cocycles import GroupTable, SuperCocycle, ThreeCocycle, TwoCocycleZ2, cyclic_group, lift_supercocycle
 from sfckit.envelope import lift_6j, underlying_fusion_rules
 from sfckit.fusion import FusionData, SixJTable
-from sfckit.serialize import SchemaError, dumps_file, fusion_file, load_file, loads_file
+from sfckit.serialize import SchemaError, dumps_file, fusion_file, group_file, load_file, loads_file
 from sfckit.superfusion import SuperFusionData
 from tests.test_kernel import CATALOG
 from tests.test_serialize import catalog_files
@@ -44,7 +48,9 @@ PUBLIC = {
     SixJTable: lambda x: SixJTable(x.entries),
     SuperFusionData: lambda x: SuperFusionData(x.base, x.parities, x.object_type),
     GroupTable: lambda x: GroupTable(x.product, x.identity, x.labels),
+    TwoCocycleZ2: lambda x: TwoCocycleZ2(x.values),
     ThreeCocycle: lambda x: ThreeCocycle(x.values),
+    SuperCocycle: lambda x: SuperCocycle(x.omega, x.values),
 }
 
 
@@ -73,8 +79,9 @@ def fields(obj) -> list:
 
 def derived(cf):
     """Every object the package builds unchecked from a category file: its
-    decoded rules and table, the underlying rules and lifted table of a
-    superfusion file, and the G_omega lift of a supercocycle."""
+    decoded rules and table, or group, omega table and cubes, the
+    underlying rules and lifted table of a superfusion file, and the
+    G_omega lift of a supercocycle."""
     if cf.kind == "fusion":
         yield cf.fusion
     elif cf.kind == "superfusion":
@@ -83,8 +90,10 @@ def derived(cf):
         yield underlying_fusion_rules(cf.superfusion)
         if cf.sixj is not None:
             yield lift_6j(cf.superfusion, cf.sixj)
-    elif cf.supercocycle is not None:
-        yield from lift_supercocycle(cf.group, cf.supercocycle)
+    else:
+        yield from (x for x in (cf.group, cf.omega, cf.cocycle, cf.supercocycle) if x is not None)
+        if cf.supercocycle is not None:
+            yield from lift_supercocycle(cf.group, cf.supercocycle)
     if cf.sixj is not None:
         yield cf.sixj
 
@@ -122,10 +131,9 @@ def test_benchmark_inputs_decode_and_lift_as_checked(plans, workload):
 
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_commands_on_benchmark_inputs_check_each_input_once(plans, workload, monkeypatch, capsys):
-    """Decoding a file calls no FusionData or SixJTable constructor, and the
-    ThreeCocycle constructor (SuperCocycle's too) once per cube in the file;
-    nothing a command derives goes through a constructor."""
-    calls = {FusionData: 0, SixJTable: 0, ThreeCocycle: 0}
+    """Decoding a file calls no public constructor (SuperCocycle's runs
+    ThreeCocycle's), and nothing a command derives goes through one."""
+    calls = dict.fromkeys([FusionData, SixJTable, GroupTable, TwoCocycleZ2, ThreeCocycle], 0)
 
     def counting(cls):
         init = cls.__init__
@@ -144,11 +152,8 @@ def test_commands_on_benchmark_inputs_check_each_input_once(plans, workload, mon
         calls.update(dict.fromkeys(calls, 0))
         code = main(op.args)
         capsys.readouterr()
-        with open(op.args[1]) as fh:
-            payload = json.load(fh)["payload"]
-        cubes = ("cocycle" in payload) + ("supercocycle" in payload)
         assert code == op.expect["exit"], op.args
-        assert calls == {FusionData: 0, SixJTable: 0, ThreeCocycle: cubes}, op.args
+        assert set(calls.values()) == {0}, (op.args, calls)
 
 
 # -- mutated documents ----------------------------------------------------------------------
@@ -209,3 +214,92 @@ def test_mutated_documents_fail_with_a_location_or_decode_as_checked(doc):
         return
     assert_as_checked(cf.fusion)
     assert_as_checked(cf.sixj)
+
+
+# group documents: Z/2 with a cocycle, omega and a supercocycle, and Z/3
+# with its own labels and a cocycle
+GROUP_DOCUMENTS = [
+    json.loads(dumps_file(group_file(cyclic_group(2), cocycle=standard_three_cocycle(2), supercocycle=z2_supercocycle(1)))),
+    json.loads(dumps_file(group_file(GroupTable(cyclic_group(3).product, 0, ["e", "g", "gg"]), cocycle=standard_three_cocycle(3)))),
+]
+INDEX_VALUES = [-1, 0, 1, 2, 3, True, 1.5, "0"]
+BIT_VALUES = [0, 1, 2, -1, True, 1.0]
+CUBE_VALUES = [
+    0, 1, -1, True, 1.5, "1",
+    {"order": 3, "coeffs": [0, [0, 5]]},  # zero, as a scalar object
+    {"order": 4, "coeffs": [[0, 1], [-1, 2]]},
+    {"order": 3, "coeffs": [[1, 0], 1]},
+]
+
+
+@st.composite
+def mutated_group_documents(draw):
+    """A base group document with one to three mutations, and the location
+    of each: a product entry, the identity, the labels (one dropped, added,
+    repeated or not a string, or all left out), an omega bit or a cube value."""
+    doc = copy.deepcopy(draw(st.sampled_from(GROUP_DOCUMENTS)))
+    payload, places = doc["payload"], []
+    group = payload["group"]
+    n = group["order"]
+    index = st.integers(0, n - 1)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["product", "identity", "labels", "omega", "cube"]))
+        if kind == "product":
+            pos = draw(st.integers(0, n * n - 1))
+            group["product"][pos] = draw(st.sampled_from(INDEX_VALUES))
+            places.append(f"payload.group.product[{pos}]")
+        elif kind == "identity":
+            group["identity"] = draw(st.sampled_from(INDEX_VALUES))
+            places.append("payload.group.identity")
+        elif kind == "labels":
+            change = draw(st.sampled_from(["drop", "add", "repeat", "int", "default"]))
+            labels = group.setdefault("labels", [str(x) for x in range(n)])
+            if change == "drop":
+                del labels[-1:]
+            elif change == "add":
+                labels.append("ghost")
+            elif change == "repeat":
+                labels[-1:] = labels[:1]
+            elif change == "int":
+                labels[:1] = [0]
+            else:
+                del group["labels"]
+            places.append("payload.group.labels")
+        elif kind == "omega" and "omega" in payload:
+            r, c = draw(index), draw(index)
+            payload["omega"][r][c] = draw(st.sampled_from(BIT_VALUES))
+            places.append(f"payload.omega[{r}][{c}]")
+        else:
+            name = draw(st.sampled_from([name for name in ("cocycle", "supercocycle") if name in payload]))
+            a, b, c = draw(index), draw(index), draw(index)
+            payload[name][a][b][c] = draw(st.sampled_from(CUBE_VALUES))
+            places.append(f"payload.{name}[{a}][{b}][{c}]")
+    return doc, places
+
+
+def check_exit_and_stderr(text: str) -> tuple[int, str]:
+    """The exit code and stderr of sfckit check on a file holding text."""
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "doc.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check", str(path)])
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_group_documents())
+def test_mutated_group_documents_fail_at_a_mutated_place_or_decode_as_checked(case):
+    doc, places = case
+    text = json.dumps(doc)
+    try:
+        cf = loads_file(text)
+    except SchemaError as exc:
+        where = str(exc).split(": ")[0]
+        assert any(where == p or where.startswith((p + ".", p + "[")) for p in places), (str(exc), places)
+        assert check_exit_and_stderr(text) == (EXIT_INPUT_ERROR, f"error: {exc}\n")
+        return
+    for obj in (cf.group, cf.omega, cf.cocycle, cf.supercocycle):
+        if obj is not None:
+            assert_as_checked(obj)

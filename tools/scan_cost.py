@@ -6,15 +6,14 @@ Usage: python tools/scan_cost.py [--src SRC] [--repeat N] [--tiny]
 SRC is the directory that holds the ``sfckit`` package (default: this
 checkout's ``src``), so the same script times any tree.  Each input is
 scanned by ``fusion._run_scan`` with the default ``--max-violations``
-(25) (and one job, in older trees whose scans take a job count), N times (default 7); the script prints one JSON
-object that maps each input to the best time in seconds, its instance and
-violation counts, and ``us_per_instance``, the best time over the
-instances checked.  ``path`` names the engine that ran: ``group`` where
+(25), N times (default 7); the script prints one JSON object that maps
+each input to the best time in seconds, its instance and violation
+counts, and ``us_per_instance``, the best time over the instances
+checked.  ``path`` names the engine that ran: ``group`` where
 ``_run_scan`` hands the rules of a group to the G^4 kernel
 (``_cube.pentagon_scan``), else ``row``.  The same scan by the row engine
 alone gives ``row_best_s`` and ``row_us_per_instance``, and ``row_engine``
-names the function timed: ``sfckit._rowscan.row_scan``, or in older trees
-``fusion._row_scan`` or, before that, ``fusion._run_scan``.
+names the function timed, ``sfckit._rowscan.row_scan``.
 ``modulus_bits`` is the size of the row engine's modulus m
 (``_rowscan._compile``), and ``reducer`` says how its scan reduces mod m:
 ``"int"`` by ``x % m``, ``"fold"`` by ``_rowscan._Fold``; both are
@@ -24,17 +23,17 @@ table is also checked by ``fusion.check_6j_invertibility``, N times:
 and ``us_per_block`` the best time over the blocks.  The inputs:
 
 - ``vec-zn 8`` and ``vec-zn 12``: catalog tables, one term per side, and
-  ``vec-zn 8 flipped``, with one entry negated
-  (``tests/test_kernel.flip``), so the time includes the exact sides of
+  ``vec-zn 8 flipped``, with its middle entry in key order negated
+  (``perfbench/gen.flip_entry``), so the time includes the exact sides of
   the kept violations;
 - ``lifted super-zn-even 4``: the lift (``envelope.lift_6j``) of that
   catalog table, on its underlying rules;
 - ``gauged ising x z2``: the ``general`` benchmark table
   (``perfbench/gen``, seed 1), generic values in Q(zeta_8) and two-term
   sides;
-- ``gauged ising x z3 flipped``: the same construction over Z/3 with one
-  entry negated (``tests/test_kernel.flip``), so the time includes the
-  exact witness pass on the kept violations.
+- ``gauged ising x z3 flipped``: the same construction over Z/3 with its
+  middle entry negated, so the time includes the exact witness pass on the
+  kept violations.
 
 ``--tiny`` scans the same families at their smallest sizes (Z/2, Z/3,
 ``super-zn-even 2``, Ising alone) for a quick smoke run.
@@ -43,7 +42,6 @@ and ``us_per_block`` the best time over the blocks.  The inputs:
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -58,9 +56,11 @@ def inputs(sizes) -> dict:
     """label -> (FusionData, table entries, parities)."""
     from sfckit.catalog import build_entry
     from sfckit.envelope import lift_6j, underlying_fusion_rules
-    from tests.test_kernel import flip
 
     import gen
+
+    def flip(table):
+        return gen.flip_entry(table, sorted(table.entries)[len(table.entries) // 2])
 
     cases = {}
     for n in sizes["vec"]:
@@ -105,25 +105,6 @@ def dispatched_path(scan) -> str:
     return "group" if ran else "row"
 
 
-def row_engine():
-    """The row engine's scan, in this tree or an older one."""
-    try:
-        from sfckit._rowscan import row_scan
-    except ImportError:  # a tree from before the row engine left fusion
-        from sfckit import fusion
-
-        return getattr(fusion, "_row_scan", fusion._run_scan)
-    return row_scan
-
-
-def one_job(scan):
-    """scan(data, entries, parities, max_violations), passing jobs = 1 on in
-    an older tree whose scan also takes a job count."""
-    if len(inspect.signature(scan).parameters) > 4:
-        return lambda *args: scan(*args, 1)
-    return scan
-
-
 def compiled_modulus(data, entries):
     """(the bits of m, "int" or "fold") of the row engine's compiled table,
     or (None, None) in a tree without _rowscan._compile."""
@@ -139,15 +120,15 @@ def compiled_modulus(data, entries):
 
 def measure(cases, repeat: int) -> dict:
     from sfckit import fusion
+    from sfckit._rowscan import row_scan
     from sfckit.reporting import DEFAULT_MAX_VIOLATIONS
 
-    row_scan = row_engine()
-    run_scan, run_row_scan = one_job(fusion._run_scan), one_job(row_scan)
+    run_scan = fusion._run_scan
     out = {}
     for label, (data, entries, parities) in cases.items():
         args = (data, entries, parities, DEFAULT_MAX_VIOLATIONS)
         best, (_, total, checked) = best_of(repeat, lambda: run_scan(*args))
-        row_best, _ = best_of(repeat, lambda: run_row_scan(*args))
+        row_best, _ = best_of(repeat, lambda: row_scan(*args))
         table = fusion.SixJTable(entries)
         inv_best, report = best_of(repeat, lambda: fusion.check_6j_invertibility(data, table))
         bits, reducer = compiled_modulus(data, entries)
@@ -177,7 +158,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    sys.path[:0] = [os.path.abspath(args.src), ROOT, os.path.join(ROOT, "perfbench")]
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
     result = measure(inputs(TINY if args.tiny else SIZES), args.repeat)
     print(json.dumps(result, indent=1))
     return 0
