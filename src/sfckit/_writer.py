@@ -37,7 +37,9 @@ def _records(rows, depth: int) -> str:
 
 
 def _scalar_text(depth: int):
-    """x -> the text of scalar_to_json(x) at depth, from x._reduced, once per distinct value."""
+    """x -> the JSON text of the scalar x at depth, from x._reduced, once per
+    distinct value: a rational integer bare, any other value as
+    {"coeffs": [[num, den], ...], "order": n} at its conductor n."""
 
     def text(x) -> str:
         order, pairs = x._reduced()

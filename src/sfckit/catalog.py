@@ -4,9 +4,10 @@ Clebsch-Gordan families.
 
 Entries validate themselves on construction.  The Ising and C_k entries carry
 no 6j tables, so they exercise classification, graded-label, and Grothendieck
-paths only.  Exact Ising values exist (the Kitaev table is test data), but
-their folded table (tests/test_envelope.descended_ising_table) fails today's
-super pentagon until ROADMAP item 1.
+paths only.  Exact Ising values exist as test data: the Kitaev table
+(tests/cases.ising_exact_table) and its folded table
+(tests/cases.descended_ising_table), which fails today's super pentagon
+until ROADMAP item 1 gives the ising entry a table.
 """
 
 from __future__ import annotations
@@ -287,7 +288,8 @@ def _entry_ising() -> CatalogEntry:
         "superfusion",
         ising_super(),
         notes=[
-            "no 6j table: no exact fermionic 6j values are carried for this family",
+            "no 6j table: the exact values are test data (tests/cases.ising_exact_table, "
+            "descended_ising_table) until ROADMAP item 1",
             "folded multiplicities derived from Hom-space dimension and parity counting",
         ],
     )
@@ -346,13 +348,3 @@ def _validate_entry(entry: CatalogEntry) -> None:
         report = check(entry.data, entry.sixj, max_violations=1)
     if not report.ok:
         raise CatalogError(f"{entry.describe()}: {report.summary()}")
-
-
-def superfusion_entries_with_tables() -> list[CatalogEntry]:
-    """Every catalog superfusion entry that carries a fermionic 6j table."""
-    return [
-        build_entry("super-z2", 1),
-        build_entry("super-z2", 3),
-        build_entry("super-zn-even", 2, 1),
-        build_entry("super-zn-even", 3, 1),
-    ]

@@ -52,12 +52,6 @@ class ZPi:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def in_positive_cone(self) -> bool:
-        return self.a >= 0 and self.b >= 0
-
-    def at_pi_one(self) -> int:
-        return self.a + self.b
-
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)

@@ -44,13 +44,6 @@ def sha256_digest(data: bytes) -> str:
 # -- scalar codec ---------------------------------------------------------------
 
 
-def scalar_to_json(x: Cyclotomic):
-    order, pairs = x._reduced()
-    if order == 1 and pairs[0][1] == 1:
-        return pairs[0][0]
-    return {"order": order, "coeffs": [list(pair) for pair in pairs]}
-
-
 def _once(convert, key):
     """convert(x, *args) once per distinct key(x), for one document.  Encoders
     key a value by its raw fields (its hash calls canonical), decoders a JSON
@@ -99,11 +92,6 @@ def _scalar_reader():
             _fail(str(exc), where, *path)
 
     return _once(read, repr)
-
-
-def scalar_from_json(obj, where: str, *path) -> Cyclotomic:
-    """The scalar obj at the location where, path (see _fail)."""
-    return _scalar_reader()(obj, where, *path)
 
 
 # -- container ------------------------------------------------------------------

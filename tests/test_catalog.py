@@ -11,8 +11,6 @@ from sfckit.catalog import (
     ising_super,
     pointed_fusion,
     pointed_superfusion,
-    standard_three_cocycle,
-    superfusion_entries_with_tables,
     z2_supercocycle,
     _truncated_clebsch_gordan,
 )
@@ -20,6 +18,7 @@ from sfckit.cocycles import SuperCocycle, ThreeCocycle, TwoCocycleZ2, cyclic_gro
 from sfckit.fusion import check_pentagon, validate_fusion
 from sfckit.scalars import ONE, Cyclotomic
 from sfckit.superfusion import check_super_pentagon, validate_superfusion
+from tests.cases import superfusion_entries_with_tables
 
 
 @pytest.mark.parametrize(

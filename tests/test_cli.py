@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from perfbench.gen import flip_entry
 from sfckit import _cube, _rowscan, cli, cocycles, fusion, grothendieck, superfusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
 from sfckit.fusion import SixJTable
@@ -16,9 +17,8 @@ from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, sup
 from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
 from sfckit.catalog import build_entry, z2_supercocycle
 from sfckit.envelope import verify_lift
-from tests.test_fusion import ising_broken_table, ising_exact_table
-from tests.test_kernel import CATALOG, all_even, flip
-from tests.test_ring_kernel import outcome, reference_build_sgr, z3_parity_broken
+from tests.cases import CATALOG, all_even, ising_broken_table, ising_exact_table, middle_key, z3_parity_broken
+from tests.test_ring_kernel import outcome, reference_build_sgr
 
 
 @pytest.fixture
@@ -433,7 +433,7 @@ def test_writer_commands_keep_stdout_for_the_document(tmp_path, super_z2_file, c
 
 def test_text_check_prints_each_report_summary(tmp_path, capsys):
     entry = build_entry("vec-zn", 4)
-    bad_table = flip(entry.sixj)
+    bad_table = flip_entry(entry.sixj, middle_key(entry.sixj))
     bad = tmp_path / "bad.json"
     bad.write_text(dumps_file(fusion_file(entry.data, bad_table)))
     assert main(["check", str(bad)]) == EXIT_CHECK_FAILED
@@ -602,7 +602,7 @@ def test_jobs_flag_matches_sequential(tmp_path, capsys):
             continue
         write = fusion_file if entry.kind == "fusion" else superfusion_file
         stem = "-".join([name, *map(str, params)])
-        cases = (("", entry.sixj, EXIT_OK), ("-flip", flip(entry.sixj), EXIT_CHECK_FAILED))
+        cases = (("", entry.sixj, EXIT_OK), ("-flip", flip_entry(entry.sixj, middle_key(entry.sixj)), EXIT_CHECK_FAILED))
         for tag, table, want in cases:
             path = tmp_path / f"{stem}{tag}.json"
             path.write_text(dumps_file(write(entry.data, table)))
@@ -700,7 +700,7 @@ def ising_even_flipped():
     """The Ising rules with every basis vector even and one entry of the
     table negated: a non-pointed super pentagon with violations."""
     data, table = ising_exact_table()
-    return all_even(data), flip(table)
+    return all_even(data), flip_entry(table, middle_key(table))
 
 
 @pytest.mark.parametrize(

@@ -9,11 +9,11 @@ engine.
 """
 
 import random
-from itertools import permutations
 from math import lcm
 
 import pytest
 
+from perfbench.gen import flip_entry
 from sfckit import _cube, _rowscan, fusion
 from sfckit.catalog import build_entry, pointed_fusion_data, pointed_superfusion_data
 from sfckit.cocycles import GroupTable, TwoCocycleZ2, cyclic_group
@@ -21,18 +21,9 @@ from sfckit.envelope import lift_6j, underlying_fusion_rules
 from sfckit.fusion import FusionData, SixJTable, admissible_decuples, check_pentagon
 from sfckit.scalars import ZERO, root_of_unity
 from sfckit.superfusion import check_super_pentagon, is_parity_admissible
-from tests.test_kernel import flip, generic_factor, table_order
-from tests.test_scalars import mixed_order_file
+from tests.cases import generic_factor, middle_key, mixed_order_file, s3, table_order
 
 LIMITS = (0, 1, 3, None)
-
-
-def s3() -> GroupTable:
-    """The symmetric group on three letters, permutations in lexicographic order."""
-    perms = list(permutations(range(3)))
-    index = {p: x for x, p in enumerate(perms)}
-    product = [[index[tuple(p[q[i]] for i in range(3))] for q in perms] for p in perms]
-    return GroupTable(product, identity=0)
 
 
 def klein() -> GroupTable:
@@ -80,7 +71,7 @@ def mutants(table, seed):
     keys = sorted(table.entries)
     rng = random.Random(seed)
     spots = rng.sample(range(len(keys)), min(3, len(keys)))
-    out = [table] + [flip(table, at) for at in spots]
+    out = [table] + [flip_entry(table, keys[at]) for at in spots]
     for at in spots[:2]:
         out.append(SixJTable({**table.entries, keys[at]: ZERO}))
         out.append(SixJTable({key: v for key, v in table.entries.items() if key != keys[at]}))
@@ -179,7 +170,8 @@ def test_pointed_catalog_tables_and_lifts(name, params, kernel_calls, monkeypatc
 def test_mutants_fail_on_both_paths(kernel_calls, monkeypatch):
     # the mutants above are not all passes: a flip breaks vec-zn 4 on both
     entry = build_entry("vec-zn", 4)
-    report = assert_paths_agree(check_pentagon, entry.data, flip(entry.sixj), kernel_calls, monkeypatch)
+    mutant = flip_entry(entry.sixj, middle_key(entry.sixj))
+    report = assert_paths_agree(check_pentagon, entry.data, mutant, kernel_calls, monkeypatch)
     assert not report.ok and report.total_violations > 3
     report = assert_paths_agree(check_pentagon, entry.data, SixJTable({}), kernel_calls, monkeypatch)
     assert report.ok and report.checked == 4**4 and report.warnings

@@ -3,7 +3,7 @@
 import pytest
 
 from sfckit import envelope
-from sfckit.catalog import build_entry, ck_super, ising_super, superfusion_entries_with_tables
+from sfckit.catalog import build_entry, ck_super, ising_super
 from sfckit.envelope import (
     UnderlyingLabel,
     build_label_set,
@@ -12,11 +12,11 @@ from sfckit.envelope import (
     underlying_fusion_rules,
     verify_lift,
 )
-from sfckit.fusion import SixJTable, admissible_decuples, check_pentagon, validate_fusion
+from sfckit.fusion import SixJTable, check_pentagon, validate_fusion
 from sfckit.scalars import ONE, root_of_unity
 from sfckit.superfusion import SuperFusionError
-from tests.test_fusion import ising_exact_table
-from tests.test_superfusion import pointed_super, z2_fermionic_table
+from tests.cases import descended_ising_table, ising_exact_table, pointed_super, superfusion_entries_with_tables
+from tests.cases import untwisted_ising_entries, z2_table
 
 
 def test_label_sets():
@@ -127,7 +127,7 @@ def test_underlying_validates_for_catalog_entries():
 
 def test_lift_sign_convention():
     data = pointed_super(lambda a, b: a * b)
-    table = z2_fermionic_table(root_of_unity(4, 1))
+    table = z2_table(root_of_unity(4, 1))
     lifted = lift_6j(data, table)
     rules = underlying_fusion_rules(data)
     index = {lab: pos for pos, lab in enumerate(rules.labels)}
@@ -160,7 +160,7 @@ def test_lift_sign_convention():
 
 def test_lift_all_even_has_no_signs():
     data = pointed_super(lambda a, b: 0)
-    table = z2_fermionic_table(ONE)
+    table = z2_table(ONE)
     lifted = lift_6j(data, table)
     assert all(v == ONE for v in lifted.entries.values())
     assert len(lifted) == 64
@@ -169,8 +169,8 @@ def test_lift_all_even_has_no_signs():
 def test_lift_refuses_bad_input():
     data = pointed_super(lambda a, b: a * b)
     with pytest.raises(SuperFusionError):
-        lift_6j(data, z2_fermionic_table(ONE))  # fails the super pentagon
-    result = verify_lift(data, z2_fermionic_table(ONE))
+        lift_6j(data, z2_table(ONE))  # fails the super pentagon
+    result = verify_lift(data, z2_table(ONE))
     assert not result.ok
     assert result.super_pentagon.total_violations > 0
     assert result.sixj is None and result.pentagon is None
@@ -181,7 +181,7 @@ def test_twist_refuses_off_support_entries_without_assert():
     # parity-admissible support; the twist raises, also under python -O
     data = pointed_super(lambda a, b: a)
     with pytest.raises(SuperFusionError, match="not parity-admissible"):
-        envelope._twist(data, z2_fermionic_table(ONE))
+        envelope._twist(data, z2_table(ONE))
 
 
 def test_twist_refuses_an_odd_entry_whose_grades_are_all_skipped():
@@ -223,42 +223,6 @@ def test_mutated_lift_fails_pentagon():
     assert not report.ok
 
 
-def _untwisted_ising_entries():
-    """Each admissible decuple of the Kitaev Ising table on the graded rules
-    of ising_super(), written in the unambiguous graded form, as its base
-    decuple and its value with the (-1)^(c * s_alpha) twist undone."""
-    data = ising_super()
-    rules = underlying_fusion_rules(data)
-    _, ising_table = ising_exact_table()
-    labels = build_label_set(data)
-    inverse = {}
-    for (i, j, m), classes in data._parity_classes.items():
-        for s, alphas in enumerate(classes):
-            inverse[(i, j, m, s)] = dict(enumerate(alphas, 1))
-    for gkey in admissible_decuples(rules):
-        graded = [(labels[x].base, labels[x].grade) for x in gkey[:6]]
-        (i, a), (j, b), (m, gm), (k, c), (n, gn), (t, gt) = graded
-        s_a = (a + b + gm) % 2
-        s_b = (gm + c + gn) % 2
-        s_e = (b + c + gt) % 2
-        s_f = (a + gt + gn) % 2
-        base = (
-            i, j, m, k, n, t,
-            inverse[(i, j, m, s_a)][gkey[6]],
-            inverse[(m, k, n, s_b)][gkey[7]],
-            inverse[(j, k, t, s_e)][gkey[8]],
-            inverse[(i, t, n, s_f)][gkey[9]],
-        )
-        value = ising_table.entries[gkey]
-        yield base, (-value if (c and s_a) else value)
-
-
-def descended_ising_table() -> SixJTable:
-    """The 29 base entries on ising_super() that the Kitaev Ising table
-    determines: the table descended through the inverse of the twist."""
-    return SixJTable(dict(_untwisted_ising_entries()))
-
-
 def test_exact_ising_table_is_grade_coherent():
     """The Ising fusion category is the graded category of the Ising
     superfusion datum.  Writing each of its admissible decuples in the
@@ -273,7 +237,7 @@ def test_exact_ising_table_is_grade_coherent():
 
     grouped: dict[tuple, set] = {}
     count = 0
-    for base, untwisted in _untwisted_ising_entries():
+    for base, untwisted in untwisted_ising_entries():
         count += 1
         grouped.setdefault(base, set()).add(str(untwisted))
     assert count == 36

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-# sfckit._rowscan is imported in the functions that use it: tools import this
-# module to run on trees from before it.
+from perfbench.gen import gauge, ising_times_zn
+from sfckit.catalog import build_entry
 from sfckit.fusion import (
     FusionData,
     FusionError,
@@ -20,34 +20,7 @@ from sfckit.fusion import (
     validate_sixj,
 )
 from sfckit.scalars import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
-
-
-def z2_pointed():
-    """Vec_{Z/2} fusion rules: labels 0, 1 with group multiplication."""
-    mult = {(a, b, (a + b) % 2): 1 for a in range(2) for b in range(2)}
-    return FusionData(labels=("0", "1"), unit=0, mult=mult)
-
-
-def z2_table(f111):
-    """6j table for Vec_{Z/2} with F(g,h,k) = 1 except F(1,1,1) = f111."""
-    entries = {}
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                ab = (a + b) % 2
-                key = (a, b, ab, c, (ab + c) % 2, (b + c) % 2, 1, 1, 1, 1)
-                entries[key] = f111 if (a, b, c) == (1, 1, 1) else ONE
-    return SixJTable(entries)
-
-
-def ising_rules():
-    """The Ising fusion ring on labels 1, p, X."""
-    mult = {
-        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1,
-        (0, 2, 2): 1, (2, 0, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1,
-        (2, 2, 0): 1, (2, 2, 1): 1,
-    }
-    return FusionData(labels=("1", "p", "X"), unit=0, mult=mult)
+from tests.cases import ising_exact_table, ising_rules, mixed_order_table, multiplicity_two_table, z2_pointed, z2_table
 
 
 def test_construction_errors():
@@ -77,11 +50,7 @@ def test_validate_ising_rules():
 
 def test_validate_dropped_summand_breaks_associativity():
     # Ising rules with the X (x) X = 1 (+) p sum truncated to 1 alone
-    mult = {
-        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1,
-        (0, 2, 2): 1, (2, 0, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1,
-        (2, 2, 0): 1,
-    }
+    mult = {triple: 1 for triple in ising_rules().mult if triple != (2, 2, 1)}
     data = FusionData(labels=("1", "p", "X"), unit=0, mult=mult)
     report = validate_fusion(data)
     assert not report.ok
@@ -235,15 +204,6 @@ def test_pentagon_rejects_off_support_entries():
     assert not report.ok
 
 
-def ising_broken_table():
-    """ising_exact_table with one entry of its 2x2 block negated: rules that
-    are not a group's, so the scan takes the row engine."""
-    data, table = ising_exact_table()
-    entries = dict(table.entries)
-    entries[(2, 2, 1, 2, 2, 1, 1, 1, 1, 1)] = -entries[(2, 2, 1, 2, 2, 1, 1, 1, 1, 1)]
-    return data, SixJTable(entries)
-
-
 def test_max_violations_bound():
     # all-zero right-hand sides: break every instance by clearing one factor family
     data = z2_pointed()
@@ -332,10 +292,6 @@ def test_invertibility_inverts_no_pivot_without_rows_below(monkeypatch):
     # division-free elimination: the check inverts no value on 1x1 blocks
     # (vec-zn 4), the 2x2 blocks of gauged Ising x Z/2 or the 5x5 blocks of
     # multiplicity-2 rules, and determinant inverts at most once
-    from perfbench.gen import gauge, ising_times_zn
-    from sfckit.catalog import build_entry
-    from tests.test_kernel import multiplicity_two_table
-
     entry = build_entry("vec-zn", 4)
     general = ising_times_zn(2)
     cases = [(entry.data, entry.sixj), (general[0], gauge(*general, seed=1)), multiplicity_two_table(seed=5)]
@@ -417,20 +373,6 @@ def ising_shaped_table(block):
     return data, SixJTable(entries)
 
 
-def ising_exact_table():
-    """The known exact Ising 6j assignment over Q(zeta_8)."""
-    data = ising_rules()
-    z8 = root_of_unity(8, 1)
-    s = (z8 + z8**7) * Cyclotomic.rational(Fraction(1, 2))  # 1/sqrt(2)
-    entries = {key: ONE for key in admissible_decuples(data)}
-    for e in (0, 1):
-        for f in (0, 1):
-            entries[(2, 2, e, 2, 2, f, 1, 1, 1, 1)] = -s if e == f == 1 else s
-    entries[(1, 2, 2, 1, 2, 2, 1, 1, 1, 1)] = -ONE
-    entries[(2, 1, 2, 2, 1, 2, 1, 1, 1, 1)] = -ONE
-    return data, SixJTable(entries)
-
-
 def test_pentagon_exact_ising_table():
     # a non-pointed positive control: multi-term inner sums with irrational
     # exact scalars
@@ -452,11 +394,7 @@ def test_pentagon_exact_ising_table():
 def test_pentagon_engine_matches_naive_with_multiplicity():
     # garbage values on multiplicity-2 data: both implementations must compute
     # identical sums, so they must disagree with zero and agree with each other
-    mult = {
-        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1,
-        (1, 1, 0): 1, (1, 1, 1): 2,
-    }
-    data = FusionData(labels=("1", "a"), unit=0, mult=mult)
+    data = mixed_order_table()[0]
     values = [ONE, -ONE, root_of_unity(4, 1), Cyclotomic.rational(2), -root_of_unity(4, 1)]
     entries = {}
     for pos, key in enumerate(admissible_decuples(data)):
@@ -470,11 +408,7 @@ def test_pentagon_engine_matches_naive_with_multiplicity():
 def test_invertibility_reports_non_square_blocks():
     # truncated Ising rules break associativity, which shows up as a
     # non-square associator block
-    mult = {
-        (0, 0, 0): 1, (0, 1, 1): 1, (1, 0, 1): 1, (1, 1, 0): 1,
-        (0, 2, 2): 1, (2, 0, 2): 1, (1, 2, 2): 1, (2, 1, 2): 1,
-        (2, 2, 0): 1,
-    }
+    mult = {triple: 1 for triple in ising_rules().mult if triple != (2, 2, 1)}
     data = FusionData(labels=("1", "p", "X"), unit=0, mult=mult)
     report = check_6j_invertibility(data, SixJTable({}))
     assert not report.ok

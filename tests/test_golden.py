@@ -1,6 +1,6 @@
 """Golden bytes: the sha256 of every file the CLI writes for the catalog.
 
-For each entry of tests/test_kernel.py:CATALOG this pins the bytes of
+For each entry of tests/cases.py:CATALOG this pins the bytes of
 ``sfckit catalog -o``; for each superfusion entry that carries a table,
 also those of ``sfckit underlying -o`` on the catalog file and of ``sfckit
 lift-cocycle -o`` on its source group and supercocycle.  A change to the scalar layer,
@@ -21,7 +21,7 @@ import pytest
 from sfckit.catalog import build_entry
 from sfckit.cli import main
 from sfckit.serialize import dumps_file, group_file
-from tests.test_kernel import CATALOG
+from tests.cases import CATALOG
 
 # (exit code, sha256 of the written file)
 GOLDEN = {

@@ -19,7 +19,7 @@ from sfckit.grothendieck import (
     sgr_multiply,
 )
 from sfckit.superfusion import BOSONIC, MAJORANA, SuperFusionData
-from tests.test_superfusion import pointed_super
+from tests.cases import pointed_super
 
 
 def test_zpi_basics():
@@ -28,7 +28,7 @@ def test_zpi_basics():
     assert one_plus * one_plus == ZPi(2, 2)
     assert (ZPI_ONE - PI) * (ZPI_ONE + PI) == ZPI_ZERO
     assert -ZPi(2, -3) == ZPi(-2, 3)
-    assert ZPi(1, 2).at_pi_one() == 3
+    assert ZPi(1, 2).a + ZPi(1, 2).b == 3  # at pi = 1
 
 
 def test_zpi_str():
@@ -64,9 +64,9 @@ _cone = st.builds(ZPi, st.integers(0, 20), st.integers(0, 20))
 @settings(max_examples=200, deadline=None)
 @given(_cone, _cone)
 def test_positive_cone_closed(x, y):
-    assert x.in_positive_cone() and y.in_positive_cone()
-    assert (x + y).in_positive_cone()
-    assert (x * y).in_positive_cone()
+    assert min(x.a, x.b, y.a, y.b) >= 0
+    assert min((x + y).a, (x + y).b) >= 0
+    assert min((x * y).a, (x * y).b) >= 0
 
 
 def test_multiplicity_pointed():
@@ -144,7 +144,7 @@ def test_all_bosonic_even_ring_specializes_to_fusion_ring():
     assert not ring.majorana
     for (i, j, m), c in ring.constants.items():
         assert c == ZPi(data.base.n(i, j, m), 0)
-        assert c.at_pi_one() == data.base.n(i, j, m)
+        assert c.a + c.b == data.base.n(i, j, m)  # at pi = 1
     # pi acts freely: pi * basis vector never collapses
     assert ring.canonicalize({0: PI}) == {0: PI}
 

@@ -18,12 +18,12 @@ import sys
 
 import pytest
 
+from perfbench.gen import flip_cube, flip_entry
 from sfckit.catalog import build_entry, omega_product_z2, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from sfckit.cocycles import ThreeCocycle, cyclic_group
 from sfckit.serialize import dumps_file, fusion_file, group_file, superfusion_file
-from tests.test_fusion import ising_broken_table, ising_exact_table
-from tests.test_kernel import flip, flip_cube
+from tests.cases import ising_broken_table, ising_exact_table, middle_key
 
 SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.serialize"}
@@ -70,7 +70,7 @@ def inputs(tmp_path_factory):
     paths["vec_flipped"], paths["ising_flipped"] = root / "vec-z3-flipped.json", root / "ising-flipped.json"
     paths["cube_flipped"] = root / "z3-flipped.json"
     vec = build_entry("vec-zn", 3)
-    paths["vec_flipped"].write_text(dumps_file(fusion_file(vec.data, flip(vec.sixj))))
+    paths["vec_flipped"].write_text(dumps_file(fusion_file(vec.data, flip_entry(vec.sixj, middle_key(vec.sixj)))))
     paths["ising_flipped"].write_text(dumps_file(fusion_file(*ising_broken_table())))
     cube = ThreeCocycle(flip_cube(standard_three_cocycle(3).values, (1, 1, 1)))
     paths["cube_flipped"].write_text(dumps_file(group_file(cyclic_group(3), cocycle=cube)))

@@ -10,9 +10,10 @@ import sys
 import pytest
 
 import sfckit
+from perfbench.gen import flip_entry
 from sfckit import catalog, cli, cocycles, envelope, fusion, grothendieck, reporting, serialize, superfusion
 from sfckit.catalog import build_entry, ising_super
-from tests.test_kernel import flip
+from tests.cases import middle_key
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -90,7 +91,7 @@ def test_plain_record_classes_pickle_compare_and_freeze():
         return obj
 
     vec, sup = build_entry("vec-zn", 3), build_entry("super-zn-even", 2)
-    failing = fusion.check_pentagon(vec.data, flip(vec.sixj))
+    failing = fusion.check_pentagon(vec.data, flip_entry(vec.sixj, middle_key(vec.sixj)))
     label, z = envelope.UnderlyingLabel(1, 0), grothendieck.ZPi(2, -1)
     records = [
         failing, failing.violations[0], fusion.validate_fusion(vec.data), envelope.verify_lift(sup.data, sup.sixj),

@@ -20,6 +20,8 @@ from sfckit.fusion import FusionData, associativity_defects, validate_fusion
 from sfckit.grothendieck import GrothendieckError, SGrRing, ZPi, build_sgr, sgr_multiply
 from sfckit.reporting import LawResult
 from sfckit.superfusion import BOSONIC, MAJORANA, SuperFusionData, validate_superfusion
+from tests.cases import CATALOG as SHARED
+from tests.cases import all_even, z3_parity_broken
 
 # -- dense reference loops ------------------------------------------------------------
 
@@ -143,38 +145,8 @@ def reference_build_sgr(data):
 
 # -- inputs ---------------------------------------------------------------------------
 
-CATALOG = [
-    ("trivial", ()),
-    ("trivial-super", ()),
-    ("ising", ()),
-    ("vec-zn", (2,)),
-    ("vec-zn", (3, 2)),
-    ("vec-zn", (4,)),
-    ("vec-zn", (6,)),
-    ("super-z2", (1,)),
-    ("super-z2", (3,)),
-    ("super-zn-even", (2,)),
-    ("super-zn-even", (3, 2)),
-    ("super-zn-even", (4,)),
-] + [("ck", (k,)) for k in (2, 6, 10, 14, 18, 22)]
-
-
-def as_super(data: FusionData) -> SuperFusionData:
-    """Fusion rules read as all-even, all-Bosonic superfusion rules."""
-    parities = {(i, j, m, a): 0 for (i, j, m), n in data.mult.items() for a in range(1, n + 1)}
-    return SuperFusionData(data, parities, [BOSONIC] * data.rank)
-
-
-def z3_parity_broken() -> SuperFusionData:
-    """Vec(Z/3) rules whose only odd basis vector is s(a, a, a2) = 1.
-
-    The superfusion laws hold, but [a][a] = pi[a2] while [a][a2] = [1], so
-    ([a][a])[a2] = pi[a] != [a] = [a]([a][a2]): K_pi is not associative.
-    """
-    mult = {(g, h, (g + h) % 3): 1 for g in range(3) for h in range(3)}
-    base = FusionData(labels=("1", "a", "a2"), unit=0, mult=mult)
-    parities = {(g, h, m, 1): int((g, h) == (1, 1)) for (g, h, m) in mult}
-    return SuperFusionData(base, parities, [BOSONIC] * 3)
+# the shared catalog with the C_k family up to k = 22, whose rules alone are tested here
+CATALOG = [case for case in SHARED if case[0] != "ck"] + [("ck", (k,)) for k in (2, 6, 10, 14, 18, 22)]
 
 
 Z3_FAILURE = "ring is not associative at (a, a, a2): pi[a] != [a]"
@@ -206,7 +178,7 @@ def mutants(data: SuperFusionData):
 
 
 def fusion_mutants(data: FusionData):
-    for mutant in mutants(as_super(data)):
+    for mutant in mutants(all_even(data)):
         yield mutant.base
 
 
@@ -215,7 +187,7 @@ def catalog_superfusion():
     read as all-even superfusion rules."""
     for name, params in CATALOG:
         entry = build_entry(name, *params)
-        data = entry.data if entry.kind == "superfusion" else as_super(entry.data)
+        data = entry.data if entry.kind == "superfusion" else all_even(entry.data)
         yield f"{name}{params}", data
 
 
@@ -247,7 +219,7 @@ def test_laws_match_reference_on_catalog(name, params):
         assert assert_fusion_matches(entry.data).ok
         for mutant in fusion_mutants(entry.data):
             assert_fusion_matches(mutant)
-        data = as_super(entry.data)
+        data = all_even(entry.data)
     else:
         data = entry.data
         assert assert_fusion_matches(underlying_fusion_rules(data)).ok

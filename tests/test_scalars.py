@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from perfbench.gen import carry_group_parts, flip_entry
 from sfckit.scalars import (
     ONE,
     ZERO,
@@ -28,12 +29,11 @@ from sfckit.scalars import (
 from sfckit import scalars
 from sfckit.catalog import build_entry, z2_supercocycle
 from sfckit.cli import EXIT_CHECK_FAILED
-from sfckit.cocycles import SuperCocycle, cyclic_group, lift_supercocycle
+from sfckit.cocycles import cyclic_group, lift_supercocycle
 from sfckit.envelope import lift_6j
 from sfckit.fusion import FusionError, SixJTable, check_6j_invertibility, check_pentagon, determinant
-from sfckit.serialize import fusion_file, save_file
-from tests.test_fusion import ising_exact_table
-from tests.test_kernel import CATALOG, carry, flip, gauge, generic_factor
+from sfckit.serialize import save_file
+from tests.cases import CATALOG, gauge, generic_factor, ising_exact_table, mixed_order_file
 
 
 def test_cyclotomic_polynomials():
@@ -323,9 +323,8 @@ def test_canonical_matches_reference_on_catalog(name, params):
 def test_canonical_matches_reference_on_lifted_cocycles():
     # Z/2 supercocycles and the Z/6 carry supercocycle z12^(a carry(b, c))
     cases = [(cyclic_group(2), z2_supercocycle(p)) for p in (1, 3)]
-    omega = carry(6)
-    values = [[[root_of_unity(12, a * omega(b, k)) for k in range(6)] for b in range(6)] for a in range(6)]
-    cases.append((cyclic_group(6), SuperCocycle(omega, values)))
+    group, _, _, carry_supercocycle = carry_group_parts(6)
+    cases.append((group, carry_supercocycle))
     for g, sc in cases:
         _, lifted = lift_supercocycle(g, sc)
         for x in distinct(v for plane in lifted.values for row in plane for v in row):
@@ -521,7 +520,7 @@ def count_fractions(monkeypatch, fn):
 def test_arithmetic_builds_no_fraction(monkeypatch):
     data, table = ising_exact_table()
     gauged = gauge(data, table, seed=3)
-    mutant = flip(gauged, 17)
+    mutant = flip_entry(gauged, sorted(gauged.entries)[17])
     x, y = generic_factor(random.Random(2), 8), generic_factor(random.Random(3), 24)
     matrix = [[generic_factor(random.Random(10 * r + c), 8) for c in range(3)] for r in range(3)]
     group, supercocycle = cyclic_group(2), z2_supercocycle(1)
@@ -632,16 +631,6 @@ def test_zeta_matches_repeated_multiplication(n):
     assert fields(up[n]) == fields(one)
     for k in range(-2 * n, 2 * n):
         assert fields(Cyclotomic.zeta(n, k)) == fields(up[k] if k >= 0 else down[-k]), k
-
-
-def mixed_order_file(*orders):
-    """vec-zn 2 with its first entries, in key order, set to zeta_n for n in
-    orders: a fusion file at conductor lcm(2, *orders) whose pentagon fails."""
-    entry = build_entry("vec-zn", 2)
-    entries = dict(entry.sixj.entries)
-    for key, n in zip(sorted(entries), orders):
-        entries[key] = root_of_unity(n, 1)
-    return fusion_file(entry.data, SixJTable(entries))
 
 
 # Starts argv[1:], waits for it with os.wait4 and prints its exit code, wall

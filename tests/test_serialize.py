@@ -6,35 +6,27 @@ from fractions import Fraction
 
 import pytest
 
+from perfbench.gen import deligne_with_pointed
+from sfckit import serialize
 from sfckit.catalog import build_entry, ising_super, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INPUT_ERROR, main
 from sfckit.cocycles import GroupTable, ThreeCocycle, cyclic_group, lift_supercocycle
 from sfckit.envelope import underlying_fusion_rules, verify_lift
-from sfckit.fusion import FusionData, SixJTable
+from sfckit.fusion import FusionData
 from sfckit.scalars import Cyclotomic, root_of_unity
-from sfckit.serialize import (
-    FORMAT_VERSION,
-    SchemaError,
-    dumps_file,
-    fusion_file,
-    group_file,
-    loads_file,
-    scalar_from_json,
-    scalar_to_json,
-    superfusion_file,
-)
+from sfckit.serialize import FORMAT_VERSION, SchemaError, dumps_file, fusion_file, group_file, loads_file
+from sfckit.serialize import superfusion_file
 from sfckit.superfusion import SuperFusionData
-from tests.test_envelope import descended_ising_table
-from tests.test_fusion import ising_exact_table
-from tests.test_kernel import CATALOG, deligne_with_z3, gauge
+from tests.cases import CATALOG, catalog_files, descended_ising_table, gauge, ising_exact_table, vec_z2_with
 from tests.test_scalars import count_fractions
 
 
 def test_scalar_codec_integers_get_shorthand():
-    assert scalar_to_json(Cyclotomic.rational(5)) == 5
-    assert scalar_to_json(Cyclotomic.rational(-1)) == -1
     # a root of unity built at order 6 that is really rational stays shorthand
-    assert scalar_to_json(root_of_unity(6, 3)) == -1
+    cf = vec_z2_with([Cyclotomic.rational(5), Cyclotomic.rational(-1), root_of_unity(6, 3)])
+    assert_writer_matches_reference(cf)
+    records = json.loads(dumps_file(cf))["payload"]["sixj"]
+    assert [record[-1] for record in records[:3]] == [5, -1, -1]
 
 
 def test_scalar_codec_round_trips():
@@ -44,11 +36,8 @@ def test_scalar_codec_round_trips():
         root_of_unity(8, 1) + root_of_unity(8, 7),
         root_of_unity(3, 2) * Cyclotomic.rational(Fraction(-2, 5)),
     ]
-    for x in samples:
-        encoded = scalar_to_json(x)
-        decoded = scalar_from_json(encoded, "test")
-        assert decoded == x
-        assert scalar_to_json(decoded) == encoded
+    cf = vec_z2_with(samples)
+    assert roundtrip(cf).sixj.entries == cf.sixj.entries
 
 
 def test_encode_makes_one_canonical_form_per_distinct_value(monkeypatch):
@@ -66,7 +55,7 @@ def test_encode_makes_one_canonical_form_per_distinct_value(monkeypatch):
 
 
 def test_scalar_codec_accepts_integer_coeff_shorthand():
-    assert scalar_from_json({"order": 4, "coeffs": [0, 1]}, "t") == root_of_unity(4, 1)
+    assert serialize._scalar_reader()({"order": 4, "coeffs": [0, 1]}, "t") == root_of_unity(4, 1)
 
 
 @pytest.mark.parametrize(
@@ -85,7 +74,7 @@ def test_scalar_codec_accepts_integer_coeff_shorthand():
 )
 def test_scalar_codec_rejects_malformed(obj, fragment):
     with pytest.raises(SchemaError, match=fragment):
-        scalar_from_json(obj, "t")
+        serialize._scalar_reader()(obj, "t")
 
 
 def roundtrip(cf):
@@ -351,19 +340,6 @@ def assert_writer_matches_reference(cf):
     assert dumps_file(cf) == oracle(reference_document(cf)) + "\n"
 
 
-def catalog_files(name, params):
-    """The catalog entry's file and, where it comes from a group, its group file."""
-    entry = build_entry(name, *params)
-    make = fusion_file if entry.kind == "fusion" else superfusion_file
-    files = [make(entry.data, entry.sixj)]
-    group = entry.source.get("group")
-    if "cocycle" in entry.source:
-        files.append(group_file(group, cocycle=entry.source["cocycle"]))
-    if "supercocycle" in entry.source:
-        files.append(group_file(group, supercocycle=entry.source["supercocycle"]))
-    return files
-
-
 def written_files(cf):
     """The files that underlying, lift-cocycle and extend-group write from cf."""
     if cf.kind == "superfusion":
@@ -387,7 +363,7 @@ def test_render_equals_json_dumps_on_catalog(name, params):
 
 
 def test_writer_equals_reference_on_generic_and_majorana_tables():
-    data, table = deligne_with_z3(*ising_exact_table())
+    data, table = deligne_with_pointed(*ising_exact_table(), 3)
     assert_writer_matches_reference(fusion_file(data, gauge(data, table, seed=2)))
     assert_writer_matches_reference(superfusion_file(ising_super(), descended_ising_table()))
     assert_writer_matches_reference(fusion_file(data))
@@ -430,15 +406,11 @@ def huge_and_negative_values():
 def test_writer_equals_reference_on_huge_and_negative_numerators():
     # in a sixj record (depth 4) and in a cube (depth 5)
     values = huge_and_negative_values()
-    entry = build_entry("vec-zn", 2)
-    keys = sorted(entry.sixj.entries)
-    entries = {**entry.sixj.entries, **dict(zip(keys, values))}
-    assert_writer_matches_reference(fusion_file(entry.data, SixJTable(entries)))
+    assert_writer_matches_reference(vec_z2_with(values))
     g = cyclic_group(2)
     cube = [[[values[(4 * a + 2 * b + c) % 4] for c in range(2)] for b in range(2)] for a in range(2)]
     assert_writer_matches_reference(group_file(g, cocycle=ThreeCocycle(cube)))
     for x in values:
-        assert scalar_to_json(x) == reference_scalar(x)
         assert str(x) == reference_str(x)
 
 

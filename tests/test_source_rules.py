@@ -8,13 +8,20 @@ guarded by ``assert``, which ``python -O`` removes, no value is tested with ``is
 which accepts a bool (the plain-int test is ``type(x) is int``), and
 ``reporting._unchecked``, which builds an object without its constructor's
 checks, is named only in the builders of derived data listed in
-UNCHECKED_BUILDERS."""
+UNCHECKED_BUILDERS.
+
+Two more rules keep the example inputs in one home: no script under
+``tools/`` imports a ``tests.test_*`` module, and ``tests/cases.py``, where
+the tests and tools build their inputs, imports no ``tests.test_*`` module
+and no ``_``-prefixed sfckit module or name, so a tool can build its inputs
+against an older tree's sfckit."""
 
 import ast
 import pathlib
 import sys
 
-SOURCES = sorted((pathlib.Path(__file__).resolve().parent.parent / "src" / "sfckit").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "sfckit").glob("*.py"))
 SLOW_TO_START = ("dataclasses", "argparse")
 SINGLE_PROCESS = ("concurrent", "multiprocessing", "threading")
 # (module, function): the only code that may name _unchecked.  The decoder
@@ -121,4 +128,52 @@ def test_rule_breaches_are_found():
         "line 9: import of threading, a second process or thread",
         "line 11: isinstance(..., int) accepts bool",
         "line 13: _unchecked used in _decode_fusion, not a builder of derived data",
+    ]
+
+
+def input_rule_breaches(source: str, cases: bool) -> list[str]:
+    """Every import of a tests.test_* module and, in tests/cases.py (cases
+    True), every import of a _-prefixed sfckit module or name."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.startswith("tests.test_"):
+                breaches.append(f"line {node.lineno}: import of {name}, a test module")
+            elif cases and name.split(".")[0] == "sfckit" and "._" in name:
+                breaches.append(f"line {node.lineno}: import of {name}, private to sfckit")
+    return breaches
+
+
+def test_tools_import_no_test_module():
+    tools = sorted((ROOT / "tools").glob("*.py"))
+    assert len(tools) >= 4
+    breaches = [f"{path.name} {b}" for path in tools for b in input_rule_breaches(path.read_text(), cases=False)]
+    assert breaches == []
+
+
+def test_cases_import_no_test_module_and_nothing_private():
+    assert input_rule_breaches((ROOT / "tests" / "cases.py").read_text(), cases=True) == []
+
+
+def test_input_rule_breaches_are_found():
+    source = (
+        "from tests.test_kernel import CATALOG\nimport tests.test_fusion\nfrom tests import test_scalars\n"
+        "from tests.cases import flip\nfrom sfckit import _rowscan, fusion\nfrom sfckit._cube import scan\n"
+        "from sfckit.fusion import _products_of, check_pentagon\nimport sfckit.scalars\n"
+    )
+    assert input_rule_breaches(source, cases=False) == [
+        "line 1: import of tests.test_kernel.CATALOG, a test module",
+        "line 2: import of tests.test_fusion, a test module",
+        "line 3: import of tests.test_scalars, a test module",
+    ]
+    assert input_rule_breaches(source, cases=True)[3:] == [
+        "line 5: import of sfckit._rowscan, private to sfckit",
+        "line 6: import of sfckit._cube.scan, private to sfckit",
+        "line 7: import of sfckit.fusion._products_of, private to sfckit",
     ]

@@ -13,7 +13,7 @@ from sfckit.catalog import (
     z2_supercocycle,
 )
 from sfckit.cocycles import cyclic_group
-from sfckit.fusion import FusionData, FusionError, admissible_decuples, check_pentagon
+from sfckit.fusion import FusionError, admissible_decuples, check_pentagon
 from sfckit.reporting import Violation
 from sfckit.scalars import ONE, ZERO, Cyclotomic, root_of_unity
 from sfckit.superfusion import (
@@ -28,20 +28,11 @@ from sfckit.superfusion import (
     is_parity_admissible,
     validate_superfusion,
 )
-
-
-def z2_base():
-    mult = {(a, b, (a + b) % 2): 1 for a in range(2) for b in range(2)}
-    return FusionData(labels=("0", "1"), unit=0, mult=mult)
-
-
-def pointed_super(omega_fn):
-    parities = {(a, b, (a + b) % 2, 1): omega_fn(a, b) for a in range(2) for b in range(2)}
-    return SuperFusionData(z2_base(), parities, (BOSONIC, BOSONIC))
+from tests.cases import CATALOG, pointed_super, z2_pointed, z2_table
 
 
 def test_construction_errors():
-    base = z2_base()
+    base = z2_pointed()
     good = {(a, b, (a + b) % 2, 1): 0 for a in range(2) for b in range(2)}
     with pytest.raises(SuperFusionError):
         SuperFusionData(base, dict(list(good.items())[:-1]), (BOSONIC, BOSONIC))  # missing parity
@@ -84,7 +75,7 @@ def test_classify_reports_type_mismatches():
 
 
 def test_classify_rejects_majorana_unit():
-    base = z2_base()
+    base = z2_pointed()
     parities = {(a, b, (a + b) % 2, 1): 0 for a in range(2) for b in range(2)}
     data = SuperFusionData(base, parities, (MAJORANA, BOSONIC))
     with pytest.raises(SuperFusionError):
@@ -178,7 +169,7 @@ def test_check_support():
 def test_check_support_matches_parity_oracle():
     # every parity assignment on Z/2 rules, a nonzero entry on every admissible
     # decuple but one; the oracle asks is_parity_admissible entry by entry
-    keys = list(admissible_decuples(z2_base()))
+    keys = list(admissible_decuples(z2_pointed()))
     table = FermionicSixJTable({key: ZERO if pos == 5 else ONE for pos, key in enumerate(keys)})
     for bits in itertools.product((0, 1), repeat=4):
         data = pointed_super(lambda a, b: bits[2 * a + b])
@@ -197,27 +188,16 @@ def test_check_support_matches_parity_oracle():
         assert (report.ok, report.checked, report.total_violations) == (not want, len(keys), len(want))
 
 
-def z2_fermionic_table(f111):
-    entries = {}
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                ab = (a + b) % 2
-                key = (a, b, ab, c, (ab + c) % 2, (b + c) % 2, 1, 1, 1, 1)
-                entries[key] = f111 if (a, b, c) == (1, 1, 1) else ONE
-    return FermionicSixJTable(entries)
-
-
 def test_super_pentagon_zeta4_passes():
     data = pointed_super(lambda a, b: a * b)
-    report = check_super_pentagon(data, z2_fermionic_table(root_of_unity(4, 1)))
+    report = check_super_pentagon(data, z2_table(root_of_unity(4, 1)))
     assert report.ok
     assert report.checked == 16
 
 
 def test_super_pentagon_all_ones_fails_exactly_at_1111():
     data = pointed_super(lambda a, b: a * b)
-    report = check_super_pentagon(data, z2_fermionic_table(ONE), max_violations=None)
+    report = check_super_pentagon(data, z2_table(ONE), max_violations=None)
     assert not report.ok
     assert report.total_violations == 1
     assert report.violations[0].instance[:4] == (1, 1, 1, 1)
@@ -234,7 +214,7 @@ def test_super_pentagon_rejects_off_parity_support():
 
 def test_all_even_reduces_to_plain_pentagon_instance_by_instance():
     even = pointed_super(lambda a, b: 0)
-    broken = z2_fermionic_table(Cyclotomic.rational(3))
+    broken = z2_table(Cyclotomic.rational(3))
     super_report = check_super_pentagon(even, broken, max_violations=None)
     plain_report = check_pentagon(even.base, broken, max_violations=None)
     assert super_report.ok == plain_report.ok is False
@@ -258,8 +238,6 @@ def test_super_pentagon_matches_supercocycle_projection():
 
 
 def test_parity_classes_split_each_hom_space_by_parity():
-    from tests.test_kernel import CATALOG
-
     seen = 0
     for name, params in CATALOG:
         entry = build_entry(name, *params)
@@ -307,5 +285,5 @@ def test_parity_classes_split_each_hom_space_by_parity():
 )
 def test_construction_error_texts(parities, object_type, text):
     with pytest.raises(SuperFusionError) as info:
-        SuperFusionData(z2_base(), parities, object_type)
+        SuperFusionData(z2_pointed(), parities, object_type)
     assert str(info.value) == text

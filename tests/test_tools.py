@@ -1,5 +1,6 @@
 """Smoke tests of the measurement scripts under tools/."""
 
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -111,3 +112,20 @@ def test_import_cost_prints_the_modules_each_command_loads():
         assert "sfckit._rowscan" not in row["modules"]
         assert all(us >= 0 for us in row["modules"].values())
         assert row["total_us"] >= max(row["modules"].values()) > 0
+
+
+def test_report_identity_inputs_are_pinned(tmp_path, monkeypatch):
+    # the 100 inputs that tools/report_identity.py runs every command on,
+    # built from tests/cases.py and perfbench/gen.py: a change to any of
+    # them changes this digest over each label and its file's bytes
+    for path in (ROOT, ROOT / "perfbench", ROOT / "tools"):
+        monkeypatch.syspath_prepend(str(path))
+    import report_identity
+
+    inputs = report_identity.write_inputs(str(tmp_path))
+    digest = hashlib.sha256()
+    for label, path in inputs.items():
+        digest.update(label.encode())
+        digest.update(pathlib.Path(path).read_bytes())
+    assert len(inputs) == 100
+    assert digest.hexdigest() == "4422f277f0dcbe2606fc593395b801458060c48c3d1b3d7ab1d28dff9f5b32a1"

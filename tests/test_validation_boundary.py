@@ -34,8 +34,7 @@ from sfckit.envelope import lift_6j, underlying_fusion_rules
 from sfckit.fusion import FusionData, SixJTable
 from sfckit.serialize import SchemaError, dumps_file, fusion_file, group_file, load_file, loads_file
 from sfckit.superfusion import SuperFusionData
-from tests.test_kernel import CATALOG
-from tests.test_serialize import catalog_files
+from tests.cases import CATALOG, catalog_files
 
 # perfbench's modules import each other by bare name
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))

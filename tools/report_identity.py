@@ -4,10 +4,13 @@ record every outcome, so that two trees can be compared report by report.
 Usage: python tools/report_identity.py SRC OUT.json
 
 SRC is the directory that holds the ``sfckit`` package (a checkout's
-``src``).  The inputs, written by that tree's own serializer, are:
+``src``).  The inputs are built from this checkout's ``tests/cases.py``
+(example tables, public sfckit names only) and ``perfbench/gen.py``
+(seeded generators), and written by SRC's own serializer.  They are:
 
-- every entry of ``tests/test_kernel.py:CATALOG`` and, where it has a
-  table, a mutant with one entry negated (``test_kernel.flip``);
+- every entry of ``tests/cases.CATALOG`` and, where it has a table, a
+  mutant with its middle entry in key order negated
+  (``perfbench/gen.flip_entry`` at ``cases.middle_key``);
 - for an entry built from a group, its group file (``cocycle`` or
   ``supercocycle`` with its omega) and a mutant with one cube value negated;
 - the inputs of the three benchmark workloads
@@ -22,16 +25,16 @@ SRC is the directory that holds the ``sfckit`` package (a checkout's
 - mixed conductors, where the witness sides are products across orders and
   print through ``canonical``: ``vec-zn 2`` with its first entries set to
   ``zeta_11`` and ``zeta_13`` (N = 286) and to ``zeta_3``, ``zeta_5`` and
-  ``zeta_7`` (N = 210) (``test_scalars.mixed_order_file``);
-- pointed tables off the catalog: the rules of S3 with a gauged trivial
-  cocycle (``perfbench/gen.gauge_cube``) and one entry negated, ``vec-zn 4``
-  with every ninth entry left out, and one-product rules of rank 3 whose
-  product is not associative, where ``(ij)k = i(jk)`` fails and the scans
-  of a group's rules do not apply;
+  ``zeta_7`` (N = 210) (``cases.mixed_order_file``);
+- pointed tables off the catalog: the rules of S3 (``cases.s3``) with a
+  gauged trivial cocycle (``perfbench/gen.gauge_cube``) and one entry
+  negated, ``vec-zn 4`` with every ninth entry left out, and one-product
+  rules of rank 3 whose product is not associative, where ``(ij)k = i(jk)``
+  fails and the scans of a group's rules do not apply;
 - a Majorana object with a table: ``ising`` with the 29 base entries that
-  the Kitaev Ising table determines (``test_envelope.descended_ising_table``),
+  the Kitaev Ising table determines (``cases.descended_ising_table``),
   whose super pentagon fails on the odd-odd entries the lift drops;
-- superfusion rules whose ring laws fail: ``test_ring_kernel.z3_parity_broken``,
+- superfusion rules whose ring laws fail: ``cases.z3_parity_broken``,
   whose pi-Grothendieck ring is not associative, and ``ck 10`` with its middle
   multiplicity raised by one odd basis vector, which breaks the
   associativity law of ``validate_superfusion``;
@@ -131,25 +134,23 @@ RESULT_TIME = re.compile(r"^(result: \w+) \([0-9.]+s, ", re.MULTILINE)
 
 
 def _negate_middle(values):
-    """A copy of a G^3 cube with its middle value negated."""
-    flat = [x for plane in values for row in plane for x in row]
-    flat[len(flat) // 2] = -flat[len(flat) // 2]
+    """A copy of a G^3 cube with its middle value, in row-major order, negated."""
+    from gen import flip_cube
+
     n = len(values)
-    return [[flat[(a * n + b) * n : (a * n + b + 1) * n] for b in range(n)] for a in range(n)]
+    middle = n**3 // 2
+    return flip_cube(values, (middle // n**2, middle // n % n, middle % n))
 
 
 def write_inputs(work: str) -> dict[str, str]:
     """Write every input into work; returns label -> path, in a fixed order."""
     from sfckit.catalog import build_entry, ising_super, pointed_fusion_data, standard_three_cocycle
-    from sfckit.cocycles import GroupTable, SuperCocycle, ThreeCocycle, cyclic_group
+    from sfckit.cocycles import SuperCocycle, ThreeCocycle, cyclic_group
     from sfckit.fusion import FusionData, SixJTable, admissible_decuples
     from sfckit.scalars import MINUS_ONE, ONE
     from sfckit.serialize import dumps_file, fusion_file, group_file, save_file, superfusion_file
     from sfckit.superfusion import SuperFusionData
-    from tests.test_envelope import descended_ising_table
-    from tests.test_kernel import CATALOG, flip
-    from tests.test_ring_kernel import z3_parity_broken
-    from tests.test_scalars import mixed_order_file
+    from tests.cases import CATALOG, descended_ising_table, middle_key, mixed_order_file, s3, z3_parity_broken
     from workloads import WORKLOADS, build_plan
 
     import gen
@@ -167,7 +168,7 @@ def write_inputs(work: str) -> dict[str, str]:
         make = fusion_file if entry.kind == "fusion" else superfusion_file
         save(label, make(entry.data, entry.sixj))
         if entry.sixj is not None and entry.sixj.entries:
-            save(f"{label} flipped", make(entry.data, flip(entry.sixj)))
+            save(f"{label} flipped", make(entry.data, gen.flip_entry(entry.sixj, middle_key(entry.sixj))))
         group = entry.source.get("group")
         tau, sc = entry.source.get("cocycle"), entry.source.get("supercocycle")
         if tau is not None:
@@ -180,7 +181,7 @@ def write_inputs(work: str) -> dict[str, str]:
     data, table = gen.ising_times_zn(3)
     gauged = gen.gauge(data, table, seed=1)
     save("gauged ising x z3", fusion_file(data, gauged))
-    save("gauged ising x z3 flipped", fusion_file(data, flip(gauged)))
+    save("gauged ising x z3 flipped", fusion_file(data, gen.flip_entry(gauged, middle_key(gauged))))
     source = build_entry("vec-zn", 4).source
     cube = gen.gauge_cube(source["group"], source["cocycle"].values, seed=1)
     save("gauged vec-zn 4 group", group_file(source["group"], cocycle=ThreeCocycle(cube)))
@@ -191,14 +192,11 @@ def write_inputs(work: str) -> dict[str, str]:
     flipped = SuperCocycle(omega, _negate_middle(cube))
     save("gauged super-zn-even 4 group flipped", group_file(source["group"], supercocycle=flipped))
     sdata, stable = gen.even_superfusion(*gen.ising_fusion())
-    middle = sorted(stable.entries)[len(stable) // 2]
-    save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle)))
+    save("even ising superfusion flipped", superfusion_file(sdata, gen.flip_entry(stable, middle_key(stable))))
     for orders in ((11, 13), (3, 5, 7)):
         save(" ".join(["vec-zn 2 zeta", *map(str, orders)]), mixed_order_file(*orders))
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    s3 = GroupTable([[perms.index(tuple(p[i] for i in q)) for q in perms] for p in perms], 0)
-    data, table = pointed_fusion_data(s3, ThreeCocycle(gen.gauge_cube(s3, [[[ONE] * 6] * 6] * 6, seed=1)))
-    save("s3 gauged flipped", fusion_file(data, flip(table)))
+    data, table = pointed_fusion_data(s3(), ThreeCocycle(gen.gauge_cube(s3(), [[[ONE] * 6] * 6] * 6, seed=1)))
+    save("s3 gauged flipped", fusion_file(data, gen.flip_entry(table, middle_key(table))))
     vec = build_entry("vec-zn", 4)
     sparse = SixJTable({key: v for at, (key, v) in enumerate(sorted(vec.sixj.entries.items())) if at % 9})
     save("vec-zn 4 missing entries", fusion_file(vec.data, sparse))
