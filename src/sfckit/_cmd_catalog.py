@@ -2,20 +2,20 @@
 
 import sys
 
-from .cli import EXIT_OK, _write_output
 from .reporting import CatalogError
 from .serialize import fusion_file, superfusion_file
 
 
-def handle(args) -> int:
+def handle(run) -> None:
     from .catalog import CATALOG, build_entry, catalog_names
 
+    args = run.args
     if args.list:
         for name in catalog_names():
             spec, _ = CATALOG[name]
             params = " ".join(spec)
             print(f"{name} {params}".strip())
-        return EXIT_OK
+        return
     if not args.name:
         raise CatalogError("catalog needs an entry name (or --list)")
     entry = build_entry(args.name, *args.params)
@@ -23,7 +23,6 @@ def handle(args) -> int:
         out = fusion_file(entry.data, entry.sixj)
     else:
         out = superfusion_file(entry.data, entry.sixj)
-    _write_output(args, out)
+    run.write(out)
     for note in entry.notes:
         print(f"note: {note}", file=sys.stderr)
-    return EXIT_OK

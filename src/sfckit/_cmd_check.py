@@ -1,15 +1,11 @@
 """sfckit check: the checks that apply to the kind of the input file."""
 
-from .cli import _Run
 from .serialize import SchemaError
 
 
-def handle(args) -> int:
-    run = _Run("check", args)
-    cf = run.read_input(args.file)
-    which = args.which
+def handle(run, cf) -> bool:
+    which, mv = run.args.which, run.args.max_violations
     ok = True
-    mv = args.max_violations
 
     if cf.kind == "fusion":
         from .fusion import SixJTable, _require_on_support, _scan_report, validate_fusion, validate_sixj
@@ -61,4 +57,4 @@ def handle(args) -> int:
                     shared = {"omega_report": reports.get("cocycle2")} if kind == "supercocycle" else {}
                     reports[kind] = check(cf.group, data, max_violations=mv, **shared)
                     ok &= run.add(reports[kind])
-    return run.finish(ok)
+    return ok

@@ -1,13 +1,11 @@
 """sfckit underlying: the underlying fusion category of a superfusion file."""
 
-from .cli import _Run, _write_output
 from .reporting import CheckReport, Violation
 from .serialize import CategoryFile, SchemaError, fusion_file, load_file
 
 
-def handle(args) -> int:
-    run = _Run("underlying", args)
-    cf = run.read_input(args.file)
+def handle(run, cf) -> bool:
+    args = run.args
     if cf.kind != "superfusion":
         raise SchemaError(f"underlying needs a superfusion file, got kind {cf.kind!r}")
     from .envelope import underlying_fusion_rules, verify_lift
@@ -16,7 +14,7 @@ def handle(args) -> int:
     data = cf.superfusion
     ok = run.add(validate_superfusion(data))
     if not ok:
-        return run.finish(False)
+        return False
     if cf.sixj is None:
         run.note("no fermionic 6j table: emitting graded labels and fusion rules only")
         out = fusion_file(underlying_fusion_rules(data))
@@ -25,14 +23,14 @@ def handle(args) -> int:
         ok &= run.add(result.super_pentagon)
         if not ok:
             run.note("input fails the super pentagon; refusing to lift")
-            return run.finish(False)
+            return False
         ok &= run.add(result.fusion_validation)
         ok &= run.add(result.pentagon)
         out = fusion_file(result.underlying, result.sixj)
-    _write_output(args, out)
+    run.write(out)
     if args.output and out.sixj is not None:
         ok &= run.add(_check_written(args.output, out, args.max_violations))
-    return run.finish(ok)
+    return ok
 
 
 def _check_written(path: str, cf: CategoryFile, max_violations: int | None) -> CheckReport:

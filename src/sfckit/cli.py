@@ -14,10 +14,11 @@ imports the engines it runs.  So a command compiles only its own handler and
 engines, the sfc-1 writer only if it writes, and the field arithmetic
 (scalars) only to read a 6j table or a group's 3-(super)cocycle or to run a
 pentagon scan: sgr and underlying on (super)fusion rules alone, and
-extend-group on a group with only an omega table, compile none.  The handler
-modules import this one, so under "python -m sfckit.cli" it is loaded a
-second time, as sfckit.cli beside __main__; the two copies raise and catch
-the same classes, so a command runs the same either way.
+extend-group on a group with only an omega table, compile none.  main makes
+the run (_Run) and reads a FILE command's input; the handler adds its
+reports and notes to the run, writes through run.write and returns its
+verdict, which main hands to run.finish.  No handler imports this module, so
+under "python -m sfckit.cli" it loads once, as __main__.
 
 One parser (parse_args) reads the command line from two tables: _FLAGS,
 each flag with its value and its check, and _COMMANDS, each command with its
@@ -55,6 +56,7 @@ class _Run:
         self.args = args
         self.reports: list = []
         self.notes: list[str] = []
+        self.extra: dict = {}  # more top-level fields of the report
         self.input_digest = None
         self.input_path = None
         self.started = time.perf_counter()
@@ -72,7 +74,14 @@ class _Run:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def finish(self, ok: bool, extra: dict | None = None) -> int:
+    def write(self, cf: CategoryFile) -> None:
+        """Write cf to the -o file, or to stdout without -o."""
+        if self.args.output:
+            save_file(self.args.output, cf)
+        else:
+            sys.stdout.write(dumps_file(cf))
+
+    def finish(self, ok: bool) -> int:
         elapsed = time.perf_counter() - self.started
         doc = {
             "command": self.command,
@@ -83,8 +92,7 @@ class _Run:
             "notes": self.notes,
             "elapsed_s": round(elapsed, 6),
         }
-        if extra:
-            doc.update(extra)
+        doc.update(self.extra)
         # without -o, stdout carries the written document alone
         out = sys.stderr if getattr(self.args, "output", "") is None else sys.stdout
         if getattr(self.args, "json", False):
@@ -96,13 +104,6 @@ class _Run:
                 print(f"note: {note}", file=out)
             print(f"result: {'pass' if ok else 'FAIL'} ({elapsed:.3f}s, input {self.input_digest})", file=out)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _write_output(args, cf: CategoryFile) -> None:
-    if args.output:
-        save_file(args.output, cf)
-    else:
-        sys.stdout.write(dumps_file(cf))
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -276,9 +277,15 @@ def parse_args(argv: list[str]):
 
 
 def main(argv=None) -> int:
-    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
+    argv = sys.argv[1:] if argv is None else argv
+    handler, args = parse_args(argv)
+    run = _Run(argv[0], args)
     try:
-        return handler(args)
+        if not hasattr(args, "file"):  # catalog reads no input and prints no report
+            handler(run)
+            return EXIT_OK
+        cf = run.read_input(args.file)
+        return run.finish(handler(run, cf))
     except (SchemaError, CatalogError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

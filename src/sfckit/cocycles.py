@@ -5,10 +5,10 @@ Every check visits the whole G^3 or G^4 index space and reads its tables by
 index.  The G^4 identities run in _cube.scan, on the cube compiled to one
 int per value (scalars.kronecker_form); the (super) pentagon of a group's
 fusion rules runs in the same kernel.  A command that already holds the
-2-cocycle report of omega hands it to check_supercocycle and, through
-lift_supercocycle, to central_extension, so omega is checked once.  The
-central extension G_omega stores (g, a), g in G and a in Z/2, at index
-2g + a, and reads an index x as (x >> 1, x & 1).
+2-cocycle report of omega hands it to check_supercocycle and to
+lift_supercocycle, which builds the central extension on it, so omega is
+checked once.  The central extension G_omega stores (g, a), g in G and a in
+Z/2, at index 2g + a, and reads an index x as (x >> 1, x & 1).
 """
 
 from __future__ import annotations
@@ -238,23 +238,22 @@ def extension_labels(g: GroupTable) -> tuple[str, ...]:
     return tuple(f"{g.labels[x >> 1]}^{x & 1}" for x in range(2 * g.order))
 
 
-def central_extension(
-    g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False, report: CheckReport | None = None
-) -> GroupTable:
+def central_extension(g: GroupTable, w: TwoCocycleZ2, *, normalize: bool = False) -> GroupTable:
     """The group on Z/2 x G with product g^a . h^b = (gh)^(a+b+omega(g,h)).
 
     omega must be a 2-cocycle (else the product is not associative; refused
     with a witness) and must be normalized at the identity; normalize=True
-    applies the constant-coboundary pre-pass first.  A caller that already
-    holds check_2cocycle(g, w) with max_violations >= 1 passes it as
-    ``report``, and the G^3 pass is not repeated.
+    applies the constant-coboundary pre-pass first.
     """
-    return _extension(g, w, normalize, report)[0]
+    return _extension(g, w, normalize, None)[0]
 
 
 def _extension(g: GroupTable, w: TwoCocycleZ2, normalize: bool, report) -> tuple[GroupTable, ValidationReport]:
     """central_extension and its validate_group report (ok), which
-    extend-group prints: the group is validated once."""
+    extend-group prints: the group is validated once.  A caller that already
+    holds check_2cocycle(g, w) with max_violations >= 1 (extend-group,
+    lift_supercocycle) passes it as report, and the G^3 pass is not
+    repeated."""
     if report is None:
         report = check_2cocycle(g, w, max_violations=1)
     if not report.ok:
@@ -298,7 +297,7 @@ def lift_supercocycle(
     if not report.ok:
         witness = report.violations[0].instance
         raise CocycleError(f"not a 3-supercocycle; witness quadruple {witness}")
-    ext = central_extension(g, sc.omega, report=omega_report)
+    ext = _extension(g, sc.omega, False, omega_report)[0]
     f, omega, n = sc.values, sc.omega.values, range(ext.order)
     cube = [[[-f[x >> 1][y >> 1][z >> 1] if z & 1 and omega[x >> 1][y >> 1] else f[x >> 1][y >> 1][z >> 1]
               for z in n] for y in n] for x in n]

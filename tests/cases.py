@@ -5,7 +5,9 @@ over Q(zeta_8)) and its descent to the folded Ising superfusion datum, the
 first Majorana object (``descended_ising_table``), whose super pentagon fails
 until ROADMAP item 1.  This module imports only public sfckit names, so a
 tool can build its inputs here against an older tree's sfckit; pytest does
-not collect it (no ``test_`` prefix).
+not collect it (no ``test_`` prefix).  No test module imports another: the
+inputs they share live here, and the slow reference oracles they share in
+``tests/oracles.py``, which may read private sfckit names.
 """
 
 import random

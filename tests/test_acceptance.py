@@ -17,7 +17,7 @@ from sfckit.catalog import (
     standard_three_cocycle,
     z2_supercocycle,
 )
-from perfbench.gen import carry_group_parts, flip_cube
+from gen import carry_group_parts, flip_cube
 from sfckit import _rowscan, fusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_OK, main
 from sfckit.cocycles import (

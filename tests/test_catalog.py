@@ -63,6 +63,12 @@ def test_entry_registry():
         build_entry("ck", 6, 1, 2)
 
 
+def test_entry_describes_itself_with_its_parameters():
+    assert build_entry("ising").describe() == "ising"
+    assert build_entry("ck", 10).describe() == "ck(k=10)"
+    assert build_entry("vec-zn", 3, 2).describe() == "vec-zn(n=3, p=2)"
+
+
 def test_standard_z3_cocycle_against_exponent_oracle():
     # tau(a,b,c) = zeta_3^(a * ((b+c) div 3)); check the identity on exponents mod 3
     def e(a, b, c):

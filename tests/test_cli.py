@@ -9,16 +9,17 @@ import sys
 
 import pytest
 
-from perfbench.gen import flip_entry
+from gen import flip_entry
 from sfckit import _cube, _rowscan, cli, cocycles, fusion, grothendieck, superfusion
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_INPUT_ERROR, EXIT_INTERNAL_ERROR, EXIT_OK, main
-from sfckit.fusion import SixJTable
+from sfckit.fusion import FusionData, SixJTable
 from sfckit.serialize import dumps_file, fusion_file, group_file, load_file, superfusion_file
 from sfckit.cocycles import SuperCocycle, TwoCocycleZ2, cyclic_group
 from sfckit.catalog import build_entry, z2_supercocycle
 from sfckit.envelope import verify_lift
+from sfckit.superfusion import SuperFusionData
 from tests.cases import CATALOG, all_even, ising_broken_table, ising_exact_table, middle_key, z3_parity_broken
-from tests.test_ring_kernel import outcome, reference_build_sgr
+from tests.oracles import outcome, reference_build_sgr
 
 
 @pytest.fixture
@@ -46,6 +47,8 @@ def test_catalog_list_and_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["catalog", "super-z2", "2"]) == EXIT_INPUT_ERROR  # no supercocycle at an even power
     assert capsys.readouterr().err == "error: not a 3-supercocycle; witness quadruple (1, 1, 1, 1)\n"
+    assert main(["catalog"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: catalog needs an entry name (or --list)\n"
 
 
 def test_check_passes_on_catalog_file(super_z2_file, capsys):
@@ -67,8 +70,8 @@ def test_check_json_report(super_z2_file, capsys):
 
 @pytest.mark.parametrize("mutate", [False, True])
 def test_python_m_runs_the_command_as_main_does(mutate, tmp_path, super_z2_file, capsys):
-    # under -m the handler modules load the module a second time, as
-    # sfckit.cli beside __main__: same exit code, same report
+    # under -m the front end runs as __main__ and no handler imports it back
+    # (tests/test_imports.py): same exit code, same report as main()
     path = super_z2_file
     if mutate:
         doc = json.loads(path.read_text())
@@ -150,9 +153,64 @@ def test_check_gates_pentagon_on_fusion_rules(tmp_path, capsys):
         assert "non-admissible" in capsys.readouterr().err
 
 
-def test_check_which_mismatch_is_input_error(super_z2_file):
+def test_check_which_mismatch_is_input_error(super_z2_file, tmp_path, capsys):
     assert main(["check", str(super_z2_file), "--which", "cocycle3"]) == EXIT_INPUT_ERROR
     assert main(["check", str(super_z2_file), "--which", "pentagon"]) == EXIT_INPUT_ERROR
+    fusion = tmp_path / "vec-z2.json"
+    assert main(["catalog", "vec-zn", "2", "-o", str(fusion)]) == EXIT_OK
+    group = tmp_path / "gz2.json"
+    group.write_text(dumps_file(group_file(cyclic_group(2), supercocycle=z2_supercocycle(1))))
+    capsys.readouterr()
+    assert main(["check", str(fusion), "--which", "cocycle2"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: check 'cocycle2' does not apply to a fusion file\n"
+    assert main(["check", str(group), "--which", "pentagon"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: check 'pentagon' does not apply to a group+cocycles file\n"
+
+
+def test_check_notes_a_fusion_file_without_table(tmp_path, capsys):
+    path = tmp_path / "vec-z2-rules.json"
+    path.write_text(dumps_file(fusion_file(build_entry("vec-zn", 2).data)))
+    assert main(["check", str(path), "--json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ok"] is True
+    assert doc["notes"] == ["no 6j table in input; pentagon runs against the empty table"]
+
+
+def test_extend_group_refuses_unnormalized_omega_without_normalize(tmp_path, capsys):
+    src = tmp_path / "omega-ones.json"
+    src.write_text(dumps_file(group_file(cyclic_group(2), TwoCocycleZ2(((1, 1), (1, 1))))))
+    out = tmp_path / "ext.json"
+    assert main(["extend-group", str(src), "-o", str(out), "--json"]) == EXIT_CHECK_FAILED
+    doc = json.loads(capsys.readouterr().out)
+    assert [check["ok"] for check in doc["checks"]] == [True, True]
+    assert len(doc["notes"]) == 1 and "normalized" in doc["notes"][0]
+    assert not out.exists()
+
+
+def odd_bumped_ck10():
+    """ck 10 rules with the multiplicity of their first admissible triple
+    raised by one odd basis vector; validate_superfusion refuses them."""
+    data = build_entry("ck", 10).data
+    key = min(data.base.mult)
+    mult = dict(data.base.mult)
+    mult[key] += 1
+    parities = {**data.parities, (*key, mult[key]): 1}
+    return SuperFusionData(FusionData(data.base.labels, data.base.unit, mult), parities, data.object_type)
+
+
+@pytest.mark.parametrize("command, writes", [("sgr", False), ("underlying", True)])
+def test_invalid_superfusion_rules_stop_at_their_validation(command, writes, tmp_path, capsys):
+    src = tmp_path / "ck10-bumped.json"
+    src.write_text(dumps_file(superfusion_file(odd_bumped_ck10())))
+    out = tmp_path / "out.json"
+    assert main([command, str(src), "--json", *(["-o", str(out)] if writes else [])]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert [check["subject"] for check in doc["checks"]] == ["superfusion data"]
+    assert doc["ok"] is False and doc["notes"] == []
+    assert set(doc) == {"command", "input", "digest", "ok", "checks", "notes", "elapsed_s"}
+    assert captured.err == ""
+    assert not out.exists()
 
 
 def test_underlying_round_trip(tmp_path, super_z2_file, capsys):
@@ -486,8 +544,12 @@ def test_underlying_round_trip_catches_corrupted_write(tmp_path, super_z2_file, 
         with open(path, "w") as fh:
             fh.write(dumps_file(cf)[:100])
 
+    def rename_one_label(path, cf):
+        labels = ("renamed",) + cf.fusion.labels[1:]
+        real_save(path, fusion_file(FusionData(labels, cf.fusion.unit, cf.fusion.mult), cf.sixj))
+
     out = tmp_path / "underlying.json"
-    for corrupting_save in (flip_one_entry, truncate):
+    for corrupting_save in (flip_one_entry, truncate, rename_one_label):
         monkeypatch.setattr(cli, "save_file", corrupting_save)
         assert main(["underlying", str(super_z2_file), "-o", str(out), "--json"]) == EXIT_CHECK_FAILED
         doc = json.loads(capsys.readouterr().out)

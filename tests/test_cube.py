@@ -13,7 +13,7 @@ from math import lcm
 
 import pytest
 
-from perfbench.gen import flip_entry
+from gen import flip_entry
 from sfckit import _cube, _rowscan, fusion
 from sfckit.catalog import build_entry, pointed_fusion_data, pointed_superfusion_data
 from sfckit.cocycles import GroupTable, TwoCocycleZ2, cyclic_group

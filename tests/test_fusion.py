@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from perfbench.gen import gauge, ising_times_zn
+from gen import gauge, ising_times_zn
 from sfckit.catalog import build_entry
 from sfckit.fusion import (
     FusionData,
@@ -21,6 +21,7 @@ from sfckit.fusion import (
 )
 from sfckit.scalars import ONE, ZERO, Cyclotomic, euler_phi, root_of_unity
 from tests.cases import ising_exact_table, ising_rules, mixed_order_table, multiplicity_two_table, z2_pointed, z2_table
+from tests.oracles import block_shapes, cofactor_determinant, naive_pentagon_violations
 
 
 def test_construction_errors():
@@ -117,61 +118,6 @@ def test_pentagon_z2_two_fails_at_1111():
     assert report.violations[0].rhs == 1
 
 
-def naive_pentagon_violations(data, table):
-    """Reference pentagon check over the full index space, no pruning."""
-    rank = data.rank
-    maxmult = max(data.mult.values(), default=1)
-
-    def t(*key):
-        return table.entries.get(key, ZERO)
-
-    bad = set()
-    idx = range(rank)
-    labels = range(1, maxmult + 1)
-    for i in idx:
-     for j in idx:
-      for k in idx:
-       for l in idx:
-        for m in idx:
-         for n in idx:
-          for p in idx:
-           for q in idx:
-            for s in idx:
-             for alpha in labels:
-              for beta in labels:
-               for chi in labels:
-                for gamma in labels:
-                 for delta in labels:
-                  for phi in labels:
-                    lhs = ZERO
-                    for tt in idx:
-                        for eta in labels:
-                            for psi in labels:
-                                f1 = t(i, j, m, k, n, tt, alpha, beta, eta, psi)
-                                if f1.is_zero():
-                                    continue
-                                for kappa in labels:
-                                    f2 = t(i, tt, n, l, p, s, psi, chi, kappa, gamma)
-                                    if f2.is_zero():
-                                        continue
-                                    f3 = t(j, k, tt, l, s, q, eta, kappa, delta, phi)
-                                    if f3.is_zero():
-                                        continue
-                                    lhs = lhs + f1 * f2 * f3
-                    rhs = ZERO
-                    for eps in labels:
-                        g1 = t(m, k, n, l, p, q, beta, chi, delta, eps)
-                        if g1.is_zero():
-                            continue
-                        g2 = t(i, j, m, q, p, s, alpha, eps, phi, gamma)
-                        if g2.is_zero():
-                            continue
-                        rhs = rhs + g1 * g2
-                    if lhs != rhs:
-                        bad.add((i, j, k, l, m, n, p, q, s, alpha, beta, chi, gamma, delta, phi))
-    return bad
-
-
 def test_pentagon_engine_matches_naive_enumeration():
     data = z2_pointed()
     table = z2_table(Cyclotomic.rational(2))  # broken on purpose
@@ -218,17 +164,6 @@ def test_max_violations_bound():
     assert full.total_violations == bounded.total_violations > 2
     assert len(bounded.violations) == 2
     assert bounded.violations == full.violations[:2]
-
-
-def cofactor_determinant(matrix):
-    if len(matrix) == 1:
-        return matrix[0][0]
-    total = ZERO
-    for col in range(len(matrix)):
-        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
-        term = matrix[0][col] * cofactor_determinant(minor)
-        total = total + term if col % 2 == 0 else total - term
-    return total
 
 
 def random_scalar(rng):
@@ -314,39 +249,6 @@ def test_invertibility_inverts_no_pivot_without_rows_below(monkeypatch):
             calls.clear()
             determinant(matrix)
             assert len(calls) <= 1 if size > 2 else not calls
-
-
-def block_shapes(data):
-    """(rows, cols) of every block F^{ijk}_n, as check_6j_invertibility assembles them."""
-    shapes = []
-    for i in range(data.rank):
-        for j in range(data.rank):
-            for k in range(data.rank):
-                rows, cols = {}, {}
-                for m, a in data.summands(i, j):
-                    for n, b in data.summands(m, k):
-                        rows.setdefault(n, []).extend((m, x, y) for x in range(1, a + 1) for y in range(1, b + 1))
-                for t, c in data.summands(j, k):
-                    for n, d in data.summands(i, t):
-                        cols.setdefault(n, []).extend((t, x, y) for x in range(1, c + 1) for y in range(1, d + 1))
-                shapes += [((i, j, k, n), (rows.get(n, []), cols.get(n, []))) for n in sorted(rows.keys() | cols.keys())]
-    return shapes
-
-
-def invertibility_oracle(data, table):
-    """(checked, [(instance, detail)]) of check_6j_invertibility: each block
-    assembled as a dense matrix of its values, a missing entry reading 0,
-    and tested singular by cofactor expansion."""
-    shapes = block_shapes(data)
-    found = []
-    for (i, j, k, n), (rows, cols) in shapes:
-        if len(rows) != len(cols):
-            found.append(((i, j, k, n), f"block is {len(rows)}x{len(cols)}: fusion-data inconsistency"))
-            continue
-        block = [[table.get((i, j, m, k, n, t, a, b, e, f)) or ZERO for t, e, f in cols] for m, a, b in rows]
-        if cofactor_determinant(block) == 0:
-            found.append(((i, j, k, n), "block is singular"))
-    return len(shapes), found
 
 
 def test_invertibility_z2_blocks():

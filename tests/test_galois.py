@@ -13,8 +13,8 @@ from math import gcd
 
 import pytest
 
-from perfbench.gen import flip_entry, ising_times_zn
-from perfbench.gen import gauge as gen_gauge
+from gen import flip_entry, ising_times_zn
+from gen import gauge as gen_gauge
 from sfckit import _rowscan
 from sfckit.catalog import build_entry
 from sfckit.envelope import verify_lift

@@ -8,8 +8,13 @@ own handler module and no other, and its engines.  The field arithmetic
 and no command loads the 6j invertibility module.  No command loads
 fractions or decimal, not even a failing check that prints its violations:
 a value is printed and written from its int numerators and denominator.
+
+Every file loads once, under one name: "python -m sfckit.cli" runs the front
+end as __main__ and imports no sfckit.cli, and in a pytest run no
+repository file sits in sys.modules under two names.
 """
 
+import importlib
 import json
 import os
 import pathlib
@@ -18,14 +23,15 @@ import sys
 
 import pytest
 
-from perfbench.gen import flip_cube, flip_entry
+from gen import flip_cube, flip_entry
 from sfckit.catalog import build_entry, omega_product_z2, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from sfckit.cocycles import ThreeCocycle, cyclic_group
 from sfckit.serialize import dumps_file, fusion_file, group_file, superfusion_file
 from tests.cases import ising_broken_table, ising_exact_table, middle_key
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 CLI = {"sfckit", "sfckit.cli", "sfckit.reporting", "sfckit.serialize"}
 WRITER, ROW_ENGINE, SCALARS = "sfckit._writer", "sfckit._rowscan", "sfckit.scalars"
 
@@ -195,3 +201,30 @@ def test_comparing_with_a_foreign_object_loads_no_fractions():
     proc = subprocess.run([sys.executable, "-c", COMPARE], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True", "False"]
+
+
+def test_python_m_imports_no_second_front_end(inputs):
+    # under -m the front end runs as __main__; no handler imports it back as
+    # sfckit.cli, so cli.py is compiled once
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-X", "importtime", "-m", "sfckit.cli", "check", inputs["fusion"]]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "sfckit._cmd_check" in imported
+    assert "sfckit.cli" not in imported
+
+
+def test_no_repository_file_loads_under_two_names():
+    # every test module, imported by the name pytest gives it (tests/ is on
+    # sys.path); a file that one of them, or a module it loads, imports under
+    # a second name (tests.test_fusion, perfbench.gen) shows up twice
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        importlib.import_module(path.stem)
+    names = {}
+    for name, module in list(sys.modules.items()):
+        file = getattr(module, "__file__", None)
+        if file and pathlib.Path(file).resolve().is_relative_to(ROOT):
+            names.setdefault(pathlib.Path(file).resolve().relative_to(ROOT).as_posix(), []).append(name)
+    assert "tests/test_fusion.py" in names and "perfbench/gen.py" in names
+    assert {path: sorted(found) for path, found in names.items() if len(found) > 1} == {}

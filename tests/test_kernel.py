@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfbench.gen import carry_group_parts, deligne_with_pointed, flip_cube, flip_entry, ising_times_zn
-from perfbench.gen import gauge as gen_gauge
+from gen import carry_group_parts, deligne_with_pointed, flip_cube, flip_entry, ising_times_zn
+from gen import gauge as gen_gauge
 from sfckit import _cube, _plan, _rowscan, fusion
 from sfckit.catalog import build_entry, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INTERNAL_ERROR, main
@@ -52,7 +52,7 @@ from sfckit.serialize import fusion_file, group_file, save_file, superfusion_fil
 from sfckit.superfusion import BOSONIC, SuperFusionData, check_super_pentagon, is_parity_admissible
 from tests.cases import CATALOG, all_even, gauge, gauge_cube, generic_factor, ising_exact_table, middle_key
 from tests.cases import mixed_order_table, multiplicity_two_table, table_order, z2_pointed, z2_table
-from tests.test_fusion import invertibility_oracle, naive_pentagon_violations
+from tests.oracles import invertibility_oracle, naive_pentagon_violations
 
 # -- Cyclotomic reference loops --------------------------------------------------------
 

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import sfckit
-from perfbench.gen import flip_entry
+from gen import flip_entry
 from sfckit import catalog, cli, cocycles, envelope, fusion, grothendieck, reporting, serialize, superfusion
 from sfckit.catalog import build_entry, ising_super
 from tests.cases import middle_key

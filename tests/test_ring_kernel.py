@@ -2,11 +2,11 @@
 dense loops it replaced.
 
 The reference loops below are the rank**4 associativity sums of the fusion
-and superfusion laws, the unit and duality loops of both validators, and the
+and superfusion laws and the unit and duality loops of both validators; the
 basis-triple associativity loop of the pi-Grothendieck ring built on
-sgr_multiply.  The kernel must give the same laws with the same violation
-tuples in the same order, and build_sgr the same ring or the same
-GrothendieckError text.
+sgr_multiply is in tests/oracles.py.  The kernel must give the same laws
+with the same violation tuples in the same order, and build_sgr the same
+ring or the same GrothendieckError text.
 """
 
 import random
@@ -22,6 +22,7 @@ from sfckit.reporting import LawResult
 from sfckit.superfusion import BOSONIC, MAJORANA, SuperFusionData, validate_superfusion
 from tests.cases import CATALOG as SHARED
 from tests.cases import all_even, z3_parity_broken
+from tests.oracles import outcome, reference_build_sgr, reference_ring_associativity
 
 # -- dense reference loops ------------------------------------------------------------
 
@@ -102,45 +103,6 @@ def reference_super_laws(data):
         "associativity": LawResult("associativity", not assoc_violations, assoc_violations),
         "duality": LawResult("duality", not dual_violations, dual_violations),
     }
-
-
-def reference_ring_associativity(ring):
-    """The first failing basis triple, as build_sgr's message, or None."""
-    for i in range(ring.rank):
-        for j in range(ring.rank):
-            ij = sgr_multiply(ring, ring.basis_vector(i), ring.basis_vector(j))
-            for k in range(ring.rank):
-                left = sgr_multiply(ring, ij, ring.basis_vector(k))
-                jk = sgr_multiply(ring, ring.basis_vector(j), ring.basis_vector(k))
-                right = sgr_multiply(ring, ring.basis_vector(i), jk)
-                if left != right:
-                    return (
-                        f"ring is not associative at ({ring.labels[i]}, {ring.labels[j]}, {ring.labels[k]}): "
-                        f"{ring.format_element(left)} != {ring.format_element(right)}"
-                    )
-    return None
-
-
-def outcome(build, data):
-    """('ring', constants) or ('error', text) of a ring construction."""
-    try:
-        ring = build(data)
-    except GrothendieckError as exc:
-        return ("error", str(exc))
-    return ("ring", ring.constants)
-
-
-def reference_build_sgr(data):
-    ring = grothendieck._sgr_ring(data)
-    unit_vec = ring.basis_vector(ring.unit)
-    for i in range(ring.rank):
-        e = ring.basis_vector(i)
-        if sgr_multiply(ring, unit_vec, e) != e or sgr_multiply(ring, e, unit_vec) != e:
-            raise GrothendieckError(f"[{ring.labels[ring.unit]}] is not a unit at basis {ring.labels[i]}")
-    message = reference_ring_associativity(ring)
-    if message is not None:
-        raise GrothendieckError(message)
-    return ring
 
 
 # -- inputs ---------------------------------------------------------------------------

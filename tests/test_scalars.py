@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perfbench.gen import carry_group_parts, flip_entry
+from gen import carry_group_parts, flip_entry
 from sfckit.scalars import (
     ONE,
     ZERO,
@@ -34,6 +34,7 @@ from sfckit.envelope import lift_6j
 from sfckit.fusion import FusionError, SixJTable, check_6j_invertibility, check_pentagon, determinant
 from sfckit.serialize import save_file
 from tests.cases import CATALOG, gauge, generic_factor, ising_exact_table, mixed_order_file
+from tests.oracles import count_fractions
 
 
 def test_cyclotomic_polynomials():
@@ -122,6 +123,20 @@ def test_inverse_of_zeta3():
     z = root_of_unity(3, 1)
     assert z.inverse() == z**2
     assert z * z.inverse() == 1
+
+
+def test_reciprocal_negative_power_and_refusals():
+    z8 = root_of_unity(8, 1)
+    assert 1 / z8 == z8**7 == z8.inverse()
+    assert z8**-2 == root_of_unity(4, 3) and z8**-2 * z8**2 == ONE
+    assert (ONE.is_one(), z8.is_one(), (z8**8).is_one(), Cyclotomic.rational(2).is_one()) == (True, False, True, False)
+    with pytest.raises(ValueError, match="is not rational"):
+        Cyclotomic.zeta(4).rational_value()
+    with pytest.raises(ValueError, match="cannot promote order 8 to non-multiple 12"):
+        z8.promote(12)
+    with pytest.raises(AttributeError, match="immutable"):
+        z8.order = 4
+    assert z8.order == 8
 
 
 def test_division_by_zero_raises():
@@ -500,21 +515,6 @@ def test_exact_scalars_are_accepted():
 
 
 # -- no Fraction inside the arithmetic ---------------------------------------------------
-
-
-def count_fractions(monkeypatch, fn):
-    """How many Fractions fn() constructs."""
-    original = Fraction.__new__
-    made = []
-
-    def counted(cls, *args, **kwargs):
-        made.append(args)
-        return original(cls, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Fraction, "__new__", counted)
-        fn()
-    return len(made)
 
 
 def test_arithmetic_builds_no_fraction(monkeypatch):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from perfbench.gen import deligne_with_pointed
+from gen import deligne_with_pointed
 from sfckit import serialize
 from sfckit.catalog import build_entry, ising_super, standard_three_cocycle, z2_supercocycle
 from sfckit.cli import EXIT_INPUT_ERROR, main
@@ -18,7 +18,7 @@ from sfckit.serialize import FORMAT_VERSION, SchemaError, dumps_file, fusion_fil
 from sfckit.serialize import superfusion_file
 from sfckit.superfusion import SuperFusionData
 from tests.cases import CATALOG, catalog_files, descended_ising_table, gauge, ising_exact_table, vec_z2_with
-from tests.test_scalars import count_fractions
+from tests.oracles import count_fractions
 
 
 def test_scalar_codec_integers_get_shorthand():

@@ -14,7 +14,16 @@ Two more rules keep the example inputs in one home: no script under
 ``tools/`` imports a ``tests.test_*`` module, and ``tests/cases.py``, where
 the tests and tools build their inputs, imports no ``tests.test_*`` module
 and no ``_``-prefixed sfckit module or name, so a tool can build its inputs
-against an older tree's sfckit."""
+against an older tree's sfckit.
+
+Three rules keep every file loaded once, under one name: no command handler
+(``src/sfckit/_cmd_*.py``) imports the front end ``sfckit.cli``, which
+``python -m sfckit.cli`` runs as ``__main__``; no module under ``tests/``
+imports a test module (``tests.test_*`` or a bare ``test_*``), which pytest
+has loaded under its bare name, so shared oracles live in
+``tests/oracles.py``; and none imports ``perfbench.*`` by package path, as
+perfbench's own modules import each other by bare name (``tests/conftest.py``
+puts ``perfbench/`` on the path)."""
 
 import ast
 import pathlib
@@ -176,4 +185,65 @@ def test_input_rule_breaches_are_found():
         "line 5: import of sfckit._rowscan, private to sfckit",
         "line 6: import of sfckit._cube.scan, private to sfckit",
         "line 7: import of sfckit.fusion._products_of, private to sfckit",
+    ]
+
+
+def load_once_breaches(source: str, handler: bool) -> list[str]:
+    """In a command handler (handler True), every import of the front end,
+    sfckit.cli or the relative .cli; in a module under tests/, every import
+    of a test module, tests.test_* or a bare test_*, and of perfbench.* by
+    package path."""
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level + (f"{node.module}." if node.module else "")
+            names = [prefix + alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if handler and f"{name}.".startswith((".cli.", "sfckit.cli.")):
+                breaches.append(f"line {node.lineno}: import of {name}, the front end")
+            elif not handler and name.startswith(("tests.test_", "test_")):
+                breaches.append(f"line {node.lineno}: import of {name}, a test module")
+            elif not handler and name.split(".")[0] == "perfbench":
+                breaches.append(f"line {node.lineno}: import of {name}, perfbench by package path")
+    return breaches
+
+
+def test_command_handlers_import_no_front_end():
+    handlers = sorted((ROOT / "src" / "sfckit").glob("_cmd_*.py"))
+    assert len(handlers) >= 6
+    breaches = [f"{path.name} {b}" for path in handlers for b in load_once_breaches(path.read_text(), handler=True)]
+    assert breaches == []
+
+
+def test_tests_import_no_test_module_and_perfbench_by_bare_name():
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    assert {"cases.py", "conftest.py", "oracles.py"} < {path.name for path in modules}
+    breaches = [f"{path.name} {b}" for path in modules for b in load_once_breaches(path.read_text(), handler=False)]
+    assert breaches == []
+
+
+def test_load_once_rule_breaches_are_found():
+    source = (
+        "from .cli import _Run\nfrom . import cli, reporting\nimport sfckit.cli\nfrom sfckit.cli import main\n"
+        "from .client import x\nfrom .serialize import save_file\n"
+        "from tests.test_fusion import naive_pentagon_violations\nfrom tests import test_scalars\n"
+        "import test_ring_kernel\nfrom tests.oracles import outcome\nfrom perfbench.gen import flip_entry\n"
+        "import perfbench.workloads\nfrom gen import gauge\nfrom workloads import WORKLOADS\n"
+    )
+    assert load_once_breaches(source, handler=True) == [
+        "line 1: import of .cli._Run, the front end",
+        "line 2: import of .cli, the front end",
+        "line 3: import of sfckit.cli, the front end",
+        "line 4: import of sfckit.cli.main, the front end",
+    ]
+    assert load_once_breaches(source, handler=False) == [
+        "line 7: import of tests.test_fusion.naive_pentagon_violations, a test module",
+        "line 8: import of tests.test_scalars, a test module",
+        "line 9: import of test_ring_kernel, a test module",
+        "line 11: import of perfbench.gen.flip_entry, perfbench by package path",
+        "line 12: import of perfbench.workloads, perfbench by package path",
     ]

@@ -28,7 +28,7 @@ from sfckit.superfusion import (
     is_parity_admissible,
     validate_superfusion,
 )
-from tests.cases import CATALOG, pointed_super, z2_pointed, z2_table
+from tests.cases import CATALOG, all_even, pointed_super, z2_pointed, z2_table
 
 
 def test_construction_errors():
@@ -63,6 +63,12 @@ def test_classify_objects():
     pointed = pointed_super(lambda a, b: a * b)
     report = classify_objects(pointed)
     assert report.ok and report.n_bosonic == 2 and report.n_majorana == 0
+
+    # the Ising rules typed all-Bosonic: End(X) is two-dimensional
+    report = classify_objects(all_even(ising.base))
+    assert not report.ok
+    assert report.summary() == "objects: 2 bosonic, 0 majorana; MISMATCHES: ('X', 'bosonic', 'End dim 2')"
+    assert classify_objects(ising).summary() == "objects: 1 bosonic, 1 majorana"
 
 
 def test_classify_reports_type_mismatches():

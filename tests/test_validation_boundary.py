@@ -19,7 +19,6 @@ import io
 import json
 import pickle
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -35,9 +34,6 @@ from sfckit.fusion import FusionData, SixJTable
 from sfckit.serialize import SchemaError, dumps_file, fusion_file, group_file, load_file, loads_file
 from sfckit.superfusion import SuperFusionData
 from tests.cases import CATALOG, catalog_files
-
-# perfbench's modules import each other by bare name
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import WORKLOADS, build_plan, settle_oracles
 
 # The public constructor of each class the package builds unchecked, called
